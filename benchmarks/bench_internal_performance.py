@@ -326,6 +326,107 @@ def test_perf_fec_decode_batch_vs_scalar():
 
 
 @pytest.mark.bench_smoke
+def test_perf_fec_replay_batched_vs_per_packet():
+    """Throughput's FEC replay: per-packet loop against one batched decode.
+
+    The population is the damaged packets of the goodput sweep's
+    level-5 trial at the CLI's default seed and scale (1000 packets,
+    ~280 damaged).  ``_fec_recovers`` replays them one decode per
+    packet; :func:`repro.fec.replay.replay_damage` damages every row
+    and decodes them in one ``decode_batch`` call, swept
+    ``SWEEP_ROWS`` rows at a time.  Recovered counts must agree, and
+    the sweep-row cap must keep one 330-row decode's traced
+    allocations under 16 MiB.
+    """
+    import tracemalloc
+
+    from repro.analysis.classify import PacketClass
+    from repro.experiments import throughput
+    from repro.experiments.engine import trial_seed
+    from repro.fec.interleave import BlockInterleaver
+    from repro.fec.rcpc import RcpcCodec
+    from repro.fec.replay import replay_damage
+
+    level = 5.0
+    seed = trial_seed(99, "throughput", f"level-{level:g}")
+    codec = RcpcCodec(throughput.FEC_RATE)
+    interleaver = BlockInterleaver(32, 64)
+    info = (
+        np.random.default_rng(seed)
+        .integers(0, 2, throughput.FEC_INFO_BITS)
+        .astype(np.uint8)
+    )
+    transmitted = codec.encode(info)
+    trace = run_fast_trial(
+        TrialConfig(
+            name=f"tp-{level}",
+            packets=throughput.PACKETS_PER_LEVEL,
+            seed=seed,
+            mean_level=level,
+        )
+    ).trace
+    syndromes = [
+        p.syndrome
+        for p in classify_trace(trace).by_class(PacketClass.BODY_DAMAGED)
+        if p.syndrome is not None
+    ]
+    positions = [
+        throughput._coded_positions(s, len(transmitted)) for s in syndromes
+    ]
+
+    def per_packet():
+        return sum(
+            throughput._fec_recovers(
+                s, codec, interleaver, info, transmitted
+            )
+            for s in syndromes
+        )
+
+    def batched():
+        errors = replay_damage(
+            codec, info, transmitted, positions, interleaver
+        )
+        return int((errors == 0).sum())
+
+    batched()  # warm
+    per_packet_s, per_packet_recovered = _best_of(per_packet, rounds=1)
+    batched_s, batched_recovered = _best_of(batched)
+
+    # One 330-row decode of this population's damaged rows (cycled).
+    wire = interleaver.scramble(transmitted)
+    rows = []
+    for row_positions in positions:
+        damaged = wire.copy()
+        damaged[row_positions[row_positions < len(damaged)]] ^= 1
+        rows.append(interleaver.unscramble(damaged))
+    received = np.stack(rows)[np.arange(330) % len(rows)]
+    tracemalloc.start()
+    try:
+        codec.decode_batch(received)
+        _, peak_bytes = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    peak_mib = peak_bytes / 2**20
+
+    _record_stage(
+        "fec_replay",
+        {
+            "rows": len(syndromes),
+            "recovered": batched_recovered,
+            "per_packet_wall_s": round(per_packet_s, 4),
+            "batched_wall_s": round(batched_s, 4),
+            "speedup_vs_per_packet": round(per_packet_s / batched_s, 2),
+            "decode_330_rows_peak_mib": round(peak_mib, 2),
+        },
+    )
+    assert batched_recovered == per_packet_recovered
+    assert peak_mib <= 16.0
+    # CI smoke floor — locally ~10x: the per-packet loop pays the
+    # Python trellis step loop once per packet instead of per sweep.
+    assert per_packet_s / batched_s > 3.0
+
+
+@pytest.mark.bench_smoke
 def test_perf_trace_persist_v1_vs_v2(tmp_path):
     """Trace save/load throughput: v1 JSON-lines against the v2
     columnar binary store, on the same 20k-record trace.

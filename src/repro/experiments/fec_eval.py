@@ -30,6 +30,7 @@ from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.fec.adaptive import AdaptiveFecController
 from repro.fec.interleave import BlockInterleaver
 from repro.fec.rcpc import RATE_ORDER, RcpcCodec
+from repro.fec.replay import replay_damage
 from repro.framing.testpacket import BODY_BITS
 
 
@@ -133,70 +134,36 @@ def _evaluate_rate(
     erasures ("erase") or down-weight it ("soft").
     """
     codec = RcpcCodec(rate_name)
-    interleaver = BlockInterleaver(rows=32, columns=64)
     rng = np.random.default_rng(rng_seed)
     info = rng.integers(0, 2, info_bits).astype(np.uint8)
     transmitted = codec.encode(info)
     coded_bits = len(transmitted)
 
-    # Damage every syndrome's block first (channel modelling is cheap),
-    # then decode the whole batch in one Viterbi pass — row results are
-    # bit-identical to per-packet decode calls, and rows without burst
-    # marking ride along with all-ones weights (exactly equivalent to
-    # unweighted decoding).
-    damaged_rows: list[np.ndarray] = []
-    weight_rows: list[np.ndarray | None] = []
-    any_weights = False
-    for syndrome in syndromes:
-        # Replay a chunk-sized window of the syndrome's timeline.
-        span_positions = _window_syndrome(syndrome, coded_bits, rng)
-        channel_stream = (
-            interleaver.scramble(transmitted) if interleaved else transmitted
-        )
-        damaged = channel_stream.copy()
-        positions = span_positions[span_positions < len(damaged)]
-        damaged[positions] ^= 1
-
-        weights = None
-        if marking != "none" and len(positions):
-            # The receiver's window estimate, in wire (time) order.
-            lo = max(0, int(positions.min()) - WINDOW_PAD_BITS)
-            hi = min(coded_bits, int(positions.max()) + WINDOW_PAD_BITS)
-            if marking == "erase":
-                from repro.fec.viterbi import ERASED
-
-                damaged[lo:hi] = ERASED
-            else:  # soft
-                weights = np.ones(coded_bits, dtype=np.float64)
-                weights[lo:hi] = SOFT_WEIGHT
-        if interleaved:
-            damaged = interleaver.unscramble(damaged)
-            if weights is not None:
-                weights = interleaver.unscramble(weights)
-        damaged_rows.append(damaged)
-        weight_rows.append(weights)
-        if weights is not None:
-            any_weights = True
-
-    recovered = 0
-    residual = 0
-    if damaged_rows:
-        weights_block = None
-        if any_weights:
-            weights_block = np.stack(
-                [
-                    w
-                    if w is not None
-                    else np.ones(coded_bits, dtype=np.float64)
-                    for w in weight_rows
-                ]
+    # One damage row per syndrome and, for a burst-aware receiver, the
+    # wire-order window its AGC flags around that row's damage.
+    positions = [_window_syndrome(s, coded_bits, rng) for s in syndromes]
+    windows = None
+    if marking != "none":
+        windows = [
+            (
+                max(0, int(p.min()) - WINDOW_PAD_BITS),
+                min(coded_bits, int(p.max()) + WINDOW_PAD_BITS),
             )
-        decoded = codec.decode_batch(
-            np.stack(damaged_rows), weights=weights_block
-        )
-        errors_per_packet = (decoded != info[None, :]).sum(axis=1)
-        recovered = int((errors_per_packet == 0).sum())
-        residual = int(errors_per_packet.sum())
+            if len(p)
+            else None
+            for p in positions
+        ]
+    errors_per_packet = replay_damage(
+        codec,
+        info,
+        transmitted,
+        positions,
+        BlockInterleaver(rows=32, columns=64) if interleaved else None,
+        windows,
+        soft_weight=SOFT_WEIGHT if marking == "soft" else None,
+    )
+    recovered = int((errors_per_packet == 0).sum())
+    residual = int(errors_per_packet.sum())
     return RateOutcome(
         scenario=scenario,
         rate_name=rate_name,
@@ -218,9 +185,6 @@ def _collect_syndromes(classified, limit: int) -> list[ErrorSyndrome]:
     return syndromes[:limit]
 
 
-_RATE_OVERHEAD = {"8/9": 1 / 8, "4/5": 2 / 8, "2/3": 4 / 8, "1/2": 1.0}
-
-
 def _adaptive_schedule(scenario: str, classified) -> AdaptiveOutcome:
     controller = AdaptiveFecController()
     statuses = [packet.record.status for packet in classified.test_packets]
@@ -230,10 +194,11 @@ def _adaptive_schedule(scenario: str, classified) -> AdaptiveOutcome:
         np.array([s.signal_quality for s in statuses], dtype=np.float64),
     )
     counts: dict[str, int] = {name: 0 for name in RATE_ORDER}
+    overhead = {name: RcpcCodec(name).overhead for name in RATE_ORDER}
     overhead_total = 0.0
     for rate_name in rates:
         counts[rate_name] += 1
-        overhead_total += _RATE_OVERHEAD[rate_name]
+        overhead_total += overhead[rate_name]
     return AdaptiveOutcome(
         scenario=scenario,
         packets=len(rates),

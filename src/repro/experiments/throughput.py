@@ -26,6 +26,7 @@ from repro.analysis.classify import PacketClass, classify_trace
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.fec.interleave import BlockInterleaver
 from repro.fec.rcpc import RcpcCodec
+from repro.fec.replay import replay_damage
 from repro.framing.testpacket import BODY_BITS
 from repro.trace.trial import TrialConfig, run_fast_trial
 
@@ -95,13 +96,18 @@ class ThroughputResult:
         return best
 
 
+def _coded_positions(syndrome, coded_bits: int) -> np.ndarray:
+    """The syndrome's body-bit positions scaled onto a coded block."""
+    scale = coded_bits / BODY_BITS
+    return np.unique((syndrome.body_bit_positions * scale).astype(np.int64))
+
+
 def _fec_recovers(syndrome, codec, interleaver, info, transmitted) -> bool:
-    scale = len(transmitted) / BODY_BITS
-    positions = np.unique((syndrome.body_bit_positions * scale).astype(np.int64))
-    positions = positions[positions < len(transmitted)]
-    stream = interleaver.scramble(transmitted).copy()
-    stream[positions] ^= 1
-    return bool(np.array_equal(codec.decode(interleaver.unscramble(stream)), info))
+    """Whether FEC repairs one syndrome (one row of :func:`_run_level`'s
+    batched replay)."""
+    positions = _coded_positions(syndrome, len(transmitted))
+    errors = replay_damage(codec, info, transmitted, [positions], interleaver)
+    return bool(errors[0] == 0)
 
 
 def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
@@ -122,12 +128,19 @@ def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
     undamaged = len(classified.by_class(PacketClass.UNDAMAGED))
     damaged = classified.by_class(PacketClass.BODY_DAMAGED)
     truncated = len(classified.by_class(PacketClass.TRUNCATED))
-    recovered = sum(
-        1
-        for p in damaged
-        if p.syndrome is not None
-        and _fec_recovers(p.syndrome, codec, interleaver, info, transmitted)
+    # Every damaged packet of the level replays in one batched decode.
+    errors = replay_damage(
+        codec,
+        info,
+        transmitted,
+        [
+            _coded_positions(p.syndrome, len(transmitted))
+            for p in damaged
+            if p.syndrome is not None
+        ],
+        interleaver,
     )
+    recovered = int((errors == 0).sum())
     return ThroughputPoint(
         level=level,
         packets_sent=packets,

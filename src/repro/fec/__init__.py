@@ -15,6 +15,8 @@ Viterbi algorithm; this package implements that stack from scratch:
   rate 8/9 down to the 1/2 mother code.
 * :mod:`~repro.fec.interleave` — block interleaving, because the
   channel's errors are bursty (Section 6.2's multi-bit corruption).
+* :mod:`~repro.fec.replay` — replays observed error syndromes through
+  the codec, a whole population per batched decode.
 * :mod:`~repro.fec.adaptive` — a rate controller driven by the modem's
   per-packet signal metrics.
 """

@@ -74,15 +74,19 @@ class BlockInterleaver:
         return wire_order[wire_order < length]
 
     def scramble(self, bits: np.ndarray) -> np.ndarray:
-        """Length-preserving interleave: reorder ``bits`` into wire order."""
+        """Length-preserving interleave: reorder ``bits`` into wire order.
+
+        Reorders along the last axis, so a ``(rows, length)`` block
+        scrambles every row at once.
+        """
         bits = np.asarray(bits)
-        return bits[self.permutation(len(bits))]
+        return bits[..., self.permutation(bits.shape[-1])]
 
     def unscramble(self, bits: np.ndarray) -> np.ndarray:
-        """Inverse of :meth:`scramble`."""
+        """Inverse of :meth:`scramble` (also along the last axis)."""
         bits = np.asarray(bits)
         out = np.empty_like(bits)
-        out[self.permutation(len(bits))] = bits
+        out[..., self.permutation(bits.shape[-1])] = bits
         return out
 
     def burst_spread(self) -> int:

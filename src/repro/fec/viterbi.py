@@ -5,12 +5,15 @@ Classic add-compare-select over the code trellis [Viterbi 1967, Forney
 *erased* (the RCPC depuncturer does this for positions the transmitter
 never sent); erased positions contribute no branch metric.
 
-For a rate-1/n code every trellis state has exactly two incoming
-branches, so the add-compare-select step vectorizes cleanly over the
-2^(K-1) states; :func:`viterbi_decode_batch` additionally vectorizes
-over whole *batches* of received blocks, turning the per-step work into
+For a rate-1/n shift-register code every trellis state has exactly two
+incoming branches, and they form butterflies: state ``t`` is entered
+from states ``2·(t mod S/2)`` and ``2·(t mod S/2)+1`` on input bit
+``t // (S/2)``.  The add-compare-select step therefore vectorizes over
+the 2^(K-1) states as strided even/odd views of the path metrics;
+:func:`viterbi_decode_batch` additionally vectorizes over whole
+*batches* of received blocks, turning the per-step work into
 ``(batch, states)`` array operations so the Python-level step loop is
-paid once per batch instead of once per packet.  The scalar
+paid once per sweep instead of once per packet.  The scalar
 :func:`viterbi_decode` is the same kernel at batch size 1, so the two
 agree bit for bit.
 """
@@ -24,6 +27,12 @@ from repro.fec.convolutional import ConvolutionalCode
 from repro.obs import runtime as _obs
 
 ERASED = 2  # sentinel value in the received stream: no bit at this slot
+
+#: Most rows one trellis sweep decodes.  Rows are independent, so a
+#: larger batch is swept in slices of this many rows, which bounds a
+#: decode's transient memory (pattern costs plus the one-byte-per-
+#: state-step traceback, ~10 MiB for 1 kbit blocks) whatever the batch.
+SWEEP_ROWS = 64
 
 
 def _transition_tables(code: ConvolutionalCode):
@@ -41,6 +50,18 @@ def _transition_tables(code: ConvolutionalCode):
         fill[target] += 1
     if not (fill == 2).all():
         raise AssertionError("trellis is not two-in-regular")
+    # The add-compare-select kernel relies on the butterfly structure:
+    # state t is entered from 2·(t mod S/2) (first) and 2·(t mod S/2)+1
+    # (second), both on input bit t // (S/2).
+    half = n_states // 2
+    targets = np.arange(n_states)
+    even = 2 * (targets % half)
+    if not (
+        (from_state[pred_branches[:, 0]] == even).all()
+        and (from_state[pred_branches[:, 1]] == even + 1).all()
+        and (input_bit[pred_branches] == (targets // half)[:, None]).all()
+    ):
+        raise AssertionError("trellis is not a shift-register butterfly")
     # Branches share output symbols: there are only 2**n_outputs
     # distinct patterns, so per-step costs are computed per *pattern*
     # and gathered per branch (the pattern-cost trick).
@@ -49,6 +70,9 @@ def _transition_tables(code: ConvolutionalCode):
     all_patterns = (
         (np.arange(1 << code.n_outputs)[:, None] // place[None, :]) % 2
     ).astype(np.uint8)
+    # butterfly_pattern[bit, j, parity]: output pattern of the branch
+    # from state 2j+parity on input bit ``bit`` (into state bit·S/2 + j).
+    butterfly_pattern = branch_pattern[pred_branches].reshape(2, half, 2)
     return (
         outputs,
         from_state,
@@ -56,6 +80,7 @@ def _transition_tables(code: ConvolutionalCode):
         pred_branches,
         branch_pattern,
         all_patterns,
+        butterfly_pattern,
     )
 
 
@@ -171,39 +196,31 @@ def _decode_batch_impl(
         pred_branches,
         branch_pattern,
         all_patterns,
+        butterfly_pattern,
     ) = _cached_tables(code)
 
     symbols = received.reshape(batch, n_steps, n_out)
-    # Per-step costs for every possible output pattern:
-    # cost_pattern[b, step, p] = (weighted) count of usable symbol bits
-    # differing from pattern p.  Branch costs are gathers from this —
-    # identical floats to the per-branch computation (same terms, same
-    # summation order over the symbol axis).
-    usable = symbols != ERASED
-    diffs = all_patterns[None, None, :, :] != symbols[:, :, None, :]
-    effective = (diffs & usable[:, :, None, :]).astype(np.float64)
-    if weights is not None:
-        effective *= weights[:, :, None, :]
-    cost_pattern = effective.sum(axis=3)
-
-    if _compiled.compiled_enabled():
-        decoded = _compiled.viterbi_batch(
-            cost_pattern,
-            branch_pattern,
-            from_state,
-            input_bit,
-            pred_branches,
-            terminated,
+    decoded = np.empty((batch, n_steps), dtype=np.uint8)
+    for lo in range(0, batch, SWEEP_ROWS):
+        rows = slice(lo, lo + SWEEP_ROWS)
+        cost_pattern = _pattern_costs(
+            symbols[rows],
+            None if weights is None else weights[rows],
+            all_patterns,
         )
-    else:
-        decoded = _acs_numpy(
-            cost_pattern,
-            branch_pattern,
-            from_state,
-            input_bit,
-            pred_branches,
-            terminated,
-        )
+        if _compiled.compiled_enabled():
+            decoded[rows] = _compiled.viterbi_batch(
+                cost_pattern,
+                branch_pattern,
+                from_state,
+                input_bit,
+                pred_branches,
+                terminated,
+            )
+        else:
+            decoded[rows] = _acs_numpy(
+                cost_pattern, butterfly_pattern, terminated
+            )
 
     if terminated:
         tail = code.tail_bits()
@@ -212,47 +229,72 @@ def _decode_batch_impl(
     return decoded
 
 
+def _pattern_costs(
+    symbols: np.ndarray,
+    weights: np.ndarray | None,
+    all_patterns: np.ndarray,
+) -> np.ndarray:
+    """Per-step costs of every output pattern for ``(rows, steps, n)``
+    received symbols.
+
+    ``cost_pattern[b, step, p]`` is the (weighted) count of usable
+    symbol bits differing from pattern ``p``; branch costs are gathers
+    from it — identical floats to a per-branch computation (same terms,
+    same summation order over the symbol axis).
+    """
+    usable = symbols != ERASED
+    diffs = all_patterns[None, None, :, :] != symbols[:, :, None, :]
+    effective = (diffs & usable[:, :, None, :]).astype(np.float64)
+    if weights is not None:
+        effective *= weights[:, :, None, :]
+    return effective.sum(axis=3)
+
+
 def _acs_numpy(
     cost_pattern: np.ndarray,
-    branch_pattern: np.ndarray,
-    from_state: np.ndarray,
-    input_bit: np.ndarray,
-    pred_branches: np.ndarray,
+    butterfly_pattern: np.ndarray,
     terminated: bool,
 ) -> np.ndarray:
-    """Numpy reference add-compare-select + traceback (all batch rows).
+    """Numpy butterfly add-compare-select + traceback (all batch rows).
 
-    The executable reference for :func:`repro.compiled.viterbi_batch`;
-    the compiled twin must stay byte-identical to this.
+    State ``t = bit·S/2 + j`` is entered from states ``2j`` (first
+    predecessor) and ``2j+1`` on input bit ``bit``, so each step's
+    candidates are the metrics' even/odd strided views plus the branch
+    costs gathered through ``butterfly_pattern``.  One add per
+    candidate, strict ``<`` keeping the first predecessor on ties, and
+    the first-minimum end state: the float operations and decisions of
+    the gather-based formulation, so decoded bits are byte-identical to
+    it and to :func:`repro.compiled.viterbi_batch`.  The traceback
+    stores one bool per state-step (entered from the odd predecessor?).
     """
     batch, n_steps, _ = cost_pattern.shape
-    n_states = pred_branches.shape[0]
-    state_index = np.arange(n_states)
+    half = butterfly_pattern.shape[1]
+    n_states = 2 * half
+    gather = butterfly_pattern.reshape(-1)
 
-    big = np.float64(1e9)
-    metrics = np.full((batch, n_states), big)
+    metrics = np.full((batch, n_states), np.float64(1e9))
     metrics[:, 0] = 0.0  # encoder starts in state 0
-    traceback = np.zeros((batch, n_steps, n_states), dtype=np.int32)
-
+    odd_choice = np.empty((n_steps, batch, n_states), dtype=bool)
     for step in range(n_steps):
-        candidate = (
-            metrics[:, from_state] + cost_pattern[:, step, branch_pattern]
-        )
-        two_way = candidate[:, pred_branches]  # (batch, n_states, 2)
-        choice = two_way[..., 1] < two_way[..., 0]
-        traceback[:, step, :] = pred_branches[
-            state_index, choice.astype(np.int8)
-        ]
-        metrics = np.where(choice, two_way[..., 1], two_way[..., 0])
+        candidate = metrics.reshape(batch, 1, half, 2) + cost_pattern[
+            :, step, :
+        ].take(gather, axis=1).reshape(batch, 2, half, 2)
+        first, second = candidate[..., 0], candidate[..., 1]
+        choice = odd_choice[step].reshape(batch, 2, half)
+        np.less(second, first, out=choice)
+        metrics = np.where(choice, second, first).reshape(batch, n_states)
 
     if terminated:
-        state = np.zeros(batch, dtype=np.int64)
+        state = np.zeros(batch, dtype=np.intp)
     else:
         state = np.argmin(metrics, axis=1)  # first minimum, like scalar
-    decoded = np.empty((batch, n_steps), dtype=np.uint8)
-    rows = np.arange(batch)
+    states = np.empty((n_steps, batch), dtype=np.intp)
+    planes = odd_choice.reshape(n_steps, batch * n_states)
+    row_base = np.arange(batch) * n_states
     for step in range(n_steps - 1, -1, -1):
-        branch = traceback[rows, step, state]
-        decoded[:, step] = input_bit[branch]
-        state = from_state[branch]
-    return decoded
+        states[step] = state
+        odd = planes[step].take(row_base + state)
+        # Predecessor 2·(state mod S/2) + odd, as shift-and-mask.
+        state = ((state << 1) & (n_states - 1)) | odd
+    # The input bit into state t is t // (S/2).
+    return (states.T // half).astype(np.uint8)

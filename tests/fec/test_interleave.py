@@ -60,3 +60,14 @@ class TestBurstSpreading:
 
         assert run(with_interleave=False) > 0
         assert run(with_interleave=True) == 0
+
+
+class TestRowwiseScramble:
+    @pytest.mark.parametrize("length", [0, 1, 1000, 2048, 2600])
+    def test_block_scrambles_each_row_like_a_single_stream(self, length, rng):
+        interleaver = BlockInterleaver(32, 64)
+        block = rng.integers(0, 2, (5, length)).astype(np.uint8)
+        scrambled = interleaver.scramble(block)
+        for row in range(block.shape[0]):
+            assert np.array_equal(scrambled[row], interleaver.scramble(block[row]))
+        assert np.array_equal(interleaver.unscramble(scrambled), block)
