@@ -504,7 +504,7 @@ def test_perf_engine_dispatch_overhead():
     from repro.experiments import engine as experiment_engine
     from repro.experiments import walls
     from repro.experiments.engine import PlanContext
-    from repro.experiments.scenarios import single_wall_scenarios
+    from repro.scenario.builtin import TABLE4_SCENARIOS
 
     scale, seed = 0.25, 64
     packets = max(500, int(walls.PAPER_PACKETS * scale))
@@ -512,11 +512,11 @@ def test_perf_engine_dispatch_overhead():
     def direct():
         values = [
             walls._run_wall(
-                setup.name,
+                name,
                 packets,
-                experiment_engine.trial_seed(seed, "table4", setup.name),
+                experiment_engine.trial_seed(seed, "table4", name),
             )
-            for setup in single_wall_scenarios()
+            for name in TABLE4_SCENARIOS
         ]
         return walls._aggregate(PlanContext(scale=scale, seed=seed), values)
 
@@ -629,6 +629,20 @@ def test_perf_scenario_compile_overhead():
         f"scenario compile costs {100 * overhead:.2f}% of a trial "
         f"({compile_s * 1e3:.2f} ms vs {trial_s * 1e3:.1f} ms)"
     )
+
+
+@pytest.mark.bench_smoke
+def test_source_size():
+    """Physical lines and files of the package source (``src/**/*.py``).
+
+    Recorded so that net deletion is tracked like any other stage.
+    Neither key is a ``*_wall_s`` or ``*_per_s`` key, so ``bench diff``
+    never gates them.
+    """
+    files = sorted((BENCH_JSON.parent / "src").rglob("*.py"))
+    lines = sum(len(path.read_bytes().splitlines()) for path in files)
+    _record_stage("source_size", {"src_lines": lines, "src_files": len(files)})
+    assert files and lines > 0
 
 
 @pytest.mark.bench_smoke

@@ -57,20 +57,6 @@ TRIAL_PACKETS = 20_000
 CHUNK_RECORDS = 4_096
 MIN_PPS = float(os.environ.get("SERVE_SMOKE_MIN_PPS", "150000"))
 
-# SERVE_SMOKE_UVLOOP=1 runs the whole smoke under uvloop: the policy
-# installed here is inherited by the forked loadgen worker processes,
-# so server loop and every client loop all run the fast path.  The
-# assert makes a CI leg that *asked* for uvloop fail loudly if the
-# wheel is missing instead of silently re-testing stock asyncio.
-UVLOOP = bool(os.environ.get("SERVE_SMOKE_UVLOOP"))
-if UVLOOP:
-    from repro.serve import install_uvloop
-
-    assert install_uvloop(explicit=True), (
-        "SERVE_SMOKE_UVLOOP is set but uvloop is not installed "
-        "(pip install 'repro[serve]')"
-    )
-
 
 @pytest.fixture(scope="module")
 def stored_trace(tmp_path_factory):
@@ -187,7 +173,6 @@ def test_serve_ingest_throughput(stored_trace, tmp_path):
             "ingest_packets_per_s": round(best.packets_per_s),
             "send_packets_per_s": round(best.send_packets_per_s),
             "max_queue_depth": best.max_queue_depth,
-            "uvloop": UVLOOP,
         },
     )
     assert best.packets_per_s >= MIN_PPS

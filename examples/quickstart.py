@@ -55,17 +55,17 @@ def main() -> None:
     # -- 4. now make it interesting: degrade the link ------------------
     print("\nSame link through a human body and two concrete walls "
           "(the Section 6.3 scenario):")
-    from repro.experiments.scenarios import body_scenario
+    from repro.scenario.registry import REGISTRY
 
-    degraded_prop, tx, rx = body_scenario(with_body=True)
+    body = REGISTRY.compile("paper/body")
     degraded = run_fast_trial(
         TrialConfig(
             name="quickstart-body",
             packets=5_000,
             seed=2025,
-            propagation=degraded_prop,
-            tx_position=tx,
-            rx_position=rx,
+            propagation=body.propagation(),
+            tx_position=body.station_point("tx"),
+            rx_position=body.station_point("rx"),
         )
     )
     print(render_metrics_table([analyze_trial(degraded.trace)]))

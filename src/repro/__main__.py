@@ -60,13 +60,6 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         help="collect per-layer metrics and print the registry summary "
              "after the run",
     )
-    parser.add_argument(
-        "--compiled",
-        action="store_true",
-        help="use the numba-compiled kernel tier where available "
-             "(equivalent to REPRO_COMPILED=1; warns and stays on the "
-             "numpy reference path when numba is not installed)",
-    )
 
 
 def _add_run_flags(parser: argparse.ArgumentParser, default_scale: float) -> None:
@@ -257,39 +250,19 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="ring_slot_bytes",
                        help="bytes per ring slot (default: sized from "
                             "the first chunk, page-rounded)")
-    serve.add_argument("--uvloop", action="store_true",
-                       help="use uvloop for the event loop (needs the "
-                            "repro[serve] extra; falls back to asyncio "
-                            "with a warning)")
     serve.add_argument("--telemetry", default=None, metavar="FILE",
                        help="write session spans and ingest heartbeats "
                             "as JSONL (tail with `timeline --follow`)")
 
-    loadgen = commands.add_parser(
-        "loadgen",
-        help="replay a stored trace against a running server",
-    )
-    loadgen.add_argument("--connect", required=True,
-                         help="server address: HOST:PORT or a unix "
-                              "socket path")
-    loadgen.add_argument("--trace", required=True,
-                         help="stored trace to replay (.wlt2 or v1)")
-    loadgen.add_argument("--sessions", type=int, default=8,
-                         help="concurrent sessions (default 8)")
-    loadgen.add_argument("--chunk-records", type=int, default=2048,
-                         dest="chunk_records",
-                         help="records per CHUNK frame (default 2048)")
-    loadgen.add_argument("--processes", type=int, default=1,
-                         help="client processes driving the load "
-                              "(default 1 = in-process)")
-    loadgen.add_argument("--no-ring", action="store_true",
-                         help="never request the shared-memory slot "
-                              "ring; always send full CHUNK frames")
-    loadgen.add_argument("--uvloop", action="store_true",
-                         help="use uvloop for the client event loop")
-
     from repro.scenario import cli as scenario_cli
+    from repro.serve import loadgen as loadgen_cli
 
+    loadgen_cli.add_arguments(
+        commands.add_parser(
+            "loadgen",
+            help="replay a stored trace against a running server",
+        )
+    )
     scenario_cli.build_parser(commands)
     return parser
 
@@ -324,11 +297,8 @@ def _cmd_serve(args) -> int:
     """``python -m repro serve`` — run the ingest server until ^C."""
     import asyncio
 
-    from repro.serve import install_uvloop
     from repro.serve.server import ServeConfig, run_server
 
-    if args.uvloop:
-        install_uvloop(explicit=True)
     if args.telemetry is not None:
         try:
             obs.configure(
@@ -502,25 +472,9 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "serve":
         return _cmd_serve(args)
     if args.command == "loadgen":
-        from repro.serve import loadgen as loadgen_module
+        from repro.serve import loadgen as loadgen_cli
 
-        forwarded = [
-            "--connect", args.connect,
-            "--trace", args.trace,
-            "--sessions", str(args.sessions),
-            "--chunk-records", str(args.chunk_records),
-            "--processes", str(args.processes),
-        ]
-        if args.no_ring:
-            forwarded.append("--no-ring")
-        if args.uvloop:
-            forwarded.append("--uvloop")
-        return loadgen_module.main(forwarded)
-
-    if getattr(args, "compiled", False):
-        from repro import compiled as compiled_module
-
-        compiled_module.set_compiled(True)
+        return loadgen_cli.run(args)
 
     observing = args.metrics or args.telemetry is not None
     if observing:

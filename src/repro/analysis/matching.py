@@ -36,7 +36,6 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro import compiled as _compiled
 from repro.obs import runtime as _obs
 from repro.framing.testpacket import (
     BODY_START,
@@ -75,12 +74,8 @@ def _plurality(words: np.ndarray) -> tuple[int, int]:
     Ties break toward the value that occurs *first* in ``words`` —
     the behaviour ``collections.Counter.most_common`` had here (its
     sort is stable over insertion order), preserved so the voting
-    verdicts are bit-compatible with the old implementation.  The
-    numpy path is the executable reference for
-    :func:`repro.compiled.plurality_vote`.
+    verdicts are bit-compatible with the old implementation.
     """
-    if _compiled.compiled_enabled():
-        return _compiled.plurality_vote(words)
     values, first, counts = np.unique(
         words, return_index=True, return_counts=True
     )

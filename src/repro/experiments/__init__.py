@@ -15,8 +15,6 @@ first (tables, then figures interleaved as in the paper), then
 extensions/ablations, then internal validation.
 """
 
-from repro.experiments import scenarios
-
 # Registry population — each import registers the module's spec.
 from repro.experiments import baseline  # table2
 from repro.experiments import signal_vs_distance  # figure1
@@ -39,7 +37,6 @@ from repro.experiments import tcp_over_wavelan  # X9
 from repro.experiments import validation  # V1
 
 __all__ = [
-    "scenarios",
     "baseline",
     "signal_vs_distance",
     "error_vs_level",

@@ -16,7 +16,6 @@ from repro.analysis.classify import classify_trace
 from repro.analysis.signalstats import stats_for_packets
 from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.scenarios import lecture_hall_scenario
 from repro.experiments.tracedir import trial_trace_path
 from repro.trace.persist import save_trace
 from repro.trace.trial import TrialConfig, run_fast_trial
@@ -66,7 +65,9 @@ def _run_point(
     trace_format: str = "v2",
 ) -> DistancePoint:
     """One distance step, picklable."""
-    propagation = lecture_hall_scenario()
+    from repro.scenario.registry import REGISTRY
+
+    propagation = REGISTRY.compile("paper/lecture-hall").propagation()
     config = TrialConfig(
         name=f"d={distance}ft",
         packets=packets,

@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 
 from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.scenarios import PHONE_NEAR
 from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
+from repro.scenario.builtin import PHONE_NEAR
 from repro.transport import LinkConfig, run_transfer
 from repro.transport.snoop import run_snoop_transfer
 
@@ -58,7 +58,7 @@ def _ss_phone_interference():
     return [
         SpreadSpectrumPhonePair(
             handset_position=Point(11.0, 8.7),
-            base_position=PHONE_NEAR,
+            base_position=Point(*PHONE_NEAR),
             base_level_at_1ft=31.5,
             name="rs-et909",
         )

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import compiled as _compiled
 from repro.fec.convolutional import ConvolutionalCode
 from repro.obs import runtime as _obs
 
@@ -189,15 +188,7 @@ def _decode_batch_impl(
             )
         weights = weights.reshape(batch, n_steps, n_out)
 
-    (
-        _outputs,
-        from_state,
-        input_bit,
-        pred_branches,
-        branch_pattern,
-        all_patterns,
-        butterfly_pattern,
-    ) = _cached_tables(code)
+    *_, all_patterns, butterfly_pattern = _cached_tables(code)
 
     symbols = received.reshape(batch, n_steps, n_out)
     decoded = np.empty((batch, n_steps), dtype=np.uint8)
@@ -208,19 +199,7 @@ def _decode_batch_impl(
             None if weights is None else weights[rows],
             all_patterns,
         )
-        if _compiled.compiled_enabled():
-            decoded[rows] = _compiled.viterbi_batch(
-                cost_pattern,
-                branch_pattern,
-                from_state,
-                input_bit,
-                pred_branches,
-                terminated,
-            )
-        else:
-            decoded[rows] = _acs_numpy(
-                cost_pattern, butterfly_pattern, terminated
-            )
+        decoded[rows] = _acs_numpy(cost_pattern, butterfly_pattern, terminated)
 
     if terminated:
         tail = code.tail_bits()
@@ -264,8 +243,9 @@ def _acs_numpy(
     candidate, strict ``<`` keeping the first predecessor on ties, and
     the first-minimum end state: the float operations and decisions of
     the gather-based formulation, so decoded bits are byte-identical to
-    it and to :func:`repro.compiled.viterbi_batch`.  The traceback
-    stores one bool per state-step (entered from the odd predecessor?).
+    it (kept as the oracle in ``tests/fec/test_acs_kernel.py``).  The
+    traceback stores one bool per state-step (entered from the odd
+    predecessor?).
     """
     batch, n_steps, _ = cost_pattern.shape
     half = butterfly_pattern.shape[1]

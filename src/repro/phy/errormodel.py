@@ -29,7 +29,6 @@ from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
-from repro import compiled as _compiled
 from repro.obs import runtime as _obs
 from repro.phy.quality import ClockStressModel, ClockStressParams
 
@@ -145,13 +144,6 @@ def _fold_probabilities(
     """
     if not columns:
         return base
-    if _compiled.compiled_enabled():
-        base_arr = np.asarray(base, dtype=np.float64)
-        if base_arr.ndim == 1:
-            matrix = np.stack(
-                [np.broadcast_to(column, base_arr.shape) for column in columns]
-            )
-            return _compiled.fold_probabilities(base_arr, matrix)
     with np.errstate(divide="ignore"):
         log_keep = np.log1p(-base)
         for column in columns:

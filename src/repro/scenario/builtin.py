@@ -1,11 +1,9 @@
 """Built-in scenarios: every paper setup, declaratively, exactly once.
 
 This module is the single source of truth for the paper's physical
-geometry.  The legacy hand-coded constructors in
-:mod:`repro.experiments.scenarios` now delegate here (kept as adapters
-for their public API), and the experiment modules resolve these
-registry names — so the Table-4 walls, the Figure-4 building, and the
-interference rooms each exist in exactly one place.
+geometry.  The experiment modules resolve these registry names — so
+the Table-4 walls, the Figure-4 building, and the interference rooms
+each exist in exactly one place.
 
 Naming convention: ``paper/<artifact>-<variant>`` for reproduced
 setups, ``demo/<name>`` for the new scenarios the DSL unlocks (3-floor

@@ -20,8 +20,6 @@ docs/SERVING.md for the protocol, backpressure semantics, and the
 session telemetry schema.
 """
 
-import warnings
-
 from repro.serve.protocol import (
     FrameReader,
     FrameType,
@@ -33,37 +31,6 @@ from repro.serve.protocol import (
 )
 from repro.serve.server import ServeConfig, TraceAnalysisServer
 
-_UVLOOP_WARNED = False
-
-
-def install_uvloop(explicit: bool = False) -> bool:
-    """Install uvloop as the asyncio event-loop policy, if available.
-
-    uvloop is an optional dependency (the ``repro[serve]`` extra); when
-    it is missing the stock asyncio loop works identically, just with
-    more per-wakeup overhead.  Returns True when uvloop is active.
-    ``explicit=True`` (the user passed ``--uvloop``) warns once when the
-    import fails instead of silently running on asyncio.
-    """
-    global _UVLOOP_WARNED
-    try:
-        import uvloop
-    except ImportError:
-        if explicit and not _UVLOOP_WARNED:
-            _UVLOOP_WARNED = True
-            warnings.warn(
-                "--uvloop requested but uvloop is not installed "
-                "(pip install 'repro[serve]'); using the stock "
-                "asyncio event loop",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        return False
-    asyncio_module = __import__("asyncio")
-    asyncio_module.set_event_loop_policy(uvloop.EventLoopPolicy())
-    return True
-
-
 __all__ = [
     "FrameReader",
     "FrameType",
@@ -72,7 +39,6 @@ __all__ = [
     "TraceAnalysisServer",
     "decode_chunk",
     "encode_chunk",
-    "install_uvloop",
     "read_frame",
     "write_frame",
 ]

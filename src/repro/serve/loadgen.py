@@ -517,12 +517,9 @@ def parse_connect(value: str) -> Address:
     return host, int(port)
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro loadgen",
-        description="replay a stored trace against a running "
-        "trace-analysis server over N concurrent sessions",
-    )
+def add_arguments(parser: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare the ``loadgen`` flags on ``parser`` (the ``python -m repro
+    loadgen`` subcommand, or :func:`main`'s own parser)."""
     parser.add_argument(
         "--connect",
         type=parse_connect,
@@ -535,21 +532,21 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="stored trace to replay (.wlt2 or v1 .json/.json.gz)",
     )
     parser.add_argument(
-        "--sessions", type=int, default=8, help="concurrent sessions"
+        "--sessions", type=int, default=8, help="concurrent sessions (default 8)"
     )
     parser.add_argument(
         "--chunk-records",
         type=int,
         default=2048,
-        help="records per CHUNK frame",
+        help="records per CHUNK frame (default 2048)",
     )
     parser.add_argument(
         "--processes",
         type=int,
         default=1,
-        help="client processes driving the load (sessions are split "
-        "round-robin; >1 keeps one asyncio loop from capping the "
-        "offered rate)",
+        help="client processes driving the load (default 1 = in-process; "
+        "sessions are split round-robin, and >1 keeps one asyncio loop "
+        "from capping the offered rate)",
     )
     parser.add_argument(
         "--no-ring",
@@ -557,18 +554,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         help="never request the shared-memory slot ring; stream full "
         "CHUNK payload frames even to a same-host server",
     )
-    parser.add_argument(
-        "--uvloop",
-        action="store_true",
-        help="use uvloop for the client event loop (needs the "
-        "repro[serve] extra; falls back to asyncio with a warning)",
-    )
-    args = parser.parse_args(argv)
+    return parser
 
-    if args.uvloop:
-        from repro.serve import install_uvloop
 
-        install_uvloop(explicit=True)
+def run(args: argparse.Namespace) -> int:
+    """Replay ``args.trace`` as :func:`add_arguments` parsed it; print
+    the run's summary and return 1 when the server ingested a different
+    record count than was sent."""
+    trace = _as_columnar(load_trace(args.trace))
     use_ring = not args.no_ring
     if args.processes > 1:
         report = run_loadgen_processes(
@@ -580,7 +573,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             use_ring=use_ring,
         )
     else:
-        trace = _as_columnar(load_trace(args.trace))
         report = asyncio.run(
             run_loadgen(
                 args.connect,
@@ -590,9 +582,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 use_ring=use_ring,
             )
         )
-    expected = (
-        _as_columnar(load_trace(args.trace)).packets_received * args.sessions
-    )
+    expected = trace.packets_received * args.sessions
     ring_lanes = sum(1 for s in report.sessions if s.ring_used)
     print(
         f"{len(report.sessions)} sessions, {report.records} records "
@@ -612,6 +602,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         )
         return 1
     return 0
+
+
+def main(argv: Optional[Sequence[str]] = None) -> int:
+    parser = argparse.ArgumentParser(
+        prog="repro loadgen",
+        description="replay a stored trace against a running "
+        "trace-analysis server over N concurrent sessions",
+    )
+    return run(add_arguments(parser).parse_args(argv))
 
 
 if __name__ == "__main__":

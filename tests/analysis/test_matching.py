@@ -1,9 +1,11 @@
 """Heuristic test-packet matching and sequence recovery."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from repro.analysis.matching import MatchOutcome, TraceMatcher
+from repro.analysis.matching import MatchOutcome, TraceMatcher, _plurality
 from repro.framing.bits import flip_bits
 from repro.framing.testpacket import BODY_START, FRAME_BYTES
 from repro.trace.outsiders import OutsiderTraffic
@@ -20,6 +22,22 @@ def matcher(spec):
 
 def _record(data: bytes) -> PacketRecord:
     return PacketRecord.from_bytes(data, STATUS)
+
+
+class TestPlurality:
+    """The body-word vote keeps ``Counter.most_common`` semantics."""
+
+    def test_plurality_matches_counter(self):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            words = rng.integers(0, 12, size=int(rng.integers(1, 60)))
+            winner, count = _plurality(words.astype(np.int64))
+            expected = Counter(words.tolist()).most_common(1)[0]
+            assert (winner, count) == expected
+
+    def test_plurality_tie_breaks_to_first_occurrence(self):
+        assert _plurality(np.array([9, 4, 4, 9, 1])) == (9, 2)
+        assert _plurality(np.array([4, 9, 9, 4, 1])) == (4, 2)
 
 
 class TestExactMatch:

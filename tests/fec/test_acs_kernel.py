@@ -34,7 +34,7 @@ def _acs_gather_reference(
     """Gather-based add-compare-select + traceback (all batch rows).
 
     The former ``repro.fec.viterbi._acs_numpy``, body unchanged: it
-    takes the same tables :func:`repro.compiled.viterbi_batch` takes.
+    takes the gather tables ``viterbi._cached_tables`` returns.
     """
     batch, n_steps, _ = cost_pattern.shape
     n_states = pred_branches.shape[0]

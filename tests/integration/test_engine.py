@@ -33,7 +33,7 @@ from repro.experiments.report import report_specs
 from repro.simkit.rng import spawn_seed
 
 # Package modules that are infrastructure, not experiments.
-NON_EXPERIMENT_MODULES = {"engine", "report", "scenarios", "tracedir"}
+NON_EXPERIMENT_MODULES = {"engine", "report", "tracedir"}
 
 
 class TestRegistry:
@@ -195,16 +195,16 @@ class TestGoldenEquivalence:
         assert result.rows == expected
 
     def test_walls_rows_match_hand_rolled_loop(self):
-        from repro.experiments.scenarios import single_wall_scenarios
+        from repro.scenario.builtin import TABLE4_SCENARIOS
 
         scale, seed = 0.05, 64
         result = walls.run(scale=scale, seed=seed)
         packets = max(500, int(walls.PAPER_PACKETS * scale))
         expected = [
             walls._run_wall(
-                setup.name, packets, engine.trial_seed(seed, "table4", setup.name)
+                name, packets, engine.trial_seed(seed, "table4", name)
             )
-            for setup in single_wall_scenarios()
+            for name in TABLE4_SCENARIOS
         ]
         assert result.metrics_rows == [m for m, _ in expected]
         assert result.signal_rows == [s for _, s in expected]

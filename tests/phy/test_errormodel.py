@@ -8,6 +8,7 @@ from repro.phy.errormodel import (
     ErrorModelParams,
     InterferenceSample,
     WaveLanErrorModel,
+    _fold_probabilities,
 )
 
 
@@ -135,6 +136,37 @@ class TestInterferenceEffects:
                     edge_hits += 1
         assert packets_with_errors > 100
         assert edge_hits / packets_with_errors < 0.15
+
+
+class TestFoldProbabilities:
+    """The bulk path's log-space fold of independent per-packet
+    probabilities: ``1 - prod(1 - p)`` across the columns."""
+
+    #: Absolute float64 tolerance against the per-packet product.
+    ATOL = 1e-12
+
+    def test_exact_one_folds_to_exactly_one(self):
+        base = np.array([0.1, 0.2, 0.3])
+        columns = [np.array([0.0, 1.0, 0.5]), np.array([0.4, 0.4, 0.4])]
+        assert _fold_probabilities(base, columns)[1] == 1.0
+
+    def test_no_columns_returns_base_unchanged(self):
+        base = np.array([0.1, 0.2, 0.3])
+        assert _fold_probabilities(base, []) is base
+        np.testing.assert_array_equal(base, [0.1, 0.2, 0.3])
+
+    def test_matches_per_packet_product(self):
+        rng = np.random.default_rng(11)
+        base = rng.random(500)
+        columns = [rng.random(500) for _ in range(4)]
+        expected = np.empty(500)
+        for packet in range(500):
+            keep = 1.0 - base[packet]
+            for column in columns:
+                keep *= 1.0 - column[packet]
+            expected[packet] = 1.0 - keep
+        folded = _fold_probabilities(base, columns)
+        np.testing.assert_allclose(folded, expected, rtol=0, atol=self.ATOL)
 
 
 class TestBulkPath:

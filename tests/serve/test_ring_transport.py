@@ -17,6 +17,7 @@ Three layers of coverage for the zero-copy ingest path:
 """
 
 import asyncio
+import contextlib
 import hashlib
 import os
 import signal
@@ -50,6 +51,40 @@ needs_dev_shm = pytest.mark.skipif(
 
 def _shm_names() -> set:
     return set(os.listdir(SHM_DIR))
+
+
+@contextlib.contextmanager
+def live_server(sock: str, jobs: int):
+    """Run ``python -m repro serve --unix SOCK --jobs JOBS`` around a block.
+
+    Yields the child process once the socket is bound.  On exit a
+    still-running server gets SIGTERM and is reaped (killed after 30 s);
+    its combined stdout/stderr is then on ``proc.output``.
+    """
+    proc = subprocess.Popen(
+        [
+            sys.executable, "-m", "repro", "serve",
+            "--unix", sock, "--jobs", str(jobs),
+        ],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 30
+        while not os.path.exists(sock):
+            assert proc.poll() is None, proc.communicate()[0]
+            assert time.monotonic() < deadline, "server never bound"
+            time.sleep(0.05)
+        yield proc
+    finally:
+        if proc.poll() is None:
+            proc.send_signal(signal.SIGTERM)
+        try:
+            proc.output, _ = proc.communicate(timeout=30)
+        except subprocess.TimeoutExpired:  # pragma: no cover
+            proc.kill()
+            proc.output, _ = proc.communicate()
 
 
 def _mixed_columnar(spec, factory, repeats: int = 8) -> ColumnarTrace:
@@ -421,33 +456,14 @@ class TestSlotLifecycle:
         trace = _mixed_columnar(spec, factory)
         sock = str(tmp_path / "term.sock")
         before = _shm_names()
-        srv = subprocess.Popen(
-            [
-                sys.executable, "-m", "repro", "serve",
-                "--unix", sock, "--jobs", "2",
-            ],
-            stdout=subprocess.PIPE,
-            stderr=subprocess.STDOUT,
-            text=True,
-        )
-        try:
-            deadline = time.monotonic() + 30
-            while not os.path.exists(sock):
-                assert srv.poll() is None, srv.communicate()[0]
-                assert time.monotonic() < deadline, "server never bound"
-                time.sleep(0.05)
+        with live_server(sock, jobs=2) as srv:
             report = asyncio.run(
                 run_loadgen(sock, trace, sessions=1, chunk_records=16)
             )
             assert report.sessions[0].ring_used
             # The closed session's ring is still parked in the pool.
             assert _shm_names() - before
-            srv.send_signal(signal.SIGTERM)
-            out, _ = srv.communicate(timeout=30)
-            assert srv.returncode == 0, out
-        finally:
-            if srv.poll() is None:  # pragma: no cover
-                srv.kill()
-                srv.communicate()
+        # Leaving the block sent SIGTERM and reaped the server.
+        assert srv.returncode == 0, srv.output
         leaked = _shm_names() - before
         assert leaked == set(), f"leaked shm segments: {leaked}"
