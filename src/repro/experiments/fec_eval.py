@@ -30,7 +30,7 @@ from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.fec.adaptive import AdaptiveFecController
 from repro.fec.interleave import BlockInterleaver
 from repro.fec.rcpc import RATE_ORDER, RcpcCodec
-from repro.fec.replay import replay_damage
+from repro.fec.replay import DamagePopulation, replay_populations
 from repro.framing.testpacket import BODY_BITS
 
 
@@ -115,16 +115,15 @@ WINDOW_PAD_BITS = 48
 SOFT_WEIGHT = 0.25
 
 
-def _evaluate_rate(
-    scenario: str,
+def _damage_population(
     syndromes: list[ErrorSyndrome],
     rate_name: str,
     interleaved: bool,
-    marking: str = "none",
+    marking: str,
     info_bits: int = 1024,
     rng_seed: int = 7,
-) -> RateOutcome:
-    """Replay syndromes against one code rate.
+) -> DamagePopulation:
+    """One variant's replay: the syndromes' damage against one code rate.
 
     ``info_bits`` is the per-packet information-block size; using the
     first kilobit of the body keeps the Viterbi work tractable while
@@ -153,7 +152,7 @@ def _evaluate_rate(
             else None
             for p in positions
         ]
-    errors_per_packet = replay_damage(
+    return DamagePopulation(
         codec,
         info,
         transmitted,
@@ -162,18 +161,41 @@ def _evaluate_rate(
         windows,
         soft_weight=SOFT_WEIGHT if marking == "soft" else None,
     )
-    recovered = int((errors_per_packet == 0).sum())
-    residual = int(errors_per_packet.sum())
+
+
+def _evaluate_rate(
+    scenario: str,
+    rate_name: str,
+    interleaved: bool,
+    marking: str,
+    errors_per_packet: np.ndarray,
+) -> RateOutcome:
+    """One variant's outcome from its replayed rows' residual errors."""
     return RateOutcome(
         scenario=scenario,
         rate_name=rate_name,
         interleaved=interleaved,
-        packets=len(syndromes),
-        packets_recovered=recovered,
-        residual_bit_errors=residual,
-        overhead_fraction=codec.overhead,
+        packets=len(errors_per_packet),
+        packets_recovered=int((errors_per_packet == 0).sum()),
+        residual_bit_errors=int(errors_per_packet.sum()),
+        overhead_fraction=RcpcCodec(rate_name).overhead,
         marking=marking,
     )
+
+
+#: The replay variants of every scenario, in report order: each rate
+#: without and with interleaving, then the burst-aware receivers at the
+#: strongest rate (the modem's AGC flags the jam window, the decoder
+#: exploits it).
+VARIANTS = (
+    *(
+        (rate_name, interleaved, "none")
+        for rate_name in RATE_ORDER
+        for interleaved in (False, True)
+    ),
+    ("1/2", True, "erase"),
+    ("1/2", True, "soft"),
+)
 
 
 def _collect_syndromes(classified, limit: int) -> list[ErrorSyndrome]:
@@ -252,25 +274,21 @@ def _run_scenario(
 
     Re-runs the source experiment (serially, in-process), harvests its
     syndromes, replays them against every rate/interleaving/marking
-    combination, and drives the adaptive controller — so nothing but
-    small outcome dataclasses crosses a pool boundary.
+    combination in one batched decode, and drives the adaptive
+    controller — so nothing but small outcome dataclasses crosses a
+    pool boundary.
     """
     classified = DAMAGE_SOURCES[scenario].harvest(scale, seed)
     syndromes = _collect_syndromes(classified, syndrome_limit)
-    outcomes = []
-    for rate_name in RATE_ORDER:
-        for interleaved in (False, True):
-            outcomes.append(
-                _evaluate_rate(scenario, syndromes, rate_name, interleaved)
-            )
-    # Burst-aware receiver variants at the strongest rate: the modem's
-    # AGC flags the jam window, the decoder exploits it.
-    for marking in ("erase", "soft"):
-        outcomes.append(
-            _evaluate_rate(
-                scenario, syndromes, "1/2", interleaved=True, marking=marking
-            )
-        )
+    # Every variant depunctures onto the same mother-code trellis, so
+    # all ten replay in one decode.
+    errors = replay_populations(
+        [_damage_population(syndromes, *variant) for variant in VARIANTS]
+    )
+    outcomes = [
+        _evaluate_rate(scenario, *variant, errors_per_packet)
+        for variant, errors_per_packet in zip(VARIANTS, errors)
+    ]
     return outcomes, _adaptive_schedule(scenario, classified)
 
 

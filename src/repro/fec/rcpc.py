@@ -55,6 +55,9 @@ _PATTERNS: dict[str, np.ndarray] = {
 
 RATE_ORDER = ("8/9", "4/5", "2/3", "1/2")  # weakest → strongest
 
+#: The unpunctured member: every rate depunctures onto its trellis.
+MOTHER_RATE = "1/2"
+
 
 @dataclass
 class RcpcCodec:
@@ -146,15 +149,16 @@ class RcpcCodec:
             self.code, mother, terminated=True, weights=mother_weights
         )
 
-    def decode_batch(
+    def depuncture_batch(
         self, received: np.ndarray, weights: np.ndarray | None = None
-    ) -> np.ndarray:
-        """Depuncture and decode a ``(batch, length)`` block at once.
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """Mother-code streams for a ``(batch, length)`` block.
 
         Every row must be the same transmitted length (one puncturing
-        mask serves the whole batch); row ``i`` of the result equals
-        ``decode(received[i], weights[i])`` bit for bit, via
-        :func:`repro.fec.viterbi.viterbi_decode_batch`.
+        mask serves the whole batch).  Punctured positions become
+        :data:`~repro.fec.viterbi.ERASED` (weight 1.0 when ``weights``
+        are given).  Returns the ``(batch, n_outputs * steps)`` streams
+        and their weights, or ``None`` without ``weights``.
         """
         received = np.asarray(received, dtype=np.uint8)
         if received.ndim != 2:
@@ -178,6 +182,18 @@ class RcpcCodec:
                 )
             mother_weights = np.ones(mother.shape, dtype=np.float64)
             mother_weights[:, mask] = weights
+        return mother, mother_weights
+
+    def decode_batch(
+        self, received: np.ndarray, weights: np.ndarray | None = None
+    ) -> np.ndarray:
+        """Depuncture and decode a ``(batch, length)`` block at once.
+
+        Row ``i`` of the result equals ``decode(received[i],
+        weights[i])`` bit for bit, via
+        :func:`repro.fec.viterbi.viterbi_decode_batch`.
+        """
+        mother, mother_weights = self.depuncture_batch(received, weights)
         return viterbi_decode_batch(
             self.code, mother, terminated=True, weights=mother_weights
         )

@@ -6,7 +6,8 @@ the delivery pipeline for receivers:
 * **carrier sense** — a station senses carrier when any other ongoing
   transmission's mean level at its position is at or above its receive
   threshold ("raising the threshold ... hide[s] carrier sense from the
-  Ethernet chip", paper Section 5.3);
+  Ethernet chip", paper Section 5.3); a MAC that found the carrier busy
+  asks to be woken when a transmission next leaves the air;
 * **delivery** — when a transmission completes, every other station's
   modem pipeline is offered the frame, with co-channel overlap folded in
   as interference samples;
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -106,6 +107,7 @@ class RadioChannel:
         self.stations: dict[int, LinkStation] = {}
         self.active: dict[int, ActiveTransmission] = {}
         self.stats = ChannelStats()
+        self._waiters: list[Callable[[], None]] = []
 
     # ------------------------------------------------------------------
     # Wiring
@@ -193,6 +195,22 @@ class RadioChannel:
             state.metrics.counter(
                 "link.drops", reason=DropReason.MAC_COLLISION.value
             ).inc()
+        self._wake_waiters()
+
+    def notify_on_change(self, callback: Callable[[], None]) -> None:
+        """Call ``callback`` once, when a transmission next leaves the air.
+
+        A transmission leaves the air when it completes (after its
+        deliveries) or is aborted; only then can a busy carrier turn
+        idle.  Waiters are one-shot: a callback registered while the
+        waiters of one change run waits for the next change.
+        """
+        self._waiters.append(callback)
+
+    def _wake_waiters(self) -> None:
+        waiters, self._waiters = self._waiters, []
+        for callback in waiters:
+            callback()
 
     # ------------------------------------------------------------------
     # Delivery
@@ -263,6 +281,7 @@ class RadioChannel:
                     ).inc()
                 continue
             self._deliver(tx, sender, receiver)
+        self._wake_waiters()
 
     def _deliver(
         self, tx: ActiveTransmission, sender: LinkStation, receiver: LinkStation

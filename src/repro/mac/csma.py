@@ -14,7 +14,9 @@ The two protocols differ in what they treat as a collision:
 
 Both run against the abstract :class:`Medium` interface provided by
 :class:`repro.link.channel.RadioChannel` (or the test doubles in the
-unit tests).
+unit tests).  Neither busy-polls: CSMA/CA sleeps out a backoff, and a
+CSMA/CD waiter sleeps until a transmission leaves the air, then jumps
+its jittered poll clock to the first poll after that moment.
 """
 
 from __future__ import annotations
@@ -30,7 +32,12 @@ from repro.simkit.simulator import Simulator
 
 
 class Medium(Protocol):
-    """What a MAC needs from the shared medium."""
+    """What a MAC needs from the shared medium.
+
+    Carrier can only turn idle when a transmission leaves the air, so a
+    waiting MAC registers with :meth:`notify_on_change` instead of
+    sensing again and again.
+    """
 
     def carrier_busy(self, station_id: int) -> bool:
         """Does ``station_id`` currently sense carrier (above threshold)?"""
@@ -43,6 +50,11 @@ class Medium(Protocol):
 
     def abort_transmission(self, station_id: int) -> None:
         """CSMA/CD only: stop our in-flight transmission (jam + abort)."""
+
+    def notify_on_change(self, callback: Callable[[], None]) -> None:
+        """Call ``callback`` once, when a transmission next completes or
+        is aborted (a callback registered during a wake waits for the
+        change after that)."""
 
 
 @dataclass
@@ -168,6 +180,22 @@ class CsmaCdMac:
     (The radio channel reports ``collision_detected`` truthfully, which
     on a real radio would be impossible — that is the point the
     ablation benchmark makes.)
+
+    A station that senses carrier polls it on a jittered clock: each
+    poll is ``poll_interval_s * (0.5 + u)`` after the last, ``u`` drawn
+    from ``rng``.  Rather than fire those polls while the carrier is
+    busy, the station records when it started waiting and sleeps until
+    the medium reports a change (:meth:`Medium.notify_on_change`).  It
+    then advances the same poll clock past the change, drawing ``rng``
+    value for value as the polls would have, and schedules one
+    ``mac.poll`` at the first poll time after it.  Every MAC decision,
+    and every draw of ``rng``, is the busy-polling station's, at the
+    same float times.  Only the carrier-jitter draws of the skipped
+    polls are gone, which changes nothing as long as jitter alone can
+    never push a sensed reading below the receive threshold (nor an
+    unsensed one above it).  The X3 geometry is far from that edge:
+    its weakest sender pair reads 31.6 levels against a threshold of
+    3, with a jitter sd of 0.35.
     """
 
     sim: Simulator
@@ -198,14 +226,9 @@ class CsmaCdMac:
             self._busy = False
             return
         if self.medium.carrier_busy(self.station_id):
-            # Optimistically poll until free, then fire immediately.
-            # Jittered so independent stations' polls do not lock into
-            # one lattice (their clocks drift in reality).
-            self.sim.schedule(
-                self.poll_interval_s * (0.5 + self.rng.random()),
-                lambda: self._attempt_head(attempt),
-                name="mac.poll",
-            )
+            # Optimistically wait until free, then fire immediately.
+            since = self.sim.now
+            self.medium.notify_on_change(lambda: self._wake(since, attempt))
             return
         frame = self._queue[0]
         self.stats.attempts += 1
@@ -219,6 +242,32 @@ class CsmaCdMac:
             lambda: self._after_start(frame, duration, attempt),
             name="mac.cd-check",
         )
+
+    def _wake(self, since: float, attempt: int) -> None:
+        """Schedule the first poll after now on the clock started at ``since``.
+
+        The poll clock is jittered so independent stations' polls do
+        not lock into one lattice (their clocks drift in reality).
+        Every poll before now would have read busy, so only its draw
+        matters: ``t = t + interval * (0.5 + u)`` from ``since`` until
+        ``t`` passes now, the float sums a polling station's
+        ``schedule`` calls made.
+        """
+        now = self.sim.now
+        interval = self.poll_interval_s
+        rng = self.rng
+        t = since
+        # Each step is at most 1.5 poll intervals, so this many draws
+        # always stay short of now: draw them in one call and add them
+        # in order (``cumsum`` is sequential, float for float).
+        certain = int((now - t) / (1.5 * interval)) - 1
+        if certain > 0:
+            steps = interval * (0.5 + rng.random(certain))
+            steps[0] += t
+            t = float(np.cumsum(steps)[-1])
+        while t <= now:
+            t = t + interval * (0.5 + rng.random())
+        self.sim.schedule_at(t, lambda: self._attempt_head(attempt), name="mac.poll")
 
     def _after_start(self, frame: bytes, duration: float, attempt: int) -> None:
         state = _obs.STATE

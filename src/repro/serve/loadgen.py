@@ -602,16 +602,3 @@ def run(args: argparse.Namespace) -> int:
         )
         return 1
     return 0
-
-
-def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="repro loadgen",
-        description="replay a stored trace against a running "
-        "trace-analysis server over N concurrent sessions",
-    )
-    return run(add_arguments(parser).parse_args(argv))
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -98,6 +98,49 @@ class TestCarrierSense:
         assert not channel.carrier_busy(2)
 
 
+class TestChangeWaiters:
+    def test_waiter_fires_once_on_completion(self):
+        sim, channel, sender, receiver = _setup()
+        woken = []
+        channel.notify_on_change(lambda: woken.append(sim.now))
+        channel.begin_transmission(1, bytes(1000))
+        assert woken == []  # a start is not a change
+        sim.run()
+        assert woken == [channel.airtime(bytes(1000))]
+        # Delivered before the wake, and never again on the next frame.
+        assert len(receiver.log) == 1
+        channel.begin_transmission(1, bytes(100))
+        sim.run()
+        assert len(woken) == 1
+
+    def test_waiter_fires_once_on_abort(self):
+        sim, channel, sender, receiver = _setup()
+        woken = []
+        channel.begin_transmission(1, bytes(1000))
+        channel.notify_on_change(lambda: woken.append("abort"))
+        channel.abort_transmission(1)
+        assert woken == ["abort"]
+        channel.abort_transmission(1)  # nothing on the air: no change
+        sim.run()
+        assert woken == ["abort"]
+
+    def test_waiter_registered_during_a_wake_waits_for_the_next_change(self):
+        sim, channel, sender, receiver = _setup()
+        woken = []
+
+        def first():
+            woken.append("first")
+            channel.notify_on_change(lambda: woken.append("second"))
+
+        channel.notify_on_change(first)
+        channel.begin_transmission(1, bytes(100))
+        sim.run()
+        assert woken == ["first"]
+        channel.begin_transmission(1, bytes(100))
+        sim.run()
+        assert woken == ["first", "second"]
+
+
 class TestOverlapAndCapture:
     def _three_station_setup(self, jammer_distance: float):
         sim = Simulator(seed=3)

@@ -18,6 +18,7 @@ class ScriptedMedium:
     collide_script: list[bool] = field(default_factory=list)
     transmissions: list[bytes] = field(default_factory=list)
     aborted: list[int] = field(default_factory=list)
+    wakeups: int = 0
 
     def carrier_busy(self, station_id: int) -> bool:
         if self.busy_script:
@@ -35,6 +36,12 @@ class ScriptedMedium:
 
     def abort_transmission(self, station_id: int) -> None:
         self.aborted.append(station_id)
+
+    def notify_on_change(self, callback) -> None:
+        # The script may flip the carrier at any reading, so every
+        # moment is a change: wake the waiter at once.
+        self.wakeups += 1
+        callback()
 
 
 @pytest.fixture
@@ -129,6 +136,15 @@ class TestCsmaCd:
         mac.enqueue(b"frame")
         sim.run()
         assert mac.stats.collisions == 0
+        assert medium.transmissions == [b"frame"]
+
+    def test_busy_medium_waits_for_a_change(self, sim, mac_rng):
+        """Each busy reading sleeps on the medium's change hook."""
+        medium = ScriptedMedium(busy_script=[True, True, False])
+        mac = CsmaCdMac(sim, medium, 1, mac_rng)
+        mac.enqueue(b"frame")
+        sim.run()
+        assert medium.wakeups == 2
         assert medium.transmissions == [b"frame"]
 
     def test_detected_collision_aborts_and_retries(self, sim, mac_rng):

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.__main__ import main
-from repro.serve import loadgen
 from repro.trace.persist import save_trace
 from repro.trace.trial import TrialConfig, run_fast_trial
 from tests.serve.test_ring_transport import _shm_names, live_server, needs_dev_shm
@@ -43,9 +42,8 @@ def test_loadgen_replays_trace_through_live_server(stored_trace, tmp_path, capsy
         assert code == 0, out
         assert f"2 sessions, {2 * records} records in " in out
         assert "2 ring sessions" in out
-        # The module's own entry point parses the same flags.
-        code = loadgen.main(
-            ["--connect", sock, "--trace", str(path), "--sessions", "1"]
+        code = main(
+            ["loadgen", "--connect", sock, "--trace", str(path), "--sessions", "1"]
         )
         out = capsys.readouterr().out
         assert code == 0, out
