@@ -29,6 +29,7 @@ from repro.fec.viterbi import viterbi_decode
 from repro.framing.testpacket import TestPacketFactory, TestPacketSpec
 from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
 from repro.trace.trial import TrialConfig, run_fast_trial
+from tests.trace.per_packet_oracle import run_per_packet_trial
 
 BENCH_JSON = Path(__file__).resolve().parents[1] / "BENCH_internal.json"
 
@@ -151,9 +152,7 @@ def _interference_source(family: str):
     raise ValueError(family)
 
 
-def _interference_config(
-    family: str, per_packet: bool, packets: int = SMOKE_PACKETS
-) -> TrialConfig:
+def _interference_config(family: str, packets: int = SMOKE_PACKETS) -> TrialConfig:
     return TrialConfig(
         name=f"bench-{family}",
         packets=packets,
@@ -161,7 +160,6 @@ def _interference_config(
         tx_position=Point(0.0, 0.0),
         rx_position=Point(10.0, 5.0),
         interference=(_interference_source(family),),
-        force_per_packet=per_packet,
     )
 
 
@@ -171,16 +169,17 @@ def _interference_config(
 )
 def test_perf_interference_trial_vs_scalar(family):
     """The vectorized interference trial path against the per-packet
-    reference loop, on identical configurations, for each interferer
-    family of Tables 10-14.  The scalar twin shares this PR's faster
-    damage helpers, so the ratio understates the speedup over the
-    pre-vectorization seed (measured 5-24x per family)."""
-    run_fast_trial(_interference_config(family, per_packet=False, packets=200))
+    reference loop (the oracle in ``tests/trace/per_packet_oracle.py``),
+    on identical configurations, for each interferer family of Tables
+    10-14.  The scalar twin shares the faster damage helpers, so the
+    ratio understates the speedup over the pre-vectorization seed
+    (measured 5-24x per family)."""
+    run_fast_trial(_interference_config(family, packets=200))
     scalar_s, _ = _best_of(
-        lambda: run_fast_trial(_interference_config(family, per_packet=True))
+        lambda: run_per_packet_trial(_interference_config(family))
     )
     bulk_s, output = _best_of(
-        lambda: run_fast_trial(_interference_config(family, per_packet=False))
+        lambda: run_fast_trial(_interference_config(family))
     )
     speedup = scalar_s / bulk_s
     _record_stage(

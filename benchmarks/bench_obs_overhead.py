@@ -24,7 +24,6 @@ import pytest
 
 from repro import obs
 from repro.analysis.matching import TraceMatcher
-from repro.framing.testpacket import TestPacketFactory
 from repro.obs import runtime
 from repro.trace import trial as trial_module
 from repro.trace.trial import TrialConfig, run_fast_trial
@@ -47,18 +46,18 @@ def _fast_trial() -> None:
 def _uninstrumented(monkeypatch_cls=pytest.MonkeyPatch):
     """The fast-trial path with every obs hook bypassed.
 
-    Replaces the per-packet hook wrappers with their implementations and
-    the per-trial hooks with no-ops, approximating a build of the
-    library that never had instrumentation.
+    Replaces the per-record matcher hook with its implementation and the
+    per-trial hooks (metrics and the ``trace.trial`` span) with no-ops,
+    approximating a build of the library that never had
+    instrumentation.
     """
     patch = monkeypatch_cls()
     try:
         patch.setattr(TraceMatcher, "match_bytes", TraceMatcher._match_impl)
-        patch.setattr(TestPacketFactory, "build", TestPacketFactory._build_impl)
         patch.setattr(trial_module, "_record_fast_trial_metrics",
                       lambda config, dispositions: None)
-        patch.setattr(trial_module._obs, "span",
-                      lambda name, **labels: contextlib.nullcontext())
+        patch.setattr(trial_module._obs, "trace_span",
+                      lambda name, **attrs: contextlib.nullcontext())
         yield
     finally:
         patch.undo()
@@ -97,7 +96,7 @@ def _min_of(rounds: int, thunk) -> float:
 def test_disabled_state_is_default():
     """The process-wide state must be off unless somebody configured it."""
     assert runtime.STATE.enabled is False
-    assert runtime.STATE.profiling is False
+    assert runtime.STATE.spans is None
     assert runtime.STATE.metrics.enabled is False
 
 
@@ -123,7 +122,7 @@ def test_disabled_telemetry_fast_trial_within_budget():
 @pytest.mark.obs_overhead
 def test_enabled_overhead_is_bounded():
     """Enabled-mode accounting is bulk (per trial, not per packet) on
-    the fast path, so even with metrics and profiling on the tax stays
+    the fast path, so even with metrics and spans on the tax stays
     within a factor of two of disabled mode."""
     obs.reset()
     _fast_trial()

@@ -98,7 +98,6 @@ async def _run_once(trace_path: str, unix_path: str, *, warmup: int):
             unix_path=unix_path,
             jobs=JOBS,
             heartbeat_s=0,
-            transport="ring",
             coalesce_chunks=4,
         )
     )

@@ -230,13 +230,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        dest="window_chunks",
                        help="in-flight credit advertised to clients "
                             "(default 4)")
-    serve.add_argument("--transport",
-                       choices=("ring", "shm", "file", "inline"),
-                       default="ring",
-                       help="chunk handoff to pool workers: ring = "
-                            "per-session shared-memory slot ring, shm = "
-                            "per-chunk shm blocks, file = spill to disk, "
-                            "inline = pickle bytes (default ring)")
     serve.add_argument("--coalesce-chunks", type=int, default=4,
                        dest="coalesce_chunks",
                        help="max queued chunks classified per worker "
@@ -314,7 +307,6 @@ def _cmd_serve(args) -> int:
         jobs=args.jobs,
         queue_chunks=args.queue_chunks,
         window_chunks=args.window_chunks,
-        transport=args.transport,
         coalesce_chunks=args.coalesce_chunks,
         ring_slots=args.ring_slots,
         ring_slot_bytes=args.ring_slot_bytes,

@@ -191,36 +191,35 @@ class IncrementalClassifier:
         out: list[ClassifiedPacket] = []
         for chunk_start in range(0, len(records), MATCH_CHUNK_RECORDS):
             chunk = records[chunk_start : chunk_start + MATCH_CHUNK_RECORDS]
-            with _obs.span("profile.classify_chunk"):
-                exact, sequences, datas = matcher.match_records_arrays(chunk)
-                seq_list = sequences.tolist()
-                chunk_out: list[ClassifiedPacket] = []
-                for offset, record in enumerate(chunk):
-                    if exact[offset]:
-                        # Exact fast-path rows are by definition
-                        # undamaged with a known sequence — identical
-                        # to _classify_one's verdict for them.
-                        chunk_out.append(
-                            ClassifiedPacket(
-                                record=record,
-                                packet_class=PacketClass.UNDAMAGED,
-                                sequence=seq_list[offset],
-                            )
-                        )
-                        continue
-                    data = datas[offset]
-                    if data is None:
-                        data = record.data
-                    match = matcher.match_bytes(data, skip_fast=True)
+            exact, sequences, datas = matcher.match_records_arrays(chunk)
+            seq_list = sequences.tolist()
+            chunk_out: list[ClassifiedPacket] = []
+            for offset, record in enumerate(chunk):
+                if exact[offset]:
+                    # Exact fast-path rows are by definition
+                    # undamaged with a known sequence — identical
+                    # to _classify_one's verdict for them.
                     chunk_out.append(
-                        _classify_one(matcher, record, data, match)
+                        ClassifiedPacket(
+                            record=record,
+                            packet_class=PacketClass.UNDAMAGED,
+                            sequence=seq_list[offset],
+                        )
                     )
-                self._note_chunk(chunk_out)
-                out.extend(chunk_out)
-                if not self.collect_packets:
-                    self._column_chunks.append(
-                        _columns_from_packets(chunk_out)
-                    )
+                    continue
+                data = datas[offset]
+                if data is None:
+                    data = record.data
+                match = matcher.match_bytes(data, skip_fast=True)
+                chunk_out.append(
+                    _classify_one(matcher, record, data, match)
+                )
+            self._note_chunk(chunk_out)
+            out.extend(chunk_out)
+            if not self.collect_packets:
+                self._column_chunks.append(
+                    _columns_from_packets(chunk_out)
+                )
         return out
 
     def feed_columnar(
@@ -232,8 +231,8 @@ class IncrementalClassifier:
         """Classify rows ``[start, stop)`` of a columnar trace.
 
         The zero-copy route: frame matrices are sliced straight off the
-        flat payload and fed to :meth:`TraceMatcher.match_matrix`; the
-        undamaged majority never materializes per-packet records or
+        flat payload and fed to :meth:`TraceMatcher.match_matrix_arrays`;
+        the undamaged majority never materializes per-packet records or
         bytes — classified packets carry lazy record views instead.
         Byte-for-byte the same verdicts as the record-list path.
         """
@@ -249,47 +248,46 @@ class IncrementalClassifier:
         out: list[ClassifiedPacket] = []
         for chunk_start in range(start, stop, MATCH_CHUNK_RECORDS):
             chunk_stop = min(chunk_start + MATCH_CHUNK_RECORDS, stop)
-            with _obs.span("profile.classify_chunk"):
-                chunk_lengths = lengths[chunk_start:chunk_stop]
-                m = chunk_stop - chunk_start
-                exact = np.zeros(m, dtype=bool)
-                sequences = np.full(m, -1, dtype=np.int64)
-                full_local = np.nonzero(chunk_lengths == FRAME_BYTES)[0]
-                if full_local.size:
-                    matrix = trace.frame_matrix(
-                        chunk_start + full_local, FRAME_BYTES
-                    )
-                    ex, matched = matcher.match_matrix_arrays(matrix)
-                    exact[full_local[ex]] = True
-                    sequences[full_local[ex]] = matched[ex]
-                seq_list = sequences.tolist()
-                lengths_list = chunk_lengths.tolist()
-                chunk_out: list[ClassifiedPacket] = []
-                for offset, index in enumerate(
-                    range(chunk_start, chunk_stop)
-                ):
-                    if exact[offset]:
-                        chunk_out.append(
-                            ClassifiedPacket(
-                                record=trace.record_view(index),
-                                packet_class=PacketClass.UNDAMAGED,
-                                sequence=seq_list[offset],
-                            )
-                        )
-                        continue
-                    data = trace.data(index)
-                    match = matcher.match_bytes(data, skip_fast=True)
+            chunk_lengths = lengths[chunk_start:chunk_stop]
+            m = chunk_stop - chunk_start
+            exact = np.zeros(m, dtype=bool)
+            sequences = np.full(m, -1, dtype=np.int64)
+            full_local = np.nonzero(chunk_lengths == FRAME_BYTES)[0]
+            if full_local.size:
+                matrix = trace.frame_matrix(
+                    chunk_start + full_local, FRAME_BYTES
+                )
+                ex, matched = matcher.match_matrix_arrays(matrix)
+                exact[full_local[ex]] = True
+                sequences[full_local[ex]] = matched[ex]
+            seq_list = sequences.tolist()
+            lengths_list = chunk_lengths.tolist()
+            chunk_out: list[ClassifiedPacket] = []
+            for offset, index in enumerate(
+                range(chunk_start, chunk_stop)
+            ):
+                if exact[offset]:
                     chunk_out.append(
-                        _classify_one(
-                            matcher,
-                            trace.record_view(index),
-                            data,
-                            match,
-                            length=lengths_list[offset],
+                        ClassifiedPacket(
+                            record=trace.record_view(index),
+                            packet_class=PacketClass.UNDAMAGED,
+                            sequence=seq_list[offset],
                         )
                     )
-                self._note_chunk(chunk_out)
-                out.extend(chunk_out)
+                    continue
+                data = trace.data(index)
+                match = matcher.match_bytes(data, skip_fast=True)
+                chunk_out.append(
+                    _classify_one(
+                        matcher,
+                        trace.record_view(index),
+                        data,
+                        match,
+                        length=lengths_list[offset],
+                    )
+                )
+            self._note_chunk(chunk_out)
+            out.extend(chunk_out)
         return out
 
     def _feed_columnar_vectorized(
@@ -308,55 +306,54 @@ class IncrementalClassifier:
         undamaged_code = CLASS_CODE[PacketClass.UNDAMAGED]
         for chunk_start in range(start, stop, MATCH_CHUNK_RECORDS):
             chunk_stop = min(chunk_start + MATCH_CHUNK_RECORDS, stop)
-            with _obs.span("profile.classify_chunk"):
-                m = chunk_stop - chunk_start
-                codes = np.full(m, undamaged_code, dtype=np.uint8)
-                sequences = np.full(m, -1, dtype=np.int64)
-                wrapper = np.zeros(m, dtype=bool)
-                body_bits = np.zeros(m, dtype=np.int64)
-                truncated = np.zeros(m, dtype=np.int32)
-                chunk_lengths = lengths[chunk_start:chunk_stop]
-                resolved = np.zeros(m, dtype=bool)
-                full_local = np.nonzero(chunk_lengths == FRAME_BYTES)[0]
-                if full_local.size:
-                    matrix = trace.frame_matrix(
-                        chunk_start + full_local, FRAME_BYTES
-                    )
-                    exact, matched = matcher.match_matrix_arrays(matrix)
-                    hit_local = full_local[exact]
-                    resolved[hit_local] = True
-                    sequences[hit_local] = matched[exact]
-                for offset in np.nonzero(~resolved)[0].tolist():
-                    index = chunk_start + offset
-                    data = trace.data(index)
-                    match = matcher.match_bytes(data, skip_fast=True)
-                    packet = _classify_one(
-                        matcher,
-                        trace.record_view(index),
-                        data,
-                        match,
-                        length=int(chunk_lengths[offset]),
-                    )
-                    codes[offset] = CLASS_CODE[packet.packet_class]
-                    sequences[offset] = (
-                        -1 if packet.sequence is None else packet.sequence
-                    )
-                    wrapper[offset] = packet.wrapper_damaged
-                    body_bits[offset] = packet.body_bits_damaged
-                    truncated[offset] = packet.truncated_bytes_missing
-                self._column_chunks.append({
-                    "class_codes": codes,
-                    "sequences": sequences,
-                    "wrapper_damaged": wrapper,
-                    "body_bits_damaged": body_bits,
-                    "truncated_missing": truncated,
-                })
-                self.records_seen += m
-                for code, count in enumerate(
-                    np.bincount(codes, minlength=len(CLASS_ORDER)).tolist()
-                ):
-                    if count:
-                        self.class_counts[CLASS_ORDER[code]] += count
+            m = chunk_stop - chunk_start
+            codes = np.full(m, undamaged_code, dtype=np.uint8)
+            sequences = np.full(m, -1, dtype=np.int64)
+            wrapper = np.zeros(m, dtype=bool)
+            body_bits = np.zeros(m, dtype=np.int64)
+            truncated = np.zeros(m, dtype=np.int32)
+            chunk_lengths = lengths[chunk_start:chunk_stop]
+            resolved = np.zeros(m, dtype=bool)
+            full_local = np.nonzero(chunk_lengths == FRAME_BYTES)[0]
+            if full_local.size:
+                matrix = trace.frame_matrix(
+                    chunk_start + full_local, FRAME_BYTES
+                )
+                exact, matched = matcher.match_matrix_arrays(matrix)
+                hit_local = full_local[exact]
+                resolved[hit_local] = True
+                sequences[hit_local] = matched[exact]
+            for offset in np.nonzero(~resolved)[0].tolist():
+                index = chunk_start + offset
+                data = trace.data(index)
+                match = matcher.match_bytes(data, skip_fast=True)
+                packet = _classify_one(
+                    matcher,
+                    trace.record_view(index),
+                    data,
+                    match,
+                    length=int(chunk_lengths[offset]),
+                )
+                codes[offset] = CLASS_CODE[packet.packet_class]
+                sequences[offset] = (
+                    -1 if packet.sequence is None else packet.sequence
+                )
+                wrapper[offset] = packet.wrapper_damaged
+                body_bits[offset] = packet.body_bits_damaged
+                truncated[offset] = packet.truncated_bytes_missing
+            self._column_chunks.append({
+                "class_codes": codes,
+                "sequences": sequences,
+                "wrapper_damaged": wrapper,
+                "body_bits_damaged": body_bits,
+                "truncated_missing": truncated,
+            })
+            self.records_seen += m
+            for code, count in enumerate(
+                np.bincount(codes, minlength=len(CLASS_ORDER)).tolist()
+            ):
+                if count:
+                    self.class_counts[CLASS_ORDER[code]] += count
 
     def feed(self, trace: AnyTrace) -> list[ClassifiedPacket]:
         """Classify a whole trace-shaped chunk (dispatch on its type)."""

@@ -176,67 +176,14 @@ class TraceMatcher:
         """Like :meth:`match` for callers that already hold the bytes.
 
         ``skip_fast`` elides the exact-comparison fast path; callers use
-        it after :meth:`match_bulk` has already proven the record is not
-        byte-identical to any plausible template.
+        it after :meth:`match_matrix_arrays` has already proven the
+        record is not byte-identical to any plausible template.
         """
+        result = self._match_impl(data, skip_fast)
         state = _obs.STATE
-        if not state.enabled:
-            return self._match_impl(data, skip_fast)
-        if state.profiling:
-            with state.metrics.timer("profile.match").time():
-                result = self._match_impl(data, skip_fast)
-        else:
-            result = self._match_impl(data, skip_fast)
-        state.metrics.counter(_path_counter_name(result)).inc()
+        if state.enabled:
+            state.metrics.counter(_path_counter_name(result)).inc()
         return result
-
-    def match_bulk(self, datas: Sequence[bytes]) -> list[Optional[MatchResult]]:
-        """Batched fast path over many records at once.
-
-        Returns one entry per input: a fast-path :class:`MatchResult`
-        where the record is byte-identical to its expected frame, else
-        ``None`` (caller falls back to ``match_bytes(data,
-        skip_fast=True)``).  The criteria are exactly those of
-        :meth:`_fast_match` — full length, unanimous body words,
-        plausible sequence, byte equality against the template bank —
-        evaluated as whole-matrix reductions.
-        """
-        results: list[Optional[MatchResult]] = [None] * len(datas)
-        full_rows = [i for i, data in enumerate(datas) if len(data) == FRAME_BYTES]
-        if not full_rows:
-            return results
-        matrix = np.frombuffer(
-            b"".join(datas[i] for i in full_rows), dtype=np.uint8
-        ).reshape(len(full_rows), FRAME_BYTES)
-        for row, match in enumerate(self.match_matrix(matrix)):
-            results[full_rows[row]] = match
-        return results
-
-    def match_matrix(
-        self, matrix: np.ndarray
-    ) -> list[Optional[MatchResult]]:
-        """The fast path over an ``(n, FRAME_BYTES)`` uint8 matrix.
-
-        The columnar analysis path (:class:`repro.trace.columnar
-        .ColumnarTrace`) feeds frame matrices straight off the
-        memory-mapped payload — no per-record bytes objects are ever
-        created for the rows this method resolves.  Same contract as
-        :meth:`match_bulk`: a fast-path result per exactly-matching
-        row, ``None`` elsewhere.
-        """
-        results: list[Optional[MatchResult]] = [None] * matrix.shape[0]
-        if not matrix.shape[0]:
-            return results
-        exact, sequences = self.match_matrix_arrays(matrix)
-        for row in np.nonzero(exact)[0].tolist():
-            results[row] = MatchResult(
-                MatchOutcome.TEST_PACKET,
-                sequence=int(sequences[row]),
-                exact=True,
-                vote_fraction=1.0,
-                wrapper_score=1.0,
-            )
-        return results
 
     def match_matrix_arrays(
         self, matrix: np.ndarray

@@ -22,9 +22,10 @@ The engine factors the campaign shape out:
 * :class:`ExperimentEngine` — executes any spec with uniform services:
   collision-free per-trial seeds (:func:`repro.simkit.rng.spawn_seed`
   over ``(root seed, experiment, trial)``), ``jobs=N`` fan-out through
-  :func:`repro.parallel.run_tasks` (with shared-memory trace handles
-  where plans opt in via ``pool_kwargs``), ``trace_dir`` persistence
-  for traceable plans, and loud warnings when a flag cannot apply.
+  :func:`repro.parallel.run_tasks` (with columnar temp-file trace
+  handles where plans opt in via ``pool_kwargs``), ``trace_dir``
+  persistence for traceable plans, and loud warnings when a flag
+  cannot apply.
 
 Determinism contract: a trial's seed is a pure function of
 ``(root seed, experiment name, trial label)`` — never of job count,
@@ -58,9 +59,9 @@ class TrialPlan:
 
     ``traceable`` plans accept ``trace_dir``/``trace_format`` keyword
     arguments and persist their raw traces; ``pool_kwargs`` are merged
-    in only when the run fans out over a process pool (e.g. a
-    ``transport`` asking the plan to hand traces back through a
-    shared-memory handle instead of pickling records).
+    in only when the run fans out over a process pool (e.g.
+    ``handoff=True`` asking the plan to hand traces back as a columnar
+    temp file instead of pickling records).
 
     ``scenario`` names the registered :mod:`repro.scenario` topology the
     trial runs in.  The engine resolves every tagged name against the

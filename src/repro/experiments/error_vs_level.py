@@ -16,7 +16,7 @@ are summarized per damage class.  Paper findings to preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Optional, Union
 
 from repro.analysis.classify import ClassifiedTrace, classify_trace
 from repro.analysis.signalstats import SignalStats, signal_stats_by_class
@@ -24,7 +24,7 @@ from repro.analysis.tables import render_signal_table
 from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.experiments.tracedir import trial_trace_path
-from repro.parallel import export_trace
+from repro.parallel import TraceHandle, export_trace, resolve_portable
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.outsiders import OutsiderTraffic
 from repro.trace.persist import save_trace
@@ -84,23 +84,39 @@ class ErrorVsLevelResult:
         raise KeyError(name)
 
 
+@dataclass
+class _Subtrial:
+    """One sub-trial's Figure-2 bin counts plus its raw trace.
+
+    On pool workers ``trace`` is a :class:`~repro.parallel.TraceHandle`;
+    ``run_tasks`` calls ``__portable_resolve__`` on the parent side, so
+    the aggregator always concatenates columnar traces and the
+    ``jobs=1`` and ``jobs=N`` aggregation paths are identical.
+    """
+
+    mean_level: int
+    sent: int
+    received: int
+    damaged: int
+    trace: Union[ColumnarTrace, TraceHandle]
+
+    def __portable_resolve__(self) -> "_Subtrial":
+        self.trace = resolve_portable(self.trace)
+        return self
+
+
 def _run_subtrial(
     distance: float,
     index: int,
     packets: int,
     seed: int,
-    transport: Optional[str] = None,
+    handoff: bool = False,
     trace_dir: Optional[str] = None,
     trace_format: str = "v2",
-) -> dict:
-    """One lecture-hall sub-trial, picklable.
-
-    Returns the Figure-2 bin counts plus the sub-trial's raw trace as a
-    :class:`ColumnarTrace` (inline) or a handoff handle (``transport``
-    set, pool workers) — either way the aggregator concatenates
-    columnar traces, so the ``jobs=1`` and ``jobs=N`` aggregation paths
-    are structurally identical.
-    """
+) -> _Subtrial:
+    """One lecture-hall sub-trial, picklable.  ``handoff`` (set on pool
+    paths via the plan's ``pool_kwargs``) ships the raw trace as a
+    columnar temp file instead of pickling it."""
     from repro.scenario.registry import REGISTRY
 
     propagation = REGISTRY.compile(SCENARIO).propagation()
@@ -135,28 +151,28 @@ def _run_subtrial(
         if packet.packet_class.name != "UNDAMAGED"
     )
     trace = ColumnarTrace.from_trace(output.trace)
-    return {
-        "mean_level": mean_level,
-        "sent": packets,
-        "received": received,
-        "damaged": damaged,
-        "trace": export_trace(trace, via=transport) if transport else trace,
-    }
+    return _Subtrial(
+        mean_level=mean_level,
+        sent=packets,
+        received=received,
+        damaged=damaged,
+        trace=export_trace(trace) if handoff else trace,
+    )
 
 
-def _aggregate(ctx: PlanContext, values: list) -> ErrorVsLevelResult:
+def _aggregate(ctx: PlanContext, values: list[_Subtrial]) -> ErrorVsLevelResult:
     sent_by_level: dict[int, int] = {}
     received_by_level: dict[int, int] = {}
     damaged_by_level: dict[int, int] = {}
     for sub in values:
-        level = sub["mean_level"]
-        sent_by_level[level] = sent_by_level.get(level, 0) + sub["sent"]
+        level = sub.mean_level
+        sent_by_level[level] = sent_by_level.get(level, 0) + sub.sent
         received_by_level[level] = (
-            received_by_level.get(level, 0) + sub["received"]
+            received_by_level.get(level, 0) + sub.received
         )
-        damaged_by_level[level] = damaged_by_level.get(level, 0) + sub["damaged"]
+        damaged_by_level[level] = damaged_by_level.get(level, 0) + sub.damaged
     aggregate = ColumnarTrace.concat(
-        [sub["trace"] for sub in values], name="distance-aggregate"
+        [sub.trace for sub in values], name="distance-aggregate"
     )
     classified = classify_trace(aggregate)
     result = ErrorVsLevelResult(classified=classified)
@@ -222,7 +238,7 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
             _run_subtrial,
             {"distance": float(distance), "index": index, "packets": packets},
             traceable=True,
-            pool_kwargs={"transport": "file"},
+            pool_kwargs={"handoff": True},
             scenario=SCENARIO,
         )
         for index, distance in enumerate(SUBTRIAL_DISTANCES_FT)

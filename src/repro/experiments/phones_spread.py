@@ -119,7 +119,7 @@ def _run_trial(
     trial: str,
     packets: int,
     seed: int,
-    transport: Optional[str] = None,
+    handoff: bool = False,
     keep_classified: bool = True,
     trace_dir: Optional[str] = None,
     trace_format: str = "v2",
@@ -127,10 +127,10 @@ def _run_trial(
     """One Table-11 configuration, self-contained and picklable.
 
     Compiles the registered scenario in-process; the bundle is
-    identical whether it runs inline or on a pool worker.  ``transport``
-    (``"file"`` / ``"shm"`` / ``"inline"``) exports the classified
-    trace as a columnar handoff block instead of returning the live
-    object — set on pool paths via the plan's ``pool_kwargs``.
+    identical whether it runs inline or on a pool worker.  ``handoff``
+    exports the classified trace as a columnar temp file instead of
+    returning the live object — set on pool paths via the plan's
+    ``pool_kwargs``.
     ``keep_classified=False`` drops the per-packet output entirely for
     callers that only read the summary tables.
     """
@@ -160,8 +160,8 @@ def _run_trial(
     shipped: Optional[Union[ClassifiedTrace, PortableClassifiedTrace]]
     if not keep_classified:
         shipped = None
-    elif transport is not None:
-        shipped = export_classified(classified, via=transport)
+    elif handoff:
+        shipped = export_classified(classified)
     else:
         shipped = classified
     return _TrialBundle(
@@ -250,7 +250,6 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per Table-11 phone configuration."""
     packets = max(400, int(PAPER_PACKETS * ctx.scale))
     keep_classified = ctx.extra("keep_classified", True)
-    transport = ctx.extra("transport", "file")
     return [
         TrialPlan(
             trial,
@@ -261,7 +260,7 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
                 "keep_classified": keep_classified,
             },
             traceable=True,
-            pool_kwargs={"transport": transport},
+            pool_kwargs={"handoff": True},
             scenario=TABLE11_SCENARIOS[trial],
         )
         for trial in TRIALS
@@ -272,7 +271,6 @@ def run(
     scale: float = 1.0,
     seed: int = 73,
     jobs: int = 1,
-    transport: str = "file",
     keep_classified: bool = True,
     trace_dir: Optional[str] = None,
     trace_format: str = "v2",
@@ -281,17 +279,16 @@ def run(
 
     The trials are mutually independent, so ``jobs > 1`` fans them over
     a process pool; the assembled result is identical to a serial run.
-    Pool workers hand their classified traces back through a columnar
-    handoff block (``transport``: ``"file"`` temp file, ``"shm"``
-    shared memory, ``"inline"`` bytes-in-pickle) instead of pickling
-    per-packet record objects.  ``keep_classified=False`` omits
-    ``SpreadResult.classified`` for callers that only read the summary
-    tables — e.g. the report, which then ships no records at all.
+    Pool workers hand their classified traces back as columnar temp
+    files instead of pickling per-packet record objects.
+    ``keep_classified=False`` omits ``SpreadResult.classified`` for
+    callers that only read the summary tables — e.g. the report, which
+    then ships no records at all.
     """
     return ENGINE.run(
         "table11", scale=scale, seed=seed, jobs=jobs,
         trace_dir=trace_dir, trace_format=trace_format,
-        extras={"keep_classified": keep_classified, "transport": transport},
+        extras={"keep_classified": keep_classified},
     )
 
 

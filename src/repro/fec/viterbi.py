@@ -113,11 +113,17 @@ def viterbi_decode(
     Returns the decoded information bits (flush bits stripped when
     ``terminated``).
     """
-    state = _obs.STATE
-    if state.profiling:
-        with state.metrics.timer("profile.viterbi_decode").time():
-            return _decode_impl(code, received, terminated, weights)
-    return _decode_impl(code, received, terminated, weights)
+    received = np.asarray(received, dtype=np.uint8)
+    if received.ndim != 1:
+        raise ValueError(f"received must be 1-D, got shape {received.shape}")
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+        if weights.shape != received.shape:
+            raise ValueError(
+                f"weights shape {weights.shape} != received {received.shape}"
+            )
+        weights = weights[None, :]
+    return _decode_batch_impl(code, received[None, :], terminated, weights)[0]
 
 
 def viterbi_decode_batch(
@@ -134,32 +140,12 @@ def viterbi_decode_batch(
     loop runs over ``(batch, states)`` arrays, amortizing the
     Python-level per-step cost across the whole batch.  ``weights``
     (optional) must have the same shape as ``received``; a row of ones
-    is exactly equivalent to no weights.
+    is exactly equivalent to no weights.  Opens one ``fec.decode_batch``
+    trace span per call: a batch is a layer boundary, a single decode
+    is not.
     """
-    state = _obs.STATE
-    if state.profiling:
-        with state.metrics.timer("profile.viterbi_decode_batch").time():
-            return _decode_batch_impl(code, received, terminated, weights)
-    return _decode_batch_impl(code, received, terminated, weights)
-
-
-def _decode_impl(
-    code: ConvolutionalCode,
-    received: np.ndarray,
-    terminated: bool,
-    weights: np.ndarray | None,
-) -> np.ndarray:
-    received = np.asarray(received, dtype=np.uint8)
-    if received.ndim != 1:
-        raise ValueError(f"received must be 1-D, got shape {received.shape}")
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.shape != received.shape:
-            raise ValueError(
-                f"weights shape {weights.shape} != received {received.shape}"
-            )
-        weights = weights[None, :]
-    return _decode_batch_impl(code, received[None, :], terminated, weights)[0]
+    with _obs.trace_span("fec.decode_batch", rows=len(received)):
+        return _decode_batch_impl(code, received, terminated, weights)
 
 
 def _decode_batch_impl(

@@ -25,7 +25,6 @@ from repro.framing.crc import crc32
 from repro.framing.ethernet import EthernetFrame, MacAddress
 from repro.framing.ip import Ipv4Header
 from repro.framing.udp import UdpHeader
-from repro.obs import runtime as _obs
 
 WORDS_PER_PACKET = 256
 WORD_BYTES = 4
@@ -160,13 +159,6 @@ class TestPacketFactory:
         id + checksum, UDP checksum, body word) into precomputed
         templates.
         """
-        state = _obs.STATE
-        if state.profiling:
-            with state.metrics.timer("profile.frame_build").time():
-                return self._build_impl(sequence)
-        return self._build_impl(sequence)
-
-    def _build_impl(self, sequence: int) -> bytes:
         word = self.body_word(sequence)
         body = word * WORDS_PER_PACKET
         # The IP id is 16 bits wide, so it aliases sequences mod 2^16;
@@ -216,7 +208,7 @@ class TestPacketFactory:
         n = len(sequences)
         if self._bulk_base is None:
             self._bulk_base = np.frombuffer(
-                self._build_impl(0), dtype=np.uint8
+                self.build(0), dtype=np.uint8
             ).copy()
         frames = np.tile(self._bulk_base, (n, 1))
         if n == 0:

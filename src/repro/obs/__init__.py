@@ -1,12 +1,13 @@
-"""Instrumentation bus: metrics, run telemetry, and profiling hooks.
+"""Instrumentation bus: metrics, run telemetry, and trace spans.
 
 The paper's contribution rests on *instrumented* measurement — a driver
 modified to log every received bit plus per-packet status.  This package
 gives the reproduction the same property about itself: a metrics
 registry with hierarchical names (``phy.bits_flipped``,
 ``link.drops{reason=...}``), structured JSONL run telemetry, per-run
-manifests, and profiling timers around the hot paths — all near-zero
-cost when disabled (the default).
+manifests, and one timing mechanism: trace spans at layer boundaries
+(``trace.trial``, ``fec.decode_batch``, experiment and task spans) —
+all near-zero cost when disabled (the default).
 
 Quick use::
 
@@ -34,8 +35,6 @@ from repro.obs.metrics import (
     Gauge,
     Histogram,
     Metrics,
-    NULL_SPAN,
-    Timer,
     render_snapshot,
     scoped_name,
 )
@@ -48,7 +47,6 @@ from repro.obs.runtime import (
     metrics,
     reset,
     session,
-    span,
     trace_span,
 )
 from repro.obs.spans import (
@@ -68,7 +66,6 @@ __all__ = [
     "Histogram",
     "JsonlTelemetrySink",
     "Metrics",
-    "NULL_SPAN",
     "ObsState",
     "ResourceMonitor",
     "ResourceSample",
@@ -79,7 +76,6 @@ __all__ = [
     "TELEMETRY_FORMAT",
     "TELEMETRY_KIND",
     "TelemetrySummary",
-    "Timer",
     "build_manifest",
     "configure",
     "derive_span_id",
@@ -96,7 +92,6 @@ __all__ = [
     "sample",
     "scoped_name",
     "session",
-    "span",
     "span_structure",
     "span_tree",
     "summarize_telemetry",

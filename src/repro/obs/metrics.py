@@ -1,17 +1,17 @@
 """Metric instruments and the hierarchical registry.
 
-The registry hands out four instrument kinds, all addressed by a
+The registry hands out three instrument kinds, all addressed by a
 dot-hierarchical name plus optional labels::
 
     registry.counter("phy.bits_flipped").inc(3)
     registry.counter("link.drops", reason="mac_collision").inc()
     registry.gauge("sim.queue_depth").set(17)
-    with registry.timer("profile.trial_fast").time():
-        ...
+    registry.histogram("sim.event_handler_s").record(elapsed_s)
 
 Names follow the layer namespace documented in docs/OBSERVABILITY.md
 (``sim.*``, ``phy.*``, ``mac.*``, ``link.*``, ``trace.*``, ``match.*``,
-``fec.*``, ``rng.*``, ``profile.*``).  Labels are folded into the storage
+``fec.*``, ``rng.*``).  Time is attributed by trace spans
+(:mod:`repro.obs.spans`), not by metric instruments.  Labels are folded into the storage
 key as ``name{k=v,...}`` with keys sorted, so snapshots are plain
 string-keyed dictionaries.
 
@@ -24,7 +24,6 @@ callers on per-event paths should fetch once and hold the handle.
 from __future__ import annotations
 
 import math
-from time import perf_counter
 from typing import Optional
 
 
@@ -137,46 +136,6 @@ class Histogram:
         }
 
 
-class Timer:
-    """A histogram of elapsed seconds with a context-manager front end."""
-
-    __slots__ = ("histogram",)
-
-    def __init__(self) -> None:
-        self.histogram = Histogram()
-
-    def time(self) -> "_TimerSpan":
-        return _TimerSpan(self.histogram)
-
-    def record(self, elapsed_s: float) -> None:
-        self.histogram.record(elapsed_s)
-
-    @property
-    def count(self) -> int:
-        return self.histogram.count
-
-    @property
-    def total_s(self) -> float:
-        return self.histogram.total
-
-
-class _TimerSpan:
-    """One timed region; records wall-clock seconds on exit."""
-
-    __slots__ = ("_histogram", "_start")
-
-    def __init__(self, histogram: Histogram) -> None:
-        self._histogram = histogram
-        self._start = 0.0
-
-    def __enter__(self) -> "_TimerSpan":
-        self._start = perf_counter()
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self._histogram.record(perf_counter() - self._start)
-
-
 # ----------------------------------------------------------------------
 # Null instruments: what a disabled registry hands out.  All mutators
 # are no-ops; reads report zero/empty.  Shared singletons, stateless.
@@ -202,33 +161,9 @@ class _NullHistogram(Histogram):
         pass
 
 
-class _NullSpan:
-    """A reusable no-op context manager (no per-use state)."""
-
-    __slots__ = ()
-
-    def __enter__(self) -> "_NullSpan":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        pass
-
-
-class _NullTimer(Timer):
-    __slots__ = ()
-
-    def time(self) -> "_NullSpan":  # type: ignore[override]
-        return NULL_SPAN
-
-    def record(self, elapsed_s: float) -> None:
-        pass
-
-
 NULL_COUNTER = _NullCounter()
 NULL_GAUGE = _NullGauge()
 NULL_HISTOGRAM = _NullHistogram()
-NULL_SPAN = _NullSpan()
-NULL_TIMER = _NullTimer()
 
 
 class Metrics:
@@ -244,7 +179,6 @@ class Metrics:
         self._counters: dict[str, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
-        self._timers: dict[str, Timer] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
@@ -274,15 +208,6 @@ class Metrics:
             instrument = self._histograms[key] = Histogram()
         return instrument
 
-    def timer(self, name: str, **labels: str) -> Timer:
-        if not self.enabled:
-            return NULL_TIMER
-        key = scoped_name(name, labels)
-        instrument = self._timers.get(key)
-        if instrument is None:
-            instrument = self._timers[key] = Timer()
-        return instrument
-
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
         """All instrument values as plain JSON-serializable dictionaries."""
@@ -291,9 +216,6 @@ class Metrics:
             "gauges": {k: g.value for k, g in sorted(self._gauges.items())},
             "histograms": {
                 k: h.summary() for k, h in sorted(self._histograms.items())
-            },
-            "timers": {
-                k: t.histogram.summary() for k, t in sorted(self._timers.items())
             },
         }
 
@@ -308,23 +230,20 @@ class Metrics:
     def export_state(self) -> dict:
         """Every instrument's exact internal state, JSON/pickle-safe.
 
-        Counters and gauges export their values; histograms and timers
-        export raw moments (:meth:`Histogram.state`), so a merge is
+        Counters and gauges export their values; histograms export raw
+        moments (:meth:`Histogram.state`), so a merge is
         exact — no reconstruction from derived statistics.
         """
         return {
             "counters": {k: c.value for k, c in self._counters.items()},
             "gauges": {k: g.value for k, g in self._gauges.items()},
             "histograms": {k: h.state() for k, h in self._histograms.items()},
-            "timers": {
-                k: t.histogram.state() for k, t in self._timers.items()
-            },
         }
 
     def merge_state(self, state: dict) -> None:
         """Fold an :meth:`export_state` dictionary into this registry.
 
-        Counters add, histogram/timer moments add (min/max take the
+        Counters add, histogram moments add (min/max take the
         extremum), gauges take the incoming value (last write wins, so
         merge in a deterministic order).  No-op on a disabled registry.
         """
@@ -337,10 +256,6 @@ class Metrics:
         for key, hist_state in state.get("histograms", {}).items():
             self._plain(self._histograms, key, Histogram).merge_state(
                 hist_state
-            )
-        for key, timer_state in state.get("timers", {}).items():
-            self._plain(self._timers, key, Timer).histogram.merge_state(
-                timer_state
             )
 
     @staticmethod
@@ -356,7 +271,6 @@ class Metrics:
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
-        self._timers.clear()
 
 
 def render_snapshot(snapshot: dict) -> str:
@@ -374,13 +288,11 @@ def render_snapshot(snapshot: dict) -> str:
         width = max(len(k) for k in gauges)
         for key, value in gauges.items():
             lines.append(f"  {key:<{width}}  {value:g}")
-    for section in ("histograms", "timers"):
-        entries = snapshot.get(section, {})
-        if not entries:
-            continue
-        lines.append(f"{section}:")
-        width = max(len(k) for k in entries)
-        for key, summary in entries.items():
+    histograms = snapshot.get("histograms", {})
+    if histograms:
+        lines.append("histograms:")
+        width = max(len(k) for k in histograms)
+        for key, summary in histograms.items():
             if summary["count"] == 0:
                 lines.append(f"  {key:<{width}}  (empty)")
                 continue

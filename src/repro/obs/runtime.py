@@ -1,10 +1,10 @@
 """The process-wide observability state and its lifecycle.
 
 Instrumented modules consult one module-level :data:`STATE` object.  By
-default it is *disabled*: ``STATE.enabled`` and ``STATE.profiling`` are
-``False`` and ``STATE.metrics`` is a registry that hands out no-op
-instruments.  Hot paths therefore pay at most one attribute load and a
-branch per instrumentation point::
+default it is *disabled*: ``STATE.enabled`` is ``False``,
+``STATE.metrics`` is a registry that hands out no-op instruments and
+``STATE.spans`` is ``None``.  Hot paths therefore pay at most one
+attribute load and a branch per instrumentation point::
 
     from repro.obs import runtime as _obs
     ...
@@ -25,22 +25,21 @@ from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs.events import EventTracer, JsonlTelemetrySink
-from repro.obs.metrics import NULL_SPAN, Metrics
+from repro.obs.metrics import Metrics
 from repro.obs.spans import NULL_TRACE_SPAN, SpanRecorder, derive_trace_id
 
 
 class ObsState:
     """Mutable holder of the active observability session."""
 
-    __slots__ = ("metrics", "tracer", "sink", "enabled", "profiling",
-                 "rng_accounting", "spans")
+    __slots__ = ("metrics", "tracer", "sink", "enabled", "rng_accounting",
+                 "spans")
 
     def __init__(self) -> None:
         self.metrics = Metrics(enabled=False)
         self.tracer: Optional[EventTracer] = None
         self.sink: Optional[JsonlTelemetrySink] = None
         self.enabled = False
-        self.profiling = False
         self.rng_accounting = False
         self.spans: Optional[SpanRecorder] = None
 
@@ -66,11 +65,14 @@ def configure(
     id derives from ``trace_label`` (or is taken verbatim from
     ``trace_id`` — how pool workers join the parent's trace).
     Returns :data:`STATE` (mutated in place).
+
+    ``profiling`` is accepted and ignored, only because
+    ``perfbench/serve_child.py`` passes ``profiling=False``; time is
+    attributed by trace spans alone.
     """
     reset()
     STATE.metrics = Metrics(enabled=True)
     STATE.enabled = True
-    STATE.profiling = profiling
     STATE.rng_accounting = rng_accounting
     if telemetry_path is not None:
         STATE.sink = JsonlTelemetrySink(telemetry_path)
@@ -101,7 +103,6 @@ def detach_inherited_session() -> None:
     STATE.tracer = None
     STATE.sink = None
     STATE.enabled = False
-    STATE.profiling = False
     STATE.rng_accounting = False
     STATE.spans = None
 
@@ -114,7 +115,6 @@ def reset() -> None:
     STATE.tracer = None
     STATE.sink = None
     STATE.enabled = False
-    STATE.profiling = False
     STATE.rng_accounting = False
     STATE.spans = None
 
@@ -152,25 +152,15 @@ def metrics() -> Metrics:
     return STATE.metrics
 
 
-def span(name: str, **labels: str):
-    """A context-manager timer on the active registry (no-op when
-    disabled).  For per-call hot paths prefer an explicit
-    ``STATE.profiling`` guard; this helper is for per-trial /
-    per-experiment granularity."""
-    m = STATE.metrics
-    if not m.enabled:
-        return NULL_SPAN
-    return m.timer(name, **labels).time()
-
-
 def trace_span(name: str, **attrs):
     """Open a hierarchical trace span on the active recorder.
 
     No-op (a shared null context manager) when no session is active —
     one attribute load plus a branch, same cost discipline as the
-    metric hooks.  Unlike :func:`span` (a flat timer histogram), this
-    records one tree node per call: trace/span/parent ids, wall/CPU
-    time, RSS delta, and the given attributes.
+    metric hooks.  Records one tree node per call: trace/span/parent
+    ids, wall/CPU time, RSS delta, and the given attributes.  A span
+    costs tens of microseconds, so spans sit at layer boundaries (a
+    trial, a batch decode, a task), never on per-packet paths.
     """
     recorder = STATE.spans
     if recorder is None:

@@ -15,9 +15,9 @@ Quick use::
     values = [r.value for r in results]   # in task order
 
 Workers that produce traces (or classified traces) hand them back as
-columnar handoff blocks (:mod:`repro.parallel.handoff`) — a v2 file,
-shared-memory block, or inline bytes — instead of pickling per-packet
-record objects; ``run_tasks`` resolves the handles transparently.
+v2 columnar temp files (:mod:`repro.parallel.handoff`) instead of
+pickling per-packet record objects; ``run_tasks`` resolves the handles
+transparently and removes every file its pool run exported.
 
 Wired into the CLI as ``python -m repro report --jobs N`` (and
 ``--jobs`` on experiments with independent trials, e.g. ``table2``).
@@ -35,7 +35,6 @@ from repro.parallel.handoff import (
     export_classified,
     export_trace,
     load_ring_slot,
-    merge_trace_handles,
     resolve_portable,
 )
 from repro.parallel.pool import PersistentPool, maybe_pool
@@ -65,7 +64,6 @@ __all__ = [
     "export_trace",
     "maybe_pool",
     "find_shards",
-    "merge_trace_handles",
     "merged_manifest_record",
     "resolve_portable",
     "run_tasks",

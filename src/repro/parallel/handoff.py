@@ -1,42 +1,33 @@
-"""Shared-memory / columnar-file handoff for parallel trace results.
+"""Columnar-file handoff for parallel trace results.
 
 Before this module, a pool worker that produced a trace (or a classified
 trace) pickled every :class:`~repro.trace.records.PacketRecord` back to
 the parent — hundreds of thousands of per-object pickle round-trips that
 threw away the bulk-path speedups the worker had just earned.  The
 handoff instead persists the worker's records as a **format v2 columnar
-block** (:mod:`repro.trace.columnar`) and ships only a small handle:
+block** (:mod:`repro.trace.columnar`) in a temp file and ships only a
+small :class:`TraceHandle`; the parent memory-maps the file zero-copy
+and unlinks it on load (POSIX keeps the mapping valid).
 
-* ``via="file"`` — a temp file next to the system temp dir (or a caller
-  directory); the parent memory-maps it zero-copy and unlinks it on
-  load (POSIX keeps the mapping valid).  The default: robust across
-  fork and spawn.
-* ``via="shm"`` — a ``multiprocessing.shared_memory`` block; the parent
-  attaches and reads the columns in place — no filesystem traffic at
-  all.  For in-process fan-out on fork platforms.
-* ``via="inline"`` — the v2 bytes ride inside the pickle itself.  Still
-  ~100x cheaper than pickling record objects (one flat buffer instead
-  of an object graph); useful for tiny traces and tests.
+Classified traces travel as compact per-packet columns plus the trace
+handle (:class:`PortableClassifiedTrace`); the parent's ``resolve()``
+rebuilds a :class:`~repro.analysis.classify.ClassifiedTrace` whose
+packets carry lazy record views over the mapped columns.  ``run_tasks``
+resolves portable task values automatically and exports its pool
+workers' files into a directory it removes when the run ends.
 
-The bytes in the block are exactly the v2 file format, so all three
-transports share one reader.  Classified traces travel as compact
-per-packet columns plus the trace handle
-(:class:`PortableClassifiedTrace`); the parent's ``resolve()`` rebuilds
-a :class:`~repro.analysis.classify.ClassifiedTrace` whose packets carry
-lazy record views over the shared columns.  ``run_tasks`` resolves
-top-level portable values automatically, and
-:func:`merge_trace_handles` concatenates shard columns for
-single-trace workloads split across workers.
+The streaming ingest service has its own vehicle: a :class:`RingTransport`
+of reusable shared-memory slots per session, with the temp-file handle
+as its counted overflow fallback.
 """
 
 from __future__ import annotations
 
-import io
 import os
 import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -63,79 +54,66 @@ AnyTrace = Union[TrialTrace, ColumnarTrace]
 _CLASS_ORDER = CLASS_ORDER
 _CLASS_CODE = CLASS_CODE
 
+#: Where exports land when the caller names no directory (None = the
+#: system temp dir).  Set only inside ``run_tasks`` pool workers, by the
+#: pool initializer, to a directory the run owns and removes when it
+#: ends, so no handoff file outlives the run, even one whose task later
+#: raised.  A worker process serves exactly one run.
+export_dir: Optional[str] = None
+
 
 @dataclass
 class TraceHandle:
-    """A picklable pointer to a columnar trace block.
+    """A picklable pointer to a columnar trace block in a temp file.
 
-    ``load()`` consumes the handle: file backings are unlinked once
-    mapped and shared-memory blocks unlinked once attached, so a handle
-    is a transfer of ownership, not a shared reference.  ``release()``
-    discards the block without reading it (error paths).
+    ``load()`` consumes the handle: the file is unlinked once mapped
+    (POSIX keeps the mapping valid), so a handle is a transfer of
+    ownership, not a shared reference.  ``release()`` discards the file
+    without reading it (error paths).
     """
 
-    kind: str  # "file" | "shm" | "inline"
-    location: Union[str, bytes]
+    location: str
 
     def load(self) -> ColumnarTrace:
-        with _obs.trace_span("handoff.load", kind=self.kind):
-            return self._load()
-
-    def _load(self) -> ColumnarTrace:
-        if self.kind == "file":
+        with _obs.trace_span("handoff.load"):
             trace = read_columnar(self.location)
-            try:
-                os.unlink(self.location)
-            except OSError:
-                pass
+            self.release()
             return trace
-        if self.kind == "shm":
-            from multiprocessing import shared_memory
-
-            block = shared_memory.SharedMemory(name=self.location)
-            trace = read_columnar_buffer(
-                block.buf, origin=f"shm://{self.location}", backing=block
-            )
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
-            return trace
-        if self.kind == "inline":
-            return read_columnar_buffer(self.location, origin="<inline>")
-        raise ValueError(f"unknown trace handle kind {self.kind!r}")
 
     def release(self) -> None:
         """Discard the block without loading it."""
-        if self.kind == "file":
-            try:
-                os.unlink(self.location)
-            except OSError:
-                pass
-        elif self.kind == "shm":
-            from multiprocessing import shared_memory
-
-            try:
-                block = shared_memory.SharedMemory(name=self.location)
-            except FileNotFoundError:
-                return
-            block.close()
-            block.unlink()
+        try:
+            os.unlink(self.location)
+        except OSError:
+            pass
 
     def __portable_resolve__(self) -> ColumnarTrace:
         return self.load()
 
 
-def _columnar_bytes(trace: AnyTrace) -> bytes:
-    buffer = io.BytesIO()
-    write_columnar(trace, buffer)
-    return buffer.getvalue()
+def _export(write, directory: Optional[Union[str, Path]]) -> TraceHandle:
+    fd, path = tempfile.mkstemp(
+        prefix=f"repro-{os.getpid()}-", suffix=".wlt2",
+        dir=str(directory) if directory is not None else export_dir,
+    )
+    with os.fdopen(fd, "wb") as stream:
+        write(stream)
+    return TraceHandle(path)
+
+
+def export_trace(
+    trace: AnyTrace, directory: Optional[Union[str, Path]] = None
+) -> TraceHandle:
+    """Persist ``trace`` as a v2 columnar block and return its handle.
+
+    Called on the worker side of a pool boundary; the returned handle
+    pickles in constant size however many records the trace holds.
+    """
+    return _export(lambda stream: write_columnar(trace, stream), directory)
 
 
 def export_block(
-    payload: bytes,
-    via: str = "file",
-    directory: Optional[Union[str, Path]] = None,
+    payload: bytes, directory: Optional[Union[str, Path]] = None
 ) -> TraceHandle:
     """Ship already-encoded v2 columnar bytes as a :class:`TraceHandle`.
 
@@ -144,32 +122,7 @@ def export_block(
     *are* v2 blocks, so they cross the pool boundary without being
     re-encoded.
     """
-    if via == "file":
-        fd, path = tempfile.mkstemp(
-            prefix=f"repro-{os.getpid()}-", suffix=".wlt2",
-            dir=str(directory) if directory is not None else None,
-        )
-        with os.fdopen(fd, "wb") as stream:
-            stream.write(payload)
-        return TraceHandle(kind="file", location=path)
-    if via == "shm":
-        from multiprocessing import resource_tracker, shared_memory
-
-        block = shared_memory.SharedMemory(create=True, size=len(payload))
-        block.buf[: len(payload)] = payload
-        name = block.name
-        block.close()
-        # Ownership moves to whoever loads the handle; stop this
-        # process's resource tracker from unlinking (and warning about)
-        # the block when the worker exits.
-        try:
-            resource_tracker.unregister(f"/{name}", "shared_memory")
-        except Exception:  # pragma: no cover - tracker impl detail
-            pass
-        return TraceHandle(kind="shm", location=name)
-    if via == "inline":
-        return TraceHandle(kind="inline", location=payload)
-    raise ValueError(f"unknown handoff transport {via!r}")
+    return _export(lambda stream: stream.write(payload), directory)
 
 
 # ----------------------------------------------------------------------
@@ -213,20 +166,19 @@ class RingSlotHandle:
 class RingTransport:
     """A preallocated ring of reusable shared-memory slots.
 
-    The per-chunk shm transport (:func:`export_block` ``via="shm"``)
-    pays a segment create + resource-tracker dance + unlink for every
-    chunk.  A streaming session sends thousands of same-sized chunks;
-    the ring pays the segment cost **once**, then every chunk is a
-    single ``memcpy`` into a leased slot and a free-list push when the
-    verdict comes back.  Steady state: zero allocations, zero
+    A per-chunk shared-memory block would pay a segment create +
+    resource-tracker dance + unlink for every chunk.  A streaming
+    session sends thousands of same-sized chunks; the ring pays the
+    segment cost **once**, then every chunk is a single ``memcpy`` into
+    a leased slot and a free-list push when the verdict comes back.  Steady state: zero allocations, zero
     filesystem traffic, zero kernel object churn.
 
     Overflow is loud, never silent: :meth:`lease` returns ``None`` when
     no slot is free or the payload exceeds ``slot_bytes``, bumps the
-    ``overflows`` counter, and the caller falls back to a slower
-    transport.  :meth:`stats` reports ``leases`` / ``overflows`` /
-    ``max_in_use`` so a mis-sized ring shows up in summaries and
-    metrics instead of as mystery latency.
+    ``overflows`` counter, and the caller falls back to a temp-file
+    :class:`TraceHandle`.  :meth:`stats` reports ``leases`` /
+    ``overflows`` / ``max_in_use`` so a mis-sized ring shows up in
+    summaries and metrics instead of as mystery latency.
 
     Single-owner discipline: the creating process leases, releases and
     closes; workers only attach read-only views via
@@ -293,7 +245,7 @@ class RingTransport:
 
         Returns ``None`` (and counts an overflow) when the payload
         exceeds slot capacity or every slot is leased out — the caller
-        must fall back to another transport; the ring never blocks and
+        must fall back to a temp-file handle; the ring never blocks and
         never drops bytes silently.
         """
         nbytes = len(payload)
@@ -454,29 +406,6 @@ def detach_ring(name: str) -> None:
             pass
 
 
-def export_trace(
-    trace: AnyTrace,
-    via: str = "file",
-    directory: Optional[Union[str, Path]] = None,
-) -> TraceHandle:
-    """Persist ``trace`` as a v2 columnar block and return its handle.
-
-    Called on the worker side of a pool boundary; the returned handle
-    pickles in constant size however many records the trace holds.
-    """
-    if via == "file":
-        fd, path = tempfile.mkstemp(
-            prefix=f"repro-{os.getpid()}-", suffix=".wlt2",
-            dir=str(directory) if directory is not None else None,
-        )
-        with os.fdopen(fd, "wb") as stream:
-            write_columnar(trace, stream)
-        return TraceHandle(kind="file", location=path)
-    if via in ("shm", "inline"):
-        return export_block(_columnar_bytes(trace), via=via)
-    raise ValueError(f"unknown handoff transport {via!r}")
-
-
 # ----------------------------------------------------------------------
 # Classified traces
 # ----------------------------------------------------------------------
@@ -527,7 +456,6 @@ class PortableClassifiedTrace:
 
 def export_classified(
     classified: ClassifiedTrace,
-    via: str = "file",
     directory: Optional[Union[str, Path]] = None,
 ) -> PortableClassifiedTrace:
     """Flatten a classified trace for the pool boundary (worker side)."""
@@ -548,7 +476,7 @@ def export_classified(
         if packet.syndrome is not None:
             syndromes.append((index, packet.syndrome))
     return PortableClassifiedTrace(
-        handle=export_trace(classified.trace, via=via, directory=directory),
+        handle=export_trace(classified.trace, directory=directory),
         class_codes=class_codes,
         sequences=sequences,
         wrapper_damaged=wrapper_damaged,
@@ -556,16 +484,6 @@ def export_classified(
         truncated_missing=truncated,
         syndromes=syndromes,
     )
-
-
-def merge_trace_handles(
-    handles: Sequence[TraceHandle], name: Optional[str] = None
-) -> ColumnarTrace:
-    """The merge step for single-trace workloads split across workers:
-    load every shard handle and concatenate the columns (offsets are
-    rebased; ``packets_sent`` adds up, matching
-    :meth:`TrialTrace.extend` semantics)."""
-    return ColumnarTrace.concat([h.load() for h in handles], name=name)
 
 
 def resolve_portable(value):

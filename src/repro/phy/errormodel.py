@@ -914,7 +914,7 @@ class WaveLanErrorModel:
           array with CSR row offsets (``k + 1`` entries).
 
         Statistically equivalent to looping :meth:`detail_packet` (the
-        equivalence suite pins it against ``force_per_packet`` trials);
+        equivalence suite pins it against a per-packet reference trial);
         RNG draw order differs, so individual packets are not
         byte-comparable across the two paths.
         """

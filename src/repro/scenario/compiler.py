@@ -279,7 +279,6 @@ class CompiledScenario:
         packets: Optional[int] = None,
         seed: int = 0,
         name: Optional[str] = None,
-        force_per_packet: bool = False,
     ) -> TrialConfig:
         """An engine-ready trial for one link of this scenario.
 
@@ -311,7 +310,6 @@ class CompiledScenario:
             interference=self.interference_sources(),
             outsiders=self.outsiders(),
             antenna_branches=self.spec.modem.antenna_branches,
-            force_per_packet=force_per_packet,
         )
 
 

@@ -98,7 +98,6 @@ class ServeConfig:
     jobs: int = 1  # >1 fans chunk classification across sharded workers
     queue_chunks: int = 8  # bounded per-session queue (backpressure)
     window_chunks: int = 4  # in-flight credit advertised at handshake
-    transport: str = "ring"  # chunk handoff: ring|shm|file|inline
     coalesce_chunks: int = 4  # max ready chunks classified as one batch
     ring_slots: Optional[int] = None  # None = queue + coalesce + 1
     ring_slot_bytes: Optional[int] = None  # None = sized off chunk one
@@ -299,10 +298,6 @@ class TraceAnalysisServer:
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
-        if self.config.transport not in ("ring", "shm", "file", "inline"):
-            raise ValueError(
-                f"unknown transport {self.config.transport!r}"
-            )
         self._server: Optional[asyncio.base_events.Server] = None
         self._pool: Optional[PersistentPool] = None
         self._inline: Optional[ThreadPoolExecutor] = None
@@ -604,11 +599,7 @@ class TraceAnalysisServer:
             "window_chunks": config.window_chunks,
             "queue_chunks": config.queue_chunks,
         }
-        if (
-            config.transport == "ring"
-            and hello.get("shm_ring")
-            and int(hello.get("chunk_bytes") or 0) > 0
-        ):
+        if hello.get("shm_ring") and int(hello.get("chunk_bytes") or 0) > 0:
             # Same-host fast path: grant the client direct slot access.
             # The client writes chunk payloads into the ring itself and
             # sends CHUNK_REF frames; the socket stops carrying frame
@@ -742,7 +733,9 @@ class TraceAnalysisServer:
         self, session: Session, payload: memoryview
     ) -> ChunkItem:
         """Copy a CHUNK payload out of the frame buffer, once, into
-        whatever vehicle carries it to classification."""
+        whatever vehicle carries it to classification: the bytes
+        themselves when classifying inline, else a slot of the
+        session's ring, else (no slot fits) a temp-file handle."""
         if session.client_ring:
             # The client normally writes slots itself; a full CHUNK
             # frame here means its ring overflowed (slot shortage or
@@ -751,19 +744,16 @@ class TraceAnalysisServer:
             self._count_overflow(session)
             if self._pool is None:
                 return bytes(payload)
-            return export_block(bytes(payload), via="file")
+            return export_block(bytes(payload))
         if self._pool is None:
             return bytes(payload)
-        transport = self.config.transport
-        if transport == "ring":
-            slot = self._ring_for(session, len(payload)).lease(payload)
-            if slot is not None:
-                return slot
-            # Loud fallback: the one-shot file transport always works,
-            # and every path that can observe the slowdown sees why.
-            self._count_overflow(session)
-            return export_block(bytes(payload), via="file")
-        return export_block(bytes(payload), via=transport)
+        slot = self._ring_for(session, len(payload)).lease(payload)
+        if slot is not None:
+            return slot
+        # Loud fallback: the one-shot file handoff always works, and
+        # every path that can observe the slowdown sees why.
+        self._count_overflow(session)
+        return export_block(bytes(payload))
 
     @staticmethod
     def _count_overflow(session: Session) -> None:
@@ -999,10 +989,6 @@ class TraceAnalysisServer:
             ),
             "max_queue_depth": session.max_queue_depth,
             "queue_chunks": self.config.queue_chunks,
-            "transport": (
-                self.config.transport if self._pool is not None
-                else "inline"
-            ),
             "shard": session.shard,
             "ring_overflows": session.ring_overflows,
             "wall_s": round(wall_s, 6),

@@ -51,7 +51,7 @@ class Simulator:
         # they are shared no-ops.
         self._fired_counter = self.metrics.counter("sim.events_fired")
         self._queued_histogram = self.metrics.histogram("sim.event_queued_s")
-        self._handler_timer = self.metrics.timer("sim.event_handler_s")
+        self._handler_histogram = self.metrics.histogram("sim.event_handler_s")
         self._depth_gauge = self.metrics.gauge("sim.queue_depth")
 
     # ------------------------------------------------------------------
@@ -108,7 +108,7 @@ class Simulator:
         if metrics.enabled:
             self._fired_counter.inc()
             self._queued_histogram.record(event.time - event.created)
-            self._handler_timer.record(elapsed)
+            self._handler_histogram.record(elapsed)
             self._depth_gauge.set(len(self.queue))
         if tracer is not None:
             tracer.event_fired(

@@ -7,11 +7,12 @@ pipeline's bulk paths then immediately re-pack those per-record objects
 into matrices.  Format v2 stores the trace the way the analysis consumes
 it: contiguous numpy columns plus one flat frame-bytes buffer, so a
 loader can ``np.memmap`` the file and hand the columns straight to
-:meth:`repro.analysis.matching.TraceMatcher.match_matrix` without ever
-materializing per-packet objects for the undamaged majority.
+:meth:`repro.analysis.matching.TraceMatcher.match_matrix_arrays`
+without ever materializing per-packet objects for the undamaged
+majority.
 
-Layout (single file; identical bytes when stored in a shared-memory
-block for the parallel handoff)::
+Layout (single file; identical bytes in a parallel handoff file or a
+serve ring slot)::
 
     [0:8]   magic  b"WLTRACE2"
     [8:..]  payload — every record's raw bytes, back to back

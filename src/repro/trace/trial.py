@@ -8,8 +8,7 @@ Two paths produce the same artifact (a :class:`~repro.trace.records.TrialTrace`)
   that fold into the error model's bulk fates — and only damaged
   packets are materialized individually, making both the paper's
   half-million-packet office trials (Table 2) and the interference
-  tables (10-14) tractable in seconds.  ``force_per_packet`` pins the
-  scalar reference loop for equivalence testing.
+  tables (10-14) tractable in seconds.
 * :func:`run_mac_trial` — the full event-driven simulation (MACs,
   carrier sense, overlapping transmissions); used by the
   receive-threshold and competing-transmitter experiments.
@@ -67,11 +66,6 @@ class TrialConfig:
     outsiders: Optional[OutsiderTraffic] = None
     # Receiver antenna branches (1 disables diversity; the X8 ablation).
     antenna_branches: int = 2
-    # Route interference trials through the scalar per-packet reference
-    # loop instead of the vectorized bulk path (used by the equivalence
-    # tests; has no effect on interference-free trials, which are
-    # always vectorized).
-    force_per_packet: bool = False
 
     def resolved_mean_level(self) -> float:
         if self.mean_level is not None:
@@ -128,8 +122,13 @@ def _clamp_array(values: np.ndarray, maximum: int) -> np.ndarray:
 
 
 def run_fast_trial(config: TrialConfig) -> TrialOutput:
-    """Run a contention-free trial and return its trace."""
-    with _obs.span("profile.trial_fast"):
+    """Run a contention-free trial and return its trace.
+
+    The trial runs under one ``trace.trial`` trace span, the layer name
+    perfbench reports, so ``repro timeline`` attributes trial time the
+    same way.
+    """
+    with _obs.trace_span("trace.trial", trial=config.name, mode="fast"):
         rng_registry = RngRegistry(config.seed).fork(config.name)
         factory = TestPacketFactory(config.spec)
         modem = WaveLanModem(config=config.modem_config)
@@ -140,10 +139,7 @@ def run_fast_trial(config: TrialConfig) -> TrialOutput:
             name=config.name, spec=config.spec, packets_sent=config.packets
         )
 
-        if config.interference and config.force_per_packet:
-            _run_per_packet(config, factory, modem, mean_level, rng_registry, trace, dispositions)
-        else:
-            _run_bulk(config, factory, modem, mean_level, rng_registry, trace, dispositions)
+        _run_bulk(config, factory, modem, mean_level, rng_registry, trace, dispositions)
 
         if config.outsiders is not None:
             _inject_outsiders(config, modem, rng_registry, trace, dispositions)
@@ -185,40 +181,6 @@ def _record_fast_trial_metrics(
     ):
         if count:
             metrics.counter("link.drops", reason=reason.value).inc(count)
-
-
-def _run_per_packet(
-    config: TrialConfig,
-    factory: TestPacketFactory,
-    modem: WaveLanModem,
-    mean_level: float,
-    rng_registry: RngRegistry,
-    trace: TrialTrace,
-    dispositions: TrialDispositions,
-) -> None:
-    rng = rng_registry.stream("channel")
-    ambient = config.propagation.ambient
-    for sequence in range(config.packets):
-        frame = factory.build(sequence)
-        samples = [
-            source.sample_packet(config.rx_position, mean_level, rng)
-            for source in config.interference
-        ]
-        ambient_level = float(ambient.sample(rng, 1)[0])
-        reception = modem.receive(frame, mean_level, ambient_level, rng, samples)
-        if reception.disposition is RxDisposition.DELIVERED:
-            dispositions.delivered += 1
-            trace.records.append(
-                PacketRecord.from_bytes(
-                    reception.data, reception.status, time=float(sequence)
-                )
-            )
-        elif reception.disposition is RxDisposition.MISSED:
-            dispositions.missed += 1
-        elif reception.disposition is RxDisposition.THRESHOLD_FILTERED:
-            dispositions.threshold_filtered += 1
-        else:
-            dispositions.quality_filtered += 1
 
 
 def _run_bulk(
@@ -444,8 +406,10 @@ def run_mac_trial(
     off — queued, in backoff, mid-flight, or never generated — are
     accounted as ``not_transmitted``, so the returned dispositions
     conserve the offered count (see :class:`TrialDispositions`).
+    Runs under one ``trace.trial`` trace span, like
+    :func:`run_fast_trial`.
     """
-    with _obs.span("profile.trial_mac"):
+    with _obs.trace_span("trace.trial", trial=config.name, mode="mac"):
         sim = Simulator(seed=config.seed)
         channel = RadioChannel(
             sim,

@@ -245,8 +245,28 @@ class TestSequencePlausibility:
         )
 
 
+def _matrix_fast_path(matcher, datas: list[bytes]) -> list:
+    """``match_matrix_arrays`` over the full-length rows of ``datas``:
+    the matched sequence per exact row, ``None`` for every row that
+    must defer to the scalar matcher (short rows never enter the
+    matrix, exactly as the columnar classifier slices them)."""
+    results: list = [None] * len(datas)
+    full = [i for i, data in enumerate(datas) if len(data) == FRAME_BYTES]
+    if not full:
+        return results
+    matrix = np.frombuffer(
+        b"".join(datas[i] for i in full), dtype=np.uint8
+    ).reshape(len(full), FRAME_BYTES)
+    exact, sequences = matcher.match_matrix_arrays(matrix)
+    for row, index in enumerate(full):
+        if exact[row]:
+            results[index] = int(sequences[row])
+    return results
+
+
 class TestBulkMatching:
-    """``match_bulk`` + scalar fallback must equal the scalar matcher."""
+    """``match_matrix_arrays`` + ``match_bytes(skip_fast=True)`` fallback
+    must equal the scalar matcher."""
 
     def _mixed_batch(self, factory, rng) -> list[bytes]:
         datas: list[bytes] = []
@@ -263,34 +283,36 @@ class TestBulkMatching:
 
     def test_bulk_exactly_equals_scalar(self, matcher, factory, rng):
         datas = self._mixed_batch(factory, rng)
-        bulk = matcher.match_bulk(datas)
-        for data, bulk_result in zip(datas, bulk):
+        bulk = _matrix_fast_path(matcher, datas)
+        for data, bulk_sequence in zip(datas, bulk):
             scalar = matcher.match_bytes(data)
-            resolved = (
-                bulk_result
-                if bulk_result is not None
-                else matcher.match_bytes(data, skip_fast=True)
-            )
+            if bulk_sequence is not None:
+                assert scalar.outcome is MatchOutcome.TEST_PACKET
+                assert scalar.sequence == bulk_sequence
+                assert scalar.exact
+                continue
+            resolved = matcher.match_bytes(data, skip_fast=True)
             assert resolved.outcome is scalar.outcome
             assert resolved.sequence == scalar.sequence
             assert resolved.exact == scalar.exact
 
     def test_bulk_hits_only_pristine_frames(self, matcher, factory, rng):
         datas = self._mixed_batch(factory, rng)
-        bulk = matcher.match_bulk(datas)
+        bulk = _matrix_fast_path(matcher, datas)
         # The first four are byte-identical pristine frames: the bulk
         # fast path must resolve them without scalar fallback.
-        assert all(r is not None and r.exact for r in bulk[:4])
+        assert bulk[:4] == [0, 1, 77, 9_999]
         # Everything else is damaged/foreign and must defer to scalar.
         assert all(r is None for r in bulk[4:])
 
     def test_empty_batch(self, matcher):
-        assert matcher.match_bulk([]) == []
+        exact, sequences = matcher.match_matrix_arrays(
+            np.empty((0, FRAME_BYTES), dtype=np.uint8)
+        )
+        assert exact.shape == sequences.shape == (0,)
 
     def test_wrapped_sequences_and_slack(self, spec, factory):
         short = TraceMatcher(spec, packets_sent=100)
         inside = factory.build(105)  # within SEQUENCE_SLACK
         outside = factory.build(500)  # implausible → not a bulk hit
-        results = short.match_bulk([inside, outside])
-        assert results[0] is not None and results[0].sequence == 105
-        assert results[1] is None
+        assert _matrix_fast_path(short, [inside, outside]) == [105, None]

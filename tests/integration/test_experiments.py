@@ -225,6 +225,21 @@ class TestCompetingWaveLan:
         assert unusable.packet_loss_percent > 50.0
 
 
+def _verdicts(classified) -> list[tuple]:
+    return [
+        (
+            packet.packet_class,
+            packet.sequence,
+            packet.wrapper_damaged,
+            packet.body_bits_damaged,
+            packet.truncated_bytes_missing,
+            repr(packet.syndrome),
+            bytes(packet.record.data),
+        )
+        for packet in classified.packets
+    ]
+
+
 class TestJobsInvariance:
     """``jobs=N`` must be a pure wall-clock knob: fanning the
     interference experiments over a process pool returns results
@@ -237,6 +252,18 @@ class TestJobsInvariance:
         assert repr(serial.summaries) == repr(pooled.summaries)
         assert repr(serial.metrics_rows) == repr(pooled.metrics_rows)
         assert repr(serial.signal_rows) == repr(pooled.signal_rows)
+        # The pooled verdicts crossed the boundary as a
+        # PortableClassifiedTrace; resolved, they must match verdict
+        # for verdict and byte for byte.
+        assert list(serial.classified) == list(pooled.classified)
+        for trial, classified in serial.classified.items():
+            assert _verdicts(classified) == _verdicts(pooled.classified[trial])
+
+    def test_error_vs_level(self):
+        serial = error_vs_level.run(scale=0.3, seed=52, jobs=1)
+        pooled = error_vs_level.run(scale=0.3, seed=52, jobs=2)
+        assert repr(serial.level_bins) == repr(pooled.level_bins)
+        assert repr(serial.table3) == repr(pooled.table3)
 
     def test_phones_narrowband(self):
         serial = phones_narrowband.run(scale=0.3, seed=710, jobs=1)

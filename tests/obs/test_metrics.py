@@ -11,7 +11,6 @@ from repro.obs.metrics import (
     NULL_COUNTER,
     NULL_GAUGE,
     NULL_HISTOGRAM,
-    NULL_TIMER,
     render_snapshot,
     scoped_name,
 )
@@ -116,14 +115,6 @@ class TestMergeableState:
         parent.merge_state(worker.export_state())
         assert parent.gauge("g").value == 9
 
-    def test_timer_state_round_trips(self):
-        worker = Metrics()
-        with worker.timer("profile.t").time():
-            pass
-        parent = Metrics()
-        parent.merge_state(worker.export_state())
-        assert parent.timer("profile.t").count == 1
-
     def test_state_is_pickle_friendly(self):
         import pickle
 
@@ -143,48 +134,29 @@ class TestMergeableState:
         assert all(not section for section in disabled.snapshot().values())
 
 
-class TestTimer:
-    def test_span_records_elapsed(self):
-        timer = Metrics().timer("profile.match")
-        with timer.time():
-            pass
-        assert timer.count == 1
-        assert timer.total_s >= 0.0
-
-    def test_exception_still_recorded(self):
-        timer = Metrics().timer("profile.match")
-        with pytest.raises(ValueError):
-            with timer.time():
-                raise ValueError("boom")
-        assert timer.count == 1
-
-
 class TestDisabledRegistry:
     def test_hands_out_shared_null_instruments(self):
         metrics = Metrics(enabled=False)
         assert metrics.counter("x") is NULL_COUNTER
         assert metrics.gauge("x") is NULL_GAUGE
         assert metrics.histogram("x") is NULL_HISTOGRAM
-        assert metrics.timer("x") is NULL_TIMER
 
     def test_null_mutators_are_noops(self):
         metrics = Metrics(enabled=False)
         metrics.counter("x").inc(5)
         metrics.gauge("x").set(5)
         metrics.histogram("x").record(5)
-        with metrics.timer("x").time():
-            pass
         assert NULL_COUNTER.value == 0
         assert NULL_GAUGE.value == 0.0
         assert NULL_HISTOGRAM.count == 0
-        assert NULL_TIMER.count == 0
 
     def test_disabled_snapshot_empty(self):
         metrics = Metrics(enabled=False)
         metrics.counter("x").inc()
         snapshot = metrics.snapshot()
         assert snapshot["counters"] == {}
-        assert snapshot["timers"] == {}
+        assert snapshot["histograms"] == {}
+        assert "timers" not in snapshot
 
 
 class TestSnapshot:
@@ -194,8 +166,6 @@ class TestSnapshot:
         metrics.counter("a").inc(1)
         metrics.gauge("g").set(1.5)
         metrics.histogram("h").record(2.0)
-        with metrics.timer("t").time():
-            pass
         snapshot = metrics.snapshot()
         json.dumps(snapshot)  # must not raise
         assert list(snapshot["counters"]) == ["a", "b"]

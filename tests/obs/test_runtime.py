@@ -4,21 +4,22 @@ from __future__ import annotations
 
 from repro import obs
 from repro.obs import runtime
-from repro.obs.metrics import NULL_COUNTER, NULL_SPAN
+from repro.obs.metrics import NULL_COUNTER
+from repro.obs.spans import NULL_TRACE_SPAN
 
 
 class TestDefaults:
     def test_disabled_by_default(self):
         assert runtime.STATE.enabled is False
-        assert runtime.STATE.profiling is False
         assert runtime.STATE.rng_accounting is False
+        assert runtime.STATE.spans is None
         assert runtime.STATE.tracer is None
         assert runtime.STATE.sink is None
         assert runtime.STATE.metrics.enabled is False
 
     def test_disabled_helpers_are_noops(self):
         assert obs.metrics().counter("x") is NULL_COUNTER
-        assert obs.span("profile.x") is NULL_SPAN
+        assert obs.trace_span("trace.trial") is NULL_TRACE_SPAN
 
 
 class TestConfigure:
@@ -27,15 +28,22 @@ class TestConfigure:
         state = obs.configure()
         assert state is before  # modules may cache the STATE reference
         assert state.enabled is True
-        assert state.profiling is True
         assert state.rng_accounting is True
         assert state.metrics.enabled is True
+        assert state.spans is not None
 
     def test_flags_respected(self):
-        state = obs.configure(profiling=False, rng_accounting=False)
+        state = obs.configure(rng_accounting=False)
         assert state.enabled is True
-        assert state.profiling is False
         assert state.rng_accounting is False
+        # perfbench/serve_child.py's exact call: ``profiling`` is still
+        # accepted (and ignored), spans stay off, metrics stay on.
+        state = obs.configure(telemetry_path=None, profiling=False, spans=False)
+        assert state.enabled is True
+        assert state.metrics.enabled is True
+        assert state.spans is None
+        assert state.sink is None
+        assert obs.trace_span("trace.trial") is NULL_TRACE_SPAN
 
     def test_telemetry_path_opens_sink_and_tracer(self, tmp_path):
         path = tmp_path / "run.jsonl"
@@ -94,6 +102,9 @@ class TestEnsureMetrics:
 class TestSpanHelper:
     def test_span_times_when_enabled(self):
         with obs.session() as state:
-            with obs.span("profile.x"):
+            with obs.trace_span("trace.trial", mode="fast"):
                 pass
-            assert state.metrics.timer("profile.x").count == 1
+            (record,) = state.spans.finished
+            assert record["name"] == "trace.trial"
+            assert record["attrs"] == {"mode": "fast"}
+            assert record["wall_s"] >= 0.0

@@ -1,23 +1,22 @@
 """The columnar handoff across pool boundaries."""
 
+import os
 import pickle
+import tempfile
 
 import pytest
 
 from repro.analysis.classify import classify_trace
 from repro.analysis.metrics import metrics_from_classified
+from repro.parallel import Task, run_tasks
 from repro.parallel.handoff import (
     PortableClassifiedTrace,
-    TraceHandle,
     export_classified,
     export_trace,
-    merge_trace_handles,
     resolve_portable,
 )
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.trial import TrialConfig, run_fast_trial
-
-TRANSPORTS = ["file", "shm", "inline"]
 
 
 @pytest.fixture(scope="module")
@@ -41,52 +40,43 @@ def _assert_same_records(original, loaded):
 
 
 class TestTraceHandle:
-    @pytest.mark.parametrize("via", TRANSPORTS)
-    def test_roundtrip(self, trace, via):
-        handle = export_trace(trace, via=via)
+    def test_roundtrip(self, trace):
+        handle = export_trace(trace)
         loaded = handle.load()
         assert isinstance(loaded, ColumnarTrace)
         _assert_same_records(trace, loaded)
 
-    @pytest.mark.parametrize("via", TRANSPORTS)
-    def test_handle_survives_pickle(self, trace, via):
+    def test_handle_survives_pickle(self, trace):
         """The whole point: the handle crosses the pool boundary as a
-        pickle of constant (file/shm) or flat-buffer (inline) size."""
-        handle = pickle.loads(pickle.dumps(export_trace(trace, via=via)))
+        pickle of constant size."""
+        handle = pickle.loads(pickle.dumps(export_trace(trace)))
         _assert_same_records(trace, handle.load())
 
     def test_file_handle_pickles_small(self, trace):
-        handle = export_trace(trace, via="file")
+        handle = export_trace(trace)
         try:
             assert len(pickle.dumps(handle)) < 500
         finally:
             handle.release()
 
     def test_file_consumed_on_load(self, trace, tmp_path):
-        import os
-
-        handle = export_trace(trace, via="file", directory=tmp_path)
+        handle = export_trace(trace, directory=tmp_path)
         location = handle.location
         assert os.path.exists(location)
         loaded = handle.load()
         assert not os.path.exists(location)  # unlinked once mapped
         _assert_same_records(trace, loaded)  # mapping stays valid
 
-    @pytest.mark.parametrize("via", TRANSPORTS)
-    def test_release_discards(self, trace, via):
-        export_trace(trace, via=via).release()
-
-    def test_unknown_transport_rejected(self, trace):
-        with pytest.raises(ValueError, match="transport"):
-            export_trace(trace, via="carrier-pigeon")
-        with pytest.raises(ValueError, match="kind"):
-            TraceHandle(kind="carrier-pigeon", location="x").load()
+    def test_release_discards(self, trace, tmp_path):
+        handle = export_trace(trace, directory=tmp_path)
+        handle.release()
+        assert not os.path.exists(handle.location)
+        handle.release()  # idempotent
 
 
 class TestPortableClassified:
-    @pytest.mark.parametrize("via", TRANSPORTS)
-    def test_resolve_equivalent(self, classified, via):
-        portable = export_classified(classified, via=via)
+    def test_resolve_equivalent(self, classified):
+        portable = export_classified(classified)
         resolved = pickle.loads(pickle.dumps(portable)).resolve()
         assert len(resolved.packets) == len(classified.packets)
         for a, b in zip(classified.packets, resolved.packets):
@@ -103,7 +93,7 @@ class TestPortableClassified:
         )
 
     def test_resolve_portable_protocol(self, classified):
-        portable = export_classified(classified, via="inline")
+        portable = export_classified(classified)
         assert isinstance(portable, PortableClassifiedTrace)
         resolved = resolve_portable(portable)
         assert resolved.__class__.__name__ == "ClassifiedTrace"
@@ -116,14 +106,67 @@ class TestPortableClassified:
 
 class TestMerge:
     def test_merge_concatenates_shards(self, trace):
-        handles = [
-            export_trace(trace, via="file"),
-            export_trace(trace, via="inline"),
-        ]
-        merged = merge_trace_handles(handles, name="merged")
+        """The merge step for a trace split across workers: concatenate
+        the loaded shards (offsets rebased, ``packets_sent`` summed)."""
+        handles = [export_trace(trace), export_trace(trace)]
+        merged = ColumnarTrace.concat(
+            [handle.load() for handle in handles], name="merged"
+        )
         assert merged.name == "merged"
         assert merged.packets_received == 2 * len(trace.records)
         assert merged.packets_sent == 2 * trace.packets_sent
         doubled = list(trace.records) + list(trace.records)
         for view, record in zip(merged.records, doubled):
             assert bytes(view.data) == bytes(record.data)
+
+
+# ----------------------------------------------------------------------
+# Pool runs own their handoff files
+# ----------------------------------------------------------------------
+def _exported_trial(seed: int):
+    return export_trace(
+        run_fast_trial(
+            TrialConfig(name="pool", packets=60, mean_level=10.0, seed=seed)
+        ).trace
+    )
+
+
+def _raise(seed: int):
+    raise RuntimeError("task failed")
+
+
+def _handoff_files(root) -> list:
+    return [
+        name
+        for _dir, _subdirs, names in os.walk(root)
+        for name in names
+        if name.startswith("repro-") and name.endswith(".wlt2")
+    ]
+
+
+class TestPoolHandoffFiles:
+    @pytest.fixture
+    def temp_root(self, tmp_path, monkeypatch):
+        """A private system temp dir, so the count sees only this run."""
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        return tmp_path
+
+    def test_resolved_run_leaves_nothing(self, temp_root):
+        tasks = [Task(f"t{i}", _exported_trial, {"seed": i}) for i in range(3)]
+        results = run_tasks(tasks, jobs=2)
+        assert all(isinstance(r.value, ColumnarTrace) for r in results)
+        assert _handoff_files(temp_root) == []
+        assert os.listdir(temp_root) == []  # the run's directory is gone
+
+    def test_failed_run_leaves_nothing(self, temp_root):
+        """One raising task must not strand the handles the others
+        already exported."""
+        tasks = [
+            Task("a", _exported_trial, {"seed": 1}),
+            Task("b", _exported_trial, {"seed": 2}),
+            Task("boom", _raise, {"seed": 3}),
+        ]
+        with pytest.raises(RuntimeError, match="task failed"):
+            run_tasks(tasks, jobs=2)
+        assert _handoff_files(temp_root) == []
+        assert os.listdir(temp_root) == []

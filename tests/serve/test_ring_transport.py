@@ -6,10 +6,10 @@ Three layers of coverage for the zero-copy ingest path:
   accounting: lease/release discipline, loud overflow counting, reset
   between owners, and segment unlink on close (checked against the
   actual ``/dev/shm`` listing).
-* **Equivalence matrix** — every pooled transport × coalescing
-  combination reproduces, byte for byte, the verdict digest of the
-  inline single-chunk path (the acceptance contract every serve PR
-  rides on).
+* **Equivalence matrix** — both pooled chunk vehicles (a ring slot,
+  or the counted temp-file fallback when no slot fits) × coalescing
+  reproduce, byte for byte, the verdict digest of the inline
+  single-chunk path (the acceptance contract every serve PR rides on).
 * **Lifecycle under misbehavior** — an abrupt client disconnect
   mid-chunk leaks no shm segments and frees every ring slot for the
   next session; a mis-sized ring falls back to socket framing loudly
@@ -255,7 +255,7 @@ class TestTransportMatrix:
 
         report = asyncio.run(
             _serve(
-                ServeConfig(jobs=1, transport="inline", heartbeat_s=0),
+                ServeConfig(jobs=1, heartbeat_s=0),
                 work,
             )
         )
@@ -265,11 +265,13 @@ class TestTransportMatrix:
         assert summary["counts"] == batch_counts
         return summary["verdict_digest"], summary["counts"]
 
-    @pytest.mark.parametrize("transport", ["ring", "shm", "file"])
+    @pytest.mark.parametrize("vehicle", ["ring", "file"])
     @pytest.mark.parametrize("coalesce", [1, 4])
     def test_pooled_matches_inline(
-        self, trace, inline_single_chunk, transport, coalesce
+        self, trace, inline_single_chunk, vehicle, coalesce
     ):
+        """``file`` sizes the ring slots below any chunk, so every chunk
+        takes the temp-file fallback instead of a slot."""
         digest, counts = inline_single_chunk
 
         async def work(server):
@@ -281,8 +283,8 @@ class TestTransportMatrix:
             _serve(
                 ServeConfig(
                     jobs=2,
-                    transport=transport,
                     coalesce_chunks=coalesce,
+                    ring_slot_bytes=64 if vehicle == "file" else None,
                     heartbeat_s=0,
                 ),
                 work,
@@ -292,6 +294,8 @@ class TestTransportMatrix:
         for session in report.sessions:
             assert session.summary["verdict_digest"] == digest
             assert session.summary["counts"] == counts
+            overflowed = session.summary["ring_overflows"] > 0
+            assert overflowed == (vehicle == "file")
 
     def test_socket_client_on_ring_server_matches(
         self, trace, inline_single_chunk
@@ -310,9 +314,7 @@ class TestTransportMatrix:
             )
 
         report = asyncio.run(
-            _serve(
-                ServeConfig(jobs=2, transport="ring", heartbeat_s=0), work
-            )
+            _serve(ServeConfig(jobs=2, heartbeat_s=0), work)
         )
         session = report.sessions[0]
         assert not session.ring_used
@@ -400,7 +402,7 @@ class TestSlotLifecycle:
 
         session = asyncio.run(
             _serve(
-                ServeConfig(jobs=2, transport="ring", heartbeat_s=0),
+                ServeConfig(jobs=2, heartbeat_s=0),
                 work,
             )
         )
@@ -432,7 +434,6 @@ class TestSlotLifecycle:
             _serve(
                 ServeConfig(
                     jobs=2,
-                    transport="ring",
                     ring_slot_bytes=64,  # far below any chunk payload
                     heartbeat_s=0,
                 ),

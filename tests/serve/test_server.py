@@ -102,7 +102,7 @@ class TestEndToEnd:
             assert session.records == trace.packets_received
 
     def test_pooled_equals_inline(self, spec, factory):
-        """jobs=2 (pool workers, shm handoff) == jobs=1 (inline)."""
+        """jobs=2 (pool workers, ring-slot handoff) == jobs=1 (inline)."""
         trace = _mixed_columnar(spec, factory)
 
         async def work(server):
@@ -114,9 +114,7 @@ class TestEndToEnd:
             _serve(ServeConfig(jobs=1, heartbeat_s=0), work)
         )
         pooled = asyncio.run(
-            _serve(
-                ServeConfig(jobs=2, transport="shm", heartbeat_s=0), work
-            )
+            _serve(ServeConfig(jobs=2, heartbeat_s=0), work)
         )
         digest, counts = _reference(trace)
         for report in (inline, pooled):

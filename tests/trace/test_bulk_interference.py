@@ -1,9 +1,9 @@
 """Bulk vs per-packet equivalence with *active* interference sources.
 
 ``_run_bulk`` folds interference through vectorized schedules
-(:func:`repro.interference.base.bulk_schedule`) while the
-``force_per_packet`` reference path samples each source one packet at a
-time.  Both draw from the same calibrated distributions but consume
+(:func:`repro.interference.base.bulk_schedule`) while the per-packet
+oracle (``tests/trace/per_packet_oracle.py``) samples each source one
+packet at a time.  Both draw from the same calibrated distributions but consume
 their RNG streams differently, so the comparison is distributional:
 outcome rates must agree within a few standard errors for every source
 family the paper measured (spread-spectrum phones, narrowband phones,
@@ -20,6 +20,7 @@ from repro.interference.narrowband import NarrowbandPhonePair
 from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
 from repro.interference.wavelan import CompetingWaveLanTransmitter
 from repro.trace.trial import TrialConfig, run_fast_trial
+from tests.trace.per_packet_oracle import run_per_packet_trial
 
 PACKETS = 4_000
 
@@ -49,9 +50,8 @@ def _rates(source_factory, seed: int, per_packet: bool) -> dict[str, float]:
         tx_position=TX,
         rx_position=RX,
         interference=(source_factory(),),
-        force_per_packet=per_packet,
     )
-    output = run_fast_trial(config)
+    output = (run_per_packet_trial if per_packet else run_fast_trial)(config)
     classified = classify_trace(output.trace)
     truncated = len(classified.by_class(PacketClass.TRUNCATED))
     body = len(classified.by_class(PacketClass.BODY_DAMAGED))
@@ -107,9 +107,8 @@ class TestSignalRegisterEquivalence:
             tx_position=TX,
             rx_position=RX,
             interference=(_narrowband_source(),),
-            force_per_packet=per_packet,
         )
-        output = run_fast_trial(config)
+        output = (run_per_packet_trial if per_packet else run_fast_trial)(config)
         records = output.trace.records
         assert records
         signal = sum(r.status.signal_level for r in records) / len(records)

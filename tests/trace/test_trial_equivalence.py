@@ -1,9 +1,9 @@
-"""Statistical equivalence of the two fast-trial execution paths.
+"""Statistical equivalence of the fast trial and its per-packet oracle.
 
-``run_fast_trial`` runs the vectorized ``_run_bulk`` path unless
-``force_per_packet`` pins the scalar ``_run_per_packet`` reference
-loop.  Both must sample the same calibrated impairment model — a quiet
-(no-op) interference source must not shift the error statistics beyond
+``run_fast_trial`` runs the vectorized ``_run_bulk`` path;
+``run_per_packet_trial`` (``tests/trace/per_packet_oracle.py``) keeps
+the scalar reference loop it replaced.  Both must sample the same
+calibrated impairment model — the error statistics must agree within
 sampling noise.  (Equivalence with *active* interference sources is
 covered by ``tests/trace/test_bulk_interference.py``.)  The paths
 consume their RNG streams differently, so the comparison is
@@ -15,33 +15,18 @@ truncations, and body damage all occur at measurable rates).
 import math
 
 from repro.analysis.classify import PacketClass, classify_trace
-from repro.phy.errormodel import InterferenceSample
 from repro.trace.trial import TrialConfig, run_fast_trial
+from tests.trace.per_packet_oracle import run_per_packet_trial
 
 PACKETS = 6_000
 MEAN_LEVEL = 6.5
 
 
-class _QuietSource:
-    """An interference source that never interferes — forces the
-    per-packet path without perturbing the physics."""
-
-    name = "quiet"
-
-    def sample_packet(self, rx_position, signal_level, rng):
-        return InterferenceSample(source_name=self.name)
-
-
 def _rates(seed: int, per_packet: bool) -> dict[str, float]:
     config = TrialConfig(
-        name="equiv",
-        packets=PACKETS,
-        mean_level=MEAN_LEVEL,
-        seed=seed,
-        interference=[_QuietSource()] if per_packet else (),
-        force_per_packet=per_packet,
+        name="equiv", packets=PACKETS, mean_level=MEAN_LEVEL, seed=seed
     )
-    output = run_fast_trial(config)
+    output = (run_per_packet_trial if per_packet else run_fast_trial)(config)
     classified = classify_trace(output.trace)
     by_class = {
         cls: len(classified.by_class(cls))
