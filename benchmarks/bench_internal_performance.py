@@ -203,7 +203,8 @@ def test_perf_interference_trial_vs_scalar(family):
 def test_perf_trace_matching_vs_scalar():
     """Chunked bulk matching against the scalar matcher loop on a
     mostly-clean trace — the shape the report's long office trials
-    have, where the batched template bank does the work."""
+    have, where the bulk exact check (body unanimity, six header bytes
+    and an affine FCS, no frame built) does the work."""
     output = run_fast_trial(
         TrialConfig(name="bench-match", packets=20_000, mean_level=10.0, seed=5)
     )

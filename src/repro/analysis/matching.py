@@ -38,8 +38,12 @@ import numpy as np
 
 from repro.obs import runtime as _obs
 from repro.framing.testpacket import (
+    BODY_END,
     BODY_START,
     FRAME_BYTES,
+    IP_ID_OFFSET,
+    SEQUENCE_BYTE_OFFSETS,
+    UDP_CHECKSUM_OFFSET,
     TestPacketFactory,
     TestPacketSpec,
     WORD_BYTES,
@@ -65,7 +69,6 @@ MIN_WRAPPER_SCORE = 0.5
 # packet, and the IP identification field carries the low 16 bits of
 # the sequence number.  The bar is high because the header is short.
 MIN_HEADER_SCORE = 0.85
-IP_ID_OFFSET = 20  # bytes: modem(2) + eth(14) + ip version..ttl(4)
 
 
 def _plurality(words: np.ndarray) -> tuple[int, int]:
@@ -137,35 +140,6 @@ class TraceMatcher:
         self.spec = spec
         self.packets_sent = packets_sent
         self.factory = TestPacketFactory(spec)
-        self._bank: Optional[np.ndarray] = None
-
-    def enable_template_cache(self, max_records: int = 65_536) -> bool:
-        """Precompute the full template bank for this trial's sequences.
-
-        The fast path's dominant cost on clean traffic is rebuilding
-        expected frames (:meth:`TestPacketFactory.build_bulk`) for every
-        candidate row.  A batch run pays that once per trace; a
-        long-lived ingest session (:mod:`repro.serve`) matching many
-        streams of the same series would pay it per chunk, forever.
-        Caching every possible template turns the rebuild into a row
-        gather.  Declined (returns False) when the bank would exceed
-        ``max_records`` rows (~1 KB each) — the cache is a speed/memory
-        trade the caller opts into, never a surprise allocation.
-        """
-        total = self.packets_sent + SEQUENCE_SLACK
-        if total > max_records:
-            return False
-        if self._bank is None:
-            self._bank = self.factory.build_bulk(
-                np.arange(total, dtype=np.int64)
-            )
-        return True
-
-    def _template_rows(self, sequences: np.ndarray) -> np.ndarray:
-        """Expected frames for ``sequences``: cached gather or rebuild."""
-        if self._bank is not None:
-            return self._bank[sequences]
-        return self.factory.build_bulk(sequences)
 
     # ------------------------------------------------------------------
     def match(self, record: PacketRecord) -> MatchResult:
@@ -177,7 +151,7 @@ class TraceMatcher:
 
         ``skip_fast`` elides the exact-comparison fast path; callers use
         it after :meth:`match_matrix_arrays` has already proven the
-        record is not byte-identical to any plausible template.
+        record is not byte-identical to any plausible sent frame.
         """
         result = self._match_impl(data, skip_fast)
         state = _obs.STATE
@@ -196,74 +170,32 @@ class TraceMatcher:
         cost for clean traffic; consumers that only need verdict
         columns (the streaming classifier) skip :class:`MatchResult`
         construction entirely and stay vectorized end to end.
+
+        No expected frame is built.  A row equals ``build(seq)`` exactly
+        when three vectorized checks hold: its 256 body words all equal
+        the first, which names a plausible ``seq``; its header equals
+        the trial's constant header with ``seq``'s six varying bytes;
+        and its FCS equals the one
+        :meth:`~repro.framing.testpacket.TestPacketFactory.wrapper_bulk`
+        derives from those bytes alone.
         """
-        n = matrix.shape[0]
-        exact = np.zeros(n, dtype=bool)
-        matched = np.full(n, -1, dtype=np.int64)
-        if not n:
-            return exact, matched
-        if self._bank is not None:
-            # Template-bank route (the streaming hot path): the first
-            # body word alone names the candidate sequence, the cached
-            # bank row is a cheap gather, and one whole-row equality
-            # settles it.  Byte equality against the template *implies*
-            # body unanimity (the template's body is one word repeated),
-            # so the unanimity prefilter below is redundant here — the
-            # verdicts are identical, minus two full-matrix passes and
-            # two fancy-index copies.  Rows are compared as u64 lanes
-            # (FRAME_BYTES is 8-aligned) to shrink the boolean temp 8x.
-            word = np.ascontiguousarray(
-                matrix[:, BODY_START : BODY_START + 4]
-            ).view(">u4")[:, 0]
-            sequences = (
-                word.astype(np.int64) - self.spec.first_sequence
-            ) & 0xFFFFFFFF
-            plausible = sequences < self.packets_sent + SEQUENCE_SLACK
-            first = int(sequences[0])
-            if (
-                first + n <= self._bank.shape[0]
-                and bool(
-                    (sequences == np.arange(first, first + n)).all()
-                )
-            ):
-                # In-order chunk of a mostly-clean stream: the
-                # candidate sequences are consecutive, so the bank rows
-                # are one contiguous *view* — no fancy-index copy of
-                # FRAME_BYTES per record, which at streaming rates is
-                # the single largest memory cost of the whole kernel.
-                bank = self._bank[first : first + n]
-            else:
-                bank = self._bank[np.where(plausible, sequences, 0)]
-            if matrix.flags.c_contiguous:
-                hit = (
-                    matrix.view(np.uint64) == bank.view(np.uint64)
-                ).all(axis=1)
-            else:
-                hit = (matrix == bank).all(axis=1)
-            hit &= plausible
-            exact[hit] = True
-            matched[hit] = sequences[hit]
-        else:
-            # Bankless route (one-shot batch callers): keep the body
-            # unanimity prefilter so templates are only *built* for
-            # plausible candidates — build_bulk dwarfs the filter cost.
-            body = np.ascontiguousarray(
-                matrix[:, BODY_START : FRAME_BYTES - 4]
-            ).view(">u4")
-            unanimous = (body == body[:, :1]).all(axis=1)
-            sequences = (
-                body[:, 0].astype(np.int64) - self.spec.first_sequence
-            ) & 0xFFFFFFFF
-            candidates = unanimous & (
-                sequences < self.packets_sent + SEQUENCE_SLACK
-            )
-            if candidates.any():
-                rows = np.nonzero(candidates)[0]
-                bank = self._template_rows(sequences[rows])
-                hit = (matrix[rows] == bank).all(axis=1)
-                hit_rows = rows[hit]
-                exact[hit_rows] = True
-                matched[hit_rows] = sequences[hit_rows]
+        matrix = np.ascontiguousarray(matrix)
+        # Equality is byte-order blind, so rows compare as native 32-bit
+        # lanes (header, body and FCS are each whole words long), and the
+        # body words are unanimous exactly when their min is their max.
+        words = matrix[:, BODY_START:BODY_END].view(np.uint32)
+        unanimous = words.min(axis=1) == words.max(axis=1)
+        first_word = matrix[:, BODY_START : BODY_START + WORD_BYTES].view(">u4")
+        sequences = (
+            first_word[:, 0].astype(np.int64) - self.spec.first_sequence
+        ) & 0xFFFFFFFF
+        exact = unanimous & (sequences < self.packets_sent + SEQUENCE_SLACK)
+        headers, _, fcs = self.factory.wrapper_bulk(sequences)
+        exact &= (
+            matrix[:, :BODY_START].view(np.uint32) == headers.view(np.uint32)
+        ).all(axis=1)
+        exact &= matrix[:, BODY_END:].view(np.uint32)[:, 0] == fcs.view(np.uint32)[:, 0]
+        matched = np.where(exact, sequences, -1)
         state = _obs.STATE
         if state.enabled:
             hits = int(exact.sum())
@@ -284,10 +216,10 @@ class TraceMatcher:
         matcher's own spec are resolved without ever materializing
         their frames: ``record.data`` is *defined* as
         ``factory.build(sequence)``, and with equal specs that is
-        byte-identical to the template the fast path would compare it
-        against — so byte equality holds by construction and only the
+        byte-identical to the frame the fast path checks it against —
+        so byte equality holds by construction and only the
         sequence-plausibility bound needs checking.  Explicit
-        full-length rows still go through the whole-matrix comparison.
+        full-length rows still go through the whole-matrix checks.
         """
         n = len(records)
         exact = np.zeros(n, dtype=bool)
@@ -470,9 +402,8 @@ class TraceMatcher:
         received = np.frombuffer(data[:prefix_len], dtype=np.uint8)
         template = np.frombuffer(expected[:prefix_len], dtype=np.uint8)
         matches = received == template
-        exclude = [20, 21, 26, 27, 42, 43]
         keep = np.ones(prefix_len, dtype=bool)
-        for index in exclude:
+        for index in SEQUENCE_BYTE_OFFSETS:
             if index < prefix_len:
                 keep[index] = False
         score = float(matches[keep].mean()) if keep.any() else 0.0
@@ -508,7 +439,7 @@ class TraceMatcher:
         for candidate in candidates:
             expected = self.factory.build(candidate)
             score = 0
-            for index in (42, 43):  # UDP checksum
+            for index in (UDP_CHECKSUM_OFFSET, UDP_CHECKSUM_OFFSET + 1):
                 if index < length and data[index] == expected[index]:
                     score += 1
             if length > BODY_START:

@@ -14,7 +14,7 @@ Table 1 columns require.
 
 from __future__ import annotations
 
-import zlib
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +39,55 @@ UDP_HEADER_END = IP_HEADER_END + udp.HEADER_LEN
 BODY_START = UDP_HEADER_END
 BODY_END = BODY_START + BODY_BYTES
 FRAME_BYTES = BODY_END + ethernet.FCS_LEN  # 1072
+
+# The wrapper bytes that change with the sequence number: the IP
+# identification and header checksum, and the UDP checksum.  Every other
+# wrapper byte except the FCS is the same in every frame of a trial.
+IP_ID_OFFSET = ETH_HEADER_END + 4
+IP_CHECKSUM_OFFSET = ETH_HEADER_END + 10
+UDP_CHECKSUM_OFFSET = IP_HEADER_END + 6
+SEQUENCE_BYTE_OFFSETS = tuple(
+    field + index
+    for field in (IP_ID_OFFSET, IP_CHECKSUM_OFFSET, UDP_CHECKSUM_OFFSET)
+    for index in (0, 1)
+)  # (20, 21, 26, 27, 42, 43)
+
+
+@functools.cache
+def _fcs_tables() -> np.ndarray:
+    """Per-byte CRC contributions of the bytes that vary between frames.
+
+    CRC-32 is affine over GF(2): for messages of one length,
+    ``crc(a ^ b) = crc(a) ^ crc(b) ^ crc(0)``.  So a frame's FCS is the
+    CRC of its trial's constant frame (varying bytes zeroed) XOR, per
+    varying byte, ``crc(v at its position, zeros elsewhere) ^ crc(0)``,
+    which is linear in the byte value ``v`` and so fixed by its 8 bits.
+    Setting one bit in all 256 copies of a body-word byte lane sums that
+    lane's 256 contributions in one CRC.  Rows 0-5 are the bytes at
+    :data:`SEQUENCE_BYTE_OFFSETS`, rows 6-9 the body word's byte lanes
+    (most significant first); the tables depend only on the frame
+    layout, not on the spec.
+    """
+    length = BODY_END - MODEM_HEADER_END
+    zero_crc = crc32(bytes(length))
+    positions = [[offset] for offset in SEQUENCE_BYTE_OFFSETS] + [
+        range(BODY_START + lane, BODY_END, WORD_BYTES)
+        for lane in range(WORD_BYTES)
+    ]
+    tables = np.zeros((len(positions), 256), dtype=np.uint32)
+    for row, offsets in enumerate(positions):
+        for bit in range(8):
+            message = bytearray(length)
+            for offset in offsets:
+                message[offset - MODEM_HEADER_END] = 1 << bit
+            contribution = crc32(bytes(message)) ^ zero_crc
+            # Linear in the byte value: extend to every value that
+            # adds this bit to one already tabulated.
+            tables[row, 1 << bit : 2 << bit] = (
+                tables[row, : 1 << bit] ^ contribution
+            )
+    tables.flags.writeable = False  # shared by every caller
+    return tables
 
 
 @dataclass(frozen=True)
@@ -121,10 +170,6 @@ class TestPacketFactory:
             + udp_length.to_bytes(2, "big")
         )
         self._udp_sum_base = (~internet_checksum(pseudo + self._udp_header_base)) & 0xFFFF
-        # Lazily-built base frame for the vectorized template bank
-        # (:meth:`build_bulk`); every sequence-dependent byte is patched
-        # per row, so any sequence works as the base.
-        self._bulk_base: np.ndarray | None = None
 
     @staticmethod
     def _fold(total: int) -> int:
@@ -189,68 +234,74 @@ class TestPacketFactory:
         frame = self._prefix[:2] + eth_body + fcs
         return frame
 
-    # Byte offsets of the sequence-dependent header fields within the
-    # full modem frame (modem prefix 2 + Ethernet 14 + IP offsets).
-    _IP_ID_OFFSET = 20
-    _IP_CHECKSUM_OFFSET = 26
-    _UDP_CHECKSUM_OFFSET = 42
+    @functools.cached_property
+    def _constant(self) -> tuple[np.ndarray, int]:
+        """The trial's constant header bytes and the CRC they seed.
 
-    def build_bulk(self, sequences: np.ndarray) -> np.ndarray:
-        """The template bank: one full wire frame per requested sequence.
+        The header is ``build(0)``'s first :data:`BODY_START` bytes with
+        the :data:`SEQUENCE_BYTE_OFFSETS` zeroed; the CRC is that of the
+        frame whose every varying byte (those six and the body) is zero.
+        """
+        frame = np.frombuffer(self.build(0), dtype=np.uint8).copy()
+        frame[list(SEQUENCE_BYTE_OFFSETS)] = 0
+        frame[BODY_START:] = 0
+        frame.flags.writeable = False
+        return frame[:BODY_START], crc32(frame[MODEM_HEADER_END:BODY_END])
 
-        Returns a ``(len(sequences), FRAME_BYTES)`` uint8 matrix, each
-        row byte-identical to ``build(sequence)``.  All header patching
-        is column-vectorized; only the FCS runs per row (zlib's C CRC
-        over each row's buffer).  The bulk matcher compares candidate
-        records against this bank with a single equality reduction.
+    def wrapper_bulk(
+        self, sequences: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Everything of each frame but its repeated body, per sequence.
+
+        Returns ``(headers, words, fcs)`` as uint8 matrices of shapes
+        ``(n, BODY_START)``, ``(n, WORD_BYTES)`` and ``(n, 4)``: the
+        header bytes, the body word and the FCS of ``build(sequence)``.
+        Every column is computed in one vectorized pass, the FCS from
+        the varying bytes alone (:func:`_fcs_tables`): no frame is built
+        and no CRC runs per row.
         """
         sequences = np.asarray(sequences, dtype=np.int64)
         n = len(sequences)
-        if self._bulk_base is None:
-            self._bulk_base = np.frombuffer(
-                self.build(0), dtype=np.uint8
-            ).copy()
-        frames = np.tile(self._bulk_base, (n, 1))
-        if n == 0:
-            return frames
-
-        # IP identification + checksum (both functions of seq mod 2^16).
+        # The IP id and its checksum are functions of seq mod 2^16; the
+        # UDP checksum folds over the full 32-bit body word, so it
+        # discriminates sequence epochs the IP id aliases.
         idents = sequences & 0xFFFF
-        frames[:, self._IP_ID_OFFSET] = idents >> 8
-        frames[:, self._IP_ID_OFFSET + 1] = idents & 0xFF
         ip_checksums = ~self._fold_array(self._ip_sum_base + idents) & 0xFFFF
-        frames[:, self._IP_CHECKSUM_OFFSET] = ip_checksums >> 8
-        frames[:, self._IP_CHECKSUM_OFFSET + 1] = ip_checksums & 0xFF
-
-        # Body: the 32-bit word repeated 256 times.
         values = (self.spec.first_sequence + sequences) & 0xFFFFFFFF
-        word_bytes = np.empty((n, WORD_BYTES), dtype=np.uint8)
-        word_bytes[:, 0] = values >> 24
-        word_bytes[:, 1] = (values >> 16) & 0xFF
-        word_bytes[:, 2] = (values >> 8) & 0xFF
-        word_bytes[:, 3] = values & 0xFF
-        frames[:, BODY_START:BODY_END] = np.tile(word_bytes, (1, WORDS_PER_PACKET))
-
-        # UDP checksum (folds over the full 32-bit word, so it
-        # discriminates sequence epochs the IP id aliases).
         word_sums = (values >> 16) + (values & 0xFFFF)
-        udp_sums = self._fold_array(
+        udp_checksums = ~self._fold_array(
             self._udp_sum_base + WORDS_PER_PACKET * word_sums
-        )
-        udp_checksums = ~udp_sums & 0xFFFF
+        ) & 0xFFFF
         udp_checksums[udp_checksums == 0] = 0xFFFF  # RFC 768
-        frames[:, self._UDP_CHECKSUM_OFFSET] = udp_checksums >> 8
-        frames[:, self._UDP_CHECKSUM_OFFSET + 1] = udp_checksums & 0xFF
+        # Big-endian 16-bit fields, in SEQUENCE_BYTE_OFFSETS order.
+        fields = (
+            np.stack([idents, ip_checksums, udp_checksums], axis=1)
+            .astype(">u2")
+            .view(np.uint8)
+        )
+        words = values.astype(">u4").view(np.uint8).reshape(n, WORD_BYTES)
 
-        # FCS over everything after the modem prefix (little-endian).
-        fcs_start = FRAME_BYTES - ethernet.FCS_LEN
-        crcs = np.empty(n, dtype=np.int64)
-        for row in range(n):
-            crcs[row] = zlib.crc32(frames[row, MODEM_HEADER_END:fcs_start])
-        frames[:, fcs_start] = crcs & 0xFF
-        frames[:, fcs_start + 1] = (crcs >> 8) & 0xFF
-        frames[:, fcs_start + 2] = (crcs >> 16) & 0xFF
-        frames[:, fcs_start + 3] = (crcs >> 24) & 0xFF
+        header, crc = self._constant
+        headers = np.tile(header, (n, 1))
+        headers[:, list(SEQUENCE_BYTE_OFFSETS)] = fields
+        tables = _fcs_tables()
+        fcs = np.full(n, crc, dtype=np.uint32)
+        for row, column in enumerate(np.hstack([fields, words]).T):
+            fcs ^= tables[row, column]
+        return headers, words, fcs.astype("<u4").view(np.uint8).reshape(n, 4)
+
+    def build_bulk(self, sequences: np.ndarray) -> np.ndarray:
+        """One full wire frame per requested sequence.
+
+        Returns a ``(len(sequences), FRAME_BYTES)`` uint8 matrix, each
+        row byte-identical to ``build(sequence)``, assembled from
+        :meth:`wrapper_bulk` with the body word tiled 256 times.
+        """
+        headers, words, fcs = self.wrapper_bulk(sequences)
+        frames = np.empty((len(headers), FRAME_BYTES), dtype=np.uint8)
+        frames[:, :BODY_START] = headers
+        frames[:, BODY_START:BODY_END] = np.tile(words, (1, WORDS_PER_PACKET))
+        frames[:, BODY_END:] = fcs
         return frames
 
     def build_reference(self, sequence: int) -> bytes:

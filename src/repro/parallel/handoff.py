@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import os
 import tempfile
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -389,21 +390,31 @@ def load_ring_slot(handle: RingSlotHandle) -> ColumnarTrace:
     """
     block = _attach_ring(handle.ring)
     view = block.buf[handle.offset : handle.offset + handle.nbytes]
-    return read_columnar_buffer(
-        view,
-        origin=f"ring://{handle.ring}/{handle.index}",
-        backing=block,
-    )
+    try:
+        return read_columnar_buffer(
+            view,
+            origin=f"ring://{handle.ring}/{handle.index}",
+            backing=block,
+        )
+    except BaseException as exc:
+        # The parser's frames in the traceback hold arrays over
+        # ``view``, and whoever keeps the error (a future does) would
+        # keep the slot exported, so the ring could never close.
+        traceback.clear_frames(exc.__traceback__)
+        view.release()
+        raise
 
 
 def detach_ring(name: str) -> None:
-    """Drop this process's cached attachment to a ring (worker side)."""
+    """Drop this process's cached attachment to a ring (worker side).
+
+    Raises ``BufferError`` when a view into the ring is still alive:
+    the mapping cannot close then, and swallowing that would only move
+    the failure to an unraisable error in ``SharedMemory.__del__``.
+    """
     block = _ATTACHED_RINGS.pop(name, None)
     if block is not None:
-        try:
-            block.close()
-        except BufferError:  # pragma: no cover - live views; exit cleans up
-            pass
+        block.close()
 
 
 # ----------------------------------------------------------------------

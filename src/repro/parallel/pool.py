@@ -41,12 +41,12 @@ class PersistentPool:
     ``sharded=True`` turns the pool into ``jobs`` independent
     single-worker executors addressed by ``shard=`` on submit/run.
     A plain executor hands each task to whichever worker frees up
-    first, so per-worker caches (matcher template banks, attached
-    ring segments, classifier state) thrash as a session's chunks
-    wander between processes.  Sticky routing pins everything a
-    session touches to one worker for its whole life — the cache
-    warms once and stays warm.  Submitting without ``shard`` in
-    sharded mode round-robins, for shard-agnostic work.
+    first, so per-worker state (a session's matcher and running
+    digest, attached ring segments) would scatter as a session's
+    chunks wander between processes.  Sticky routing pins everything
+    a session touches to one worker for its whole life.  Submitting
+    without ``shard`` in sharded mode round-robins, for shard-agnostic
+    work.
     """
 
     def __init__(self, jobs: int, sharded: bool = False) -> None:

@@ -362,9 +362,8 @@ def _loadgen_worker(
     encoded once, up front); walls accumulate across repeats so the
     merged rate covers a sustained stream, not one burst.  ``warmup``
     passes run first and are *not* measured: the first pass through a
-    fresh server pays one page fault per 4 KiB of ring it touches (and
-    builds each shard's template bank), which is server startup cost,
-    not steady-state ingest cost.
+    fresh server pays one page fault per 4 KiB of ring it touches,
+    which is server startup cost, not steady-state ingest cost.
 
     The loaded trace and its encoded payloads are cached per process:
     executor processes are reused across submissions, so a warm-wave

@@ -23,11 +23,11 @@ length.
 **Sharding and affinity.**  With ``jobs > 1`` the pool runs *sharded*
 (:class:`~repro.parallel.PersistentPool` ``sharded=True``): every
 session is pinned at HELLO to the least-loaded shard and all its
-chunks classify on that one worker.  The worker's matcher cache
-(:data:`_WORKER_MATCHERS`) therefore stays hot for the whole session —
-the template bank builds once at session open, never churns, and the
-per-chunk spec rehash disappears (the parent computes the cache key
-once).  Chunk payloads cross the boundary through the session's
+chunks classify on that one worker.  The session's matcher and running
+verdict digest therefore live in that worker's per-session state
+(:data:`_WORKER_SESSIONS`), created by the session's first batch and
+retired when it finishes or aborts, so no worker state outlives its
+session.  Chunk payloads cross the boundary through the session's
 :class:`~repro.parallel.RingTransport`: a preallocated ring of
 reusable shared-memory slots, one memcpy in, zero per-chunk segment
 creation.  Ring overflow (payload too big, or every slot leased) falls
@@ -57,10 +57,11 @@ sessions interleave; the tree stitches identically in the exporters.
 from __future__ import annotations
 
 import asyncio
+import hashlib
 import os
 import signal
 import time
-from collections import Counter, OrderedDict
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
@@ -124,9 +125,8 @@ class Session:
     counts: Counter = field(default_factory=Counter)
     digest: "object" = None  # running blake2b over verdict rows
     columns: list = field(default_factory=list)  # kept verdict columns
-    matcher: Optional[TraceMatcher] = None  # inline-path cache
+    matcher: Optional[TraceMatcher] = None  # inline mode's matcher
     spec_dict: Optional[dict] = None  # computed once at HELLO
-    spec_key: Optional[tuple] = None  # worker matcher-cache key
     shard: Optional[int] = None  # sticky pool shard (jobs > 1)
     ring: Optional[RingTransport] = None  # reusable slot transport
     client_ring: bool = False  # client writes slots itself (CHUNK_REF)
@@ -138,38 +138,14 @@ class Session:
 
 
 #: A queued chunk on its way to classification: a leased ring slot, a
-#: one-shot handle (file/shm/inline fallback), or raw bytes (no pool).
+#: temp-file handle (a pooled session's ring overflow), or raw bytes
+#: (an inline session's socket-borne chunk).
 ChunkItem = Union[RingSlotHandle, TraceHandle, bytes]
 
 
 # ----------------------------------------------------------------------
 # Chunk classification (both sides of the pool boundary)
 # ----------------------------------------------------------------------
-_WORKER_MATCHERS: "OrderedDict[tuple, TraceMatcher]" = OrderedDict()
-
-#: The cache key is client-controlled (spec + packets_sent from HELLO)
-#: and one entry's template bank can run to tens of MB, so the cache
-#: is a small LRU — a hostile or churning client can pin at most this
-#: many banks in a worker, never unbounded memory.
-_WORKER_MATCHER_CAP = 4
-
-
-def _matcher_for(spec_key: tuple, spec_dict: dict, packets_sent: int) -> TraceMatcher:
-    """Worker-side matcher cache: template banks are per (spec,
-    packets_sent) and cost more to build than a chunk costs to match,
-    so a long session reuses one across all its chunks."""
-    matcher = _WORKER_MATCHERS.get(spec_key)
-    if matcher is None:
-        matcher = TraceMatcher(spec_from_dict(spec_dict), packets_sent)
-        matcher.enable_template_cache()
-        _WORKER_MATCHERS[spec_key] = matcher
-        while len(_WORKER_MATCHERS) > _WORKER_MATCHER_CAP:
-            _WORKER_MATCHERS.popitem(last=False)
-    else:
-        _WORKER_MATCHERS.move_to_end(spec_key)
-    return matcher
-
-
 def _load_item(item: ChunkItem):
     """One queued chunk back as a columnar trace (worker side)."""
     if isinstance(item, RingSlotHandle):
@@ -179,37 +155,14 @@ def _load_item(item: ChunkItem):
     return protocol.decode_chunk(item)
 
 
-#: Worker-side per-session state, keyed by session id.  Sticky
-#: sharding routes every batch of a session to one worker, so the
-#: running verdict digest can live *here* — the verdict columns never
-#: cross the pool boundary at all (the batch result is a few counts),
-#: which at streaming rates saves a pickle + copy of ~22 bytes per
-#: record each way.
+#: Worker-side per-session state, keyed by session id: the session's
+#: matcher and its running verdict digest.  Sticky sharding routes
+#: every batch of a session to one worker, so both can live *here* —
+#: the verdict columns never cross the pool boundary at all (the batch
+#: result is a few counts), which at streaming rates saves a pickle +
+#: copy of ~22 bytes per record each way.  The session's first batch
+#: creates its entry and :func:`_session_finish_remote` removes it.
 _WORKER_SESSIONS: dict = {}
-
-
-def _worker_session_state() -> dict:
-    import hashlib
-
-    return {"digest": hashlib.blake2b(digest_size=8)}
-
-
-def _session_open_remote(
-    session_id: str, spec_key: tuple, spec_dict: dict, packets_sent: int
-) -> bool:
-    """Warm the shard's matcher cache at HELLO time, off the data path.
-
-    The template bank (the expensive part) builds here, concurrent with
-    the client's first sends, so chunk one classifies at steady-state
-    speed.  Sticky sharding guarantees every later batch of the session
-    finds this entry hot.  The call is fire-and-forget from the parent:
-    the shard executor is single-worker FIFO, so it is guaranteed to
-    run before the session's first batch without the handshake having
-    to wait for a pool round-trip.
-    """
-    _matcher_for(spec_key, spec_dict, packets_sent)
-    _WORKER_SESSIONS[session_id] = _worker_session_state()
-    return True
 
 
 def _batch_feed(
@@ -244,23 +197,24 @@ def _batch_feed(
 
 def _classify_batch_remote(
     session_id: str,
-    spec_key: tuple,
     spec_dict: dict,
     packets_sent: int,
     items: Sequence[ChunkItem],
     keep_columns: bool = False,
 ) -> dict:
-    """Pool-worker entry: warm matcher, feed, fold into session state.
+    """Pool-worker entry: feed one batch, fold it into session state.
 
-    The verdict digest accumulates worker-side; the columns themselves
-    stay here unless the parent asked to keep them
-    (``ServeConfig.keep_verdicts``).
+    The session's first batch creates its state.  The verdict digest
+    accumulates worker-side; the columns themselves stay here unless
+    the parent asked to keep them (``ServeConfig.keep_verdicts``).
     """
-    matcher = _matcher_for(spec_key, spec_dict, packets_sent)
-    result = _batch_feed(items, matcher, packets_sent)
     state = _WORKER_SESSIONS.get(session_id)
-    if state is None:  # open was lost (pool restart); self-heal
-        state = _WORKER_SESSIONS[session_id] = _worker_session_state()
+    if state is None:
+        state = _WORKER_SESSIONS[session_id] = {
+            "matcher": TraceMatcher(spec_from_dict(spec_dict), packets_sent),
+            "digest": hashlib.blake2b(digest_size=8),
+        }
+    result = _batch_feed(items, state["matcher"], packets_sent)
     state["digest"].update(verdict_row_bytes(result["columns"]))
     if not keep_columns:
         del result["columns"]
@@ -271,7 +225,7 @@ def _session_finish_remote(session_id: str) -> dict:
     """Retire the worker's session state; returns the final digest."""
     state = _WORKER_SESSIONS.pop(session_id, None)
     if state is None:  # session never classified a batch
-        state = _worker_session_state()
+        return {"digest": hashlib.blake2b(digest_size=8).hexdigest()}
     return {"digest": state["digest"].hexdigest()}
 
 
@@ -525,8 +479,6 @@ class TraceAnalysisServer:
     async def _handle_client(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
-        import hashlib
-
         config = self.config
         frames = protocol.FrameReader(reader)
         try:
@@ -561,7 +513,6 @@ class TraceAnalysisServer:
             return
 
         spec = hello["spec"]
-        spec_dict = spec_to_dict(spec)
         packets_sent = int(hello["packets_sent"])
         session = Session(
             id=session_id,
@@ -572,26 +523,12 @@ class TraceAnalysisServer:
             queue=asyncio.Queue(maxsize=config.queue_chunks),
             started_unix=time.time(),
             digest=hashlib.blake2b(digest_size=8),
-            spec_dict=spec_dict,
-            spec_key=(tuple(sorted(spec_dict.items())), packets_sent),
+            spec_dict=spec_to_dict(spec),
         )
         self._sessions[session.id] = session
         if self._pool is not None:
             session.shard = self._pick_shard()
             self._shard_sessions[session.shard] += 1
-            # Build the shard's template bank now, overlapped with the
-            # client's first sends — chunk one then classifies warm.
-            # Fire-and-forget: the shard is FIFO, so this runs before
-            # the first batch without stalling the handshake on a pool
-            # round-trip.
-            self._pool.submit(
-                _session_open_remote,
-                session.id,
-                session.spec_key,
-                spec_dict,
-                packets_sent,
-                shard=session.shard,
-            ).add_done_callback(lambda f: f.exception())
         started_perf = time.perf_counter()
         span_id = self._next_span_id("serve.session", self._root_span_id)
         hello_ok = {
@@ -684,20 +621,23 @@ class TraceAnalysisServer:
             self._shard_sessions[session.shard] -= 1
 
     async def _destroy_ring(self, ring: RingTransport) -> None:
-        """Drop every process's attachment, then unlink the segment."""
-        if self._pool is not None:
-            for shard in range(self.config.jobs):
-                try:
-                    await self._pool.run(
-                        _session_close_remote, ring.name, shard=shard
-                    )
-                except Exception:  # pragma: no cover - pool dying
-                    pass
-        else:
-            # Inline mode classified in-process; drop this process's
-            # cached attachment before unlinking.
-            detach_ring(ring.name)
-        ring.close()
+        """Drop every process's attachment, then unlink the segment
+        (unlinked even when a detach fails on a view still alive)."""
+        try:
+            if self._pool is not None:
+                for shard in range(self.config.jobs):
+                    try:
+                        await self._pool.run(
+                            _session_close_remote, ring.name, shard=shard
+                        )
+                    except Exception:  # pragma: no cover - pool dying
+                        pass
+            else:
+                # Inline mode classified in-process; drop this process's
+                # cached attachment before unlinking.
+                detach_ring(ring.name)
+        finally:
+            ring.close()
 
     # -- chunk staging (reader side) -----------------------------------
     def _ring_for(self, session: Session, nbytes: int) -> RingTransport:
@@ -1006,7 +946,6 @@ class TraceAnalysisServer:
             return await self._pool.run(
                 _classify_batch_remote,
                 session.id,
-                session.spec_key,
                 session.spec_dict,
                 session.packets_sent,
                 batch,
@@ -1014,9 +953,7 @@ class TraceAnalysisServer:
                 shard=session.shard,
             )
         if session.matcher is None:
-            session.matcher = _matcher_for(
-                session.spec_key, session.spec_dict, session.packets_sent
-            )
+            session.matcher = TraceMatcher(session.spec, session.packets_sent)
         assert self._inline is not None
         return await asyncio.get_running_loop().run_in_executor(
             self._inline,

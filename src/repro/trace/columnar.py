@@ -209,7 +209,7 @@ class ColumnarTraceWriter:
 
 
 # Records are appended through ``materialize_data`` in batches of this
-# many so pristine references hit the bulk template bank, not the
+# many so pristine references go through ``build_bulk``, not the
 # scalar ``build()`` path.
 _WRITE_CHUNK_RECORDS = 4096
 

@@ -7,7 +7,8 @@ import pytest
 
 from repro.analysis.matching import MatchOutcome, TraceMatcher, _plurality
 from repro.framing.bits import flip_bits
-from repro.framing.testpacket import BODY_START, FRAME_BYTES
+from repro.framing.crc import crc32
+from repro.framing.testpacket import BODY_END, BODY_START, FRAME_BYTES
 from repro.trace.outsiders import OutsiderTraffic
 from repro.trace.records import PacketRecord
 from repro.phy.modem import ModemRxStatus
@@ -316,3 +317,32 @@ class TestBulkMatching:
         inside = factory.build(105)  # within SEQUENCE_SLACK
         outside = factory.build(500)  # implausible → not a bulk hit
         assert _matrix_fast_path(short, [inside, outside]) == [105, None]
+
+    def test_ip_id_aliasing_across_two_16(self, spec, factory):
+        """Sequences sharing an IP id each resolve to themselves, and a
+        header spliced onto an aliased sequence's body does not."""
+        long_matcher = TraceMatcher(spec, packets_sent=140_000)
+        sequences = [1, 65535, 65536, 65537, 131071]
+        datas = [factory.build(s) for s in sequences]
+        # Same IP id and IP checksum as sequence 0; only the UDP
+        # checksum (folded over the full body word) tells them apart.
+        spliced = factory.build(65536)[:BODY_START] + factory.build(0)[BODY_START:]
+        datas.append(spliced)
+        bulk = _matrix_fast_path(long_matcher, datas)
+        assert bulk == sequences + [None]
+        for data, bulk_sequence in zip(datas, bulk):
+            scalar = long_matcher.match_bytes(data)
+            assert scalar.exact == (bulk_sequence is not None)
+
+    def test_zero_udp_checksum_is_not_the_sent_frame(self, spec, factory):
+        """RFC 768: sequence 64275's UDP checksum computes to 0 and goes
+        out as 0xFFFF.  The sent frame matches exactly; the same frame
+        carrying 0x0000 with a valid FCS does not."""
+        long_matcher = TraceMatcher(spec, packets_sent=70_000)
+        sent = factory.build(64275)
+        zeroed = bytearray(sent)
+        zeroed[42:44] = b"\x00\x00"
+        zeroed[BODY_END:] = crc32(bytes(zeroed[2:BODY_END])).to_bytes(4, "little")
+        datas = [sent, bytes(zeroed)]
+        assert _matrix_fast_path(long_matcher, datas) == [64275, None]
+        assert not long_matcher.match_bytes(bytes(zeroed)).exact

@@ -1,5 +1,8 @@
 """The paper's test packet format."""
 
+from dataclasses import replace
+
+import numpy as np
 import pytest
 
 from repro.framing import ethernet
@@ -96,3 +99,36 @@ class TestFrameConstruction:
         allowed |= set(range(BODY_END, FRAME_BYTES))  # fcs
         assert differing <= allowed
         assert differing & set(range(BODY_START, BODY_END))
+
+
+class TestBuildBulk:
+    """``build_bulk`` rows are byte-identical to the scalar builders."""
+
+    @staticmethod
+    def _assert_rows_match(factory, sequences):
+        frames = factory.build_bulk(np.asarray(sequences, dtype=np.int64))
+        assert frames.shape == (len(sequences), FRAME_BYTES)
+        for row, sequence in zip(frames, sequences):
+            assert row.tobytes() == factory.build(sequence)
+            assert row.tobytes() == factory.build_reference(sequence)
+
+    def test_ip_id_aliasing_around_two_16(self, factory):
+        self._assert_rows_match(factory, [65535, 65536, 65537, 131071])
+
+    def test_body_word_wraps_two_32(self, spec):
+        factory = TestPacketFactory(replace(spec, first_sequence=0xFFFFFF00))
+        sequences = [0, 0xFF, 0x100, 0x101, 70_000]
+        self._assert_rows_match(factory, sequences)
+        wrapped = factory.build_bulk(np.array([0x100]))[0]
+        assert wrapped[BODY_START:BODY_END].tobytes() == bytes(BODY_BYTES)
+
+    def test_zero_udp_checksum_sent_as_ffff(self, factory):
+        """RFC 768: a computed UDP checksum of 0 goes out as 0xFFFF
+        (sequence 64275 computes to 0 under the default spec)."""
+        self._assert_rows_match(factory, [64274, 64275, 64276])
+        assert factory.build(64275)[42:44] == b"\xff\xff"
+
+    def test_empty(self, factory):
+        frames = factory.build_bulk(np.array([], dtype=np.int64))
+        assert frames.shape == (0, FRAME_BYTES)
+        assert frames.dtype == np.uint8

@@ -6,14 +6,17 @@ matcher recovers the true sequence number, and the syndrome equals the
 inflicted damage exactly.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.matching import MatchOutcome, TraceMatcher
+from repro.analysis.matching import SEQUENCE_SLACK, MatchOutcome, TraceMatcher
 from repro.analysis.syndrome import extract_syndrome
 from repro.framing.bits import flip_bits
 from repro.framing.testpacket import (
+    BODY_END,
     BODY_START,
     FRAME_BYTES,
     TestPacketFactory,
@@ -58,6 +61,41 @@ class TestMatcherProperties:
         result = _MATCHER.match_bytes(damaged)
         assert result.outcome is MatchOutcome.TEST_PACKET
         assert result.sequence == sequence
+
+
+class TestExactMatchProperties:
+    @given(
+        first_sequence=st.integers(0, 2**32 - 1),
+        packets_sent=st.integers(1, 200_000),
+        sequence=st.integers(0, 250_000),
+        position=st.one_of(
+            st.none(),
+            st.integers(0, BODY_START - 1),
+            st.integers(BODY_START, BODY_END - 1),
+            st.integers(BODY_END, FRAME_BYTES - 1),
+        ),
+        mask=st.integers(1, 255),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_exact_iff_sent_frame_and_plausible(
+        self, first_sequence, packets_sent, sequence, position, mask
+    ):
+        """The bulk fast path calls a row exact exactly when it is the
+        sent frame of a plausible sequence, whatever single byte of
+        header, body or FCS is XORed."""
+        spec = replace(_SPEC, first_sequence=first_sequence)
+        factory = TestPacketFactory(spec)
+        frame = bytearray(factory.build(sequence))
+        if position is not None:
+            frame[position] ^= mask
+        matrix = np.frombuffer(bytes(frame), dtype=np.uint8).reshape(1, -1)
+        exact, matched = TraceMatcher(spec, packets_sent).match_matrix_arrays(matrix)
+        expected = (
+            bytes(frame) == factory.build(sequence)
+            and sequence < packets_sent + SEQUENCE_SLACK
+        )
+        assert bool(exact[0]) == expected
+        assert matched[0] == (sequence if expected else -1)
 
 
 class TestSyndromeProperties:

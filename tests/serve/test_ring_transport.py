@@ -226,6 +226,34 @@ class TestRingUnit:
         assert ring.name not in _shm_names()
         assert _shm_names() - before == set()
 
+    def test_failed_slot_load_pins_no_view(self, monkeypatch):
+        """A slot that fails to parse leaves no export of the ring
+        behind, even while its error is kept alive (a future holds
+        it): the worker's attachment then detaches cleanly, and
+        dropping the error raises nothing unraisable."""
+        import gc
+        from concurrent.futures import Future
+
+        from repro.parallel.handoff import detach_ring, load_ring_slot
+
+        ring = RingTransport(slots=2, slot_bytes=64)
+        try:
+            handle = ring.lease(b"not a columnar block")
+            future = Future()
+            try:
+                load_ring_slot(handle)
+            except ValueError as exc:
+                future.set_exception(exc)
+            assert isinstance(future.exception(), ValueError)
+            unraisable = []
+            monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+            detach_ring(ring.name)
+            del future
+            gc.collect()
+            assert unraisable == []
+        finally:
+            ring.close()
+
 
 class TestTransportMatrix:
     """Acceptance contract: pooled/ring/coalesced == inline single-chunk."""

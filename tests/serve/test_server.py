@@ -13,11 +13,7 @@ import hashlib
 import numpy as np
 import pytest
 
-from repro.analysis.classify import (
-    IncrementalClassifier,
-    classify_trace,
-    verdict_row_bytes,
-)
+from repro.analysis.classify import IncrementalClassifier, verdict_row_bytes
 from repro.framing.bits import flip_bits
 from repro.framing.testpacket import BODY_START
 from repro.phy.modem import ModemRxStatus
@@ -321,29 +317,32 @@ class TestRobustness:
                 _serve(ServeConfig(window_chunks=2, heartbeat_s=0), work)
             )
 
-    def test_worker_matcher_cache_bounded(self, spec):
-        """The (spec, packets_sent) matcher cache is an LRU: many
-        distinct client-controlled keys cannot grow it past the cap."""
+    def test_worker_session_state_lives_with_session(self, spec, factory):
+        """A worker holds a session's matcher and digest only from its
+        first batch to its finish, so a stream of distinct client
+        handshakes never piles up worker memory."""
         from repro.serve import server as server_mod
         from repro.trace.columnar import spec_to_dict
 
-        server_mod._WORKER_MATCHERS.clear()
-        try:
-            spec_dict = spec_to_dict(spec)
-            total = server_mod._WORKER_MATCHER_CAP + 8
-            for packets_sent in range(1, total + 1):
-                key = (tuple(sorted(spec_dict.items())), packets_sent)
-                server_mod._matcher_for(key, spec_dict, packets_sent)
-                assert (
-                    len(server_mod._WORKER_MATCHERS)
-                    <= server_mod._WORKER_MATCHER_CAP
-                )
-            kept = {key[1] for key in server_mod._WORKER_MATCHERS}
-            assert kept == set(
-                range(total - server_mod._WORKER_MATCHER_CAP + 1, total + 1)
+        trace = _mixed_columnar(spec, factory, repeats=1)
+        payload = chunk_payloads(trace, trace.packets_received)[0]
+        digest, _ = _reference(trace)
+        spec_dict = spec_to_dict(spec)
+        sessions = server_mod._WORKER_SESSIONS
+        before = set(sessions)
+        for index in range(8):
+            session_id = f"churn-{index}"
+            packets_sent = trace.packets_sent + index
+            assert session_id not in sessions
+            server_mod._classify_batch_remote(
+                session_id, spec_dict, packets_sent, [payload]
             )
-        finally:
-            server_mod._WORKER_MATCHERS.clear()
+            matcher = sessions[session_id]["matcher"]
+            assert matcher.packets_sent == packets_sent
+            finish = server_mod._session_finish_remote(session_id)
+            assert finish["digest"] == digest
+            assert session_id not in sessions
+        assert set(sessions) == before
 
     def test_garbage_handshake_rejected(self, spec, factory):
         async def work(server):
