@@ -6,10 +6,14 @@ reduced quality (mean 8.76); body-damaged packets mildly reduced
 good predictor of truncation".
 """
 
+import numpy as np
+
 from benchmarks.conftest import run_once
+from repro.analysis.classify import ClassifiedTrace
 from repro.analysis.signalstats import signal_stats_by_class
 from repro.analysis.tables import render_signal_table
 from repro.experiments import phones_spread
+from repro.trace.columnar import ColumnarTrace
 
 
 def test_table13_ss_breakdown(benchmark, bench_scale):
@@ -18,12 +22,14 @@ def test_table13_ss_breakdown(benchmark, bench_scale):
 
     # Aggregate the damage-class stats across all six trials, as the
     # paper's Table 13 does.
-    merged = None
-    for trial, classified in result.classified.items():
-        if merged is None:
-            merged = classified
-        else:
-            merged.packets.extend(classified.packets)
+    trials = list(result.classified.values())
+    merged = ClassifiedTrace(
+        trace=ColumnarTrace.concat([c.trace for c in trials]),
+        columns={
+            key: np.concatenate([c.columns[key] for c in trials])
+            for key in trials[0].columns
+        },
+    )
     rows = signal_stats_by_class(merged)
     print("Table 13: SS test packets by damage class (all trials pooled)")
     print(render_signal_table(rows))

@@ -12,7 +12,7 @@ Run:  python examples/interference_survey.py
 """
 
 from repro import TrialConfig, analyze_trial, classify_trace, run_fast_trial
-from repro.analysis.signalstats import stats_for_packets
+from repro.analysis.signalstats import stats_for_test_packets
 from repro.environment import Point, PropagationModel
 from repro.phy.modem import ModemConfig
 from repro.interference import (
@@ -46,7 +46,7 @@ def survey(name: str, sources, seed: int, receive_threshold: int = 3) -> None:
     )
     metrics = analyze_trial(output.trace)
     classified = classify_trace(output.trace)
-    stats = stats_for_packets(name, classified.test_packets)
+    stats = stats_for_test_packets(name, classified)
     silence = stats.silence.mean if stats.silence else 0.0
     received = max(1, metrics.packets_received)
     print(f"{name:<38} loss {metrics.packet_loss_percent:5.1f}%  "

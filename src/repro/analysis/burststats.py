@@ -24,6 +24,13 @@ from repro.phy.gilbert import GilbertElliott
 
 BURST_GAP_BITS = 32  # bits of clean channel that end a burst
 
+# The test packets that carry a whole body (truncated ones do not).
+SYNDROME_CLASSES = (
+    PacketClass.UNDAMAGED,
+    PacketClass.WRAPPER_DAMAGED,
+    PacketClass.BODY_DAMAGED,
+)
+
 
 @dataclass
 class BurstStatistics:
@@ -83,19 +90,15 @@ def burst_statistics(
     positionally ambiguous, per the paper's methodology); undamaged
     packets contribute clean body bits to the denominator.
     """
+    analyzed = classified.rows(*SYNDROME_CLASSES)
     stats = BurstStatistics(
-        packets_analyzed=0,
+        packets_analyzed=len(analyzed),
         packets_with_errors=0,
         total_error_bits=0,
-        total_body_bits=0,
+        total_body_bits=len(analyzed) * BODY_BITS,
     )
-    for packet in classified.test_packets:
-        if packet.packet_class is PacketClass.TRUNCATED:
-            continue
-        stats.packets_analyzed += 1
-        stats.total_body_bits += BODY_BITS
-        syndrome = packet.syndrome
-        if syndrome is None or syndrome.body_bits_damaged == 0:
+    for syndrome in classified.syndromes_of(*SYNDROME_CLASSES):
+        if syndrome.body_bits_damaged == 0:
             continue
         stats.packets_with_errors += 1
         stats.total_error_bits += syndrome.body_bits_damaged

@@ -7,12 +7,12 @@ like the paper's tables we give body damage precedence for the primary
 class but keep both flags.
 
 Classification is *incremental at heart*: :class:`IncrementalClassifier`
-consumes frame chunks as they arrive (record lists or columnar slices),
-runs each chunk through the batched matching fast paths, and maintains
-running verdicts and per-class counts.  Because every verdict depends
-only on its own record's bytes, chunk boundaries never change the
-output — :func:`classify_trace` is a thin wrapper that feeds a whole
-trial through one classifier, and a streaming consumer
+consumes columnar frame chunks as they arrive, runs each chunk through
+the batched matching fast path, and keeps running verdict columns,
+per-class counts and the damaged rows' syndromes.  Because every
+verdict depends only on its own record's bytes, chunk boundaries never
+change the output — :func:`classify_trace` is a thin wrapper that feeds
+a whole trial through one classifier, and a streaming consumer
 (:mod:`repro.serve`) feeds the same machinery one network chunk at a
 time with byte-identical results.
 """
@@ -32,7 +32,7 @@ from repro.obs import runtime as _obs
 from repro.framing.crc import check_fcs
 from repro.framing.modem import NETWORK_ID_LEN
 from repro.framing.testpacket import FRAME_BYTES
-from repro.trace.columnar import ColumnarTrace
+from repro.trace.columnar import ColumnarTrace, PacketRecordView, as_columnar
 from repro.trace.records import PacketRecord, TrialTrace
 
 AnyTrace = Union[TrialTrace, ColumnarTrace]
@@ -63,13 +63,15 @@ class PacketClass(enum.Enum):
 
 CLASS_ORDER = list(PacketClass)
 CLASS_CODE = {cls: code for code, cls in enumerate(CLASS_ORDER)}
+TEST_CLASSES = tuple(cls for cls in CLASS_ORDER if cls.is_test_packet)
+OUTSIDER_CLASSES = tuple(cls for cls in CLASS_ORDER if not cls.is_test_packet)
 
 
 @dataclass
 class ClassifiedPacket:
     """One record plus everything the analysis derived from it."""
 
-    record: PacketRecord
+    record: Union[PacketRecord, PacketRecordView]
     packet_class: PacketClass
     sequence: Optional[int] = None
     syndrome: Optional[ErrorSyndrome] = None
@@ -80,29 +82,78 @@ class ClassifiedPacket:
 
 @dataclass
 class ClassifiedTrace:
-    """A whole trial's classification output."""
+    """A whole trial's classification output.
 
-    trace: TrialTrace
-    packets: list[ClassifiedPacket] = field(default_factory=list)
+    The trace, its verdict columns (see
+    :meth:`IncrementalClassifier.verdict_columns`) and a row-to-syndrome
+    map for the damaged rows.  Consumers that summarize read the
+    columns; :attr:`packets`, :meth:`by_class`, :attr:`test_packets` and
+    :attr:`outsiders` build :class:`ClassifiedPacket` objects on access,
+    for the rows asked for.
+    """
+
+    trace: ColumnarTrace
+    columns: dict
+    syndromes: dict[int, ErrorSyndrome] = field(default_factory=dict)
+
+    @property
+    def class_codes(self) -> np.ndarray:
+        return self.columns["class_codes"]
+
+    def rows(self, *classes: PacketClass) -> np.ndarray:
+        """Indices of the rows whose primary class is in ``classes``."""
+        codes = np.array([CLASS_CODE[cls] for cls in classes], dtype=np.uint8)
+        return np.nonzero(np.isin(self.class_codes, codes))[0]
+
+    @property
+    def test_rows(self) -> np.ndarray:
+        return self.rows(*TEST_CLASSES)
+
+    def packet(self, index: int) -> ClassifiedPacket:
+        columns = self.columns
+        sequence = int(columns["sequences"][index])
+        return ClassifiedPacket(
+            record=self.trace.record_view(index),
+            packet_class=CLASS_ORDER[columns["class_codes"][index]],
+            sequence=None if sequence < 0 else sequence,
+            syndrome=self.syndromes.get(index),
+            wrapper_damaged=bool(columns["wrapper_damaged"][index]),
+            body_bits_damaged=int(columns["body_bits_damaged"][index]),
+            truncated_bytes_missing=int(columns["truncated_missing"][index]),
+        )
+
+    def _packets(self, rows: np.ndarray) -> list[ClassifiedPacket]:
+        return [self.packet(index) for index in rows.tolist()]
+
+    @property
+    def packets(self) -> list[ClassifiedPacket]:
+        return self._packets(np.arange(len(self.class_codes)))
 
     def by_class(self, *classes: PacketClass) -> list[ClassifiedPacket]:
-        wanted = set(classes)
-        return [p for p in self.packets if p.packet_class in wanted]
+        return self._packets(self.rows(*classes))
 
     @property
     def test_packets(self) -> list[ClassifiedPacket]:
-        return [p for p in self.packets if p.packet_class.is_test_packet]
+        return self._packets(self.test_rows)
 
     @property
     def outsiders(self) -> list[ClassifiedPacket]:
-        return [p for p in self.packets if not p.packet_class.is_test_packet]
+        return self._packets(self.rows(*OUTSIDER_CLASSES))
+
+    def syndromes_of(self, *classes: PacketClass) -> list[ErrorSyndrome]:
+        """The syndromes of the rows in ``classes``, in row order."""
+        return [
+            self.syndromes[index]
+            for index in self.rows(*classes).tolist()
+            if index in self.syndromes
+        ]
 
     def class_counts(self) -> dict[PacketClass, int]:
         """Packets per primary class.  Conservation invariant: the
-        values always sum to ``len(self.packets)`` — trivially (and
-        importantly for streaming consumers) also for empty traces."""
-        counts = Counter(p.packet_class for p in self.packets)
-        return {cls: counts.get(cls, 0) for cls in CLASS_ORDER}
+        values always sum to the row count — trivially (and importantly
+        for streaming consumers) also for empty traces."""
+        counts = np.bincount(self.class_codes, minlength=len(CLASS_ORDER))
+        return dict(zip(CLASS_ORDER, counts.tolist()))
 
 
 def _classify_outsider(data: bytes) -> PacketClass:
@@ -125,15 +176,15 @@ class IncrementalClassifier:
 
     The streaming core that :func:`classify_trace` (batch) and the
     :mod:`repro.serve` ingest service (online) share.  Feed frame
-    chunks as they arrive — record lists via :meth:`feed_records`,
-    columnar slices via :meth:`feed_columnar` — in any chunking; every
+    chunks as they arrive — columnar slices via :meth:`feed_columnar`,
+    record lists via :meth:`feed_records` — in any chunking; every
     verdict depends only on its own record's bytes, so the output is
     byte-identical for chunk size 1, 7, or the whole trial.  The
-    classifier maintains running verdicts (:attr:`packets`) and
-    per-class counts (:attr:`class_counts`); :meth:`finish` wraps them
-    into the :class:`ClassifiedTrace` the batch API returns, and
-    :meth:`verdict_columns` exports them as compact numpy columns for
-    pool/wire boundaries.
+    classifier keeps running verdict columns (:meth:`verdict_columns`),
+    per-class counts (:attr:`class_counts`) and the damaged rows'
+    syndromes (:attr:`syndromes`, keyed by fed-row index);
+    :meth:`finish` wraps them into the :class:`ClassifiedTrace` the
+    batch API returns.
 
     Zero-record traces and zero-length chunks are routine (an idle
     server session is exactly that) and feed through without raising.
@@ -145,161 +196,50 @@ class IncrementalClassifier:
         packets_sent: int,
         *,
         matcher: Optional[TraceMatcher] = None,
-        collect_packets: bool = True,
     ) -> None:
         self.matcher = (
             matcher
             if matcher is not None
             else TraceMatcher(spec, packets_sent)
         )
-        self.collect_packets = collect_packets
-        self.packets: list[ClassifiedPacket] = []
         self.records_seen = 0
         self.class_counts: Counter = Counter()
+        self.syndromes: dict[int, ErrorSyndrome] = {}
         self._column_chunks: list[dict] = []
 
     # ------------------------------------------------------------------
-    def _note(self, packet: ClassifiedPacket) -> ClassifiedPacket:
-        if self.collect_packets:
-            self.packets.append(packet)
-        self.records_seen += 1
-        self.class_counts[packet.packet_class] += 1
-        return packet
+    def feed_records(self, records: Sequence[PacketRecord]) -> None:
+        """Classify a chunk of records (v1 loads, MAC trials).
 
-    def _note_chunk(self, packets: list[ClassifiedPacket]) -> None:
-        """Batched :meth:`_note`: one extend + one counter update."""
-        if self.collect_packets:
-            self.packets.extend(packets)
-        self.records_seen += len(packets)
-        self.class_counts.update(p.packet_class for p in packets)
-
-    def feed_records(
-        self, records: Sequence[PacketRecord]
-    ) -> list[ClassifiedPacket]:
-        """Classify a chunk of records (the v1 / in-memory path).
-
-        Internally re-chunks at :data:`MATCH_CHUNK_RECORDS` so huge
-        feeds stay cache-friendly; matching runs through the batched
-        fast path (:meth:`TraceMatcher.match_records_arrays`) — the
-        clean majority resolves as array columns, never materializing
-        bytes or :class:`MatchResult` objects — with only the damaged
-        minority falling back to the scalar voting/header procedure.
-        Returns the newly classified packets (also appended to
-        :attr:`packets`).
+        The chunk is columnarized once and runs the same loop as
+        :meth:`feed_columnar`.
         """
         matcher = self.matcher
-        out: list[ClassifiedPacket] = []
-        for chunk_start in range(0, len(records), MATCH_CHUNK_RECORDS):
-            chunk = records[chunk_start : chunk_start + MATCH_CHUNK_RECORDS]
-            exact, sequences, datas = matcher.match_records_arrays(chunk)
-            seq_list = sequences.tolist()
-            chunk_out: list[ClassifiedPacket] = []
-            for offset, record in enumerate(chunk):
-                if exact[offset]:
-                    # Exact fast-path rows are by definition
-                    # undamaged with a known sequence — identical
-                    # to _classify_one's verdict for them.
-                    chunk_out.append(
-                        ClassifiedPacket(
-                            record=record,
-                            packet_class=PacketClass.UNDAMAGED,
-                            sequence=seq_list[offset],
-                        )
-                    )
-                    continue
-                data = datas[offset]
-                if data is None:
-                    data = record.data
-                match = matcher.match_bytes(data, skip_fast=True)
-                chunk_out.append(
-                    _classify_one(matcher, record, data, match)
-                )
-            self._note_chunk(chunk_out)
-            out.extend(chunk_out)
-            if not self.collect_packets:
-                self._column_chunks.append(
-                    _columns_from_packets(chunk_out)
-                )
-        return out
+        trace = ColumnarTrace.from_records(
+            records, "", matcher.spec, matcher.packets_sent
+        )
+        self._classify(trace, 0, trace.packets_received)
 
     def feed_columnar(
         self,
         trace: ColumnarTrace,
         start: int = 0,
         stop: Optional[int] = None,
-    ) -> list[ClassifiedPacket]:
-        """Classify rows ``[start, stop)`` of a columnar trace.
-
-        The zero-copy route: frame matrices are sliced straight off the
-        flat payload and fed to :meth:`TraceMatcher.match_matrix_arrays`;
-        the undamaged majority never materializes per-packet records or
-        bytes — classified packets carry lazy record views instead.
-        Byte-for-byte the same verdicts as the record-list path.
-        """
-        matcher = self.matcher
-        lengths = trace.lengths
-        n = trace.packets_received
-        if stop is None:
-            stop = n
-        stop = min(stop, n)
-        if not self.collect_packets:
-            self._feed_columnar_vectorized(trace, start, stop)
-            return []
-        out: list[ClassifiedPacket] = []
-        for chunk_start in range(start, stop, MATCH_CHUNK_RECORDS):
-            chunk_stop = min(chunk_start + MATCH_CHUNK_RECORDS, stop)
-            chunk_lengths = lengths[chunk_start:chunk_stop]
-            m = chunk_stop - chunk_start
-            exact = np.zeros(m, dtype=bool)
-            sequences = np.full(m, -1, dtype=np.int64)
-            full_local = np.nonzero(chunk_lengths == FRAME_BYTES)[0]
-            if full_local.size:
-                matrix = trace.frame_matrix(
-                    chunk_start + full_local, FRAME_BYTES
-                )
-                ex, matched = matcher.match_matrix_arrays(matrix)
-                exact[full_local[ex]] = True
-                sequences[full_local[ex]] = matched[ex]
-            seq_list = sequences.tolist()
-            lengths_list = chunk_lengths.tolist()
-            chunk_out: list[ClassifiedPacket] = []
-            for offset, index in enumerate(
-                range(chunk_start, chunk_stop)
-            ):
-                if exact[offset]:
-                    chunk_out.append(
-                        ClassifiedPacket(
-                            record=trace.record_view(index),
-                            packet_class=PacketClass.UNDAMAGED,
-                            sequence=seq_list[offset],
-                        )
-                    )
-                    continue
-                data = trace.data(index)
-                match = matcher.match_bytes(data, skip_fast=True)
-                chunk_out.append(
-                    _classify_one(
-                        matcher,
-                        trace.record_view(index),
-                        data,
-                        match,
-                        length=lengths_list[offset],
-                    )
-                )
-            self._note_chunk(chunk_out)
-            out.extend(chunk_out)
-        return out
-
-    def _feed_columnar_vectorized(
-        self, trace: ColumnarTrace, start: int, stop: int
     ) -> None:
-        """Columns-only twin of the columnar loop (``collect_packets``
-        off): verdicts land straight in numpy columns, so the clean
-        majority never materializes a single per-packet Python object.
-        Exact fast-path rows are *by definition* undamaged with a known
-        sequence — identical to what :func:`_classify_one` returns for
-        them — and only the damaged minority runs the scalar fallback.
-        The streaming server's hot path.
+        """Classify rows ``[start, stop)`` of a columnar trace."""
+        n = trace.packets_received
+        stop = n if stop is None else min(stop, n)
+        self._classify(trace, start, stop)
+
+    def _classify(self, trace: ColumnarTrace, start: int, stop: int) -> None:
+        """The classification loop.
+
+        Frame matrices are sliced straight off the flat payload and fed
+        to :meth:`TraceMatcher.match_matrix_arrays`; its exact rows are
+        *by definition* undamaged with a known sequence, so verdicts
+        land straight in numpy columns and the clean majority never
+        materializes a per-packet Python object.  Only the rest runs the
+        scalar fallback, whose syndromes the classifier keeps.
         """
         matcher = self.matcher
         lengths = trace.lengths
@@ -312,9 +252,10 @@ class IncrementalClassifier:
             wrapper = np.zeros(m, dtype=bool)
             body_bits = np.zeros(m, dtype=np.int64)
             truncated = np.zeros(m, dtype=np.int32)
-            chunk_lengths = lengths[chunk_start:chunk_stop]
             resolved = np.zeros(m, dtype=bool)
-            full_local = np.nonzero(chunk_lengths == FRAME_BYTES)[0]
+            full_local = np.nonzero(
+                lengths[chunk_start:chunk_stop] == FRAME_BYTES
+            )[0]
             if full_local.size:
                 matrix = trace.frame_matrix(
                     chunk_start + full_local, FRAME_BYTES
@@ -324,23 +265,19 @@ class IncrementalClassifier:
                 resolved[hit_local] = True
                 sequences[hit_local] = matched[exact]
             for offset in np.nonzero(~resolved)[0].tolist():
-                index = chunk_start + offset
-                data = trace.data(index)
+                data = trace.data(chunk_start + offset)
                 match = matcher.match_bytes(data, skip_fast=True)
-                packet = _classify_one(
-                    matcher,
-                    trace.record_view(index),
-                    data,
-                    match,
-                    length=int(chunk_lengths[offset]),
+                packet_class, sequence, syndrome, missing = _classify_one(
+                    matcher, data, match
                 )
-                codes[offset] = CLASS_CODE[packet.packet_class]
-                sequences[offset] = (
-                    -1 if packet.sequence is None else packet.sequence
-                )
-                wrapper[offset] = packet.wrapper_damaged
-                body_bits[offset] = packet.body_bits_damaged
-                truncated[offset] = packet.truncated_bytes_missing
+                codes[offset] = CLASS_CODE[packet_class]
+                if sequence is not None:
+                    sequences[offset] = sequence
+                truncated[offset] = missing
+                if syndrome is not None:
+                    self.syndromes[self.records_seen + offset] = syndrome
+                    wrapper[offset] = syndrome.wrapper_damaged
+                    body_bits[offset] = syndrome.body_bits_damaged
             self._column_chunks.append({
                 "class_codes": codes,
                 "sequences": sequences,
@@ -355,11 +292,12 @@ class IncrementalClassifier:
                 if count:
                     self.class_counts[CLASS_ORDER[code]] += count
 
-    def feed(self, trace: AnyTrace) -> list[ClassifiedPacket]:
+    def feed(self, trace: AnyTrace) -> None:
         """Classify a whole trace-shaped chunk (dispatch on its type)."""
         if isinstance(trace, ColumnarTrace):
-            return self.feed_columnar(trace)
-        return self.feed_records(trace.records)
+            self.feed_columnar(trace)
+        else:
+            self.feed_records(trace.records)
 
     # ------------------------------------------------------------------
     def verdict_columns(self) -> dict:
@@ -369,17 +307,21 @@ class IncrementalClassifier:
         :data:`CLASS_ORDER`; ``sequences`` holds -1 for "none"): cheap
         to pickle across a pool boundary or frame onto a wire.
         """
-        if not self.collect_packets:
-            chunks = self._column_chunks
-            if len(chunks) == 1:
-                return dict(chunks[0])
-            if not chunks:
-                return _columns_from_packets([])
+        chunks = self._column_chunks
+        if len(chunks) == 1:
+            return dict(chunks[0])
+        if not chunks:
             return {
-                key: np.concatenate([chunk[key] for chunk in chunks])
-                for key in chunks[0]
+                "class_codes": np.zeros(0, dtype=np.uint8),
+                "sequences": np.zeros(0, dtype=np.int64),
+                "wrapper_damaged": np.zeros(0, dtype=bool),
+                "body_bits_damaged": np.zeros(0, dtype=np.int64),
+                "truncated_missing": np.zeros(0, dtype=np.int32),
             }
-        return _columns_from_packets(self.packets)
+        return {
+            key: np.concatenate([chunk[key] for chunk in chunks])
+            for key in chunks[0]
+        }
 
     def count_summary(self) -> dict[str, int]:
         """JSON-friendly per-class counts (zero-filled, conserved)."""
@@ -388,40 +330,15 @@ class IncrementalClassifier:
         }
 
     def finish(self, trace: AnyTrace) -> ClassifiedTrace:
-        """Wrap the running verdicts as the batch-API result object."""
-        if not self.collect_packets:
-            raise RuntimeError(
-                "finish() needs per-packet results; this classifier was "
-                "built with collect_packets=False (columns only)"
-            )
-        return ClassifiedTrace(trace=trace, packets=self.packets)
+        """Wrap the running verdicts as the batch-API result object.
 
-
-def _columns_from_packets(
-    packets: Sequence[ClassifiedPacket],
-) -> dict:
-    """Pack classified packets into the compact verdict columns."""
-    n = len(packets)
-    class_codes = np.empty(n, dtype=np.uint8)
-    sequences = np.empty(n, dtype=np.int64)
-    wrapper_damaged = np.empty(n, dtype=bool)
-    body_bits = np.empty(n, dtype=np.int64)
-    truncated = np.empty(n, dtype=np.int32)
-    for index, packet in enumerate(packets):
-        class_codes[index] = CLASS_CODE[packet.packet_class]
-        sequences[index] = (
-            -1 if packet.sequence is None else packet.sequence
+        ``trace`` is the trace whose rows were fed, in order.
+        """
+        return ClassifiedTrace(
+            trace=as_columnar(trace),
+            columns=self.verdict_columns(),
+            syndromes=dict(self.syndromes),
         )
-        wrapper_damaged[index] = packet.wrapper_damaged
-        body_bits[index] = packet.body_bits_damaged
-        truncated[index] = packet.truncated_bytes_missing
-    return {
-        "class_codes": class_codes,
-        "sequences": sequences,
-        "wrapper_damaged": wrapper_damaged,
-        "body_bits_damaged": body_bits,
-        "truncated_missing": truncated,
-    }
 
 
 def verdict_row_bytes(columns: dict) -> bytes:
@@ -457,40 +374,34 @@ def classify_trace(trace: AnyTrace) -> ClassifiedTrace:
     """Run matching + damage classification over a whole trial.
 
     A thin batch wrapper over :class:`IncrementalClassifier` — one
-    classifier, the whole trace fed as a single chunk (the classifier
-    re-chunks internally for cache friendliness), results identical to
-    any streamed chunking of the same records.
+    classifier, the whole trace (columnarized once if it is a record
+    trace) fed as a single chunk (the classifier re-chunks internally
+    for cache friendliness), results identical to any streamed
+    chunking of the same records.
     """
+    columnar = as_columnar(trace)
     classifier = IncrementalClassifier(trace.spec, trace.packets_sent)
     with _obs.trace_span(
         "analysis.classify",
         records=trace.packets_received,
         columnar=isinstance(trace, ColumnarTrace),
     ):
-        classifier.feed(trace)
-    return classifier.finish(trace)
+        classifier.feed_columnar(columnar)
+    return classifier.finish(columnar)
 
 
 def _classify_one(
-    matcher: TraceMatcher,
-    record: PacketRecord,
-    data: Optional[bytes],
-    match: MatchResult,
-    length: Optional[int] = None,
-) -> ClassifiedPacket:
-    """Turn one record's match result into its classification.
+    matcher: TraceMatcher, data: bytes, match: MatchResult
+) -> tuple[PacketClass, Optional[int], Optional[ErrorSyndrome], int]:
+    """Turn one record's match result into its verdict.
 
-    ``data`` may be ``None`` on the columnar path — but only for exact
-    (fast-path) matches, whose branches never touch the bytes; every
-    fallback verdict (outsiders, voting, header-led) arrives with the
-    frame already materialized.
+    Returns the primary class, the recovered sequence (None when there
+    is none), the syndrome of a full-length matched frame, and the
+    bytes truncation took.
     """
-    if length is None:
-        length = len(data)
+    length = len(data)
     if match.outcome is MatchOutcome.OUTSIDER:
-        return ClassifiedPacket(
-            record=record, packet_class=_classify_outsider(data)
-        )
+        return _classify_outsider(data), None, None, 0
     sequence = match.sequence
     if sequence is None:
         # Confident test packet, ambiguous sequence: the IP id only
@@ -499,26 +410,16 @@ def _classify_one(
         # truncated frames; classify the damage without claiming a
         # sequence rather than guessing the wrong epoch.
         assert match.ambiguous
-        return ClassifiedPacket(
-            record=record,
-            packet_class=PacketClass.TRUNCATED
+        packet_class = (
+            PacketClass.TRUNCATED
             if length < FRAME_BYTES
-            else PacketClass.WRAPPER_DAMAGED,
-            truncated_bytes_missing=max(0, FRAME_BYTES - length),
+            else PacketClass.WRAPPER_DAMAGED
         )
+        return packet_class, None, None, max(0, FRAME_BYTES - length)
     if match.exact:
-        return ClassifiedPacket(
-            record=record,
-            packet_class=PacketClass.UNDAMAGED,
-            sequence=sequence,
-        )
+        return PacketClass.UNDAMAGED, sequence, None, 0
     if length < FRAME_BYTES:
-        return ClassifiedPacket(
-            record=record,
-            packet_class=PacketClass.TRUNCATED,
-            sequence=sequence,
-            truncated_bytes_missing=FRAME_BYTES - length,
-        )
+        return PacketClass.TRUNCATED, sequence, None, FRAME_BYTES - length
     syndrome = extract_syndrome(data, sequence, matcher.factory)
     if syndrome.body_bits_damaged > 0:
         packet_class = PacketClass.BODY_DAMAGED
@@ -526,11 +427,4 @@ def _classify_one(
         packet_class = PacketClass.WRAPPER_DAMAGED
     else:
         packet_class = PacketClass.UNDAMAGED
-    return ClassifiedPacket(
-        record=record,
-        packet_class=packet_class,
-        sequence=sequence,
-        syndrome=syndrome,
-        wrapper_damaged=syndrome.wrapper_damaged,
-        body_bits_damaged=syndrome.body_bits_damaged,
-    )
+    return packet_class, sequence, syndrome, 0

@@ -203,78 +203,12 @@ class TraceMatcher:
                 state.metrics.counter("match.fast_path_hits").inc(hits)
         return exact, matched
 
-    def match_records_arrays(
-        self, records: Sequence[PacketRecord]
-    ) -> tuple[np.ndarray, np.ndarray, list[Optional[bytes]]]:
-        """The fast path over a chunk of records, bytes left lazy.
-
-        Returns ``(exact, sequences, datas)``: the
-        :meth:`match_matrix_arrays` verdict per record plus a bytes
-        list populated *only* for the rows the fast path did not
-        resolve (exactly the rows a caller must run the scalar
-        fallback on).  Records stored as pristine references to this
-        matcher's own spec are resolved without ever materializing
-        their frames: ``record.data`` is *defined* as
-        ``factory.build(sequence)``, and with equal specs that is
-        byte-identical to the frame the fast path checks it against —
-        so byte equality holds by construction and only the
-        sequence-plausibility bound needs checking.  Explicit
-        full-length rows still go through the whole-matrix checks.
-        """
-        n = len(records)
-        exact = np.zeros(n, dtype=bool)
-        matched = np.full(n, -1, dtype=np.int64)
-        datas: list[Optional[bytes]] = [None] * n
-        if not n:
-            return exact, matched, datas
-        spec_ok: dict[int, bool] = {}
-        pristine_rows: list[int] = []
-        pristine_seqs: list[int] = []
-        explicit_full: list[int] = []
-        for index, record in enumerate(records):
-            data = record._data
-            if data is None:
-                ref = record._pristine_ref
-                if ref is not None:
-                    factory = ref[0]
-                    known = spec_ok.get(id(factory))
-                    if known is None:
-                        known = factory.spec == self.spec
-                        spec_ok[id(factory)] = known
-                    if known:
-                        pristine_rows.append(index)
-                        pristine_seqs.append(ref[1])
-                        continue
-                data = record.data  # foreign spec: no shortcut
-                datas[index] = data
-            else:
-                datas[index] = data
-            if len(data) == FRAME_BYTES:
-                explicit_full.append(index)
-        if pristine_rows:
-            rows = np.asarray(pristine_rows, dtype=np.int64)
-            seqs = np.asarray(pristine_seqs, dtype=np.int64)
-            plausible = seqs < self.packets_sent + SEQUENCE_SLACK
-            hit_rows = rows[plausible]
-            exact[hit_rows] = True
-            matched[hit_rows] = seqs[plausible]
-            state = _obs.STATE
-            if state.enabled and hit_rows.size:
-                state.metrics.counter("match.fast_path_hits").inc(
-                    int(hit_rows.size)
-                )
-            for row in rows[~plausible].tolist():
-                datas[row] = records[row].data  # implausible: fall back
-        if explicit_full:
-            matrix = np.frombuffer(
-                b"".join(datas[i] for i in explicit_full), dtype=np.uint8
-            ).reshape(len(explicit_full), FRAME_BYTES)
-            ex, seqs = self.match_matrix_arrays(matrix)
-            rows = np.asarray(explicit_full, dtype=np.int64)
-            hit_rows = rows[ex]
-            exact[hit_rows] = True
-            matched[hit_rows] = seqs[ex]
-        return exact, matched, datas
+    def match_records_arrays(self, records: Sequence[PacketRecord]):
+        """Exists only because ``perfbench/layertrace.py`` wraps
+        ``TraceMatcher.match_records_arrays`` by name; nothing calls it.
+        Record lists are columnarized and matched through
+        :meth:`match_matrix_arrays`."""
+        raise NotImplementedError("records are matched as columns")
 
     def _match_impl(self, data: bytes, skip_fast: bool = False) -> MatchResult:
         if not skip_fast:

@@ -15,10 +15,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Union
 
-from repro.analysis.classify import ClassifiedTrace, PacketClass, classify_trace
+import numpy as np
+
+from repro.analysis.classify import (
+    CLASS_CODE,
+    ClassifiedTrace,
+    PacketClass,
+    classify_trace,
+)
 from repro.framing.testpacket import BODY_BITS, BODY_START
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.records import TrialTrace
 
 
@@ -75,47 +83,41 @@ class TrialMetrics:
 
 
 def metrics_from_classified(classified: ClassifiedTrace) -> TrialMetrics:
-    """Fold a classified trace into its Table-1 row."""
+    """Fold a classified trace into its Table-1 row (from its columns)."""
     trace = classified.trace
-    test_packets = classified.test_packets
+    columns = classified.columns
+    test_rows = classified.test_rows
+    truncated = classified.rows(PacketClass.TRUNCATED)
+    body_damaged = classified.rows(PacketClass.BODY_DAMAGED)
 
-    truncated = classified.by_class(PacketClass.TRUNCATED)
-    body_damaged = classified.by_class(PacketClass.BODY_DAMAGED)
-    wrapper_damaged_count = sum(
-        1
-        for packet in test_packets
-        if packet.wrapper_damaged
-        or packet.packet_class is PacketClass.WRAPPER_DAMAGED
+    wrapper_code = CLASS_CODE[PacketClass.WRAPPER_DAMAGED]
+    wrapper_damaged_count = int(np.count_nonzero(
+        columns["wrapper_damaged"][test_rows]
+        | (classified.class_codes[test_rows] == wrapper_code)
+    ))
+    # Truncated bodies count the body bytes that arrived; every other
+    # test packet carries a whole body.
+    received_body_bytes = trace.lengths[truncated].astype(np.int64) - BODY_START
+    body_bits_received = (len(test_rows) - len(truncated)) * BODY_BITS + 8 * int(
+        np.maximum(received_body_bytes, 0).sum()
     )
-
-    body_bits_received = 0
-    for packet in test_packets:
-        if packet.packet_class is PacketClass.TRUNCATED:
-            received_body_bytes = max(0, packet.record.length - BODY_START)
-            body_bits_received += received_body_bytes * 8
-        else:
-            body_bits_received += BODY_BITS
-
-    body_bits_damaged = sum(p.body_bits_damaged for p in test_packets)
-    worst = max(
-        (p.body_bits_damaged for p in body_damaged),
-        default=None,
-    )
+    body_bits = columns["body_bits_damaged"]
+    worst = int(body_bits[body_damaged].max()) if len(body_damaged) else None
 
     return TrialMetrics(
         name=trace.name,
         packets_sent=trace.packets_sent,
-        packets_received=len(test_packets),
+        packets_received=len(test_rows),
         packets_truncated=len(truncated),
         body_bits_received=body_bits_received,
         wrapper_damaged=wrapper_damaged_count,
         body_damaged_packets=len(body_damaged),
-        body_bits_damaged=body_bits_damaged,
+        body_bits_damaged=int(body_bits[test_rows].sum()),
         worst_body_bits=worst,
-        outsiders_received=len(classified.outsiders),
+        outsiders_received=len(classified.class_codes) - len(test_rows),
     )
 
 
-def analyze_trial(trace: TrialTrace) -> TrialMetrics:
+def analyze_trial(trace: Union[TrialTrace, ColumnarTrace]) -> TrialMetrics:
     """Classify and summarize a trial in one call."""
     return metrics_from_classified(classify_trace(trace))

@@ -10,9 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from repro.analysis.classify import ClassifiedPacket, ClassifiedTrace, PacketClass
+import numpy as np
+
+from repro.analysis.classify import ClassifiedTrace, PacketClass
+from repro.trace.columnar import ColumnarTrace
 
 
 @dataclass
@@ -56,19 +59,20 @@ class SignalStats:
     quality: Optional[MetricSummary]
 
 
-def stats_for_packets(group: str, packets: Iterable[ClassifiedPacket]) -> SignalStats:
-    """Compute the three metric summaries for a packet group."""
-    packet_list = list(packets)
-    levels = [p.record.status.signal_level for p in packet_list]
-    silences = [p.record.status.silence_level for p in packet_list]
-    qualities = [p.record.status.signal_quality for p in packet_list]
+def stats_for_rows(group: str, trace: ColumnarTrace, rows: np.ndarray) -> SignalStats:
+    """The three metric summaries over ``rows`` of a trace's registers."""
     return SignalStats(
         group=group,
-        packets=len(packet_list),
-        level=summarize(levels),
-        silence=summarize(silences),
-        quality=summarize(qualities),
+        packets=len(rows),
+        level=summarize(trace.levels[rows].tolist()),
+        silence=summarize(trace.silences[rows].tolist()),
+        quality=summarize(trace.qualities[rows].tolist()),
     )
+
+
+def stats_for_test_packets(group: str, classified: ClassifiedTrace) -> SignalStats:
+    """The three metric summaries over a classified trace's test packets."""
+    return stats_for_rows(group, classified.trace, classified.test_rows)
 
 
 # The standard grouping used by Table 3 (and echoed by Tables 7, 9, 13).
@@ -99,7 +103,7 @@ def signal_stats_by_class(
     """Per-class signal summaries in the paper's standard grouping."""
     rows = []
     for name, classes in groups:
-        stats = stats_for_packets(name, classified.by_class(*classes))
+        stats = stats_for_rows(name, classified.trace, classified.rows(*classes))
         if stats.packets > 0 or include_empty:
             rows.append(stats)
     return rows

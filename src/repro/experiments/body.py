@@ -17,7 +17,7 @@ from repro.analysis.metrics import TrialMetrics, metrics_from_classified
 from repro.analysis.signalstats import (
     SignalStats,
     signal_stats_by_class,
-    stats_for_packets,
+    stats_for_test_packets,
 )
 from repro.analysis.tables import render_metrics_table, render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
@@ -82,7 +82,7 @@ def _run_trial(
     classified = classify_trace(output.trace)
     return (
         metrics_from_classified(classified),
-        stats_for_packets(name, classified.test_packets),
+        stats_for_test_packets(name, classified),
         classified if with_body else None,
     )
 

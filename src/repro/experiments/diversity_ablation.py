@@ -70,18 +70,14 @@ def _run_level(level: float, packets: int, seed: int) -> list[DiversityPoint]:
             )
         )
         classified = classify_trace(output.trace)
-        damaged = sum(
-            1
-            for p in classified.test_packets
-            if p.packet_class is not PacketClass.UNDAMAGED
-        )
+        received = len(classified.test_rows)
         points.append(
             DiversityPoint(
                 level=level,
                 branches=branches,
                 packets_sent=packets,
-                lost=packets - len(classified.test_packets),
-                damaged=damaged,
+                lost=packets - received,
+                damaged=received - len(classified.rows(PacketClass.UNDAMAGED)),
             )
         )
     return points

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from repro.analysis.classify import ClassifiedTrace, classify_trace
+from repro.analysis.classify import ClassifiedTrace, PacketClass, classify_trace
 from repro.analysis.signalstats import SignalStats, signal_stats_by_class
 from repro.analysis.tables import render_signal_table
 from repro.environment.geometry import Point
@@ -144,13 +144,9 @@ def _run_subtrial(
     # the sent count and observed readings for received packets.
     mean_level = int(round(config.resolved_mean_level()))
     classified_sub = classify_trace(output.trace)
-    received = len(classified_sub.test_packets)
-    damaged = sum(
-        1
-        for packet in classified_sub.test_packets
-        if packet.packet_class.name != "UNDAMAGED"
-    )
-    trace = ColumnarTrace.from_trace(output.trace)
+    received = len(classified_sub.test_rows)
+    damaged = received - len(classified_sub.rows(PacketClass.UNDAMAGED))
+    trace = output.trace
     return _Subtrial(
         mean_level=mean_level,
         sent=packets,

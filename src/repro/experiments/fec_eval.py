@@ -199,21 +199,16 @@ VARIANTS = (
 
 
 def _collect_syndromes(classified, limit: int) -> list[ErrorSyndrome]:
-    syndromes = [
-        p.syndrome
-        for p in classified.by_class(PacketClass.BODY_DAMAGED)
-        if p.syndrome is not None
-    ]
-    return syndromes[:limit]
+    return classified.syndromes_of(PacketClass.BODY_DAMAGED)[:limit]
 
 
 def _adaptive_schedule(scenario: str, classified) -> AdaptiveOutcome:
     controller = AdaptiveFecController()
-    statuses = [packet.record.status for packet in classified.test_packets]
+    trace, rows = classified.trace, classified.test_rows
     rates = controller.observe_bulk(
-        np.array([s.signal_level for s in statuses], dtype=np.float64),
-        np.array([s.silence_level for s in statuses], dtype=np.float64),
-        np.array([s.signal_quality for s in statuses], dtype=np.float64),
+        trace.levels[rows].astype(np.float64),
+        trace.silences[rows].astype(np.float64),
+        trace.qualities[rows].astype(np.float64),
     )
     counts: dict[str, int] = {name: 0 for name in RATE_ORDER}
     overhead = {name: RcpcCodec(name).overhead for name in RATE_ORDER}

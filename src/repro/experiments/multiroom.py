@@ -25,7 +25,7 @@ from repro.analysis.metrics import TrialMetrics, metrics_from_classified
 from repro.analysis.signalstats import (
     SignalStats,
     signal_stats_by_class,
-    stats_for_packets,
+    stats_for_test_packets,
 )
 from repro.analysis.tables import render_metrics_table, render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
@@ -91,7 +91,7 @@ def _run_location(
     classified = classify_trace(output.trace)
     return (
         metrics_from_classified(classified),
-        stats_for_packets(name, classified.test_packets),
+        stats_for_test_packets(name, classified),
         classified if name == "Tx5" else None,
     )
 

@@ -18,12 +18,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.analysis.classify import classify_trace
+from repro.analysis.classify import OUTSIDER_CLASSES, classify_trace
 from repro.analysis.metrics import TrialMetrics, metrics_from_classified
 from repro.analysis.signalstats import (
-    PacketClass,
     SignalStats,
-    stats_for_packets,
+    stats_for_rows,
+    stats_for_test_packets,
 )
 from repro.analysis.tables import render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
@@ -97,14 +97,12 @@ def _run_trial(
             format=trace_format,
         )
     classified = classify_trace(output.trace)
-    outsiders = classified.by_class(
-        PacketClass.OUTSIDER_UNDAMAGED, PacketClass.OUTSIDER_DAMAGED
-    )
+    outsiders = classified.rows(*OUTSIDER_CLASSES)
     return (
         metrics_from_classified(classified),
-        stats_for_packets(trial, classified.test_packets),
-        stats_for_packets(f"{trial} (outsiders)", outsiders)
-        if outsiders
+        stats_for_test_packets(trial, classified),
+        stats_for_rows(f"{trial} (outsiders)", classified.trace, outsiders)
+        if len(outsiders)
         else None,
     )
 

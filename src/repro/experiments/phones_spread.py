@@ -23,7 +23,7 @@ from repro.analysis.metrics import TrialMetrics, metrics_from_classified
 from repro.analysis.signalstats import (
     SignalStats,
     signal_stats_by_class,
-    stats_for_packets,
+    stats_for_test_packets,
 )
 from repro.analysis.tables import render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
@@ -169,7 +169,7 @@ def _run_trial(
         classified=shipped,
         metrics=metrics,
         summary=summary,
-        signal_row=stats_for_packets(trial, classified.test_packets),
+        signal_row=stats_for_test_packets(trial, classified),
         handset_breakdown=(
             signal_stats_by_class(classified) if trial == "AT&T handset" else []
         ),

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.analysis.classify import classify_trace
-from repro.analysis.signalstats import stats_for_packets
+from repro.analysis.signalstats import stats_for_test_packets
 from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.experiments.tracedir import trial_trace_path
@@ -84,7 +84,7 @@ def _run_point(
             format=trace_format,
         )
     classified = classify_trace(output.trace)
-    stats = stats_for_packets(config.name, classified.test_packets)
+    stats = stats_for_test_packets(config.name, classified)
     if stats.level is None:
         return DistancePoint(distance, 0, 0, 0.0, 0)
     return DistancePoint(

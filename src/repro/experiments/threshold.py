@@ -111,13 +111,10 @@ def _filtering_point(
             format=trace_format,
         )
     classified = classify_trace(output.trace)
-    received = len(classified.test_packets)
-    damaged = sum(
-        1
-        for p in classified.test_packets
-        if p.packet_class is not PacketClass.UNDAMAGED
-    )
-    levels = [p.record.status.signal_level for p in classified.test_packets]
+    test_rows = classified.test_rows
+    received = len(test_rows)
+    damaged = received - len(classified.rows(PacketClass.UNDAMAGED))
+    levels = classified.trace.levels[test_rows].tolist()
     level_min = min(levels) if levels else 0
     level_max = max(levels) if levels else 0
     return received, damaged, level_min, level_max, output.dispositions.missed

@@ -125,18 +125,17 @@ def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
         )
     )
     classified = classify_trace(output.trace)
-    undamaged = len(classified.by_class(PacketClass.UNDAMAGED))
-    damaged = classified.by_class(PacketClass.BODY_DAMAGED)
-    truncated = len(classified.by_class(PacketClass.TRUNCATED))
+    undamaged = len(classified.rows(PacketClass.UNDAMAGED))
+    damaged = len(classified.rows(PacketClass.BODY_DAMAGED))
+    truncated = len(classified.rows(PacketClass.TRUNCATED))
     # Every damaged packet of the level replays in one batched decode.
     errors = replay_damage(
         codec,
         info,
         transmitted,
         [
-            _coded_positions(p.syndrome, len(transmitted))
-            for p in damaged
-            if p.syndrome is not None
+            _coded_positions(syndrome, len(transmitted))
+            for syndrome in classified.syndromes_of(PacketClass.BODY_DAMAGED)
         ],
         interleaver,
     )
@@ -145,9 +144,9 @@ def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
         level=level,
         packets_sent=packets,
         undamaged=undamaged,
-        body_damaged=len(damaged),
+        body_damaged=damaged,
         truncated=truncated,
-        lost=packets - len(classified.test_packets),
+        lost=packets - len(classified.test_rows),
         fec_recovered=recovered,
     )
 

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.analysis.classify import classify_trace
-from repro.analysis.signalstats import stats_for_packets
+from repro.analysis.signalstats import stats_for_test_packets
 from repro.environment.geometry import Point
 from repro.environment.propagation import PropagationModel
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
@@ -81,9 +81,9 @@ class ValidationResult:
 
 def _trace_stats(trace):
     classified = classify_trace(trace)
-    stats = stats_for_packets("all", classified.test_packets)
+    stats = stats_for_test_packets("all", classified)
     return (
-        len(classified.test_packets),
+        stats.packets,
         stats.level.mean if stats.level else 0.0,
         stats.quality.mean if stats.quality else 0.0,
         stats.silence.mean if stats.silence else 0.0,

@@ -13,7 +13,7 @@ from typing import Optional
 
 from repro.analysis.classify import classify_trace
 from repro.analysis.metrics import TrialMetrics, metrics_from_classified
-from repro.analysis.signalstats import SignalStats, stats_for_packets
+from repro.analysis.signalstats import SignalStats, stats_for_test_packets
 from repro.analysis.tables import render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.experiments.tracedir import trial_trace_path
@@ -67,7 +67,7 @@ def _run_wall(
     classified = classify_trace(output.trace)
     return (
         metrics_from_classified(classified),
-        stats_for_packets(name, classified.test_packets),
+        stats_for_test_packets(name, classified),
     )
 
 

@@ -295,12 +295,14 @@ class TestPacketFactory:
 
         Returns a ``(len(sequences), FRAME_BYTES)`` uint8 matrix, each
         row byte-identical to ``build(sequence)``, assembled from
-        :meth:`wrapper_bulk` with the body word tiled 256 times.
+        :meth:`wrapper_bulk`.  The body word is broadcast into the body
+        as one 32-bit lane per word, so the frames are the only
+        frame-sized allocation.
         """
         headers, words, fcs = self.wrapper_bulk(sequences)
         frames = np.empty((len(headers), FRAME_BYTES), dtype=np.uint8)
         frames[:, :BODY_START] = headers
-        frames[:, BODY_START:BODY_END] = np.tile(words, (1, WORDS_PER_PACKET))
+        frames[:, BODY_START:BODY_END].view(np.uint32)[:] = words.view(np.uint32)
         frames[:, BODY_END:] = fcs
         return frames
 

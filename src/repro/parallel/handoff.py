@@ -9,10 +9,9 @@ block** (:mod:`repro.trace.columnar`) in a temp file and ships only a
 small :class:`TraceHandle`; the parent memory-maps the file zero-copy
 and unlinks it on load (POSIX keeps the mapping valid).
 
-Classified traces travel as compact per-packet columns plus the trace
+Classified traces travel as their verdict columns plus the trace
 handle (:class:`PortableClassifiedTrace`); the parent's ``resolve()``
-rebuilds a :class:`~repro.analysis.classify.ClassifiedTrace` whose
-packets carry lazy record views over the mapped columns.  ``run_tasks``
+pairs the columns with the mapped trace again.  ``run_tasks``
 resolves portable task values automatically and exports its pool
 workers' files into a directory it removes when the run ends.
 
@@ -30,14 +29,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
 
-import numpy as np
-
-from repro.analysis.classify import (
-    CLASS_CODE,
-    CLASS_ORDER,
-    ClassifiedPacket,
-    ClassifiedTrace,
-)
+from repro.analysis.classify import ClassifiedTrace
 from repro.analysis.syndrome import ErrorSyndrome
 from repro.obs import runtime as _obs
 from repro.trace.columnar import (
@@ -49,11 +41,6 @@ from repro.trace.columnar import (
 from repro.trace.records import TrialTrace
 
 AnyTrace = Union[TrialTrace, ColumnarTrace]
-
-# Stable wire order for PacketClass codes (u1 column) — the canonical
-# table lives with the enum in repro.analysis.classify.
-_CLASS_ORDER = CLASS_ORDER
-_CLASS_CODE = CLASS_CODE
 
 #: Where exports land when the caller names no directory (None = the
 #: system temp dir).  Set only inside ``run_tasks`` pool workers, by the
@@ -424,42 +411,23 @@ def detach_ring(name: str) -> None:
 class PortableClassifiedTrace:
     """A classified trace flattened for the pool boundary.
 
-    Per-packet verdicts travel as compact numpy columns, raw records as
-    a :class:`TraceHandle`; only the damaged minority's syndromes keep
-    their object form.  ``resolve()`` reconstructs a
+    The verdict columns travel as they are, raw records as a
+    :class:`TraceHandle`, and only the damaged minority's syndromes
+    keep their object form.  ``resolve()`` reconstructs a
     :class:`ClassifiedTrace` equivalent (verdict-for-verdict) to the
     one the worker classified.
     """
 
     handle: TraceHandle
-    class_codes: np.ndarray
-    sequences: np.ndarray  # -1 encodes "no sequence recovered"
-    wrapper_damaged: np.ndarray
-    body_bits_damaged: np.ndarray
-    truncated_missing: np.ndarray
-    syndromes: list[tuple[int, ErrorSyndrome]] = field(default_factory=list)
+    columns: dict
+    syndromes: dict[int, ErrorSyndrome] = field(default_factory=dict)
 
     def resolve(self) -> ClassifiedTrace:
-        trace = self.handle.load()
-        syndrome_by_index = dict(self.syndromes)
-        packets = []
-        sequences = self.sequences.tolist()
-        for index, code in enumerate(self.class_codes.tolist()):
-            sequence = sequences[index]
-            packets.append(
-                ClassifiedPacket(
-                    record=trace.record_view(index),
-                    packet_class=_CLASS_ORDER[code],
-                    sequence=None if sequence < 0 else sequence,
-                    syndrome=syndrome_by_index.get(index),
-                    wrapper_damaged=bool(self.wrapper_damaged[index]),
-                    body_bits_damaged=int(self.body_bits_damaged[index]),
-                    truncated_bytes_missing=int(
-                        self.truncated_missing[index]
-                    ),
-                )
-            )
-        return ClassifiedTrace(trace=trace, packets=packets)
+        return ClassifiedTrace(
+            trace=self.handle.load(),
+            columns=self.columns,
+            syndromes=self.syndromes,
+        )
 
     def __portable_resolve__(self) -> ClassifiedTrace:
         return self.resolve()
@@ -470,30 +438,10 @@ def export_classified(
     directory: Optional[Union[str, Path]] = None,
 ) -> PortableClassifiedTrace:
     """Flatten a classified trace for the pool boundary (worker side)."""
-    packets = classified.packets
-    n = len(packets)
-    class_codes = np.empty(n, dtype=np.uint8)
-    sequences = np.empty(n, dtype=np.int64)
-    wrapper_damaged = np.empty(n, dtype=bool)
-    body_bits = np.empty(n, dtype=np.int64)
-    truncated = np.empty(n, dtype=np.int32)
-    syndromes: list[tuple[int, ErrorSyndrome]] = []
-    for index, packet in enumerate(packets):
-        class_codes[index] = _CLASS_CODE[packet.packet_class]
-        sequences[index] = -1 if packet.sequence is None else packet.sequence
-        wrapper_damaged[index] = packet.wrapper_damaged
-        body_bits[index] = packet.body_bits_damaged
-        truncated[index] = packet.truncated_bytes_missing
-        if packet.syndrome is not None:
-            syndromes.append((index, packet.syndrome))
     return PortableClassifiedTrace(
         handle=export_trace(classified.trace, directory=directory),
-        class_codes=class_codes,
-        sequences=sequences,
-        wrapper_damaged=wrapper_damaged,
-        body_bits_damaged=body_bits,
-        truncated_missing=truncated,
-        syndromes=syndromes,
+        columns=classified.columns,
+        syndromes=classified.syndromes,
     )
 
 

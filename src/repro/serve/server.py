@@ -176,7 +176,7 @@ def _batch_feed(
     object graphs.
     """
     classifier = IncrementalClassifier(
-        matcher.spec, packets_sent, matcher=matcher, collect_packets=False
+        matcher.spec, packets_sent, matcher=matcher
     )
     chunk_records = []
     for item in items:

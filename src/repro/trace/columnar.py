@@ -34,19 +34,18 @@ the file loudly rather than serving partial columns).
 
 from __future__ import annotations
 
-import io
 import json
 import struct
 from array import array
 from pathlib import Path
-from typing import IO, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.framing.ethernet import MacAddress
 from repro.framing.testpacket import TestPacketSpec
 from repro.phy.modem import ModemRxStatus
-from repro.trace.records import PacketRecord, TrialTrace, materialize_data
+from repro.trace.records import PacketRecord, TrialTrace
 
 MAGIC = b"WLTRACE2"
 FORMAT_VERSION = 2
@@ -208,44 +207,27 @@ class ColumnarTraceWriter:
         self.close()
 
 
-# Records are appended through ``materialize_data`` in batches of this
-# many so pristine references go through ``build_bulk``, not the
-# scalar ``build()`` path.
-_WRITE_CHUNK_RECORDS = 4096
-
-
 def write_columnar(
     trace: Union[TrialTrace, "ColumnarTrace"],
     target: Union[PathLike, IO[bytes]],
 ) -> None:
     """Write ``trace`` (in-memory or already-columnar) as format v2."""
-    if isinstance(trace, ColumnarTrace):
-        with ColumnarTraceWriter(
-            target, trace.name, trace.spec, trace.packets_sent,
-            trace.first_sequence,
-        ) as writer:
-            # Columns are already materialized: stream the payload
-            # wholesale and splice the columns in directly.
-            writer._stream.write(trace.payload.tobytes())
-            writer._payload_nbytes = int(trace.payload.shape[0])
-            for key, (dtype, code) in _COLUMNS.items():
-                column = array(code)
-                column.frombytes(
-                    np.ascontiguousarray(
-                        getattr(trace, key), dtype=dtype
-                    ).tobytes()
-                )
-                writer._cols[key] = column
-        return
+    trace = as_columnar(trace)
     with ColumnarTraceWriter(
         target, trace.name, trace.spec, trace.packets_sent,
         trace.first_sequence,
     ) as writer:
-        records = trace.records
-        for start in range(0, len(records), _WRITE_CHUNK_RECORDS):
-            chunk = records[start : start + _WRITE_CHUNK_RECORDS]
-            for record, data in zip(chunk, materialize_data(chunk)):
-                writer.append(data, record.status, record.time)
+        # The columns are the file's columns: stream the payload
+        # wholesale and splice the columns in directly.
+        payload = transient_payload(trace)
+        writer._stream.write(np.ascontiguousarray(payload).data)
+        writer._payload_nbytes = int(payload.shape[0])
+        for key, (dtype, code) in _COLUMNS.items():
+            column = array(code)
+            column.frombytes(
+                np.ascontiguousarray(getattr(trace, key), dtype=dtype).tobytes()
+            )
+            writer._cols[key] = column
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +272,6 @@ class PacketRecordView:
     @property
     def length(self) -> int:
         return int(self._trace.lengths[self._index])
-
-    def materialize(self) -> PacketRecord:
-        return PacketRecord.from_bytes(self.data, self.status, self.time)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -347,6 +326,12 @@ class ColumnarTrace:
     Columns may be views onto a memory-mapped file or a shared-memory
     block (``_backing`` keeps the mapping alive); nothing is copied
     until a consumer asks for per-record bytes.
+
+    ``payload`` may also be given as a zero-argument function that
+    builds it: a simulated trial's frames are then built the first time
+    anything reads them, once, and kept — as a memory-mapped file's
+    pages arrive on first read.  Writes read them through
+    :func:`transient_payload`, which does not keep them.
     """
 
     def __init__(
@@ -362,7 +347,7 @@ class ColumnarTrace:
         antennas: np.ndarray,
         offsets: np.ndarray,
         lengths: np.ndarray,
-        payload: np.ndarray,
+        payload: Union[np.ndarray, Callable[[], np.ndarray]],
         first_sequence: int = 0,
         backing: object = None,
     ) -> None:
@@ -377,8 +362,15 @@ class ColumnarTrace:
         self.antennas = antennas
         self.offsets = offsets
         self.lengths = lengths
-        self.payload = payload
+        self._payload = payload
         self._backing = backing
+
+    @property
+    def payload(self) -> np.ndarray:
+        """Every record's raw bytes, back to back (see ``offsets``)."""
+        if callable(self._payload):
+            self._payload = self._payload()
+        return self._payload
 
     # -- TrialTrace-compatible surface ---------------------------------
     @property
@@ -420,37 +412,43 @@ class ColumnarTrace:
 
     # -- conversion ----------------------------------------------------
     @classmethod
+    def from_records(
+        cls,
+        records: Sequence[PacketRecord],
+        name: str,
+        spec: TestPacketSpec,
+        packets_sent: int,
+        first_sequence: int = 0,
+    ) -> "ColumnarTrace":
+        """Columnarize a record list: one payload join, one pass per
+        column, no file encoding in between."""
+        datas = [record.data for record in records]
+        statuses = [record.status for record in records]
+        lengths = np.fromiter(map(len, datas), dtype=np.uint32, count=len(datas))
+        return cls(
+            name=name,
+            spec=spec,
+            packets_sent=packets_sent,
+            first_sequence=first_sequence,
+            times=np.array([record.time for record in records], dtype=np.float64),
+            levels=np.array([s.signal_level for s in statuses], dtype=np.int16),
+            silences=np.array([s.silence_level for s in statuses], dtype=np.int16),
+            qualities=np.array(
+                [s.signal_quality for s in statuses], dtype=np.int16
+            ),
+            antennas=np.array([s.antenna for s in statuses], dtype=np.int16),
+            offsets=start_offsets(lengths),
+            lengths=lengths,
+            payload=np.frombuffer(b"".join(datas), dtype=np.uint8),
+        )
+
+    @classmethod
     def from_trace(cls, trace: TrialTrace) -> "ColumnarTrace":
         """Columnarize an in-memory :class:`TrialTrace` (no file I/O)."""
-        buffer = io.BytesIO()
-        write_columnar(trace, buffer)
-        return read_columnar_buffer(buffer.getbuffer(), copy=True)
-
-    def to_trial_trace(self) -> TrialTrace:
-        """Materialize every record into a plain :class:`TrialTrace`."""
-        trace = TrialTrace(
-            name=self.name,
-            spec=self.spec,
-            packets_sent=self.packets_sent,
-            first_sequence=self.first_sequence,
+        return cls.from_records(
+            trace.records, trace.name, trace.spec, trace.packets_sent,
+            trace.first_sequence,
         )
-        payload = self.payload
-        for i in range(self.packets_received):
-            offset = int(self.offsets[i])
-            data = payload[offset : offset + int(self.lengths[i])].tobytes()
-            trace.records.append(
-                PacketRecord.from_bytes(
-                    data,
-                    ModemRxStatus(
-                        signal_level=int(self.levels[i]),
-                        silence_level=int(self.silences[i]),
-                        signal_quality=int(self.qualities[i]),
-                        antenna=int(self.antennas[i]),
-                    ),
-                    time=float(self.times[i]),
-                )
-            )
-        return trace
 
     # -- slicing -------------------------------------------------------
     def slice(self, start: int, stop: int) -> "ColumnarTrace":
@@ -550,6 +548,31 @@ class ColumnarTrace:
             f"packets_sent={self.packets_sent}, "
             f"packets_received={self.packets_received})"
         )
+
+
+def as_columnar(trace: Union[TrialTrace, ColumnarTrace]) -> ColumnarTrace:
+    """``trace`` itself when already columnar, else its columnar form."""
+    if isinstance(trace, ColumnarTrace):
+        return trace
+    return ColumnarTrace.from_trace(trace)
+
+
+def transient_payload(trace: ColumnarTrace) -> np.ndarray:
+    """``trace.payload`` for one pass over it, such as a write.
+
+    Frames nothing has read yet are built for the caller and not kept:
+    saving a simulated trial must not leave its frames in memory.
+    """
+    if callable(trace._payload):
+        return trace._payload()
+    return trace._payload
+
+
+def start_offsets(lengths: np.ndarray) -> np.ndarray:
+    """Where each of back-to-back rows of ``lengths`` bytes starts."""
+    offsets = np.zeros(len(lengths), dtype=np.uint64)
+    np.cumsum(lengths[:-1], out=offsets[1:])
+    return offsets
 
 
 # ----------------------------------------------------------------------

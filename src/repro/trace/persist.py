@@ -27,6 +27,7 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import zlib
 from pathlib import Path
 from typing import IO, Optional, Union
 
@@ -35,12 +36,14 @@ from repro.phy.modem import ModemRxStatus
 from repro.trace import columnar
 from repro.trace.columnar import (
     ColumnarTrace,
+    as_columnar,
     read_columnar,
     spec_from_dict,
     spec_to_dict,
+    transient_payload,
     write_columnar,
 )
-from repro.trace.records import PacketRecord, TrialTrace, materialize_data
+from repro.trace.records import PacketRecord, TrialTrace
 
 FORMAT_VERSION = 1
 GZIP_MAGIC = b"\x1f\x8b"
@@ -115,8 +118,7 @@ def _save_trace(trace: AnyTrace, path: PathLike, fmt: str) -> None:
     if fmt == "v2":
         write_columnar(trace, path)
         return
-    if isinstance(trace, ColumnarTrace):
-        trace = trace.to_trial_trace()
+    trace = as_columnar(trace)
     with _open(path, "w") as stream:
         header = {
             "format": FORMAT_VERSION,
@@ -126,16 +128,24 @@ def _save_trace(trace: AnyTrace, path: PathLike, fmt: str) -> None:
             "spec": _spec_to_dict(trace.spec),
         }
         stream.write(json.dumps(header) + "\n")
-        records = trace.records
-        for record, data in zip(records, materialize_data(records)):
-            status = record.status
+        payload = transient_payload(trace)
+        columns = zip(
+            trace.times.tolist(),
+            trace.levels.tolist(),
+            trace.silences.tolist(),
+            trace.qualities.tolist(),
+            trace.antennas.tolist(),
+            trace.offsets.tolist(),
+            trace.lengths.tolist(),
+        )
+        for time, level, silence, quality, antenna, offset, length in columns:
             line = {
-                "t": record.time,
-                "lvl": status.signal_level,
-                "sil": status.silence_level,
-                "q": status.signal_quality,
-                "ant": status.antenna,
-                "data": data.hex(),
+                "t": time,
+                "lvl": level,
+                "sil": silence,
+                "q": quality,
+                "ant": antenna,
+                "data": payload[offset : offset + length].tobytes().hex(),
             }
             stream.write(json.dumps(line) + "\n")
 
@@ -146,36 +156,49 @@ def load_trace(path: PathLike) -> AnyTrace:
     The format is sniffed from the file's first bytes: the v2 magic
     selects the zero-copy columnar reader (returning a
     :class:`ColumnarTrace`), anything else the v1 JSON-lines reader
-    (returning a :class:`TrialTrace`).  Raises ValueError on
-    version/kind mismatches and on malformed record lines — the formats
-    are simple enough that failing loudly beats guessing.
+    (returning a :class:`TrialTrace`).  Every malformed file raises
+    ValueError naming it — version/kind mismatches, malformed headers
+    and record lines, and a damaged gzip stream or undecodable text
+    alike; the formats are simple enough that failing loudly beats
+    guessing.
     """
     with open(path, "rb") as probe:
         head = probe.read(len(columnar.MAGIC))
     if head == columnar.MAGIC:
         with _obs.trace_span("trace.load", path=str(path), format="v2"):
             return read_columnar(path)
-    with _obs.trace_span("trace.load", path=str(path), format="v1"), \
-            _open(path, "r") as stream:
+    with _obs.trace_span("trace.load", path=str(path), format="v1"):
+        try:
+            return _load_v1(path)
+        except (EOFError, gzip.BadGzipFile, zlib.error, UnicodeDecodeError) as exc:
+            raise ValueError(f"{path}: unreadable trace file: {exc!r}") from exc
+
+
+def _load_v1(path: PathLike) -> TrialTrace:
+    """The JSON-lines reader behind :func:`load_trace`."""
+    with _open(path, "r") as stream:
         header_line = stream.readline()
         if not header_line:
             raise ValueError(f"{path}: empty trace file")
         try:
             header = json.loads(header_line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}:1: malformed trace header: {exc}") from exc
-        if header.get("kind") != "wavelan-trial-trace":
+        if not isinstance(header, dict) or header.get("kind") != "wavelan-trial-trace":
             raise ValueError(f"{path}: not a trial trace file")
         if header.get("format") != FORMAT_VERSION:
             raise ValueError(
                 f"{path}: format {header.get('format')} "
                 f"(this reader supports {FORMAT_VERSION})"
             )
-        trace = TrialTrace(
-            name=header["name"],
-            spec=_spec_from_dict(header["spec"]),
-            packets_sent=header["packets_sent"],
-        )
+        try:
+            trace = TrialTrace(
+                name=header["name"],
+                spec=_spec_from_dict(header["spec"]),
+                packets_sent=header["packets_sent"],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:1: malformed trace header: {exc!r}") from exc
         for lineno, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
@@ -190,7 +213,10 @@ def load_trace(path: PathLike) -> AnyTrace:
                 record = PacketRecord.from_bytes(
                     bytes.fromhex(entry["data"]), status, entry["t"]
                 )
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
+            except (
+                json.JSONDecodeError, KeyError, TypeError, ValueError,
+                RecursionError,
+            ) as exc:
                 raise ValueError(
                     f"{path}:{lineno}: malformed trace record: {exc!r}"
                 ) from exc

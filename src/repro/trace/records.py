@@ -6,20 +6,18 @@ status registers.  The analysis package consumes *only* this artifact —
 it re-identifies test packets heuristically, exactly as the paper's
 offline tooling had to.
 
-For memory efficiency on half-million-packet trials, records whose
-bytes are byte-identical to a known pristine frame may be stored as a
-(factory, sequence) reference and materialized on demand; the analysis
-stage still sees plain bytes.
+Record lists are what event-driven sources produce (the MAC trial's
+receiver log, v1 trace files); the vectorized trial and the analysis
+work on the columnar form of the same bytes
+(:class:`~repro.trace.columnar.ColumnarTrace`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
-import numpy as np
-
-from repro.framing.testpacket import TestPacketFactory, TestPacketSpec
+from repro.framing.testpacket import TestPacketSpec
 from repro.phy.modem import ModemRxStatus
 
 
@@ -30,7 +28,6 @@ class PacketRecord:
     status: ModemRxStatus
     time: float = 0.0
     _data: Optional[bytes] = None
-    _pristine_ref: Optional[tuple[TestPacketFactory, int]] = None
 
     @classmethod
     def from_bytes(
@@ -38,139 +35,25 @@ class PacketRecord:
     ) -> "PacketRecord":
         return cls(status=status, time=time, _data=data)
 
-    @classmethod
-    def pristine(
-        cls,
-        factory: TestPacketFactory,
-        sequence: int,
-        status: ModemRxStatus,
-        time: float = 0.0,
-    ) -> "PacketRecord":
-        """A record whose bytes equal the undamaged frame ``sequence``.
-
-        Storage optimization only — :attr:`data` returns the same bytes
-        a full copy would.
-        """
-        return cls(status=status, time=time, _pristine_ref=(factory, sequence))
-
     @property
     def data(self) -> bytes:
-        if self._data is not None:
-            return self._data
-        if self._pristine_ref is not None:
-            factory, sequence = self._pristine_ref
-            return factory.build(sequence)
-        raise ValueError("empty PacketRecord")
+        if self._data is None:
+            raise ValueError("empty PacketRecord")
+        return self._data
 
     @property
     def length(self) -> int:
-        if self._data is not None:
-            return len(self._data)
-        from repro.framing.testpacket import FRAME_BYTES
-
-        return FRAME_BYTES
-
-
-def materialize_data(records: Sequence[PacketRecord]) -> list[bytes]:
-    """Bytes for each record — ``[r.data for r in records]``, faster.
-
-    Pristine references are materialized through
-    :meth:`TestPacketFactory.build_bulk`, grouped by factory, instead
-    of one scalar ``build()`` per record.  Consumers still receive
-    plain bytes; nothing downstream can tell which records were stored
-    by reference.
-    """
-    datas: list[Optional[bytes]] = [record._data for record in records]
-    pending: dict[int, tuple[TestPacketFactory, list[int], list[int]]] = {}
-    for index, record in enumerate(records):
-        if datas[index] is not None:
-            continue
-        if record._pristine_ref is None:
-            raise ValueError("empty PacketRecord")
-        factory, sequence = record._pristine_ref
-        entry = pending.setdefault(id(factory), (factory, [], []))
-        entry[1].append(index)
-        entry[2].append(sequence)
-    for factory, indices, sequences in pending.values():
-        frames = factory.build_bulk(np.asarray(sequences, dtype=np.int64))
-        for row, index in enumerate(indices):
-            datas[index] = frames[row].tobytes()
-    return datas  # type: ignore[return-value]
+        return len(self.data)
 
 
 class LazyRecordList(list):
-    """A record list materialized on first element access.
-
-    The vectorized trial runner decides every packet's fate in columns;
-    constructing half a million :class:`PacketRecord` objects eagerly
-    would dominate clean-trial wall clock even though many callers only
-    ever read ``len()`` (``packets_received``) before handing the trace
-    to a columnar writer.  This list holds the column-to-object builder
-    and runs it the first time anything touches an element; from then
-    on it *is* the plain list the eager path would have built —
-    identical objects, identical order.
-
-    ``len()`` and truth-testing never materialize.  Pickling
-    materializes and ships a plain ``list`` (cross-process consumers
-    see ordinary records).
+    """Exists only because ``perfbench/layertrace.py`` wraps
+    ``LazyRecordList._materialize`` by name; nothing builds one.  Fast
+    trials return columns (:class:`~repro.trace.columnar.ColumnarTrace`).
     """
 
-    __slots__ = ("_builder", "_deferred_len")
-
-    def __init__(
-        self, builder: Callable[[], list["PacketRecord"]], length: int
-    ) -> None:
-        super().__init__()
-        self._builder: Optional[Callable[[], list[PacketRecord]]] = builder
-        self._deferred_len = length
-
     def _materialize(self) -> None:
-        builder = self._builder
-        if builder is not None:
-            self._builder = None
-            built = builder()
-            if len(built) != self._deferred_len:
-                raise RuntimeError(
-                    f"lazy record builder produced {len(built)} records, "
-                    f"promised {self._deferred_len}"
-                )
-            list.extend(self, built)
-
-    def __len__(self) -> int:
-        if self._builder is not None:
-            return self._deferred_len
-        return list.__len__(self)
-
-    def __reduce__(self):
-        self._materialize()
-        return (list, (), None, iter(list(self)))
-
-
-def _lazy_forwarder(name: str):
-    target = getattr(list, name)
-
-    def method(self, *args, **kwargs):
-        self._materialize()
-        return target(self, *args, **kwargs)
-
-    method.__name__ = name
-    method.__qualname__ = f"LazyRecordList.{name}"
-    return method
-
-
-# Every mutating or element-reading list operation materializes first;
-# anything missed here would silently operate on the (empty) backing
-# storage, so the forwarding is exhaustive over the list API.
-for _name in (
-    "append", "clear", "copy", "count", "extend", "index", "insert",
-    "pop", "remove", "reverse", "sort",
-    "__add__", "__contains__", "__delitem__", "__eq__", "__ge__",
-    "__getitem__", "__gt__", "__iadd__", "__imul__", "__iter__",
-    "__le__", "__lt__", "__mul__", "__ne__", "__repr__",
-    "__reversed__", "__rmul__", "__setitem__",
-):
-    setattr(LazyRecordList, _name, _lazy_forwarder(_name))
-del _name
+        """Exists only for ``perfbench/layertrace.py``; never called."""
 
 
 @dataclass

@@ -1,23 +1,28 @@
 """Trial runners.
 
-Two paths produce the same artifact (a :class:`~repro.trace.records.TrialTrace`):
+Two paths produce a trial's trace:
 
 * :func:`run_fast_trial` — contention-free point-to-point trials.  The
   per-packet work is fully vectorized — interference sources contribute
   whole-trial column schedules (:func:`repro.interference.base.bulk_schedule`)
-  that fold into the error model's bulk fates — and only damaged
-  packets are materialized individually, making both the paper's
+  that fold into the error model's bulk fates — and the trace is
+  assembled straight from those columns as a
+  :class:`~repro.trace.columnar.ColumnarTrace`, making both the paper's
   half-million-packet office trials (Table 2) and the interference
   tables (10-14) tractable in seconds.
 * :func:`run_mac_trial` — the full event-driven simulation (MACs,
   carrier sense, overlapping transmissions); used by the
-  receive-threshold and competing-transmitter experiments.
+  receive-threshold and competing-transmitter experiments.  Its
+  receiver logs records, so its trace is a
+  :class:`~repro.trace.records.TrialTrace`.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -32,14 +37,14 @@ from repro.obs import runtime as _obs
 from repro.phy.modem import (
     DropReason,
     ModemConfig,
-    ModemRxStatus,
     RxDisposition,
     WaveLanModem,
 )
 from repro.simkit.rng import RngRegistry
 from repro.simkit.simulator import Simulator
+from repro.trace.columnar import ColumnarTrace, start_offsets
 from repro.trace.outsiders import OutsiderTraffic
-from repro.trace.records import LazyRecordList, PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord, TrialTrace
 from repro.trace.sender import BurstSender
 from repro.units import AGC_MAX_READING, QUALITY_MAX
 
@@ -113,7 +118,7 @@ class TrialDispositions:
 class TrialOutput:
     """A trial's trace plus its ground-truth dispositions."""
 
-    trace: TrialTrace
+    trace: Union[ColumnarTrace, TrialTrace]
     dispositions: TrialDispositions
 
 
@@ -124,25 +129,25 @@ def _clamp_array(values: np.ndarray, maximum: int) -> np.ndarray:
 def run_fast_trial(config: TrialConfig) -> TrialOutput:
     """Run a contention-free trial and return its trace.
 
-    The trial runs under one ``trace.trial`` trace span, the layer name
-    perfbench reports, so ``repro timeline`` attributes trial time the
-    same way.
+    The trace is columnar (:class:`ColumnarTrace`), assembled once from
+    the trial's columns.  The trial runs under one ``trace.trial`` trace
+    span, the layer name perfbench reports, so ``repro timeline``
+    attributes trial time the same way.
     """
     with _obs.trace_span("trace.trial", trial=config.name, mode="fast"):
         rng_registry = RngRegistry(config.seed).fork(config.name)
-        factory = TestPacketFactory(config.spec)
         modem = WaveLanModem(config=config.modem_config)
         modem.antenna.branches = config.antenna_branches
         mean_level = config.resolved_mean_level()
         dispositions = TrialDispositions()
-        trace = TrialTrace(
-            name=config.name, spec=config.spec, packets_sent=config.packets
+
+        rows = _run_bulk(config, modem, mean_level, rng_registry, dispositions)
+        outsiders = (
+            _inject_outsiders(config, modem, rng_registry, dispositions)
+            if config.outsiders is not None
+            else []
         )
-
-        _run_bulk(config, factory, modem, mean_level, rng_registry, trace, dispositions)
-
-        if config.outsiders is not None:
-            _inject_outsiders(config, modem, rng_registry, trace, dispositions)
+        trace = _assemble(config, TestPacketFactory(config.spec), rows, outsiders)
 
         _record_fast_trial_metrics(config, dispositions)
 
@@ -185,17 +190,19 @@ def _record_fast_trial_metrics(
 
 def _run_bulk(
     config: TrialConfig,
-    factory: TestPacketFactory,
     modem: WaveLanModem,
     mean_level: float,
     rng_registry: RngRegistry,
-    trace: TrialTrace,
     dispositions: TrialDispositions,
-) -> None:
+) -> dict[str, np.ndarray]:
     """The vectorized trial path (clean and interference-coupled).
 
-    Whole-trial arrays decide every packet's fate; the Python loop only
-    routes dispositions and materializes the damaged minority.
+    Whole-trial arrays decide every packet's fate and route the
+    dispositions.  Returns the delivered rows' columns — sequence, the
+    four status registers and the received length (short where
+    truncation cut the frame) — and the damaged rows' bit flips as
+    ``detail_bulk`` grouped them, with each damaged row's index among
+    the delivered rows (``flip_owner``, -1 where it was not delivered).
     """
     rng = rng_registry.stream("channel")
     n = config.packets
@@ -272,93 +279,43 @@ def _run_bulk(
     deliver_rows = np.nonzero(deliver)[0]
     dispositions.delivered += int(deliver_rows.size)
 
-    def build_damaged_payloads() -> dict[int, bytes]:
-        """Materialize the delivered slice of the damaged minority:
-        pristine frames in one bulk build, all bit flips in one
-        scattered xor, then the truncation cut per row.  Deferred with
-        the record builder below — counters and dispositions never need
-        the bytes."""
-        damaged_payloads: dict[int, bytes] = {}
-        if detail is None:
-            return damaged_payloads
-        deliver_local = np.nonzero(deliver[detail_rows])[0]
-        if deliver_local.size:
-            frames = factory.build_bulk(detail_rows[deliver_local])
-            flip_counts = np.diff(detail["flip_offsets"])
-            selected = np.zeros(detail_rows.size, dtype=bool)
-            selected[deliver_local] = True
-            flat_keep = np.repeat(selected, flip_counts)
-            positions = detail["flip_positions"][flat_keep]
-            source_row = np.repeat(
-                np.arange(detail_rows.size), flip_counts
-            )[flat_keep]
-            frame_row = (np.cumsum(selected) - 1)[source_row]
-            np.bitwise_xor.at(
-                frames,
-                (frame_row, positions >> 3),
-                (np.uint8(0x80) >> (positions & 7).astype(np.uint8)),
-            )
-            cuts = detail["truncated_at"][deliver_local].tolist()
-            for i, row in enumerate(detail_rows[deliver_local].tolist()):
-                cut = cuts[i]
-                damaged_payloads[row] = (
-                    frames[i].tobytes() if cut < 0 else frames[i, :cut].tobytes()
-                )
-        return damaged_payloads
-
-    # Record construction is deferred: the delivered columns (small
-    # dtypes) plus the damaged payloads fully determine the records, so
-    # consumers that never touch individual records — columnar writers,
-    # ``packets_received`` — skip the per-packet object cost entirely.
-    sequences = deliver_rows
-    sig_col = signal_readings[deliver_rows]
-    sil_col = silence_readings[deliver_rows]
-    ant_col = antennas[deliver_rows]
-    qual_col = quality[deliver_rows]
-
-    def build_records() -> list[PacketRecord]:
-        damaged_payloads = build_damaged_payloads()
-        out: list[PacketRecord] = []
-        append = out.append
-        sigs = sig_col.tolist()
-        sils = sil_col.tolist()
-        ants = ant_col.tolist()
-        quals = qual_col.tolist()
-        for i, sequence in enumerate(sequences.tolist()):
-            status = ModemRxStatus(
-                signal_level=sigs[i],
-                silence_level=sils[i],
-                signal_quality=quals[i],
-                antenna=ants[i],
-            )
-            payload = damaged_payloads.get(sequence)
-            if payload is None:
-                append(
-                    PacketRecord.pristine(
-                        factory, sequence, status, time=float(sequence)
-                    )
-                )
-            else:
-                append(
-                    PacketRecord.from_bytes(payload, status, time=float(sequence))
-                )
-        return out
-
-    trace.records = LazyRecordList(build_records, int(deliver_rows.size))
+    rows = {
+        "sequences": deliver_rows,
+        "levels": signal_readings[deliver_rows],
+        "silences": silence_readings[deliver_rows],
+        "qualities": quality[deliver_rows],
+        "antennas": antennas[deliver_rows],
+        "lengths": np.full(deliver_rows.size, FRAME_BYTES, dtype=np.uint32),
+        "flip_owner": np.zeros(0, dtype=np.int64),
+        "flip_offsets": np.zeros(1, dtype=np.int64),
+        "flip_positions": np.zeros(0, dtype=np.int64),
+    }
+    if detail is None:
+        return rows
+    deliver_local = np.nonzero(deliver[detail_rows])[0]
+    delivered_at = np.searchsorted(deliver_rows, detail_rows[deliver_local])
+    cuts = detail["truncated_at"][deliver_local]
+    rows["lengths"][delivered_at[cuts >= 0]] = cuts[cuts >= 0]
+    rows["flip_owner"] = np.full(detail_rows.size, -1, dtype=np.int64)
+    rows["flip_owner"][deliver_local] = delivered_at
+    rows["flip_offsets"] = detail["flip_offsets"]
+    rows["flip_positions"] = detail["flip_positions"]
+    return rows
 
 
 def _inject_outsiders(
     config: TrialConfig,
     modem: WaveLanModem,
     rng_registry: RngRegistry,
-    trace: TrialTrace,
     dispositions: TrialDispositions,
-) -> None:
+) -> list[PacketRecord]:
+    """The foreign frames the receiver delivered, in time order."""
     outsiders = config.outsiders
     rng = rng_registry.stream("outsiders")
     count = outsiders.frame_count(config.packets, rng)
     ambient = config.propagation.ambient
     step = config.packets / max(count, 1)
+    delivered: list[PacketRecord] = []
     for i in range(count):
         frame = outsiders.build_frame(rng)
         level = outsiders.sample_level(rng)
@@ -376,16 +333,124 @@ def _inject_outsiders(
             # where step < 1 and midpoints can be whole numbers): the
             # nudge is under half the gap to the next outsider and under
             # one, so times stay strictly increasing and non-integer —
-            # deterministic, collision-free ordering after the sort.
+            # deterministic, collision-free ordering after the merge.
             position = (i + 0.5) * step
             if position.is_integer():
                 position += 0.5 * min(step, 1.0)
-            trace.records.append(
+            delivered.append(
                 PacketRecord.from_bytes(reception.data, reception.status, position)
             )
         else:
             dispositions.outsiders_lost += 1
-    trace.records.sort(key=lambda record: record.time)
+    return delivered
+
+
+def _assemble(
+    config: TrialConfig,
+    factory: TestPacketFactory,
+    rows: dict[str, np.ndarray],
+    outsiders: list[PacketRecord],
+) -> ColumnarTrace:
+    """The trial's trace: every column now, the frames on first read.
+
+    Delivered outsider rows merge in by time.  Test rows sit at integer
+    times and outsiders never do, so a stable sort of the two time
+    columns is the merge order.
+    """
+    columns = {
+        "times": rows["sequences"].astype(np.float64),
+        "levels": rows["levels"],
+        "silences": rows["silences"],
+        "qualities": rows["qualities"],
+        "antennas": rows["antennas"],
+        "lengths": rows["lengths"],
+    }
+    extra = None
+    if outsiders:
+        extra = ColumnarTrace.from_records(
+            outsiders, config.name, config.spec, config.packets
+        )
+        order = np.argsort(
+            np.concatenate([columns["times"], extra.times]), kind="stable"
+        )
+        columns = {
+            key: np.concatenate([column, getattr(extra, key)])[order]
+            for key, column in columns.items()
+        }
+    return ColumnarTrace(
+        name=config.name,
+        spec=config.spec,
+        packets_sent=config.packets,
+        offsets=start_offsets(columns["lengths"]),
+        payload=functools.partial(_frames, factory, rows, extra),
+        **columns,
+    )
+
+
+def _frames(
+    factory: TestPacketFactory,
+    rows: dict[str, np.ndarray],
+    outsiders: Optional[ColumnarTrace],
+) -> np.ndarray:
+    """The trial's frame bytes, back to back in time order.
+
+    Pristine frames come from one :meth:`TestPacketFactory.build_bulk`,
+    every delivered bit flip lands in one scattered xor, truncation
+    cuts close up in place, and the outsiders' bytes go in between the
+    test rows they follow.
+    """
+    frames = factory.build_bulk(rows["sequences"])
+    flip_rows = np.repeat(rows["flip_owner"], np.diff(rows["flip_offsets"]))
+    delivered = flip_rows >= 0
+    positions = rows["flip_positions"][delivered]
+    np.bitwise_xor.at(
+        frames,
+        (flip_rows[delivered], positions >> 3),
+        np.uint8(0x80) >> (positions & 7).astype(np.uint8),
+    )
+    lengths = rows["lengths"]
+    payload = _close_cuts(frames, lengths)
+    if outsiders is None:
+        return payload
+    before = np.searchsorted(rows["sequences"], outsiders.times).tolist()
+    bounds = [*start_offsets(lengths).tolist(), int(payload.shape[0])]
+    extra = [*outsiders.offsets.tolist(), int(outsiders.payload.shape[0])]
+    pieces = []
+    taken = 0
+    for index, count in enumerate(before):
+        pieces.append(payload[bounds[taken] : bounds[count]])
+        pieces.append(outsiders.payload[extra[index] : extra[index + 1]])
+        taken = count
+    pieces.append(payload[bounds[taken] :])
+    return np.concatenate(pieces)
+
+
+def _close_cuts(frames: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """``frames``' rows cut to ``lengths``, back to back, in place.
+
+    Every row moves left by the bytes cut before it, so moving the runs
+    of rows between cuts first to last never overwrites bytes a later
+    run has yet to read; each run is one ``memmove``.  A trial without
+    cuts is its frames.
+    """
+    flat = frames.reshape(-1)
+    width = frames.shape[1]
+    if (lengths > width).any():
+        raise ValueError("a row cannot outgrow its frame")
+    cut_rows = np.nonzero(lengths < width)[0]
+    if not cut_rows.size:
+        return flat
+    offsets = start_offsets(lengths).tolist()
+    ends = [*(cut_rows + 1).tolist(), len(lengths)]
+    starts = [0, *ends[:-1]]
+    base = flat.ctypes.data
+    for start, end in zip(starts, ends):
+        if start == end:
+            continue
+        source, target = start * width, offsets[start]
+        size = offsets[end - 1] + int(lengths[end - 1]) - target
+        ctypes.memmove(base + target, base + source, size)
+    return flat[: offsets[-1] + int(lengths[-1])]
 
 
 def run_mac_trial(

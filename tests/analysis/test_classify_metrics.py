@@ -123,7 +123,7 @@ class TestMetrics:
 
     def test_bits_received_magnitude_format(self, spec, factory):
         records = [
-            PacketRecord.pristine(factory, i, STATUS) for i in range(13)
+            PacketRecord.from_bytes(factory.build(i), STATUS) for i in range(13)
         ]
         metrics = analyze_trial(_trace(spec, records, sent=13))
         assert metrics.bits_received_magnitude == "10^5"

@@ -4,10 +4,10 @@ The streaming service's correctness rests on one property: verdicts
 depend only on their own record's bytes, so feeding a trace through
 :class:`IncrementalClassifier` in chunks of 1, 7, or all-at-once is
 byte-identical to :func:`classify_trace`.  These tests pin that for
-v1 record traces and v2 columnar traces, for the per-packet and the
-columns-only (server) modes, and for the degenerate shapes an ingest
-server sees routinely: zero-record traces and zero-length final
-chunks.
+v1 record traces and v2 columnar traces, for the damaged rows'
+syndromes as well as the verdict columns, and for the degenerate
+shapes an ingest server sees routinely: zero-record traces and
+zero-length final chunks.
 """
 
 import io
@@ -18,11 +18,12 @@ import pytest
 from repro.analysis.classify import (
     CLASS_ORDER,
     IncrementalClassifier,
+    PacketClass,
     classify_trace,
     verdict_row_bytes,
 )
 from repro.framing.bits import flip_bits
-from repro.framing.testpacket import BODY_START, FRAME_BYTES
+from repro.framing.testpacket import BODY_START
 from repro.phy.modem import ModemRxStatus
 from repro.trace.columnar import (
     ColumnarTrace,
@@ -69,12 +70,23 @@ def _assert_packets_equal(left, right):
         assert a.wrapper_damaged == b.wrapper_damaged
         assert a.body_bits_damaged == b.body_bits_damaged
         assert a.truncated_bytes_missing == b.truncated_bytes_missing
+        assert (a.syndrome is None) == (b.syndrome is None)
+        if a.syndrome is not None:
+            np.testing.assert_array_equal(
+                a.syndrome.body_bit_positions, b.syndrome.body_bit_positions
+            )
 
 
 def _columns_equal(left: dict, right: dict):
     assert left.keys() == right.keys()
     for key in left:
         np.testing.assert_array_equal(left[key], right[key])
+
+
+def _assert_matches_batch(clf, trace, batch):
+    _columns_equal(clf.verdict_columns(), batch.columns)
+    assert clf.syndromes.keys() == batch.syndromes.keys()
+    _assert_packets_equal(clf.finish(trace).packets, batch.packets)
 
 
 class TestChunkedEqualsBatch:
@@ -88,7 +100,7 @@ class TestChunkedEqualsBatch:
         size = chunk or len(records)
         for start in range(0, len(records), size):
             clf.feed_records(records[start : start + size])
-        _assert_packets_equal(clf.packets, batch.packets)
+        _assert_matches_batch(clf, mixed_trace, batch)
         assert dict(clf.class_counts) == {
             k: v for k, v in batch.class_counts().items() if v
         }
@@ -102,7 +114,10 @@ class TestChunkedEqualsBatch:
         size = chunk or n
         for start in range(0, n, size):
             clf.feed_columnar(columnar, start, min(start + size, n))
-        _assert_packets_equal(clf.packets, batch.packets)
+        _assert_matches_batch(clf, columnar, batch)
+        assert clf.count_summary() == {
+            cls.value: count for cls, count in batch.class_counts().items()
+        }
 
     def test_v1_equals_columnar(self, mixed_trace):
         columnar = ColumnarTrace.from_trace(mixed_trace)
@@ -111,35 +126,30 @@ class TestChunkedEqualsBatch:
         b = IncrementalClassifier(columnar.spec, 10)
         b.feed(columnar)
         _columns_equal(a.verdict_columns(), b.verdict_columns())
+        assert a.syndromes.keys() == b.syndromes.keys()
 
-    @pytest.mark.parametrize("chunk", [1, 3, None])
-    def test_columns_mode_equals_object_mode(self, mixed_trace, chunk):
-        """collect_packets=False (the server path) yields the same
-        verdict columns as the per-packet path, for any chunking."""
-        columnar = ColumnarTrace.from_trace(mixed_trace)
-        reference = IncrementalClassifier(columnar.spec, 10)
-        reference.feed(columnar)
-        clf = IncrementalClassifier(
-            columnar.spec, 10, collect_packets=False
-        )
-        n = columnar.packets_received
-        size = chunk or n
-        for start in range(0, n, size):
-            clf.feed_columnar(columnar, start, min(start + size, n))
-        _columns_equal(clf.verdict_columns(), reference.verdict_columns())
-        assert clf.packets == []
-        assert clf.count_summary() == reference.count_summary()
-        with pytest.raises(RuntimeError):
-            clf.finish(columnar)
+    def test_records_entry_does_not_feed_columns(self, mixed_trace, monkeypatch):
+        """feed_records runs the loop itself: a wrapper counting rows in
+        both entry points must see each row once."""
 
-    def test_columns_mode_v1_records(self, mixed_trace):
-        reference = IncrementalClassifier(mixed_trace.spec, 10)
-        reference.feed(mixed_trace)
-        clf = IncrementalClassifier(
-            mixed_trace.spec, 10, collect_packets=False
-        )
+        def refuse(*args, **kwargs):
+            raise AssertionError("feed_records went through feed_columnar")
+
+        clf = IncrementalClassifier(mixed_trace.spec, 10)
+        monkeypatch.setattr(clf, "feed_columnar", refuse)
         clf.feed_records(mixed_trace.records)
-        _columns_equal(clf.verdict_columns(), reference.verdict_columns())
+        assert clf.records_seen == mixed_trace.packets_received
+
+    def test_syndromes_keyed_by_fed_row(self, mixed_trace):
+        """Damaged rows keep their syndrome under their row index, so a
+        classified trace can hand it back without re-extracting it."""
+        classified = classify_trace(mixed_trace)
+        damaged = classified.rows(
+            PacketClass.BODY_DAMAGED, PacketClass.WRAPPER_DAMAGED
+        ).tolist()
+        assert damaged and set(damaged) <= classified.syndromes.keys()
+        for index, syndrome in classified.syndromes.items():
+            assert syndrome.sequence == classified.columns["sequences"][index]
 
     def test_wlt2_round_trip_stream(self, mixed_trace, tmp_path):
         """A trace streamed back from its .wlt2 encoding classifies
@@ -152,7 +162,7 @@ class TestChunkedEqualsBatch:
         clf = IncrementalClassifier(loaded.spec, loaded.packets_sent)
         for start in range(0, loaded.packets_received, 2):
             clf.feed_columnar(loaded, start, start + 2)
-        _assert_packets_equal(clf.packets, batch.packets)
+        _assert_matches_batch(clf, loaded, batch)
 
 
 class TestDigestStability:
@@ -198,25 +208,28 @@ class TestDegenerateShapes:
         loaded = read_columnar(path)
         assert classify_trace(loaded).packets == []
 
-    @pytest.mark.parametrize("collect", [True, False])
-    def test_zero_length_final_chunk(self, mixed_trace, collect):
+    @pytest.mark.parametrize("records_first", [True, False])
+    def test_zero_length_final_chunk(self, mixed_trace, records_first):
         """Feeding an empty tail chunk (a client flushing at EOF)
+        through either entry point, after a trace fed through either,
         neither raises nor perturbs the verdicts."""
         columnar = ColumnarTrace.from_trace(mixed_trace)
         n = columnar.packets_received
-        clf = IncrementalClassifier(
-            columnar.spec, 10, collect_packets=collect
-        )
-        clf.feed_columnar(columnar, 0, n)
+        clf = IncrementalClassifier(columnar.spec, 10)
+        if records_first:
+            clf.feed_records(mixed_trace.records)
+        else:
+            clf.feed_columnar(columnar, 0, n)
         clf.feed_columnar(columnar, n, n)  # empty tail
         clf.feed_records([])  # and an empty record list
         assert clf.records_seen == n
+        assert clf.syndromes.keys() == classify_trace(columnar).syndromes.keys()
         reference = IncrementalClassifier(columnar.spec, 10)
         reference.feed(columnar)
         _columns_equal(clf.verdict_columns(), reference.verdict_columns())
 
     def test_empty_classifier_columns(self, spec):
-        clf = IncrementalClassifier(spec, 0, collect_packets=False)
+        clf = IncrementalClassifier(spec, 0)
         columns = clf.verdict_columns()
         assert all(len(column) == 0 for column in columns.values())
         assert verdict_row_bytes(columns) == b""

@@ -1,12 +1,13 @@
 """Signal statistics summaries and table rendering."""
 
+import numpy as np
 import pytest
 
-from repro.analysis.classify import ClassifiedPacket, ClassifiedTrace, PacketClass
+from repro.analysis.classify import CLASS_CODE, ClassifiedTrace, PacketClass
 from repro.analysis.metrics import TrialMetrics
 from repro.analysis.signalstats import (
     signal_stats_by_class,
-    stats_for_packets,
+    stats_for_rows,
     summarize,
 )
 from repro.analysis.tables import (
@@ -16,14 +17,29 @@ from repro.analysis.tables import (
     render_signal_table,
 )
 from repro.phy.modem import ModemRxStatus
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import PacketRecord
 
 
-def _packet(level, silence, quality, cls=PacketClass.UNDAMAGED) -> ClassifiedPacket:
-    record = PacketRecord.from_bytes(
-        b"x", ModemRxStatus(level, silence, quality, 0)
+def _classified(spec, *rows) -> ClassifiedTrace:
+    """A classified trace of ``(level, silence, quality, class)`` rows."""
+    records = [
+        PacketRecord.from_bytes(b"x", ModemRxStatus(level, silence, quality, 0))
+        for level, silence, quality, _ in rows
+    ]
+    n = len(rows)
+    return ClassifiedTrace(
+        trace=ColumnarTrace.from_records(records, "t", spec, n),
+        columns={
+            "class_codes": np.array(
+                [CLASS_CODE[cls] for *_, cls in rows], dtype=np.uint8
+            ),
+            "sequences": np.full(n, -1, dtype=np.int64),
+            "wrapper_damaged": np.zeros(n, dtype=bool),
+            "body_bits_damaged": np.zeros(n, dtype=np.int64),
+            "truncated_missing": np.zeros(n, dtype=np.int32),
+        },
     )
-    return ClassifiedPacket(record=record, packet_class=cls)
 
 
 class TestSummarize:
@@ -45,20 +61,21 @@ class TestSummarize:
 
 
 class TestGrouping:
-    def test_stats_for_packets(self):
-        stats = stats_for_packets(
-            "g", [_packet(10, 2, 15), _packet(12, 4, 14)]
+    def test_stats_for_rows(self, spec):
+        classified = _classified(
+            spec,
+            (10, 2, 15, PacketClass.UNDAMAGED),
+            (99, 9, 9, PacketClass.UNDAMAGED),
+            (12, 4, 14, PacketClass.UNDAMAGED),
         )
+        stats = stats_for_rows("g", classified.trace, np.array([0, 2]))
         assert stats.packets == 2
         assert stats.level.mean == pytest.approx(11.0)
         assert stats.silence.mean == pytest.approx(3.0)
         assert stats.quality.mean == pytest.approx(14.5)
 
     def test_standard_groups_drop_empty(self, spec):
-        classified = ClassifiedTrace(
-            trace=TrialTrace(name="t", spec=spec, packets_sent=1)
-        )
-        classified.packets.append(_packet(29, 3, 15))
+        classified = _classified(spec, (29, 3, 15, PacketClass.UNDAMAGED))
         rows = signal_stats_by_class(classified)
         names = [r.group for r in rows]
         assert "All test packets" in names
@@ -66,12 +83,10 @@ class TestGrouping:
         assert "Truncated" not in names  # empty group omitted
 
     def test_all_test_packets_excludes_outsiders(self, spec):
-        classified = ClassifiedTrace(
-            trace=TrialTrace(name="t", spec=spec, packets_sent=2)
-        )
-        classified.packets.append(_packet(29, 3, 15))
-        classified.packets.append(
-            _packet(5, 3, 7, cls=PacketClass.OUTSIDER_DAMAGED)
+        classified = _classified(
+            spec,
+            (29, 3, 15, PacketClass.UNDAMAGED),
+            (5, 3, 7, PacketClass.OUTSIDER_DAMAGED),
         )
         rows = {r.group: r for r in signal_stats_by_class(classified)}
         assert rows["All test packets"].packets == 1
@@ -107,8 +122,9 @@ class TestRendering:
         assert "102689" in table
         assert "8x10^8" in table
 
-    def test_signal_table_renders(self):
-        stats = stats_for_packets("All", [_packet(10, 2, 15)])
+    def test_signal_table_renders(self, spec):
+        classified = _classified(spec, (10, 2, 15, PacketClass.UNDAMAGED))
+        stats = stats_for_rows("All", classified.trace, classified.test_rows)
         table = render_signal_table([stats])
         assert "All" in table
         assert "10.00" in table

@@ -77,13 +77,13 @@ class TestAnalysisAgainstGroundTruth:
         assert metrics.outsiders_received > 100
 
     def test_signal_metrics_reflect_channel(self):
-        from repro.analysis.signalstats import stats_for_packets
+        from repro.analysis.signalstats import stats_for_test_packets
 
         output = run_fast_trial(
             TrialConfig(name="t", packets=2_000, mean_level=13.8, seed=26)
         )
         classified = classify_trace(output.trace)
-        stats = stats_for_packets("all", classified.test_packets)
+        stats = stats_for_test_packets("all", classified)
         assert stats.level.mean == pytest.approx(13.8, abs=0.5)
         assert stats.quality.mean > 14.5
         assert stats.silence.mean == pytest.approx(2.8, abs=0.6)

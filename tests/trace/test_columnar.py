@@ -18,7 +18,8 @@ from repro.trace.columnar import (
     read_columnar_buffer,
     write_columnar,
 )
-from repro.trace.records import TrialTrace
+from repro.trace.persist import save_trace
+from repro.trace.records import PacketRecord, TrialTrace
 from repro.trace.trial import TrialConfig, run_fast_trial
 
 
@@ -211,11 +212,66 @@ class TestClassifyEquivalence:
 
 
 class TestConversions:
-    def test_to_trial_trace_roundtrip(self, damaged_trace):
-        col = _column_view(damaged_trace)
-        back = col.to_trial_trace()
-        assert back.packets_sent == damaged_trace.packets_sent
-        for a, b in zip(damaged_trace.records, back.records):
-            assert bytes(a.data) == bytes(b.data)
-            assert a.time == b.time
-            assert a.status.signal_level == b.status.signal_level
+    def test_from_trace_keeps_every_row(self, damaged_trace):
+        """Columnarizing the trial's rows as plain records rebuilds the
+        columns the trial assembled, payload layout included."""
+        records = TrialTrace(
+            name=damaged_trace.name,
+            spec=damaged_trace.spec,
+            packets_sent=damaged_trace.packets_sent,
+            records=[
+                PacketRecord.from_bytes(view.data, view.status, view.time)
+                for view in damaged_trace.records
+            ],
+        )
+        col = ColumnarTrace.from_trace(records)
+        assert col.packets_sent == damaged_trace.packets_sent
+        for key in ("times", "levels", "silences", "qualities", "antennas",
+                    "offsets", "lengths", "payload"):
+            np.testing.assert_array_equal(
+                getattr(col, key), getattr(damaged_trace, key)
+            )
+
+
+class TestDeferredPayload:
+    """A payload given as a builder runs on first read, once, and is
+    kept; a write of frames nothing has read does not keep them."""
+
+    def _deferred(self, trace, calls):
+        def build():
+            calls.append(1)
+            return trace.payload.copy()
+
+        return ColumnarTrace(
+            name=trace.name,
+            spec=trace.spec,
+            packets_sent=trace.packets_sent,
+            times=trace.times,
+            levels=trace.levels,
+            silences=trace.silences,
+            qualities=trace.qualities,
+            antennas=trace.antennas,
+            offsets=trace.offsets,
+            lengths=trace.lengths,
+            payload=build,
+        )
+
+    def test_reads_build_once(self, damaged_trace):
+        calls = []
+        deferred = self._deferred(damaged_trace, calls)
+        assert calls == []
+        assert deferred.data(3) == damaged_trace.data(3)
+        np.testing.assert_array_equal(deferred.payload, damaged_trace.payload)
+        assert len(calls) == 1
+
+    def test_writes_do_not_keep_frames(self, damaged_trace, tmp_path):
+        calls = []
+        deferred = self._deferred(damaged_trace, calls)
+        first, second = io.BytesIO(), io.BytesIO()
+        write_columnar(deferred, first)
+        save_trace(deferred, tmp_path / "deferred.jsonl")
+        write_columnar(deferred, second)
+        assert len(calls) == 3
+        reference = io.BytesIO()
+        write_columnar(damaged_trace, reference)
+        assert first.getvalue() == second.getvalue() == reference.getvalue()

@@ -218,3 +218,50 @@ class TestErrorHandling:
         path.write_bytes(raw[: len(raw) - 17])
         with pytest.raises(ValueError, match="truncated"):
             load_trace(path)
+
+
+class TestMutatedV1Files:
+    """Damaged v1 files fail as ValueError naming the file.
+
+    Seeded truncations, bit flips and 64-byte zero runs over a small
+    trace, in both v1 encodings.  A damaged gzip stream (bad CRC, cut
+    member, broken deflate data), undecodable text and a header missing
+    its fields must not escape as ``EOFError``, ``OSError``,
+    ``zlib.error``, ``UnicodeDecodeError`` or ``KeyError``; a mutation
+    v1 cannot detect may still load.
+    """
+
+    MUTATIONS = 150
+
+    @pytest.mark.parametrize("suffix", [".jsonl.gz", ".jsonl"])
+    def test_every_failure_is_a_named_value_error(self, tmp_path, suffix):
+        import numpy as np
+
+        trace = run_fast_trial(
+            TrialConfig(name="mutate", packets=60, mean_level=9.5, seed=3)
+        ).trace
+        source = tmp_path / f"source{suffix}"
+        save_trace(trace, source)
+        pristine = source.read_bytes()
+        rng = np.random.default_rng(2024)
+        target = tmp_path / f"mutated{suffix}"
+        failures = 0
+        for index in range(self.MUTATIONS):
+            data = bytearray(pristine)
+            kind = index % 3
+            if kind == 0:
+                del data[int(rng.integers(0, len(data))):]
+            elif kind == 1:
+                for _ in range(int(rng.integers(1, 8))):
+                    bit = int(rng.integers(0, len(data) * 8))
+                    data[bit >> 3] ^= 0x80 >> (bit & 7)
+            else:
+                start = int(rng.integers(0, len(data)))
+                data[start : start + 64] = bytes(len(data[start : start + 64]))
+            target.write_bytes(bytes(data))
+            try:
+                load_trace(target)
+            except ValueError as exc:
+                assert str(target) in str(exc), (index, repr(exc))
+                failures += 1
+        assert failures > self.MUTATIONS // 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.framing.testpacket import FRAME_BYTES, TestPacketSpec
+from repro.framing.testpacket import TestPacketSpec
 from repro.phy.modem import ModemRxStatus
 from repro.trace.records import PacketRecord, TrialTrace
 
@@ -14,11 +14,6 @@ class TestPacketRecord:
         record = PacketRecord.from_bytes(b"abc", STATUS, time=2.0)
         assert record.data == b"abc"
         assert record.length == 3
-
-    def test_pristine_materializes_exact_frame(self, factory):
-        record = PacketRecord.pristine(factory, 42, STATUS)
-        assert record.data == factory.build(42)
-        assert record.length == FRAME_BYTES
 
     def test_empty_record_raises(self):
         with pytest.raises(ValueError):
