@@ -22,10 +22,8 @@ The engine factors the campaign shape out:
 * :class:`ExperimentEngine` — executes any spec with uniform services:
   collision-free per-trial seeds (:func:`repro.simkit.rng.spawn_seed`
   over ``(root seed, experiment, trial)``), ``jobs=N`` fan-out through
-  :func:`repro.parallel.run_tasks` (with columnar temp-file trace
-  handles where plans opt in via ``pool_kwargs``), ``trace_dir``
-  persistence for traceable plans, and loud warnings when a flag
-  cannot apply.
+  :func:`repro.parallel.run_tasks`, ``trace_dir`` persistence for
+  traceable plans, and loud warnings when a flag cannot apply.
 
 Determinism contract: a trial's seed is a pure function of
 ``(root seed, experiment name, trial label)`` — never of job count,
@@ -58,10 +56,8 @@ class TrialPlan:
     run all variants inside one plan instead of sharing a label).
 
     ``traceable`` plans accept ``trace_dir``/``trace_format`` keyword
-    arguments and persist their raw traces; ``pool_kwargs`` are merged
-    in only when the run fans out over a process pool (e.g.
-    ``handoff=True`` asking the plan to hand traces back as a columnar
-    temp file instead of pickling records).
+    arguments and persist their raw traces.  A plan's return value must
+    pickle: a pooled run sends it back to the parent that way.
 
     ``scenario`` names the registered :mod:`repro.scenario` topology the
     trial runs in.  The engine resolves every tagged name against the
@@ -76,7 +72,6 @@ class TrialPlan:
     seed_arg: Optional[str] = "seed"
     seed_label: Optional[str] = None
     traceable: bool = False
-    pool_kwargs: Mapping[str, Any] = field(default_factory=dict)
     scenario: Optional[str] = None
 
     __test__ = False  # not a pytest test class despite the name
@@ -367,8 +362,6 @@ class ExperimentEngine:
         if ctx.trace_dir is not None and plan.traceable:
             kwargs["trace_dir"] = ctx.trace_dir
             kwargs["trace_format"] = ctx.trace_format
-        if ctx.jobs > 1:
-            kwargs.update(plan.pool_kwargs)
         return Task(plan.name, plan.fn, kwargs, seed=seed, scale=ctx.scale)
 
 

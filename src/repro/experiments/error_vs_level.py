@@ -16,7 +16,7 @@ are summarized per damage class.  Paper findings to preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.analysis.classify import ClassifiedTrace, PacketClass, classify_trace
 from repro.analysis.signalstats import SignalStats, signal_stats_by_class
@@ -24,7 +24,6 @@ from repro.analysis.tables import render_signal_table
 from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.experiments.tracedir import trial_trace_path
-from repro.parallel import TraceHandle, export_trace, resolve_portable
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.outsiders import OutsiderTraffic
 from repro.trace.persist import save_trace
@@ -86,23 +85,13 @@ class ErrorVsLevelResult:
 
 @dataclass
 class _Subtrial:
-    """One sub-trial's Figure-2 bin counts plus its raw trace.
-
-    On pool workers ``trace`` is a :class:`~repro.parallel.TraceHandle`;
-    ``run_tasks`` calls ``__portable_resolve__`` on the parent side, so
-    the aggregator always concatenates columnar traces and the
-    ``jobs=1`` and ``jobs=N`` aggregation paths are identical.
-    """
+    """One sub-trial's Figure-2 bin counts plus its raw trace."""
 
     mean_level: int
     sent: int
     received: int
     damaged: int
-    trace: Union[ColumnarTrace, TraceHandle]
-
-    def __portable_resolve__(self) -> "_Subtrial":
-        self.trace = resolve_portable(self.trace)
-        return self
+    trace: ColumnarTrace
 
 
 def _run_subtrial(
@@ -110,13 +99,10 @@ def _run_subtrial(
     index: int,
     packets: int,
     seed: int,
-    handoff: bool = False,
     trace_dir: Optional[str] = None,
     trace_format: str = "v2",
 ) -> _Subtrial:
-    """One lecture-hall sub-trial, picklable.  ``handoff`` (set on pool
-    paths via the plan's ``pool_kwargs``) ships the raw trace as a
-    columnar temp file instead of pickling it."""
+    """One lecture-hall sub-trial, picklable."""
     from repro.scenario.registry import REGISTRY
 
     propagation = REGISTRY.compile(SCENARIO).propagation()
@@ -146,13 +132,12 @@ def _run_subtrial(
     classified_sub = classify_trace(output.trace)
     received = len(classified_sub.test_rows)
     damaged = received - len(classified_sub.rows(PacketClass.UNDAMAGED))
-    trace = output.trace
     return _Subtrial(
         mean_level=mean_level,
         sent=packets,
         received=received,
         damaged=damaged,
-        trace=export_trace(trace) if handoff else trace,
+        trace=output.trace,
     )
 
 
@@ -234,7 +219,6 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
             _run_subtrial,
             {"distance": float(distance), "index": index, "packets": packets},
             traceable=True,
-            pool_kwargs={"handoff": True},
             scenario=SCENARIO,
         )
         for index, distance in enumerate(SUBTRIAL_DISTANCES_FT)

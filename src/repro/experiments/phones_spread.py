@@ -16,7 +16,7 @@ in a conference room.  Paper findings to preserve (Table 11):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Optional
 
 from repro.analysis.classify import ClassifiedTrace, classify_trace
 from repro.analysis.metrics import TrialMetrics, metrics_from_classified
@@ -29,11 +29,6 @@ from repro.analysis.tables import render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.experiments.tracedir import trial_trace_path
 from repro.framing.testpacket import BODY_BITS
-from repro.parallel.handoff import (
-    PortableClassifiedTrace,
-    export_classified,
-    resolve_portable,
-)
 from repro.scenario.builtin import TABLE11_SCENARIOS
 from repro.trace.persist import save_trace
 from repro.trace.trial import run_fast_trial
@@ -95,31 +90,21 @@ class SpreadResult:
 class _TrialBundle:
     """Everything one Table-11 trial contributes to the result.
 
-    ``classified`` crosses the pool boundary as a
-    :class:`~repro.parallel.handoff.PortableClassifiedTrace` (columnar
-    handle + verdict columns) rather than a pickled record graph;
-    ``run_tasks`` calls ``__portable_resolve__`` on the parent side, so
-    consumers always see a resolved :class:`ClassifiedTrace` (or
-    ``None`` when the caller asked to drop it).
+    ``classified`` is ``None`` when the caller asked to drop it.
     """
 
     trial: str
-    classified: Optional[Union[ClassifiedTrace, PortableClassifiedTrace]]
+    classified: Optional[ClassifiedTrace]
     metrics: TrialMetrics
     summary: TrialSummary
     signal_row: SignalStats
     handset_breakdown: list[SignalStats]
-
-    def __portable_resolve__(self) -> "_TrialBundle":
-        self.classified = resolve_portable(self.classified)
-        return self
 
 
 def _run_trial(
     trial: str,
     packets: int,
     seed: int,
-    handoff: bool = False,
     keep_classified: bool = True,
     trace_dir: Optional[str] = None,
     trace_format: str = "v2",
@@ -127,10 +112,7 @@ def _run_trial(
     """One Table-11 configuration, self-contained and picklable.
 
     Compiles the registered scenario in-process; the bundle is
-    identical whether it runs inline or on a pool worker.  ``handoff``
-    exports the classified trace as a columnar temp file instead of
-    returning the live object — set on pool paths via the plan's
-    ``pool_kwargs``.
+    identical whether it runs inline or on a pool worker.
     ``keep_classified=False`` drops the per-packet output entirely for
     callers that only read the summary tables.
     """
@@ -157,16 +139,9 @@ def _run_trial(
         body_percent=100.0 * metrics.body_damaged_packets / received,
         worst_body_fraction=(metrics.worst_body_bits or 0) / BODY_BITS,
     )
-    shipped: Optional[Union[ClassifiedTrace, PortableClassifiedTrace]]
-    if not keep_classified:
-        shipped = None
-    elif handoff:
-        shipped = export_classified(classified)
-    else:
-        shipped = classified
     return _TrialBundle(
         trial=trial,
-        classified=shipped,
+        classified=classified if keep_classified else None,
         metrics=metrics,
         summary=summary,
         signal_row=stats_for_test_packets(trial, classified),
@@ -260,7 +235,6 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
                 "keep_classified": keep_classified,
             },
             traceable=True,
-            pool_kwargs={"handoff": True},
             scenario=TABLE11_SCENARIOS[trial],
         )
         for trial in TRIALS

@@ -18,6 +18,7 @@ The schema is documented in docs/OBSERVABILITY.md.
 from __future__ import annotations
 
 import gzip
+import io
 import json
 import time
 from pathlib import Path
@@ -29,17 +30,38 @@ TELEMETRY_KIND = "repro-telemetry"
 PathLike = Union[str, Path]
 
 
-def _open(path: PathLike, mode: str) -> IO:
+class _DeterministicGzip(gzip.GzipFile):
+    """Gzip writer whose member header carries no timestamp/filename.
+
+    ``gzip.open`` stamps the current time (and lifts the target name)
+    into the header, making identical contents compare unequal.  Owning
+    the raw stream and passing ``mtime=0`` with an empty ``filename``
+    drops both fields.
+    """
+
+    def __init__(self, path: Path) -> None:
+        self._raw = open(path, "wb")
+        super().__init__(filename="", fileobj=self._raw, mode="wb", mtime=0)
+
+    def close(self) -> None:
+        try:
+            super().close()
+        finally:
+            self._raw.close()
+
+
+def open_jsonl(path: PathLike, mode: str) -> IO:
+    """A UTF-8 text stream on a JSON-lines file, gzipped by ``.gz`` suffix.
+
+    Telemetry files and v1 trial traces share this convention.  A
+    written ``.gz`` file is byte-deterministic (member header with
+    mtime 0, no filename), so the serial-vs-``jobs=N`` byte-identity
+    invariants extend to compressed traces and shard families.
+    """
     path = Path(path)
     if path.suffix == ".gz":
         if "w" in mode:
-            # Deterministic member header (mtime=0, no filename), so
-            # identical telemetry compresses to identical bytes — the
-            # serial-vs-jobs=N byte-identity invariants extend to .gz
-            # shard families.
-            from repro.parallel.shards import open_deterministic_gzip_text
-
-            return open_deterministic_gzip_text(path)
+            return io.TextIOWrapper(_DeterministicGzip(path), encoding="utf-8")
         return gzip.open(path, mode + "t", encoding="utf-8")
     return open(path, mode, encoding="utf-8")
 
@@ -56,7 +78,7 @@ class JsonlTelemetrySink:
     def __init__(self, path: PathLike) -> None:
         self.path = Path(path)
         self.records_written = 0
-        self._stream: Optional[IO] = _open(path, "w")
+        self._stream: Optional[IO] = open_jsonl(path, "w")
         self._stream.write(json.dumps({
             "format": TELEMETRY_FORMAT,
             "kind": TELEMETRY_KIND,
@@ -109,7 +131,7 @@ def _read_header(path: PathLike, stream: IO) -> dict:
 
 def read_telemetry_header(path: PathLike) -> dict:
     """Read just the validated line-1 header of a telemetry file."""
-    with _open(path, "r") as stream:
+    with open_jsonl(path, "r") as stream:
         return _read_header(path, stream)
 
 
@@ -120,7 +142,7 @@ def read_telemetry(path: PathLike) -> tuple[dict, list[dict]]:
     trial-trace reader.  Loads the whole file; for multi-GB telemetry
     families prefer the streaming :func:`iter_telemetry`.
     """
-    with _open(path, "r") as stream:
+    with open_jsonl(path, "r") as stream:
         header = _read_header(path, stream)
         records = [json.loads(line) for line in stream if line.strip()]
     return header, records
@@ -134,7 +156,7 @@ def iter_telemetry(path: PathLike) -> Iterator[dict]:
     directories.  Header validation errors raise on the first
     ``next()``, matching :func:`read_telemetry`'s contract.
     """
-    with _open(path, "r") as stream:
+    with open_jsonl(path, "r") as stream:
         _read_header(path, stream)
         for line in stream:
             if line.strip():

@@ -14,10 +14,10 @@ Quick use::
     results = run_tasks(tasks, jobs=8, label="my-run")
     values = [r.value for r in results]   # in task order
 
-Workers that produce traces (or classified traces) hand them back as
-v2 columnar temp files (:mod:`repro.parallel.handoff`) instead of
-pickling per-packet record objects; ``run_tasks`` resolves the handles
-transparently and removes every file its pool run exported.
+Workers that produce traces (or classified traces) return them as
+plain values: pickle moves their numpy columns, never per-packet
+record objects.  The streaming ingest service ships its chunks through
+shared-memory slot rings instead (:mod:`repro.parallel.handoff`).
 
 Wired into the CLI as ``python -m repro report --jobs N`` (and
 ``--jobs`` on experiments with independent trials, e.g. ``table2``).
@@ -25,19 +25,13 @@ See docs/OBSERVABILITY.md for the sharding and merge semantics.
 """
 
 from repro.parallel.handoff import (
-    PortableClassifiedTrace,
     RingClient,
     RingSlotHandle,
     RingTransport,
-    TraceHandle,
     detach_ring,
-    export_block,
-    export_classified,
-    export_trace,
     load_ring_slot,
-    resolve_portable,
 )
-from repro.parallel.pool import PersistentPool, maybe_pool
+from repro.parallel.pool import PersistentPool
 from repro.parallel.runner import (
     Task,
     TaskResult,
@@ -49,23 +43,16 @@ from repro.parallel.shards import find_shards, shard_path
 
 __all__ = [
     "PersistentPool",
-    "PortableClassifiedTrace",
     "RingClient",
     "RingSlotHandle",
     "RingTransport",
     "Task",
     "TaskResult",
-    "TraceHandle",
     "default_jobs",
     "detach_ring",
-    "export_block",
-    "load_ring_slot",
-    "export_classified",
-    "export_trace",
-    "maybe_pool",
     "find_shards",
+    "load_ring_slot",
     "merged_manifest_record",
-    "resolve_portable",
     "run_tasks",
     "shard_path",
 ]

@@ -1,121 +1,28 @@
-"""Columnar-file handoff for parallel trace results.
+"""Shared-memory ring transport for the streaming ingest service.
 
-Before this module, a pool worker that produced a trace (or a classified
-trace) pickled every :class:`~repro.trace.records.PacketRecord` back to
-the parent — hundreds of thousands of per-object pickle round-trips that
-threw away the bulk-path speedups the worker had just earned.  The
-handoff instead persists the worker's records as a **format v2 columnar
-block** (:mod:`repro.trace.columnar`) in a temp file and ships only a
-small :class:`TraceHandle`; the parent memory-maps the file zero-copy
-and unlinks it on load (POSIX keeps the mapping valid).
+Batch pool results need no transport of their own: a worker returns
+its :class:`~repro.trace.columnar.ColumnarTrace` or
+:class:`~repro.analysis.classify.ClassifiedTrace` as a plain value and
+pickle moves the numpy columns (a simulated trial whose frames were
+never read pickles its frame builder, not the frames).
 
-Classified traces travel as their verdict columns plus the trace
-handle (:class:`PortableClassifiedTrace`); the parent's ``resolve()``
-pairs the columns with the mapped trace again.  ``run_tasks``
-resolves portable task values automatically and exports its pool
-workers' files into a directory it removes when the run ends.
-
-The streaming ingest service has its own vehicle: a :class:`RingTransport`
-of reusable shared-memory slots per session, with the temp-file handle
-as its counted overflow fallback.
+A streaming session is different: it sends thousands of same-sized
+chunks to one sticky worker, so each session gets a
+:class:`RingTransport` of reusable shared-memory slots.  A chunk that
+finds no free slot (or does not fit one) travels as plain bytes in the
+task arguments instead, counted as a ring overflow.
 """
 
 from __future__ import annotations
 
 import os
-import tempfile
 import traceback
-from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Optional, Union
+from dataclasses import dataclass
+from typing import Optional
 
-from repro.analysis.classify import ClassifiedTrace
-from repro.analysis.syndrome import ErrorSyndrome
-from repro.obs import runtime as _obs
-from repro.trace.columnar import (
-    ColumnarTrace,
-    read_columnar,
-    read_columnar_buffer,
-    write_columnar,
-)
-from repro.trace.records import TrialTrace
-
-AnyTrace = Union[TrialTrace, ColumnarTrace]
-
-#: Where exports land when the caller names no directory (None = the
-#: system temp dir).  Set only inside ``run_tasks`` pool workers, by the
-#: pool initializer, to a directory the run owns and removes when it
-#: ends, so no handoff file outlives the run, even one whose task later
-#: raised.  A worker process serves exactly one run.
-export_dir: Optional[str] = None
+from repro.trace.columnar import ColumnarTrace, read_columnar_buffer
 
 
-@dataclass
-class TraceHandle:
-    """A picklable pointer to a columnar trace block in a temp file.
-
-    ``load()`` consumes the handle: the file is unlinked once mapped
-    (POSIX keeps the mapping valid), so a handle is a transfer of
-    ownership, not a shared reference.  ``release()`` discards the file
-    without reading it (error paths).
-    """
-
-    location: str
-
-    def load(self) -> ColumnarTrace:
-        with _obs.trace_span("handoff.load"):
-            trace = read_columnar(self.location)
-            self.release()
-            return trace
-
-    def release(self) -> None:
-        """Discard the block without loading it."""
-        try:
-            os.unlink(self.location)
-        except OSError:
-            pass
-
-    def __portable_resolve__(self) -> ColumnarTrace:
-        return self.load()
-
-
-def _export(write, directory: Optional[Union[str, Path]]) -> TraceHandle:
-    fd, path = tempfile.mkstemp(
-        prefix=f"repro-{os.getpid()}-", suffix=".wlt2",
-        dir=str(directory) if directory is not None else export_dir,
-    )
-    with os.fdopen(fd, "wb") as stream:
-        write(stream)
-    return TraceHandle(path)
-
-
-def export_trace(
-    trace: AnyTrace, directory: Optional[Union[str, Path]] = None
-) -> TraceHandle:
-    """Persist ``trace`` as a v2 columnar block and return its handle.
-
-    Called on the worker side of a pool boundary; the returned handle
-    pickles in constant size however many records the trace holds.
-    """
-    return _export(lambda stream: write_columnar(trace, stream), directory)
-
-
-def export_block(
-    payload: bytes, directory: Optional[Union[str, Path]] = None
-) -> TraceHandle:
-    """Ship already-encoded v2 columnar bytes as a :class:`TraceHandle`.
-
-    The byte-level sibling of :func:`export_trace` for callers that
-    hold the block itself — the streaming ingest service's wire chunks
-    *are* v2 blocks, so they cross the pool boundary without being
-    re-encoded.
-    """
-    return _export(lambda stream: stream.write(payload), directory)
-
-
-# ----------------------------------------------------------------------
-# Ring transport: reusable shm slots for streaming ingest
-# ----------------------------------------------------------------------
 _RING_COUNTER = 0
 
 
@@ -139,9 +46,9 @@ def _untrack_shm(name: str) -> None:
 class RingSlotHandle:
     """A picklable lease on one slot of a :class:`RingTransport`.
 
-    Unlike :class:`TraceHandle`, loading a slot does **not** consume
-    it — the slot belongs to the ring owner, who releases it back to
-    the free list after the worker's result arrives.  The handle is
+    Loading a slot does **not** consume it — the slot belongs to the
+    ring owner, who releases it back to the free list after the
+    worker's result arrives.  The handle is
     just coordinates: which ring, which slot, how many bytes are live.
     """
 
@@ -163,8 +70,8 @@ class RingTransport:
 
     Overflow is loud, never silent: :meth:`lease` returns ``None`` when
     no slot is free or the payload exceeds ``slot_bytes``, bumps the
-    ``overflows`` counter, and the caller falls back to a temp-file
-    :class:`TraceHandle`.  :meth:`stats` reports ``leases`` /
+    ``overflows`` counter, and the caller sends the payload as plain
+    bytes instead.  :meth:`stats` reports ``leases`` /
     ``overflows`` / ``max_in_use`` so a mis-sized ring shows up in
     summaries and metrics instead of as mystery latency.
 
@@ -233,8 +140,8 @@ class RingTransport:
 
         Returns ``None`` (and counts an overflow) when the payload
         exceeds slot capacity or every slot is leased out — the caller
-        must fall back to a temp-file handle; the ring never blocks and
-        never drops bytes silently.
+        must send the bytes themselves; the ring never blocks and never
+        drops bytes silently.
         """
         nbytes = len(payload)
         if self._closed or nbytes > self.slot_bytes or not self._free:
@@ -402,58 +309,3 @@ def detach_ring(name: str) -> None:
     block = _ATTACHED_RINGS.pop(name, None)
     if block is not None:
         block.close()
-
-
-# ----------------------------------------------------------------------
-# Classified traces
-# ----------------------------------------------------------------------
-@dataclass
-class PortableClassifiedTrace:
-    """A classified trace flattened for the pool boundary.
-
-    The verdict columns travel as they are, raw records as a
-    :class:`TraceHandle`, and only the damaged minority's syndromes
-    keep their object form.  ``resolve()`` reconstructs a
-    :class:`ClassifiedTrace` equivalent (verdict-for-verdict) to the
-    one the worker classified.
-    """
-
-    handle: TraceHandle
-    columns: dict
-    syndromes: dict[int, ErrorSyndrome] = field(default_factory=dict)
-
-    def resolve(self) -> ClassifiedTrace:
-        return ClassifiedTrace(
-            trace=self.handle.load(),
-            columns=self.columns,
-            syndromes=self.syndromes,
-        )
-
-    def __portable_resolve__(self) -> ClassifiedTrace:
-        return self.resolve()
-
-
-def export_classified(
-    classified: ClassifiedTrace,
-    directory: Optional[Union[str, Path]] = None,
-) -> PortableClassifiedTrace:
-    """Flatten a classified trace for the pool boundary (worker side)."""
-    return PortableClassifiedTrace(
-        handle=export_trace(classified.trace, directory=directory),
-        columns=classified.columns,
-        syndromes=classified.syndromes,
-    )
-
-
-def resolve_portable(value):
-    """Resolve one task value if it is a handoff object (else pass it
-    through).  Used by :func:`repro.parallel.runner.run_tasks` so pool
-    results arrive resolved, exactly as a serial run would have
-    produced them."""
-    resolver = getattr(value, "__portable_resolve__", None)
-    if resolver is not None:
-        with _obs.trace_span(
-            "handoff.resolve", value=type(value).__name__
-        ):
-            return resolver()
-    return value

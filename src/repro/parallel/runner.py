@@ -24,7 +24,6 @@ from __future__ import annotations
 import multiprocessing
 import os
 import sys
-import tempfile
 import time
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
@@ -37,8 +36,6 @@ from repro import obs
 from repro.obs import resources as _resources
 from repro.obs import runtime as _obs_runtime
 from repro.obs.spans import SpanContext
-from repro.parallel import handoff
-from repro.parallel.handoff import resolve_portable
 from repro.parallel.shards import shard_path
 
 
@@ -86,15 +83,13 @@ def default_jobs() -> int:
 # Worker-process side
 # ----------------------------------------------------------------------
 def _worker_init(session_kwargs: Optional[dict], telemetry_parent: Optional[str],
-                 index_counter, export_dir: Optional[str] = None) -> None:
-    """Per-worker-process setup: its handoff directory and its own
-    observability session.
+                 index_counter) -> None:
+    """Per-worker-process setup: its own observability session.
 
     A forked worker inherits the parent's live session; it must detach
     (not close) before configuring its own, or the parent's buffered
     telemetry would be flushed twice into the shared file descriptor.
     """
-    handoff.export_dir = export_dir
     _obs_runtime.detach_inherited_session()
     if session_kwargs is None:
         return  # parent was not observing; workers don't either
@@ -360,13 +355,6 @@ def run_tasks(
     or a stderr line when no sink is open — so long runs are watchable
     via ``python -m repro timeline FILE --follow``.
 
-    Task values that are handoff objects (:mod:`repro.parallel.handoff`
-    — a worker-persisted columnar trace handle or a portable classified
-    trace) are resolved before the results are returned, so callers see
-    the same materialized values a serial run produces.  Pool workers
-    export into a temp directory owned by this call, which is removed
-    when it returns or raises: a failed run leaves no handoff file.
-
     The whole call runs under a ``parallel.run_tasks`` trace span, and
     each task's own span parents under it — via the live stack when
     inline, via a propagated :class:`~repro.obs.spans.SpanContext` when
@@ -389,8 +377,6 @@ def run_tasks(
                         state, label, len(results), len(tasks),
                         _manifest_packets(results), perf_counter() - start,
                     )
-            for result in results:
-                result.value = resolve_portable(result.value)
             return results
 
         context = _pool_context()
@@ -413,43 +399,33 @@ def run_tasks(
                 span_context = (current.trace_id, current.span_id)
         start = perf_counter()
         workers = min(jobs, len(tasks))
-        with tempfile.TemporaryDirectory(
-            prefix="repro-handoff-", ignore_cleanup_errors=True
-        ) as export_dir:
-            with ProcessPoolExecutor(
-                max_workers=workers,
-                mp_context=context,
-                initializer=_worker_init,
-                initargs=(
-                    session_kwargs, telemetry_parent, index_counter, export_dir
-                ),
-            ) as pool:
-                futures = [
-                    pool.submit(
-                        _execute_task, task, git_rev, task_manifests,
-                        span_context,
+        with ProcessPoolExecutor(
+            max_workers=workers,
+            mp_context=context,
+            initializer=_worker_init,
+            initargs=(session_kwargs, telemetry_parent, index_counter),
+        ) as pool:
+            futures = [
+                pool.submit(
+                    _execute_task, task, git_rev, task_manifests, span_context
+                )
+                for task in tasks
+            ]
+            if progress:
+                # Heartbeat as completions land, while still returning
+                # results in task order.
+                pending = set(futures)
+                while pending:
+                    _finished, pending = wait(
+                        pending, return_when=FIRST_COMPLETED
                     )
-                    for task in tasks
-                ]
-                if progress:
-                    # Heartbeat as completions land, while still
-                    # returning results in task order.
-                    pending = set(futures)
-                    while pending:
-                        _finished, pending = wait(
-                            pending, return_when=FIRST_COMPLETED
-                        )
-                        done_results = [
-                            f.result() for f in futures if f.done()
-                        ]
-                        _emit_heartbeat(
-                            state, label, len(done_results), len(tasks),
-                            _manifest_packets(done_results),
-                            perf_counter() - start,
-                        )
-                results = [future.result() for future in futures]
-            for result in results:
-                result.value = resolve_portable(result.value)
+                    done_results = [f.result() for f in futures if f.done()]
+                    _emit_heartbeat(
+                        state, label, len(done_results), len(tasks),
+                        _manifest_packets(done_results),
+                        perf_counter() - start,
+                    )
+            results = [future.result() for future in futures]
         # Fold worker registries back in task order (deterministic merge).
         if state.enabled:
             for result in results:

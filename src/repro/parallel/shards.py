@@ -10,16 +10,14 @@ automatically and reads the whole family as one stream.
 Shard names derive deterministically from the parent path: the
 ``.jsonl`` / ``.jsonl.gz`` suffix is preserved (so gzip-by-suffix keeps
 working) and the worker index is zero-padded for stable sort order.
-Gzipped shards are also byte-deterministic in content: the writer here
-(:func:`open_deterministic_gzip_text`) pins the gzip member header's
-mtime to zero and embeds no filename, so re-running a parallel
+Gzipped shards are also byte-deterministic in content: the telemetry
+writer (:func:`repro.obs.events.open_jsonl`) pins the gzip member
+header's mtime to zero and embeds no filename, so re-running a parallel
 experiment produces bit-identical ``.gz`` shard families.
 """
 
 from __future__ import annotations
 
-import gzip
-import io
 from pathlib import Path
 
 _SUFFIXES = (".jsonl.gz", ".jsonl", ".gz")
@@ -44,31 +42,6 @@ def shard_path(parent: str | Path, index: int) -> Path:
     parent = Path(parent)
     stem, suffix = split_suffix(parent)
     return parent.with_name(f"{stem}{SHARD_TAG}{index:03d}{suffix}")
-
-
-class _DeterministicGzip(gzip.GzipFile):
-    """Gzip writer whose member header carries no timestamp/filename.
-
-    ``gzip.open`` stamps the current time (and lifts the target name)
-    into the header, making identical shard contents compare unequal.
-    Owning the raw stream and passing ``mtime=0`` with an empty
-    ``filename`` drops both fields.
-    """
-
-    def __init__(self, path: Path) -> None:
-        self._raw = open(path, "wb")
-        super().__init__(filename="", fileobj=self._raw, mode="wb", mtime=0)
-
-    def close(self) -> None:
-        try:
-            super().close()
-        finally:
-            self._raw.close()
-
-
-def open_deterministic_gzip_text(path: str | Path):
-    """A UTF-8 text stream writing a byte-deterministic ``.gz`` file."""
-    return io.TextIOWrapper(_DeterministicGzip(Path(path)), encoding="utf-8")
 
 
 def find_shards(parent: str | Path) -> list[Path]:

@@ -117,11 +117,13 @@ def _logistic(x: float) -> float:
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
-    """``np.unique`` for small 1-D integer draws, minus its overhead.
+    """Sort-based ``np.unique`` for 1-D integer arrays.
 
-    The damage paths dedup a few dozen bit offsets per packet;
-    ``np.unique``'s generic machinery costs more than the sort itself
-    at that size.
+    The damage paths dedup a few dozen bit offsets per packet, where
+    ``np.unique``'s generic machinery costs more than the sort itself;
+    the bulk damage merge dedups millions of keys, where numpy's
+    hash-based unique kernel is several times slower than a plain sort
+    plus run-length mask.
     """
     if values.size <= 1:
         return np.sort(values)
@@ -149,22 +151,6 @@ def _fold_probabilities(
         for column in columns:
             log_keep = log_keep + np.log1p(-column)
     return 1.0 - np.exp(log_keep)
-
-
-def _flat_unique(values: np.ndarray) -> np.ndarray:
-    """Sort-based ``np.unique`` for large 1-D int arrays.
-
-    numpy's hash-based unique kernel is several times slower than a
-    plain sort + run-length mask at the millions-of-keys sizes the bulk
-    damage merge produces; this keeps the merge sort-bound.
-    """
-    if values.size <= 1:
-        return np.sort(values)
-    ordered = np.sort(values)
-    keep = np.empty(values.size, dtype=bool)
-    keep[0] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=keep[1:])
-    return ordered[keep]
 
 
 def _distinct_uniform_rounds(
@@ -236,7 +222,7 @@ def _distinct_uniform_rounds(
             # In-round dedup + bitmap probe: the union of accepted
             # values is the same set the sequential first-distinct
             # process produces, so uniformity is preserved.
-            keys = _flat_unique(keys)
+            keys = _sorted_unique(keys)
             keys = keys[~taken[keys]]
             taken[keys] = True
             rows_new = keys // stride
@@ -335,7 +321,7 @@ def _distinct_uniform_bulk(
         if over.any():
             draws[over] = bounds[over] - key_dtype(1)
         keys = rows * key_stride + draws
-        keys = _flat_unique(keys)
+        keys = _sorted_unique(keys)
         if keys.size == 0:  # pragma: no cover - all draws rejected
             continue
         rows_new = keys // key_stride
@@ -755,22 +741,6 @@ class WaveLanErrorModel:
             "needs_detail": needs_detail,
         }
 
-    def sample_bulk_clean(
-        self,
-        levels: np.ndarray,
-        frame_bytes: int,
-        rng: np.random.Generator,
-    ) -> dict[str, np.ndarray]:
-        """Vectorized fates for a clean channel (no interference).
-
-        Thin wrapper over :meth:`sample_bulk` with an empty schedule;
-        kept for callers that want the historical ``residual_hit``
-        boolean view of the residual-BER column.
-        """
-        fates = self.sample_bulk(levels, frame_bytes, (), rng)
-        fates["residual_hit"] = fates["residual_bits"] > 0
-        return fates
-
     def detail_packet(
         self,
         stress: float,
@@ -834,20 +804,6 @@ class WaveLanErrorModel:
             flipped_bits=all_flips,
             stress=stress,
             quality=quality,
-        )
-
-    def detail_clean_packet(
-        self,
-        stress: float,
-        truncated: bool,
-        hit: bool,
-        residual_bits: int,
-        frame_bytes: int,
-        rng: np.random.Generator,
-    ) -> PacketFate:
-        """Expand a bulk-flagged packet of an interference-free trial."""
-        return self.detail_packet(
-            stress, truncated, hit, residual_bits, frame_bytes, rng
         )
 
     # ------------------------------------------------------------------
@@ -1019,7 +975,7 @@ class WaveLanErrorModel:
             )
             if k * frame_bits < 2**31:
                 keys = keys.astype(np.int32)
-            keys = _flat_unique(keys)
+            keys = _sorted_unique(keys)
             flat_rows = (keys // frame_bits).astype(np.int64)
             flat_pos = keys.astype(np.int64) - flat_rows * frame_bits
             cut = truncated_at[flat_rows]

@@ -8,7 +8,7 @@ packets *incrementally* as frames arrive through
 :class:`repro.analysis.classify.IncrementalClassifier`, and shards
 per-chunk classification across a persistent worker pool
 (:class:`repro.parallel.PersistentPool`) using the shared-memory
-:class:`~repro.parallel.TraceHandle` transport.  Ingest is
+:class:`~repro.parallel.RingTransport` slot rings.  Ingest is
 flow-controlled end to end: bounded per-session queues backpressure the
 socket, and a credit window advertised at handshake bounds the client's
 in-flight chunks — a slow consumer never costs unbounded memory.

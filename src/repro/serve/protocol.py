@@ -11,8 +11,8 @@ payloads (:attr:`FrameType.CHUNK`) are **format v2 columnar blocks**
 (:mod:`repro.trace.columnar`) — the exact bytes a ``.wlt2`` file holds,
 so the protocol reuses the trace store's one reader/writer pair, every
 chunk is self-describing (spec, counts, column table), and the server
-can ship a chunk to a pool worker through the shared-memory
-:class:`~repro.parallel.TraceHandle` transport without re-encoding.
+can ship a chunk to a pool worker through a shared-memory
+:class:`~repro.parallel.RingTransport` slot without re-encoding.
 
 Session flow (client frames on the left, server on the right)::
 

@@ -20,8 +20,8 @@ its own in-flight data without ever feeling a stall.  Memory per
 session is therefore O(ring slots × slot bytes), independent of trace
 length.
 
-**Sharding and affinity.**  With ``jobs > 1`` the pool runs *sharded*
-(:class:`~repro.parallel.PersistentPool` ``sharded=True``): every
+**Sharding and affinity.**  With ``jobs > 1`` the server runs a
+:class:`~repro.parallel.PersistentPool` of single-worker shards: every
 session is pinned at HELLO to the least-loaded shard and all its
 chunks classify on that one worker.  The session's matcher and running
 verdict digest therefore live in that worker's per-session state
@@ -30,10 +30,10 @@ retired when it finishes or aborts, so no worker state outlives its
 session.  Chunk payloads cross the boundary through the session's
 :class:`~repro.parallel.RingTransport`: a preallocated ring of
 reusable shared-memory slots, one memcpy in, zero per-chunk segment
-creation.  Ring overflow (payload too big, or every slot leased) falls
-back to the one-shot file transport and is **counted loudly** —
-``serve.ring_overflows``, the session summary, and ring stats all
-report it.
+creation.  Ring overflow (payload too big, or every slot leased) sends
+the chunk's bytes in the task arguments instead and is **counted
+loudly** — ``serve.ring_overflows``, the session summary, and ring
+stats all report it.
 
 **Coalescing.**  The consumer takes everything already queued (up to
 ``coalesce_chunks``) and classifies it as one batch: one executor
@@ -78,9 +78,7 @@ from repro.obs.spans import derive_span_id
 from repro.parallel.handoff import (
     RingSlotHandle,
     RingTransport,
-    TraceHandle,
     detach_ring,
-    export_block,
     load_ring_slot,
 )
 from repro.parallel.pool import PersistentPool
@@ -137,10 +135,10 @@ class Session:
     error: Optional[str] = None
 
 
-#: A queued chunk on its way to classification: a leased ring slot, a
-#: temp-file handle (a pooled session's ring overflow), or raw bytes
-#: (an inline session's socket-borne chunk).
-ChunkItem = Union[RingSlotHandle, TraceHandle, bytes]
+#: A queued chunk on its way to classification: a leased ring slot, or
+#: raw bytes (an inline session's socket-borne chunk, or a pooled
+#: session's ring overflow).
+ChunkItem = Union[RingSlotHandle, bytes]
 
 
 # ----------------------------------------------------------------------
@@ -150,8 +148,6 @@ def _load_item(item: ChunkItem):
     """One queued chunk back as a columnar trace (worker side)."""
     if isinstance(item, RingSlotHandle):
         return load_ring_slot(item)
-    if isinstance(item, TraceHandle):
-        return item.load()
     return protocol.decode_chunk(item)
 
 
@@ -290,7 +286,7 @@ class TraceAnalysisServer:
     async def start(self) -> None:
         config = self.config
         if config.jobs > 1:
-            self._pool = PersistentPool(config.jobs, sharded=True)
+            self._pool = PersistentPool(config.jobs)
             self._shard_sessions = [0] * config.jobs
         else:
             self._inline = ThreadPoolExecutor(
@@ -673,27 +669,25 @@ class TraceAnalysisServer:
         self, session: Session, payload: memoryview
     ) -> ChunkItem:
         """Copy a CHUNK payload out of the frame buffer, once, into
-        whatever vehicle carries it to classification: the bytes
-        themselves when classifying inline, else a slot of the
-        session's ring, else (no slot fits) a temp-file handle."""
+        whatever vehicle carries it to classification: a slot of the
+        session's ring when a pool classifies, else (inline, or no slot
+        fits) the bytes themselves."""
         if session.client_ring:
             # The client normally writes slots itself; a full CHUNK
             # frame here means its ring overflowed (slot shortage or
             # oversized payload) — count it exactly like a server-side
             # overflow and take the slow lane.
             self._count_overflow(session)
-            if self._pool is None:
-                return bytes(payload)
-            return export_block(bytes(payload))
+            return bytes(payload)
         if self._pool is None:
             return bytes(payload)
         slot = self._ring_for(session, len(payload)).lease(payload)
         if slot is not None:
             return slot
-        # Loud fallback: the one-shot file handoff always works, and
+        # Loud fallback: the bytes ride in the task arguments, and
         # every path that can observe the slowdown sees why.
         self._count_overflow(session)
-        return export_block(bytes(payload))
+        return bytes(payload)
 
     @staticmethod
     def _count_overflow(session: Session) -> None:
@@ -792,16 +786,12 @@ class TraceAnalysisServer:
 
         Server-leased ring slots return to the free list (client-owned
         slots stay the client's — the session teardown unlinks the
-        whole ring anyway); one-shot handles release best-effort (a
-        worker that already consumed one made its location vanish,
-        which ``release`` treats as done).
+        whole ring anyway).
         """
         for item in batch:
             if isinstance(item, RingSlotHandle):
                 if session.ring is not None and not session.client_ring:
                     session.ring.release(item.index)
-            elif isinstance(item, TraceHandle):
-                item.release()
 
     async def _consume(
         self, session: Session, writer: asyncio.StreamWriter

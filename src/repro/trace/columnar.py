@@ -11,8 +11,8 @@ loader can ``np.memmap`` the file and hand the columns straight to
 without ever materializing per-packet objects for the undamaged
 majority.
 
-Layout (single file; identical bytes in a parallel handoff file or a
-serve ring slot)::
+Layout (single file; identical bytes in a serve wire chunk or ring
+slot)::
 
     [0:8]   magic  b"WLTRACE2"
     [8:..]  payload — every record's raw bytes, back to back
@@ -580,7 +580,12 @@ def start_offsets(lengths: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 def _parse_columnar(flat: np.ndarray, origin: str, backing: object,
                     copy: bool) -> ColumnarTrace:
-    """Build a :class:`ColumnarTrace` over a flat uint8 buffer."""
+    """Build a :class:`ColumnarTrace` over a flat uint8 buffer.
+
+    Every damaged footer — undecodable text, a missing or mistyped key,
+    a dtype other than the column's own — raises ValueError naming
+    ``origin``.
+    """
     total = flat.shape[0]
     min_size = 2 * len(MAGIC) + _LEN_STRUCT.size
     if total < min_size or flat[: len(MAGIC)].tobytes() != MAGIC:
@@ -601,11 +606,11 @@ def _parse_columnar(flat: np.ndarray, origin: str, backing: object,
         footer = json.loads(
             flat[footer_start : footer_start + footer_len].tobytes()
         )
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSON or UTF-8 damage
         raise ValueError(
-            f"{origin}: corrupt columnar trace footer: {exc}"
+            f"{origin}: corrupt columnar trace footer: {exc!r}"
         ) from exc
-    if footer.get("kind") != TRACE_KIND:
+    if not isinstance(footer, dict) or footer.get("kind") != TRACE_KIND:
         raise ValueError(f"{origin}: not a trial trace file")
     if footer.get("format") != FORMAT_VERSION:
         raise ValueError(
@@ -615,34 +620,48 @@ def _parse_columnar(flat: np.ndarray, origin: str, backing: object,
 
     def column(key: str) -> np.ndarray:
         entry = footer["columns"][key]
-        start, count = entry["offset"], entry["count"]
+        start, count = _index(entry["offset"]), _index(entry["count"])
         dtype = np.dtype(entry["dtype"])
+        if dtype != np.dtype(_COLUMNS[key][0]):
+            raise ValueError(f"column {key!r} has dtype {dtype}")
         stop = start + count * dtype.itemsize
         if stop > footer_start:
-            raise ValueError(f"{origin}: column {key!r} overruns the file")
+            raise ValueError(f"column {key!r} overruns the file")
         view = flat[start:stop].view(dtype)
         return view.copy() if copy else view
 
-    payload_meta = footer["payload"]
-    payload = flat[
-        payload_meta["offset"] : payload_meta["offset"]
-        + payload_meta["nbytes"]
-    ]
-    return ColumnarTrace(
-        name=footer["name"],
-        spec=spec_from_dict(footer["spec"]),
-        packets_sent=footer["packets_sent"],
-        first_sequence=footer.get("first_sequence", 0),
-        times=column("times"),
-        levels=column("levels"),
-        silences=column("silences"),
-        qualities=column("qualities"),
-        antennas=column("antennas"),
-        offsets=column("offsets"),
-        lengths=column("lengths"),
-        payload=payload.copy() if copy else payload,
-        backing=None if copy else backing,
-    )
+    try:
+        payload_meta = footer["payload"]
+        payload_start = _index(payload_meta["offset"])
+        payload = flat[
+            payload_start : payload_start + _index(payload_meta["nbytes"])
+        ]
+        return ColumnarTrace(
+            name=footer["name"],
+            spec=spec_from_dict(footer["spec"]),
+            packets_sent=_index(footer["packets_sent"]),
+            first_sequence=_index(footer.get("first_sequence", 0)),
+            times=column("times"),
+            levels=column("levels"),
+            silences=column("silences"),
+            qualities=column("qualities"),
+            antennas=column("antennas"),
+            offsets=column("offsets"),
+            lengths=column("lengths"),
+            payload=payload.copy() if copy else payload,
+            backing=None if copy else backing,
+        )
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(
+            f"{origin}: malformed columnar trace footer: {exc!r}"
+        ) from exc
+
+
+def _index(value: object) -> int:
+    """A footer count or byte offset: a non-negative int, else TypeError."""
+    if type(value) is not int or value < 0:
+        raise TypeError(f"{value!r} is not a count or offset")
+    return value
 
 
 def read_columnar(path: PathLike) -> ColumnarTrace:

@@ -25,13 +25,13 @@ byte-identity invariants extend to compressed artifacts).
 from __future__ import annotations
 
 import gzip
-import io
 import json
 import zlib
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import Optional, Union
 
 from repro.obs import runtime as _obs
+from repro.obs.events import open_jsonl
 from repro.phy.modem import ModemRxStatus
 from repro.trace import columnar
 from repro.trace.columnar import (
@@ -50,46 +50,6 @@ GZIP_MAGIC = b"\x1f\x8b"
 
 PathLike = Union[str, Path]
 AnyTrace = Union[TrialTrace, ColumnarTrace]
-
-# Spec serialization lives in repro.trace.columnar (shared by both
-# formats); re-exported here for callers of the historical names.
-_spec_to_dict = spec_to_dict
-_spec_from_dict = spec_from_dict
-
-
-class _DeterministicGzipFile(gzip.GzipFile):
-    """Gzip writer with a reproducible member header.
-
-    ``gzip.open(path, "wt")`` embeds the current time (and the target
-    filename) in the member header, so two byte-identical saves differ.
-    Opening the raw stream ourselves and passing it as ``fileobj`` with
-    ``mtime=0`` drops both fields — identical traces compress to
-    identical files.
-    """
-
-    def __init__(self, path: PathLike) -> None:
-        self._raw = open(path, "wb")
-        # filename="" stops GzipFile from lifting the FNAME field off
-        # the raw stream's .name attribute.
-        super().__init__(filename="", fileobj=self._raw, mode="wb", mtime=0)
-
-    def close(self) -> None:
-        try:
-            super().close()
-        finally:
-            self._raw.close()
-
-
-def _open(path: PathLike, mode: str) -> IO:
-    path = Path(path)
-    if path.suffix == ".gz":
-        if "w" in mode:
-            return io.TextIOWrapper(
-                _DeterministicGzipFile(path), encoding="utf-8"
-            )
-        return gzip.open(path, mode + "t", encoding="utf-8")
-    return open(path, mode, encoding="utf-8")
-
 
 def _infer_save_format(path: PathLike, format: Optional[str]) -> str:
     if format is not None:
@@ -119,13 +79,13 @@ def _save_trace(trace: AnyTrace, path: PathLike, fmt: str) -> None:
         write_columnar(trace, path)
         return
     trace = as_columnar(trace)
-    with _open(path, "w") as stream:
+    with open_jsonl(path, "w") as stream:
         header = {
             "format": FORMAT_VERSION,
             "kind": "wavelan-trial-trace",
             "name": trace.name,
             "packets_sent": trace.packets_sent,
-            "spec": _spec_to_dict(trace.spec),
+            "spec": spec_to_dict(trace.spec),
         }
         stream.write(json.dumps(header) + "\n")
         payload = transient_payload(trace)
@@ -176,7 +136,7 @@ def load_trace(path: PathLike) -> AnyTrace:
 
 def _load_v1(path: PathLike) -> TrialTrace:
     """The JSON-lines reader behind :func:`load_trace`."""
-    with _open(path, "r") as stream:
+    with open_jsonl(path, "r") as stream:
         header_line = stream.readline()
         if not header_line:
             raise ValueError(f"{path}: empty trace file")
@@ -194,7 +154,7 @@ def _load_v1(path: PathLike) -> TrialTrace:
         try:
             trace = TrialTrace(
                 name=header["name"],
-                spec=_spec_from_dict(header["spec"]),
+                spec=spec_from_dict(header["spec"]),
                 packets_sent=header["packets_sent"],
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -252,9 +252,8 @@ class TestJobsInvariance:
         assert repr(serial.summaries) == repr(pooled.summaries)
         assert repr(serial.metrics_rows) == repr(pooled.metrics_rows)
         assert repr(serial.signal_rows) == repr(pooled.signal_rows)
-        # The pooled verdicts crossed the boundary as a
-        # PortableClassifiedTrace; resolved, they must match verdict
-        # for verdict and byte for byte.
+        # The pooled verdicts crossed the boundary by pickle; they must
+        # match verdict for verdict and byte for byte.
         assert list(serial.classified) == list(pooled.classified)
         for trial, classified in serial.classified.items():
             assert _verdicts(classified) == _verdicts(pooled.classified[trial])

@@ -1,22 +1,22 @@
-"""The columnar handoff across pool boundaries."""
+"""Traces across pool boundaries: pool results travel by pickle."""
 
 import os
 import pickle
 import tempfile
 
+import numpy as np
 import pytest
 
 from repro.analysis.classify import classify_trace
 from repro.analysis.metrics import metrics_from_classified
 from repro.parallel import Task, run_tasks
-from repro.parallel.handoff import (
-    PortableClassifiedTrace,
-    export_classified,
-    export_trace,
-    resolve_portable,
-)
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.trial import TrialConfig, run_fast_trial
+
+COLUMNS = (
+    "times", "levels", "silences", "qualities", "antennas", "offsets",
+    "lengths",
+)
 
 
 @pytest.fixture(scope="module")
@@ -39,45 +39,30 @@ def _assert_same_records(original, loaded):
         assert a.status.signal_level == b.status.signal_level
 
 
-class TestTraceHandle:
-    def test_roundtrip(self, trace):
-        handle = export_trace(trace)
-        loaded = handle.load()
-        assert isinstance(loaded, ColumnarTrace)
-        _assert_same_records(trace, loaded)
+class TestPickleHandoff:
+    def test_unread_trial_pickles_its_frame_builder(self):
+        """A simulated trial whose frames nothing has read ships the
+        recipe for its frames, not the frames themselves."""
+        trace = run_fast_trial(
+            TrialConfig(name="clean", packets=20_000, mean_level=20.0, seed=5)
+        ).trace
+        shipped = pickle.dumps(trace)
+        clone = pickle.loads(shipped)
+        assert clone.payload.nbytes > 10 * len(shipped)
+        assert len(shipped) < 2_000_000
+        np.testing.assert_array_equal(clone.payload, trace.payload)
+        for key in COLUMNS:
+            original = getattr(trace, key)
+            copied = getattr(clone, key)
+            assert copied.dtype == original.dtype
+            assert copied.tobytes() == original.tobytes()
+        assert (clone.name, clone.spec, clone.packets_sent) == (
+            trace.name, trace.spec, trace.packets_sent
+        )
+        assert clone.first_sequence == trace.first_sequence
 
-    def test_handle_survives_pickle(self, trace):
-        """The whole point: the handle crosses the pool boundary as a
-        pickle of constant size."""
-        handle = pickle.loads(pickle.dumps(export_trace(trace)))
-        _assert_same_records(trace, handle.load())
-
-    def test_file_handle_pickles_small(self, trace):
-        handle = export_trace(trace)
-        try:
-            assert len(pickle.dumps(handle)) < 500
-        finally:
-            handle.release()
-
-    def test_file_consumed_on_load(self, trace, tmp_path):
-        handle = export_trace(trace, directory=tmp_path)
-        location = handle.location
-        assert os.path.exists(location)
-        loaded = handle.load()
-        assert not os.path.exists(location)  # unlinked once mapped
-        _assert_same_records(trace, loaded)  # mapping stays valid
-
-    def test_release_discards(self, trace, tmp_path):
-        handle = export_trace(trace, directory=tmp_path)
-        handle.release()
-        assert not os.path.exists(handle.location)
-        handle.release()  # idempotent
-
-
-class TestPortableClassified:
-    def test_resolve_equivalent(self, classified):
-        portable = export_classified(classified)
-        resolved = pickle.loads(pickle.dumps(portable)).resolve()
+    def test_classified_trace_round_trips(self, classified):
+        resolved = pickle.loads(pickle.dumps(classified))
         assert len(resolved.packets) == len(classified.packets)
         for a, b in zip(classified.packets, resolved.packets):
             assert a.packet_class == b.packet_class
@@ -92,81 +77,59 @@ class TestPortableClassified:
             metrics_from_classified(resolved)
         )
 
-    def test_resolve_portable_protocol(self, classified):
-        portable = export_classified(classified)
-        assert isinstance(portable, PortableClassifiedTrace)
-        resolved = resolve_portable(portable)
-        assert resolved.__class__.__name__ == "ClassifiedTrace"
-
-    def test_resolve_portable_passthrough(self):
-        sentinel = object()
-        assert resolve_portable(sentinel) is sentinel
-        assert resolve_portable(None) is None
-
-
-class TestMerge:
-    def test_merge_concatenates_shards(self, trace):
-        """The merge step for a trace split across workers: concatenate
-        the loaded shards (offsets rebased, ``packets_sent`` summed)."""
-        handles = [export_trace(trace), export_trace(trace)]
-        merged = ColumnarTrace.concat(
-            [handle.load() for handle in handles], name="merged"
-        )
-        assert merged.name == "merged"
-        assert merged.packets_received == 2 * len(trace.records)
-        assert merged.packets_sent == 2 * trace.packets_sent
-        doubled = list(trace.records) + list(trace.records)
-        for view, record in zip(merged.records, doubled):
-            assert bytes(view.data) == bytes(record.data)
-
 
 # ----------------------------------------------------------------------
-# Pool runs own their handoff files
+# Traces returned by pool workers
 # ----------------------------------------------------------------------
-def _exported_trial(seed: int):
-    return export_trace(
-        run_fast_trial(
-            TrialConfig(name="pool", packets=60, mean_level=10.0, seed=seed)
-        ).trace
-    )
+def _trial(seed: int) -> ColumnarTrace:
+    return run_fast_trial(
+        TrialConfig(name="pool", packets=60, mean_level=10.0, seed=seed)
+    ).trace
 
 
 def _raise(seed: int):
     raise RuntimeError("task failed")
 
 
-def _handoff_files(root) -> list:
-    return [
-        name
-        for _dir, _subdirs, names in os.walk(root)
-        for name in names
-        if name.startswith("repro-") and name.endswith(".wlt2")
-    ]
+class TestMerge:
+    def test_merge_concatenates_shards(self):
+        """The merge step for traces that came back from pool workers:
+        concatenate them (offsets rebased, ``packets_sent`` summed)."""
+        tasks = [Task(f"t{i}", _trial, {"seed": 7}) for i in range(2)]
+        pooled = [result.value for result in run_tasks(tasks, jobs=2)]
+        single = _trial(7)
+        merged = ColumnarTrace.concat(pooled, name="merged")
+        assert merged.name == "merged"
+        assert merged.packets_received == 2 * len(single.records)
+        assert merged.packets_sent == 2 * single.packets_sent
+        doubled = list(single.records) + list(single.records)
+        for view, record in zip(merged.records, doubled):
+            assert bytes(view.data) == bytes(record.data)
 
 
 class TestPoolHandoffFiles:
+    """A pool run leaves nothing behind in the temp dir."""
+
     @pytest.fixture
     def temp_root(self, tmp_path, monkeypatch):
-        """A private system temp dir, so the count sees only this run."""
+        """A private system temp dir, so the listing sees only this run."""
         monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
         return tmp_path
 
     def test_resolved_run_leaves_nothing(self, temp_root):
-        tasks = [Task(f"t{i}", _exported_trial, {"seed": i}) for i in range(3)]
+        tasks = [Task(f"t{i}", _trial, {"seed": i}) for i in range(3)]
         results = run_tasks(tasks, jobs=2)
         assert all(isinstance(r.value, ColumnarTrace) for r in results)
-        assert _handoff_files(temp_root) == []
-        assert os.listdir(temp_root) == []  # the run's directory is gone
+        for seed, result in enumerate(results):
+            _assert_same_records(_trial(seed), result.value)
+        assert os.listdir(temp_root) == []
 
     def test_failed_run_leaves_nothing(self, temp_root):
-        """One raising task must not strand the handles the others
-        already exported."""
         tasks = [
-            Task("a", _exported_trial, {"seed": 1}),
-            Task("b", _exported_trial, {"seed": 2}),
+            Task("a", _trial, {"seed": 1}),
+            Task("b", _trial, {"seed": 2}),
             Task("boom", _raise, {"seed": 3}),
         ]
         with pytest.raises(RuntimeError, match="task failed"):
             run_tasks(tasks, jobs=2)
-        assert _handoff_files(temp_root) == []
         assert os.listdir(temp_root) == []

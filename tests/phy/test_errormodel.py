@@ -177,7 +177,7 @@ class TestBulkPath:
         rng_scalar = np.random.default_rng(1)
         n = 40_000
         level = 6.5
-        flags = model.sample_bulk_clean(np.full(n, level), FRAME_BYTES, rng_bulk)
+        flags = model.sample_bulk(np.full(n, level), FRAME_BYTES, (), rng_bulk)
         bulk_miss = flags["missed"].mean()
         bulk_trunc = flags["truncated"].mean()
         bulk_hit = flags["hit"].mean()
@@ -196,7 +196,7 @@ class TestBulkPath:
         assert bulk_hit == pytest.approx(hit / n, abs=0.01)
 
     def test_detail_clean_packet_realizes_flags(self, model, rng):
-        fate = model.detail_clean_packet(
+        fate = model.detail_packet(
             stress=0.0,
             truncated=True,
             hit=True,
@@ -241,9 +241,7 @@ class TestResidualBer:
         rng = np.random.default_rng(8)
         frame_bits = FRAME_BYTES * 8
         n = 20_000
-        flags = hot_model.sample_bulk_clean(
-            np.full(n, 29.5), FRAME_BYTES, rng
-        )
+        flags = hot_model.sample_bulk(np.full(n, 29.5), FRAME_BYTES, (), rng)
         residual = flags["residual_bits"]
         expected = self.BER * frame_bits
         assert residual.mean() == pytest.approx(expected, rel=0.05)
@@ -253,7 +251,5 @@ class TestResidualBer:
         """At the calibrated 2e-10 the process stays a near-never event
         (Table 2: ~1 corrupted bit in 10^10)."""
         rng = np.random.default_rng(9)
-        flags = model.sample_bulk_clean(
-            np.full(50_000, 29.5), FRAME_BYTES, rng
-        )
+        flags = model.sample_bulk(np.full(50_000, 29.5), FRAME_BYTES, (), rng)
         assert int(flags["residual_bits"].sum()) <= 1

@@ -7,7 +7,7 @@ Three layers of coverage for the zero-copy ingest path:
   between owners, and segment unlink on close (checked against the
   actual ``/dev/shm`` listing).
 * **Equivalence matrix** — both pooled chunk vehicles (a ring slot,
-  or the counted temp-file fallback when no slot fits) × coalescing
+  or the counted bytes fallback when no slot fits) × coalescing
   reproduce, byte for byte, the verdict digest of the inline
   single-chunk path (the acceptance contract every serve PR rides on).
 * **Lifecycle under misbehavior** — an abrupt client disconnect
@@ -293,13 +293,13 @@ class TestTransportMatrix:
         assert summary["counts"] == batch_counts
         return summary["verdict_digest"], summary["counts"]
 
-    @pytest.mark.parametrize("vehicle", ["ring", "file"])
+    @pytest.mark.parametrize("vehicle", ["ring", "bytes"])
     @pytest.mark.parametrize("coalesce", [1, 4])
     def test_pooled_matches_inline(
         self, trace, inline_single_chunk, vehicle, coalesce
     ):
-        """``file`` sizes the ring slots below any chunk, so every chunk
-        takes the temp-file fallback instead of a slot."""
+        """``bytes`` sizes the ring slots below any chunk, so every
+        chunk overflows and travels as bytes in the task arguments."""
         digest, counts = inline_single_chunk
 
         async def work(server):
@@ -312,7 +312,7 @@ class TestTransportMatrix:
                 ServeConfig(
                     jobs=2,
                     coalesce_chunks=coalesce,
-                    ring_slot_bytes=64 if vehicle == "file" else None,
+                    ring_slot_bytes=64 if vehicle == "bytes" else None,
                     heartbeat_s=0,
                 ),
                 work,
@@ -323,7 +323,7 @@ class TestTransportMatrix:
             assert session.summary["verdict_digest"] == digest
             assert session.summary["counts"] == counts
             overflowed = session.summary["ring_overflows"] > 0
-            assert overflowed == (vehicle == "file")
+            assert overflowed == (vehicle == "bytes")
 
     def test_socket_client_on_ring_server_matches(
         self, trace, inline_single_chunk

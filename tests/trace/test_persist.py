@@ -1,6 +1,7 @@
 """Trace save/load roundtrips, across both formats."""
 
 import json
+import struct
 
 import pytest
 
@@ -219,21 +220,48 @@ class TestErrorHandling:
         with pytest.raises(ValueError, match="truncated"):
             load_trace(path)
 
+    @pytest.mark.parametrize(
+        "damage", ["column-without-offset", "spec-without-src-mac", "non-utf8"]
+    )
+    def test_damaged_v2_footer_names_file(self, trace, tmp_path, damage):
+        path = tmp_path / "broken.wlt2"
+        save_trace(trace, path)
+        raw = path.read_bytes()
+        (length,) = struct.unpack("<Q", raw[-16:-8])
+        start = len(raw) - 16 - length
+        footer = raw[start:-16]
+        if damage == "non-utf8":
+            footer = footer.replace(b'"persist-test"', b'"persist-te\xfft"')
+        else:
+            doc = json.loads(footer)
+            if damage == "column-without-offset":
+                del doc["columns"]["levels"]["offset"]
+            else:
+                del doc["spec"]["src_mac"]
+            footer = json.dumps(doc).encode()
+        path.write_bytes(
+            raw[:start] + footer + struct.pack("<Q", len(footer)) + raw[-8:]
+        )
+        with pytest.raises(ValueError, match=r"broken\.wlt2: "):
+            load_trace(path)
+
 
 class TestMutatedV1Files:
-    """Damaged v1 files fail as ValueError naming the file.
+    """Damaged trace files fail as ValueError naming the file.
 
     Seeded truncations, bit flips and 64-byte zero runs over a small
-    trace, in both v1 encodings.  A damaged gzip stream (bad CRC, cut
-    member, broken deflate data), undecodable text and a header missing
-    its fields must not escape as ``EOFError``, ``OSError``,
-    ``zlib.error``, ``UnicodeDecodeError`` or ``KeyError``; a mutation
-    v1 cannot detect may still load.
+    trace, in both v1 encodings and in v2.  A damaged gzip stream (bad
+    CRC, cut member, broken deflate data), undecodable text and a header
+    or footer missing its fields must not escape as ``EOFError``,
+    ``OSError``, ``zlib.error``, ``UnicodeDecodeError`` or
+    ``KeyError``; a mutation the format cannot detect may still load.
+    v2 carries no checksum, so most of its mutations load and only the
+    v1 encodings must reject most of theirs.
     """
 
     MUTATIONS = 150
 
-    @pytest.mark.parametrize("suffix", [".jsonl.gz", ".jsonl"])
+    @pytest.mark.parametrize("suffix", [".jsonl.gz", ".jsonl", ".wlt2"])
     def test_every_failure_is_a_named_value_error(self, tmp_path, suffix):
         import numpy as np
 
@@ -264,4 +292,5 @@ class TestMutatedV1Files:
             except ValueError as exc:
                 assert str(target) in str(exc), (index, repr(exc))
                 failures += 1
-        assert failures > self.MUTATIONS // 2
+        if suffix != ".wlt2":
+            assert failures > self.MUTATIONS // 2
