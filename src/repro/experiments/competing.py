@@ -95,11 +95,10 @@ def _run_trial(
 
 def _aggregate(ctx: PlanContext, values: list) -> CompetingResult:
     result = CompetingResult()
-    names = ["Without interference", "With interference"]
-    if ctx.extra("include_unusable", True):
-        names.append("Unmasked (threshold 3)")
-    for (metrics, signal_row), name in zip(values, names):
-        if name == "Unmasked (threshold 3)":
+    # Each value carries its trial name (the signal row's group), so a
+    # ``trials`` selection folds correctly.
+    for metrics, signal_row in values:
+        if signal_row.group == "Unmasked (threshold 3)":
             result.unusable_metrics = metrics
         else:
             result.metrics_rows.append(metrics)

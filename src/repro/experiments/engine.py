@@ -108,6 +108,9 @@ class ExperimentSpec:
     report; ``report_scale``/``report_extras`` are the per-experiment
     tweaks the report applies (e.g. table2 runs at a fifth of the
     report scale because its paper trial lengths are 70x longer).
+    ``report_extras`` also name what the report lines read — a
+    ``trials`` selection, or an experiment's own subset such as
+    ``fec``'s ``variants`` — so the report runs no trial it ignores.
     """
 
     name: str
@@ -269,6 +272,27 @@ def _validate_plan_scenarios(plans: Sequence[TrialPlan]) -> None:
         REGISTRY.get(name)  # raises ScenarioError listing valid names
 
 
+def _select_trials(
+    spec: ExperimentSpec, plans: list[TrialPlan], labels: Optional[Sequence[str]]
+) -> list[TrialPlan]:
+    """The plans named in the ``trials`` extra, in plan order.
+
+    Seeds key on labels, never positions, so a kept trial is
+    byte-identical to its full-run self.  An unknown label fails here,
+    before any trial runs, listing the valid labels.
+    """
+    if labels is None:
+        return plans
+    wanted = set(labels)
+    unknown = sorted(wanted - {plan.name for plan in plans})
+    if unknown:
+        raise ValueError(
+            f"experiment '{spec.name}' has no trial(s) {unknown}; "
+            f"valid labels: {[plan.name for plan in plans]}"
+        )
+    return [plan for plan in plans if plan.name in wanted]
+
+
 class ExperimentEngine:
     """Executes any registered spec with uniform services."""
 
@@ -293,6 +317,11 @@ class ExperimentEngine:
         ``progress`` emits per-trial heartbeat telemetry through the
         runner.  Flags that cannot apply warn loudly instead of
         silently no-opping.
+
+        ``extras["trials"]`` is the one extras key the engine itself
+        reads: a sequence of trial labels that keeps only those plans
+        (in plan order), for callers that read a few trials' values.
+        An unknown label raises ``ValueError`` before anything runs.
 
         When a trace recorder is active the run produces one
         ``engine.<name>`` span with ``engine.plan`` / ``engine.execute``
@@ -325,10 +354,11 @@ class ExperimentEngine:
         ):
             with _obs_runtime.trace_span("engine.plan"):
                 plans = list(spec.build_plans(ctx))
+            plans = _select_trials(spec, plans, ctx.extra("trials"))
             _validate_plan_scenarios(plans)
             if jobs > 1 and len(plans) <= 1:
                 _warn(
-                    f"experiment '{spec.name}' is a single trial plan; "
+                    f"experiment '{spec.name}' runs a single trial plan; "
                     f"--jobs {jobs} runs it serially"
                 )
             if ctx.trace_dir is not None and any(p.traceable for p in plans):

@@ -225,17 +225,19 @@ def _adaptive_schedule(scenario: str, classified) -> AdaptiveOutcome:
 
 
 def _harvest_tx5(scale: float, seed: int) -> ClassifiedTrace:
-    """Attenuation bursts: the multi-room Tx5 location."""
-    from repro.experiments import multiroom
-
-    return multiroom.run(scale=scale, seed=seed).tx5_classified
+    """Attenuation bursts: the multi-room Tx5 location, run alone."""
+    result = ENGINE.run(
+        "table5", scale=scale, seed=seed, extras={"trials": ("Tx5",)}
+    )
+    return result.tx5_classified
 
 
 def _harvest_ss_handset(scale: float, seed: int) -> ClassifiedTrace:
-    """SS-phone jam windows: the "AT&T handset" Table-11 trial."""
-    from repro.experiments import phones_spread
-
-    return phones_spread.run(scale=scale, seed=seed).classified["AT&T handset"]
+    """SS-phone jam windows: the "AT&T handset" Table-11 trial, run alone."""
+    result = ENGINE.run(
+        "table11", scale=scale, seed=seed, extras={"trials": ("AT&T handset",)}
+    )
+    return result.classified["AT&T handset"]
 
 
 @dataclass(frozen=True)
@@ -244,8 +246,10 @@ class DamageSource:
 
     ``scenario`` names the registered topology the source experiment
     compiles (tagged on the plan, so the engine validates it against
-    the scenario registry at plan-build time); ``harvest`` re-runs that
-    experiment and returns the classified trace to mine for syndromes.
+    the scenario registry at plan-build time); ``harvest`` re-runs the
+    one source trial and returns its classified trace to mine for
+    syndromes.  The trial's seed keys on its label, so it is the same
+    trial the full source experiment runs.
     """
 
     scenario: str
@@ -253,7 +257,7 @@ class DamageSource:
 
 
 #: Name -> damage source.  Adding a new damage-heavy trial means adding
-#: one entry here — the plans, dispatch, and validation all read it.
+#: one entry here — the plans and the dispatch both read it.
 DAMAGE_SOURCES: dict[str, DamageSource] = {
     "Tx5 attenuation": DamageSource("paper/multiroom", _harvest_tx5),
     "SS-phone handset": DamageSource(
@@ -263,31 +267,34 @@ DAMAGE_SOURCES: dict[str, DamageSource] = {
 
 
 def _run_scenario(
-    scenario: str, scale: float, seed: int, syndrome_limit: int
+    scenario: str,
+    scale: float,
+    seed: int,
+    syndrome_limit: int,
+    variants: tuple,
 ) -> tuple[list[RateOutcome], AdaptiveOutcome]:
     """One damage scenario end to end, picklable.
 
-    Re-runs the source experiment (serially, in-process), harvests its
-    syndromes, replays them against every rate/interleaving/marking
-    combination in one batched decode, and drives the adaptive
-    controller — so nothing but small outcome dataclasses crosses a
-    pool boundary.
+    Re-runs the source trial (serially, in-process), harvests its
+    syndromes, replays them against each requested
+    rate/interleaving/marking combination in one batched decode, and
+    drives the adaptive controller — so nothing but small outcome
+    dataclasses crosses a pool boundary.
     """
     classified = DAMAGE_SOURCES[scenario].harvest(scale, seed)
     syndromes = _collect_syndromes(classified, syndrome_limit)
     # Every variant depunctures onto the same mother-code trellis, so
-    # all ten replay in one decode.
+    # all of them replay in one decode.  Each variant draws its own
+    # block and windows from a fixed seed, so a subset replays exactly
+    # as it does among all ten.
     errors = replay_populations(
-        [_damage_population(syndromes, *variant) for variant in VARIANTS]
+        [_damage_population(syndromes, *variant) for variant in variants]
     )
     outcomes = [
         _evaluate_rate(scenario, *variant, errors_per_packet)
-        for variant, errors_per_packet in zip(VARIANTS, errors)
+        for variant, errors_per_packet in zip(variants, errors)
     ]
     return outcomes, _adaptive_schedule(scenario, classified)
-
-
-SCENARIOS = tuple(DAMAGE_SOURCES)
 
 
 def _aggregate(ctx: PlanContext, values: list) -> FecEvalResult:
@@ -338,19 +345,28 @@ def _report_lines(report, result: FecEvalResult, scale: float) -> None:
     default_scale=1.0,
     default_seed=81,
     report_lines=_report_lines,
-    report_extras={"syndrome_limit": 25},
+    # The report's two lines read these two variants and nothing else.
+    report_extras={
+        "syndrome_limit": 25,
+        "variants": (("4/5", True, "none"), ("1/2", True, "none")),
+    },
 )
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
-    """One plan per damage scenario (``extras={"scenarios": [...]}``
-    selects a subset; unknown names fail here, before anything runs)."""
+    """One plan per damage scenario.
+
+    ``extras={"variants": [...]}`` replays a subset of :data:`VARIANTS`
+    (kept in ``VARIANTS`` order); an unknown variant fails here, before
+    anything runs.  The engine's ``trials`` extra selects scenarios.
+    """
     syndrome_limit = ctx.extra("syndrome_limit", 60)
-    requested = tuple(ctx.extra("scenarios", SCENARIOS))
-    unknown = [name for name in requested if name not in DAMAGE_SOURCES]
+    requested = [tuple(variant) for variant in ctx.extra("variants", VARIANTS)]
+    unknown = [variant for variant in requested if variant not in VARIANTS]
     if unknown:
         raise ValueError(
-            f"unknown FEC damage scenario(s) {unknown!r}; "
-            f"valid names: {sorted(DAMAGE_SOURCES)}"
+            f"unknown FEC replay variant(s) {unknown}; "
+            f"valid variants: {list(VARIANTS)}"
         )
+    variants = tuple(variant for variant in VARIANTS if variant in requested)
     return [
         TrialPlan(
             scenario,
@@ -359,10 +375,11 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
                 "scenario": scenario,
                 "scale": ctx.scale,
                 "syndrome_limit": syndrome_limit,
+                "variants": variants,
             },
-            scenario=DAMAGE_SOURCES[scenario].scenario,
+            scenario=source.scenario,
         )
-        for scenario in requested
+        for scenario, source in DAMAGE_SOURCES.items()
     ]
 
 

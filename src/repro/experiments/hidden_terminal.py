@@ -157,6 +157,7 @@ def _report_lines(report, result: HiddenTerminalResult, scale: float) -> None:
     default_scale=1.0,
     default_seed=97,
     report_lines=_report_lines,
+    report_extras={"trials": ("hidden, receiver off-centre",)},
 )
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per carrier-sense scenario."""

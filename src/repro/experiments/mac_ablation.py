@@ -176,6 +176,8 @@ def _report_scale(scale: float) -> float:
     default_seed=83,
     report_lines=_report_lines,
     report_scale=_report_scale,
+    # The wired CSMA/CD reference is not a report line.
+    report_extras={"trials": ("csma_cd_blind", "csma_ca")},
 )
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per MAC variant on the saturated channel."""

@@ -142,6 +142,8 @@ def _report_lines(report, result: MultiroomResult, scale: float) -> None:
     aliases=("table6", "table7"),
     traceable=True,
     report_lines=_report_lines,
+    # The report's lines read the Tx5 location only.
+    report_extras={"trials": ("Tx5",)},
 )
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """The four transmitter locations, in layout order."""

@@ -217,9 +217,12 @@ def _report_lines(report, result: SpreadResult, scale: float) -> None:
     aliases=("table12", "table13"),
     traceable=True,
     report_lines=_report_lines,
-    # The report reads only the summary tables, so its workers ship no
-    # per-packet records at all.
-    report_extras={"keep_classified": False},
+    # The report reads three trials' summary rows, so it runs only
+    # those and its workers ship no per-packet records at all.
+    report_extras={
+        "keep_classified": False,
+        "trials": ("RS base", "AT&T handset", "RS remote cluster"),
+    },
 )
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per Table-11 phone configuration."""
@@ -253,8 +256,7 @@ def run(
 
     The trials are mutually independent, so ``jobs > 1`` fans them over
     a process pool; the assembled result is identical to a serial run.
-    Pool workers hand their classified traces back as columnar temp
-    files instead of pickling per-packet record objects.
+    Pool workers send their classified traces back by pickle.
     ``keep_classified=False`` omits ``SpreadResult.classified`` for
     callers that only read the summary tables — e.g. the report, which
     then ships no records at all.

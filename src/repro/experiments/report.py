@@ -9,7 +9,9 @@ The report is registry-driven: it covers every registered
 :class:`repro.experiments.engine.ExperimentSpec` whose ``report_lines``
 hook is set, in registry order.  Per-experiment scale tweaks
 (``report_scale``) and options (``report_extras``) live on the specs,
-next to the experiments they describe.
+next to the experiments they describe.  The options also name the
+trials and FEC variants the report lines read, so the report runs only
+those; the CLI experiments run everything.
 
 The experiments are mutually independent (the engine derives every
 trial seed from ``(root seed, experiment name, trial label)``), so the

@@ -173,6 +173,9 @@ def _collision_point(threshold: int, attempts: int, seed: int) -> tuple[int, int
 
 def _aggregate(ctx: PlanContext, values: list) -> ThresholdResult:
     include_collisions = ctx.extra("include_collisions", True)
+    if len(values) != len(THRESHOLD_SWEEP) * (2 if include_collisions else 1):
+        # The sweep is folded by position, so it takes every plan.
+        raise ValueError("figure3 cannot run a subset of its trials")
     packets = max(200, int(PACKETS_PER_POINT * ctx.scale))
     filter_values = values[: len(THRESHOLD_SWEEP)]
     collision_values = (

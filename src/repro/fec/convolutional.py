@@ -90,20 +90,20 @@ class ConvolutionalCode:
         Returns the coded bit stream (length n_outputs per input bit).
         """
         bits = np.asarray(bits, dtype=np.uint8)
-        if terminate:
-            bits = np.concatenate(
-                [bits, np.zeros(self.constraint_length - 1, dtype=np.uint8)]
-            )
-        coded = np.empty(len(bits) * self.n_outputs, dtype=np.uint8)
-        state = 0
-        outputs = self._outputs
-        next_state = self._next_state
-        cursor = 0
-        for bit in bits:
-            coded[cursor : cursor + self.n_outputs] = outputs[state, bit]
-            state = next_state[state, bit]
-            cursor += self.n_outputs
-        return coded
+        k = self.constraint_length
+        steps = len(bits) + (k - 1 if terminate else 0)
+        # At step t the register holds input t in its MSB (tap k-1) down
+        # to input t-(k-1) in its LSB (tap 0), so with k-1 leading zeros
+        # tap j reads ``padded[t + j]`` and each output is a XOR of
+        # shifted copies of the input.  Flush bits are the trailing zeros.
+        padded = np.zeros(steps + k - 1, dtype=np.uint8)
+        padded[k - 1 : k - 1 + len(bits)] = bits
+        coded = np.zeros((steps, self.n_outputs), dtype=np.uint8)
+        for gi, generator in enumerate(self.generators):
+            for tap in range(k):
+                if generator >> tap & 1:
+                    coded[:, gi] ^= padded[tap : tap + steps]
+        return coded.reshape(-1)
 
     def tail_bits(self) -> int:
         """Number of flush bits a terminated encoding appends."""

@@ -69,9 +69,11 @@ class _CountingStream:
     how often a stream is consulted, and wrapping per element would
     change hot-path costs.  The proxy never touches the underlying
     draw sequence, so seeds stay stable with accounting on or off.
-    """
 
-    __slots__ = ("_generator", "_counter")
+    ``__getattr__`` runs only when normal lookup fails, so a method's
+    counted wrapper is built once and kept in the instance ``__dict__``;
+    later lookups find it there without reaching ``__getattr__``.
+    """
 
     def __init__(self, generator: np.random.Generator, counter) -> None:
         self._generator = generator
@@ -87,6 +89,7 @@ class _CountingStream:
             counter.inc()
             return attribute(*args, **kwargs)
 
+        self.__dict__[name] = counted
         return counted
 
 

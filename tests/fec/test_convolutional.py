@@ -1,9 +1,35 @@
-"""The K=7 convolutional encoder."""
+"""The K=7 convolutional encoder (and other rate-1/n codes)."""
 
 import numpy as np
 import pytest
 
 from repro.fec.convolutional import ConvolutionalCode, parity
+
+
+def loop_encode(
+    code: ConvolutionalCode, bits: np.ndarray, terminate: bool = True
+) -> np.ndarray:
+    """Oracle: the state machine stepped one input bit at a time over the
+    code's (state, bit) output and next-state tables."""
+    bits = np.asarray(bits, dtype=np.uint8)
+    if terminate:
+        bits = np.concatenate([bits, np.zeros(code.tail_bits(), dtype=np.uint8)])
+    coded = np.empty(len(bits) * code.n_outputs, dtype=np.uint8)
+    outputs, next_state = code.output_table(), code.next_state_table()
+    state = 0
+    for cursor, bit in enumerate(bits):
+        start = cursor * code.n_outputs
+        coded[start : start + code.n_outputs] = outputs[state, bit]
+        state = next_state[state, bit]
+    return coded
+
+
+ORACLE_CODES = {
+    "K7 (171,133)": ConvolutionalCode(7, (0o171, 0o133)),
+    "K3 (7,5)": ConvolutionalCode(3, (0o7, 0o5)),
+    "K5 (23,35)": ConvolutionalCode(5, (0o23, 0o35)),
+    "K7 rate 1/3 (133,165,171)": ConvolutionalCode(7, (0o133, 0o165, 0o171)),
+}
 
 
 class TestParity:
@@ -73,3 +99,18 @@ class TestEncoding:
         code = ConvolutionalCode(constraint_length=3, generators=(0o7, 0o5))
         coded = code.encode(np.array([1, 0, 1], dtype=np.uint8))
         assert len(coded) == (3 + 2) * 2
+
+
+class TestEncoderEqualsStateMachine:
+    """The shifted-XOR encoder equals the bit-serial state machine."""
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_CODES))
+    @pytest.mark.parametrize("length", [0, 1, 5, 1024])
+    @pytest.mark.parametrize("terminate", [True, False])
+    def test_byte_for_byte(self, name, length, terminate):
+        code = ORACLE_CODES[name]
+        bits = np.random.default_rng(length + 17).integers(0, 2, length)
+        coded = code.encode(bits.astype(np.uint8), terminate=terminate)
+        expected = loop_encode(code, bits, terminate=terminate)
+        assert coded.dtype == np.uint8
+        assert coded.tobytes() == expected.tobytes()

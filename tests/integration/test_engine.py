@@ -18,10 +18,11 @@ Three pillars:
 
 import pkgutil
 
+import numpy as np
 import pytest
 
 import repro.experiments as experiments_pkg
-from repro.experiments import baseline, engine, phones_spread, walls
+from repro.experiments import baseline, engine, fec_eval, phones_spread, walls
 from repro.experiments.engine import (
     ENGINE,
     ExperimentSpec,
@@ -31,6 +32,7 @@ from repro.experiments.engine import (
 )
 from repro.experiments.report import report_specs
 from repro.simkit.rng import spawn_seed
+from tests.integration.test_fec_replay import ADAPTIVE_GOLDEN, FEC_GOLDEN
 
 # Package modules that are infrastructure, not experiments.
 NON_EXPERIMENT_MODULES = {"engine", "report", "tracedir"}
@@ -269,3 +271,165 @@ class TestLoudWarnings:
     def test_no_warning_on_clean_run(self, capsys):
         ENGINE.run(_SOLO_SPEC)
         assert "warning:" not in capsys.readouterr().err
+
+
+#: Seeds the counted plan function was called with, in call order.
+_COUNTED_CALLS: list[int] = []
+
+
+def _counted_plan_fn(seed: int) -> int:
+    _COUNTED_CALLS.append(seed)
+    return seed
+
+
+_COUNTED_SPEC = ExperimentSpec(
+    name="selection-test",
+    artifact="test",
+    description="three-plan spec for trial-selection tests",
+    build_plans=lambda ctx: [
+        TrialPlan(label, _counted_plan_fn, {}) for label in ("a", "b", "c")
+    ],
+    aggregate=lambda ctx, values: values,
+)
+
+
+def _same_classified(selected, full) -> None:
+    """Verdict columns and syndromes of two classified traces agree."""
+    assert selected.columns.keys() == full.columns.keys()
+    for key, column in full.columns.items():
+        assert np.array_equal(selected.columns[key], column), key
+    assert selected.syndromes.keys() == full.syndromes.keys()
+    for row, syndrome in full.syndromes.items():
+        other = selected.syndromes[row]
+        assert other.sequence == syndrome.sequence
+        assert np.array_equal(other.body_bit_positions, syndrome.body_bit_positions)
+        assert np.array_equal(
+            other.wrapper_bit_positions, syndrome.wrapper_bit_positions
+        )
+
+
+def _fec_rows(result) -> list[tuple]:
+    return [
+        (o.scenario, o.rate_name, o.interleaved, o.marking, o.packets,
+         o.packets_recovered, o.residual_bit_errors, o.overhead_fraction)
+        for o in result.outcomes
+    ]
+
+
+class TestTrialSelection:
+    """``extras["trials"]``: the engine keeps only the named plans."""
+
+    def setup_method(self):
+        _COUNTED_CALLS.clear()
+
+    def test_unknown_label_fails_before_any_plan_runs(self):
+        with pytest.raises(ValueError) as excinfo:
+            ENGINE.run(_COUNTED_SPEC, seed=5, extras={"trials": ("a", "zz")})
+        message = str(excinfo.value)
+        assert "'zz'" in message
+        assert "valid labels: ['a', 'b', 'c']" in message
+        assert _COUNTED_CALLS == []
+
+    def test_keeps_plan_order_and_label_seeds(self):
+        values = ENGINE.run(_COUNTED_SPEC, seed=5, extras={"trials": ("c", "a")})
+        expected = [engine.trial_seed(5, "selection-test", label) for label in "ac"]
+        assert values == expected
+        assert _COUNTED_CALLS == expected
+        assert ENGINE.run(_COUNTED_SPEC, seed=5)[::2] == expected
+
+    def test_table11_trial_equals_its_full_run_self(self):
+        full = ENGINE.run("table11", scale=0.05, seed=73)
+        alone = ENGINE.run(
+            "table11", scale=0.05, seed=73, extras={"trials": ("AT&T handset",)}
+        )
+        assert list(alone.classified) == ["AT&T handset"]
+        _same_classified(
+            alone.classified["AT&T handset"], full.classified["AT&T handset"]
+        )
+        assert alone.summaries == [full.summary("AT&T handset")]
+        assert alone.handset_breakdown == full.handset_breakdown
+
+    def test_table5_tx5_equals_its_full_run_self(self):
+        full = ENGINE.run("table5", scale=0.05, seed=65)
+        alone = ENGINE.run(
+            "table5", scale=0.05, seed=65, extras={"trials": ("Tx5",)}
+        )
+        assert alone.metrics_rows == [full.metrics("Tx5")]
+        assert alone.level_mean("Tx5") == full.level_mean("Tx5")
+        assert alone.tx5_breakdown == full.tx5_breakdown
+        _same_classified(alone.tx5_classified, full.tx5_classified)
+
+    def test_selected_run_jobs2_equals_jobs1(self):
+        extras = {"trials": ("RS remote cluster", "RS base")}
+        serial = ENGINE.run("table11", scale=0.05, seed=9, extras=extras)
+        pooled = ENGINE.run("table11", scale=0.05, seed=9, jobs=2, extras=extras)
+        assert [s.name for s in serial.summaries] == ["RS base", "RS remote cluster"]
+        assert pooled.summaries == serial.summaries
+        assert pooled.metrics_rows == serial.metrics_rows
+        assert pooled.signal_rows == serial.signal_rows
+        for trial in serial.classified:
+            _same_classified(pooled.classified[trial], serial.classified[trial])
+
+    def test_table14_folds_a_selection_by_trial_name(self):
+        full = ENGINE.run("table14", scale=0.02, seed=74)
+        alone = ENGINE.run(
+            "table14", scale=0.02, seed=74,
+            extras={"trials": ("With interference",)},
+        )
+        assert alone.metrics_rows == [full.metrics("With interference")]
+        assert alone.unusable_metrics is None
+
+    def test_figure3_refuses_a_subset(self):
+        # Its sweep folds by position, so a subset would mislabel rows.
+        with pytest.raises(ValueError, match="subset"):
+            ENGINE.run(
+                "figure3", scale=0.01, seed=53, extras={"trials": ("filter-12",)}
+            )
+
+
+class TestFecVariants:
+    """``fec``'s ``variants`` extra replays a subset of ``VARIANTS``."""
+
+    def test_subset_equals_the_pinned_full_run(self):
+        variants = [("1/2", True, "soft"), ("4/5", True, "none")]
+        result = ENGINE.run(
+            "fec", scale=0.05, seed=2004,
+            extras={"syndrome_limit": 25, "variants": variants},
+        )
+        # Kept in VARIANTS order, per scenario, equal to the full run's rows.
+        assert _fec_rows(result) == [
+            row for row in FEC_GOLDEN if tuple(row[1:4]) in set(variants)
+        ]
+        assert [
+            (a.scenario, a.packets, a.rate_counts, a.mean_overhead)
+            for a in result.adaptive
+        ] == ADAPTIVE_GOLDEN
+
+    def test_unknown_variant_fails_at_plan_build(self):
+        spec = engine.get("fec")
+        ctx = PlanContext(
+            scale=0.05, seed=1, extras={"variants": [("3/4", True, "none")]}
+        )
+        with pytest.raises(ValueError, match="unknown FEC replay variant"):
+            spec.build_plans(ctx)
+
+    def test_default_replays_every_variant(self):
+        spec = engine.get("fec")
+        plans = spec.build_plans(PlanContext(scale=0.05, seed=1))
+        assert [plan.kwargs["variants"] for plan in plans] == [
+            fec_eval.VARIANTS
+        ] * len(fec_eval.DAMAGE_SOURCES)
+
+    def test_trials_select_a_damage_scenario(self):
+        result = ENGINE.run(
+            "fec", scale=0.05, seed=2004,
+            extras={
+                "syndrome_limit": 25,
+                "variants": [("4/5", True, "none")],
+                "trials": ("Tx5 attenuation",),
+            },
+        )
+        assert _fec_rows(result) == [
+            row for row in FEC_GOLDEN
+            if row[0] == "Tx5 attenuation" and row[1:4] == ("4/5", True, "none")
+        ]
