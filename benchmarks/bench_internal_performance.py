@@ -209,11 +209,11 @@ def test_perf_trace_matching_vs_scalar():
         TrialConfig(name="bench-match", packets=20_000, mean_level=10.0, seed=5)
     )
     trace = output.trace
-    records = len(trace.records)
+    records = trace.packets_received
 
     def classify_scalar():
         matcher = TraceMatcher(trace.spec, trace.packets_sent)
-        return [matcher.match_bytes(record.data) for record in trace.records]
+        return [matcher.match_bytes(trace.data(index)) for index in range(records)]
 
     classify_trace(trace)  # warm
     scalar_s, scalar_matches = _best_of(classify_scalar)
@@ -443,7 +443,7 @@ def test_perf_trace_persist_v1_vs_v2(tmp_path):
         TrialConfig(name="bench-persist", packets=20_000, mean_level=10.0, seed=7)
     )
     trace = output.trace
-    records = len(trace.records)
+    records = trace.packets_received
     v1_path = tmp_path / "bench.jsonl"
     v2_path = tmp_path / "bench.wlt2"
 
@@ -467,7 +467,7 @@ def test_perf_trace_persist_v1_vs_v2(tmp_path):
             "v2_load_speedup_vs_v1": round(load_speedup, 2),
         },
     )
-    assert len(v1_trace.records) == v2_trace.packets_received == records
+    assert v1_trace.packets_received == v2_trace.packets_received == records
     # Acceptance floor: the columnar load must be >= 10x the JSONL load.
     assert load_speedup >= 10.0
     # Equivalence ride-along: classifying the memory-mapped columnar

@@ -46,7 +46,7 @@ from repro.framing import TestPacketFactory, TestPacketSpec
 from repro.link import LinkStation, RadioChannel
 from repro.phy import ModemConfig, WaveLanErrorModel, WaveLanModem
 from repro.simkit import Simulator
-from repro.trace import TrialConfig, TrialTrace, run_fast_trial, run_mac_trial
+from repro.trace import TrialConfig, run_fast_trial, run_mac_trial
 
 __version__ = "1.0.0"
 
@@ -65,7 +65,6 @@ __all__ = [
     "TestPacketSpec",
     "TrialConfig",
     "TrialMetrics",
-    "TrialTrace",
     "Wall",
     "WaveLanErrorModel",
     "WaveLanModem",

@@ -339,7 +339,7 @@ def _cmd_convert(source: str, destination: str,
         print(f"convert: {exc}", file=sys.stderr)
         return 2
     print(f"converted {source} -> {destination} "
-          f"({len(trace.records)} records)")
+          f"({trace.packets_received} records)")
     return 0
 
 

@@ -1,7 +1,7 @@
 """Offline trace analysis — the paper's core methodological contribution.
 
-Given a :class:`~repro.trace.records.TrialTrace` (raw received bytes +
-modem status per packet, CRC filtering disabled), this package:
+Given a :class:`~repro.trace.columnar.ColumnarTrace` (raw received
+bytes + modem status per packet, CRC filtering disabled), this package:
 
 1. heuristically decides which received packets belong to the test
    series, and recovers each one's sequence number even in the face of
@@ -26,7 +26,7 @@ did not have).
 
 from repro.analysis.burststats import BurstStatistics, burst_statistics
 from repro.analysis.classify import ClassifiedPacket, PacketClass, classify_trace
-from repro.analysis.matching import MatchOutcome, MatchResult, match_record
+from repro.analysis.matching import MatchOutcome, MatchResult
 from repro.analysis.metrics import TrialMetrics, analyze_trial
 from repro.analysis.signalstats import SignalStats, signal_stats_by_class
 from repro.analysis.syndrome import ErrorSyndrome, extract_syndrome
@@ -45,7 +45,6 @@ __all__ = [
     "burst_statistics",
     "classify_trace",
     "extract_syndrome",
-    "match_record",
     "render_metrics_table",
     "render_signal_table",
     "signal_stats_by_class",

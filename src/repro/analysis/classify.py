@@ -22,7 +22,7 @@ from __future__ import annotations
 import enum
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -32,10 +32,8 @@ from repro.obs import runtime as _obs
 from repro.framing.crc import check_fcs
 from repro.framing.modem import NETWORK_ID_LEN
 from repro.framing.testpacket import FRAME_BYTES
-from repro.trace.columnar import ColumnarTrace, PacketRecordView, as_columnar
-from repro.trace.records import PacketRecord, TrialTrace
-
-AnyTrace = Union[TrialTrace, ColumnarTrace]
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import PacketRecord
 
 # Stable code order for PacketClass verdict columns: the wire/handoff
 # encoding (repro.parallel.handoff, repro.serve.protocol) and the
@@ -71,7 +69,7 @@ OUTSIDER_CLASSES = tuple(cls for cls in CLASS_ORDER if not cls.is_test_packet)
 class ClassifiedPacket:
     """One record plus everything the analysis derived from it."""
 
-    record: Union[PacketRecord, PacketRecordView]
+    record: PacketRecord
     packet_class: PacketClass
     sequence: Optional[int] = None
     syndrome: Optional[ErrorSyndrome] = None
@@ -113,7 +111,7 @@ class ClassifiedTrace:
         columns = self.columns
         sequence = int(columns["sequences"][index])
         return ClassifiedPacket(
-            record=self.trace.record_view(index),
+            record=self.trace.record(index),
             packet_class=CLASS_ORDER[columns["class_codes"][index]],
             sequence=None if sequence < 0 else sequence,
             syndrome=self.syndromes.get(index),
@@ -209,10 +207,11 @@ class IncrementalClassifier:
 
     # ------------------------------------------------------------------
     def feed_records(self, records: Sequence[PacketRecord]) -> None:
-        """Classify a chunk of records (v1 loads, MAC trials).
+        """Classify a chunk of records.
 
         The chunk is columnarized once and runs the same loop as
-        :meth:`feed_columnar`.
+        :meth:`feed_columnar`, without calling it: each entry point
+        counts its own rows.
         """
         matcher = self.matcher
         trace = ColumnarTrace.from_records(
@@ -292,12 +291,9 @@ class IncrementalClassifier:
                 if count:
                     self.class_counts[CLASS_ORDER[code]] += count
 
-    def feed(self, trace: AnyTrace) -> None:
-        """Classify a whole trace-shaped chunk (dispatch on its type)."""
-        if isinstance(trace, ColumnarTrace):
-            self.feed_columnar(trace)
-        else:
-            self.feed_records(trace.records)
+    def feed(self, trace: ColumnarTrace) -> None:
+        """Classify every row of ``trace``."""
+        self.feed_columnar(trace)
 
     # ------------------------------------------------------------------
     def verdict_columns(self) -> dict:
@@ -329,13 +325,13 @@ class IncrementalClassifier:
             cls.value: self.class_counts.get(cls, 0) for cls in CLASS_ORDER
         }
 
-    def finish(self, trace: AnyTrace) -> ClassifiedTrace:
+    def finish(self, trace: ColumnarTrace) -> ClassifiedTrace:
         """Wrap the running verdicts as the batch-API result object.
 
         ``trace`` is the trace whose rows were fed, in order.
         """
         return ClassifiedTrace(
-            trace=as_columnar(trace),
+            trace=trace,
             columns=self.verdict_columns(),
             syndromes=dict(self.syndromes),
         )
@@ -370,24 +366,18 @@ def verdict_row_bytes(columns: dict) -> bytes:
     return rows.tobytes()
 
 
-def classify_trace(trace: AnyTrace) -> ClassifiedTrace:
+def classify_trace(trace: ColumnarTrace) -> ClassifiedTrace:
     """Run matching + damage classification over a whole trial.
 
     A thin batch wrapper over :class:`IncrementalClassifier` — one
-    classifier, the whole trace (columnarized once if it is a record
-    trace) fed as a single chunk (the classifier re-chunks internally
-    for cache friendliness), results identical to any streamed
-    chunking of the same records.
+    classifier, the whole trace fed as a single chunk (the classifier
+    re-chunks internally for cache friendliness), results identical to
+    any streamed chunking of the same records.
     """
-    columnar = as_columnar(trace)
     classifier = IncrementalClassifier(trace.spec, trace.packets_sent)
-    with _obs.trace_span(
-        "analysis.classify",
-        records=trace.packets_received,
-        columnar=isinstance(trace, ColumnarTrace),
-    ):
-        classifier.feed_columnar(columnar)
-    return classifier.finish(columnar)
+    with _obs.trace_span("analysis.classify", records=trace.packets_received):
+        classifier.feed_columnar(trace)
+    return classifier.finish(trace)
 
 
 def _classify_one(

@@ -388,10 +388,3 @@ class TraceMatcher:
         if best > 0 and len(winners) == 1:
             return winners[0], False
         return None, True
-
-
-def match_record(
-    record: PacketRecord, spec: TestPacketSpec, packets_sent: int
-) -> MatchResult:
-    """One-shot convenience wrapper around :class:`TraceMatcher`."""
-    return TraceMatcher(spec, packets_sent).match(record)

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ from repro.analysis.classify import (
 )
 from repro.framing.testpacket import BODY_BITS, BODY_START
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import TrialTrace
 
 
 @dataclass
@@ -118,6 +117,6 @@ def metrics_from_classified(classified: ClassifiedTrace) -> TrialMetrics:
     )
 
 
-def analyze_trial(trace: Union[TrialTrace, ColumnarTrace]) -> TrialMetrics:
+def analyze_trial(trace: ColumnarTrace) -> TrialMetrics:
     """Classify and summarize a trial in one call."""
     return metrics_from_classified(classify_trace(trace))

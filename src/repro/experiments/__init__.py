@@ -1,11 +1,12 @@
 """Experiment reproductions: one module per paper table/figure.
 
 Every module exposes ``run(scale=..., seed=...) -> <Result dataclass>``
-returning structured data, and ``main()`` printing the paper-style
-table.  ``scale`` multiplies the paper's packet counts (1.0 = the
-paper's trial lengths; tests use small scales, benchmarks moderate
-ones).  The experiment ↔ module ↔ benchmark mapping lives in DESIGN.md
-§4 and EXPERIMENTS.md.
+returning structured data; ``python -m repro NAME`` runs the experiment
+at its registered default scale and prints the paper-style table.
+``scale`` multiplies the paper's packet counts (1.0 = the paper's trial
+lengths; tests use small scales, benchmarks moderate ones).  The
+experiment ↔ module ↔ benchmark mapping lives in DESIGN.md §4 and
+EXPERIMENTS.md.
 
 Each module registers one :class:`repro.experiments.engine.ExperimentSpec`
 at import time via the ``@experiment`` decorator; importing this package

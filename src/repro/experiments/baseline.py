@@ -179,20 +179,3 @@ def run(
         "table2", scale=scale, seed=seed, jobs=jobs,
         trace_dir=trace_dir, trace_format=trace_format,
     )
-
-
-def main(
-    scale: float = 0.1,
-    seed: int = 1996,
-    jobs: int = 1,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> BaselineResult:
-    result = run(scale=scale, seed=seed, jobs=jobs, trace_dir=trace_dir,
-                 trace_format=trace_format)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

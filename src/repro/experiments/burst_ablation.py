@@ -164,13 +164,3 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
 
 def run(scale: float = 1.0, seed: int = 91, jobs: int = 1) -> BurstAblationResult:
     return ENGINE.run("burst", scale=scale, seed=seed, jobs=jobs)
-
-
-def main(scale: float = 1.0, seed: int = 91, jobs: int = 1) -> BurstAblationResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

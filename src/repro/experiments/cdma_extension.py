@@ -261,13 +261,3 @@ def _render(result: CdmaResult, scale: float) -> None:
           "and codes+power together give the paper's 'sharp cell "
           "boundaries'.  This sharpens Section 8's caveat that large "
           "low-cross-correlation families are hard to build.")
-
-
-def main(scale: float = 1.0, seed: int = 95, jobs: int = 1) -> CdmaResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -195,16 +195,3 @@ def run(
         trace_dir=trace_dir, trace_format=trace_format,
         extras={"include_unusable": include_unusable},
     )
-
-
-def main(scale: float = 0.25, seed: int = 74, jobs: int = 1,
-         trace_dir: Optional[str] = None,
-         trace_format: str = "v2") -> CompetingResult:
-    result = run(scale=scale, seed=seed, jobs=jobs, trace_dir=trace_dir,
-                 trace_format=trace_format)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

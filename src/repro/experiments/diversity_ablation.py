@@ -133,13 +133,3 @@ def _render(result: DiversityResult, scale: float) -> None:
           "packets under the corruption thresholds; its value concentrates "
           "exactly at the Figure-2 boundary, which is why the hardware "
           "pays for a second antenna.")
-
-
-def main(scale: float = 1.0, seed: int = 101, jobs: int = 1) -> DiversityResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

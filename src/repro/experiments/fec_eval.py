@@ -389,13 +389,3 @@ def run(scale: float = 1.0, seed: int = 81, syndrome_limit: int = 60,
         "fec", scale=scale, seed=seed, jobs=jobs,
         extras={"syndrome_limit": syndrome_limit},
     )
-
-
-def main(scale: float = 1.0, seed: int = 81, jobs: int = 1) -> FecEvalResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -190,13 +190,3 @@ def _render(result: HiddenTerminalResult, scale: float) -> None:
           "what survives at the receiver is governed by capture — the "
           "equidistant receiver loses both, the off-centre receiver "
           "still hears its stronger neighbour.")
-
-
-def main(scale: float = 1.0, seed: int = 97, jobs: int = 1) -> HiddenTerminalResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

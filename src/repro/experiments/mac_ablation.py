@@ -189,13 +189,3 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
 
 def run(scale: float = 1.0, seed: int = 83, jobs: int = 1) -> MacAblationResult:
     return ENGINE.run("mac", scale=scale, seed=seed, jobs=jobs)
-
-
-def main(scale: float = 1.0, seed: int = 83, jobs: int = 1) -> MacAblationResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

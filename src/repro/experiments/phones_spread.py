@@ -266,20 +266,3 @@ def run(
         trace_dir=trace_dir, trace_format=trace_format,
         extras={"keep_classified": keep_classified},
     )
-
-
-def main(
-    scale: float = 1.0,
-    seed: int = 73,
-    jobs: int = 1,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> SpreadResult:
-    result = run(scale=scale, seed=seed, jobs=jobs, trace_dir=trace_dir,
-                 trace_format=trace_format)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -228,7 +228,3 @@ def main(
     else:
         print(text)
     return report
-
-
-if __name__ == "__main__":
-    main()

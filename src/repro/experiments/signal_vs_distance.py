@@ -156,16 +156,3 @@ def run(scale: float = 1.0, seed: int = 51, jobs: int = 1,
         "figure1", scale=scale, seed=seed, jobs=jobs,
         trace_dir=trace_dir, trace_format=trace_format,
     )
-
-
-def main(scale: float = 1.0, seed: int = 51, jobs: int = 1,
-         trace_dir: Optional[str] = None,
-         trace_format: str = "v2") -> PathLossResult:
-    result = run(scale=scale, seed=seed, jobs=jobs, trace_dir=trace_dir,
-                 trace_format=trace_format)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

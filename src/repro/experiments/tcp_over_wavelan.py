@@ -224,13 +224,3 @@ def _render(result: TcpResult, scale: float) -> None:
           "(on a single-hop LAN, retry immediacy beats TCP-awareness; "
           "snoop's dupack clock starves once losses empty the pipe).  The "
           "SS-phone stomping regime defeats every sub-transport remedy.")
-
-
-def main(scale: float = 1.0, seed: int = 103, jobs: int = 1) -> TcpResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

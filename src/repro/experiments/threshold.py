@@ -275,16 +275,3 @@ def run(
         trace_dir=trace_dir, trace_format=trace_format,
         extras={"include_collisions": include_collisions},
     )
-
-
-def main(scale: float = 0.2, seed: int = 53, jobs: int = 1,
-         trace_dir: Optional[str] = None,
-         trace_format: str = "v2") -> ThresholdResult:
-    result = run(scale=scale, seed=seed, jobs=jobs, trace_dir=trace_dir,
-                 trace_format=trace_format)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -207,13 +207,3 @@ def _render(result: ThroughputResult, scale: float) -> None:
     print(f"\nFEC/raw goodput crossover at level ~{result.crossover_level():.1f} "
           "— above it FEC is 'useless overhead in most situations' "
           "(Section 8); below it the redundancy pays.")
-
-
-def main(scale: float = 1.0, seed: int = 99, jobs: int = 1) -> ThroughputResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

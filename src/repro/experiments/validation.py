@@ -175,13 +175,3 @@ def _render(result: ValidationResult, scale: float) -> None:
               f"{c.fast_quality_mean:6.2f}/{c.mac_quality_mean:6.2f}")
     print(f"\nworst gaps: delivery {100 * result.worst_delivery_gap:.2f}pp, "
           f"level {result.worst_level_gap:.2f} units")
-
-
-def main(scale: float = 1.0, seed: int = 111, jobs: int = 1) -> ValidationResult:
-    result = run(scale=scale, seed=seed, jobs=jobs)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -137,16 +137,3 @@ def run(scale: float = 1.0, seed: int = 64, jobs: int = 1,
         "table4", scale=scale, seed=seed, jobs=jobs,
         trace_dir=trace_dir, trace_format=trace_format,
     )
-
-
-def main(scale: float = 0.25, seed: int = 64, jobs: int = 1,
-         trace_dir: Optional[str] = None,
-         trace_format: str = "v2") -> WallsResult:
-    result = run(scale=scale, seed=seed, jobs=jobs, trace_dir=trace_dir,
-                 trace_format=trace_format)
-    _render(result, scale)
-    return result
-
-
-if __name__ == "__main__":
-    main()

@@ -167,18 +167,3 @@ class AdaptiveFecController:
         )
         # choice indexes RATE_ORDER (0 = weakest "8/9" ... 3 = "1/2").
         return [RATE_ORDER[i] for i in choice]
-
-    def rate_counts_bulk(
-        self,
-        signal_levels: np.ndarray,
-        silence_levels: np.ndarray,
-        signal_qualities: np.ndarray,
-    ) -> dict[str, int]:
-        """Per-rate decision counts for a whole trial's columns."""
-        rates = self.observe_bulk(
-            signal_levels, silence_levels, signal_qualities
-        )
-        counts = {name: 0 for name in RATE_ORDER}
-        for name in rates:
-            counts[name] += 1
-        return counts

@@ -111,21 +111,6 @@ class BulkInterference:
     def __len__(self) -> int:
         return len(self.jam_ber)
 
-    def sample_at(self, index: int) -> InterferenceSample:
-        """The packet-``index`` column as a scalar sample (diagnostics)."""
-        signal = float(self.signal_sample_dbm[index])
-        silence = float(self.silence_sample_dbm[index])
-        return InterferenceSample(
-            source_name=self.source_name,
-            signal_sample_dbm=None if math.isnan(signal) else signal,
-            silence_sample_dbm=None if math.isnan(silence) else silence,
-            jam_ber=float(self.jam_ber[index]),
-            miss_probability=float(self.miss_probability[index]),
-            truncate_probability=float(self.truncate_probability[index]),
-            clock_stress=float(self.clock_stress[index]),
-            bursty=self.bursty,
-        )
-
 
 def bulk_schedule(
     source: "InterferenceSource",
@@ -172,7 +157,3 @@ class InterferenceSource(abc.ABC):
     ) -> InterferenceSample:
         """This source's effect on one packet arriving at ``rx_position``
         with desired-signal level ``signal_level``."""
-
-    def quiet_sample(self) -> InterferenceSample:
-        """A no-effect sample (source inactive for this packet)."""
-        return InterferenceSample(source_name=self.name)

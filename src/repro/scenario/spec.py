@@ -20,7 +20,7 @@ into ``PropagationModel`` + ``FloorPlan`` + interference wiring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from typing import Any, Mapping, Optional, Sequence
 
 from repro.environment.materials import MATERIALS_BY_NAME
@@ -761,8 +761,3 @@ class ScenarioBuilder:
             traffic=self._traffic,
             modem=self._modem,
         ).validate()
-
-
-def spec_fields() -> list[str]:
-    """Field names of ScenarioSpec (docs/tests introspection helper)."""
-    return [f.name for f in fields(ScenarioSpec)]

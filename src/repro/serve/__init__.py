@@ -26,7 +26,6 @@ from repro.serve.protocol import (
     ProtocolError,
     decode_chunk,
     encode_chunk,
-    read_frame,
     write_frame,
 )
 from repro.serve.server import ServeConfig, TraceAnalysisServer
@@ -39,6 +38,5 @@ __all__ = [
     "TraceAnalysisServer",
     "decode_chunk",
     "encode_chunk",
-    "read_frame",
     "write_frame",
 ]

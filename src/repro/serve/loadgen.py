@@ -45,7 +45,7 @@ from typing import Optional, Sequence, Union
 from repro.parallel.handoff import RingClient
 from repro.serve import protocol
 from repro.serve.protocol import FrameType, ProtocolError
-from repro.trace.columnar import ColumnarTrace, as_columnar
+from repro.trace.columnar import ColumnarTrace
 from repro.trace.persist import load_trace
 
 Address = Union[str, tuple[str, int]]
@@ -372,7 +372,7 @@ def _loadgen_worker(
     key = (trace_path, chunk_records)
     cached = _WORKER_PAYLOADS.get(key)
     if cached is None:
-        trace = as_columnar(load_trace(trace_path))
+        trace = load_trace(trace_path)
         cached = (trace, chunk_payloads(trace, chunk_records))
         _WORKER_PAYLOADS.clear()  # one trace at a time; these are big
         _WORKER_PAYLOADS[key] = cached
@@ -554,7 +554,7 @@ def run(args: argparse.Namespace) -> int:
     """Replay ``args.trace`` as :func:`add_arguments` parsed it; print
     the run's summary and return 1 when the server ingested a different
     record count than was sent."""
-    trace = as_columnar(load_trace(args.trace))
+    trace = load_trace(args.trace)
     use_ring = not args.no_ring
     if args.processes > 1:
         report = run_loadgen_processes(

@@ -96,49 +96,14 @@ def write_frame(
     writer.write(frame(frame_type, payload))
 
 
-async def read_frame(
-    reader: asyncio.StreamReader,
-) -> Optional[tuple[FrameType, bytes]]:
-    """Read one frame; ``None`` on clean EOF at a frame boundary.
-
-    EOF *inside* a frame — a peer dying mid-send — raises
-    :class:`ProtocolError` so truncation is never mistaken for a clean
-    goodbye (same stance the columnar store takes on missing trailers).
-    """
-    try:
-        header = await reader.readexactly(_LEN_BYTES)
-    except asyncio.IncompleteReadError as exc:
-        if not exc.partial:
-            return None
-        raise ProtocolError(
-            "connection closed mid-frame (inside the length prefix)"
-        ) from exc
-    length = int.from_bytes(header, "big")
-    if length < 1 or length > MAX_FRAME_BYTES:
-        raise ProtocolError(f"invalid frame length {length}")
-    try:
-        body = await reader.readexactly(length)
-    except asyncio.IncompleteReadError as exc:
-        raise ProtocolError(
-            f"connection closed mid-frame ({len(exc.partial)} of "
-            f"{length} bytes)"
-        ) from exc
-    try:
-        frame_type = FrameType(body[0])
-    except ValueError as exc:
-        raise ProtocolError(f"unknown frame type 0x{body[0]:02x}") from exc
-    return frame_type, body[1:]
-
-
 class FrameReader:
-    """Buffered frame decoder for high-rate ingest loops.
+    """The frame decoder: both ends read every frame through one.
 
-    :func:`read_frame` costs two ``readexactly`` awaits per frame —
-    two event-loop round-trips and two bytes-object materializations
-    even when the kernel already has dozens of frames queued.  The
-    reader instead pulls large blocks (``read_bytes`` at a time) into
-    one reusable ``bytearray`` and carves frames out of it, so a burst
-    of buffered chunks costs one syscall and zero per-frame copies.
+    The reader pulls large blocks (``read_bytes`` at a time) into one
+    reusable ``bytearray`` and carves frames out of it, so a burst of
+    buffered chunks costs one syscall and zero per-frame copies, where
+    a ``readexactly`` per length prefix and per body would cost two
+    event-loop round-trips and two bytes objects per frame.
 
     The payload comes back as a :class:`memoryview` into the internal
     buffer, valid **only until the next** :meth:`read_frame` call —
@@ -147,8 +112,11 @@ class FrameReader:
     bytes object, a decoded trace); the hot path copies exactly once,
     straight to its destination.
 
-    EOF semantics match :func:`read_frame`: ``None`` at a clean frame
-    boundary, :class:`ProtocolError` mid-frame.
+    ``None`` at EOF on a frame boundary; EOF *inside* a frame — a peer
+    dying mid-send — raises :class:`ProtocolError`, so truncation is
+    never mistaken for a clean goodbye (the stance the columnar store
+    takes on missing trailers).  So do a length outside
+    ``[1, MAX_FRAME_BYTES]`` and an unknown frame type.
     """
 
     _COMPACT_BYTES = 1 << 16
@@ -241,7 +209,6 @@ def hello_payload(
     name: str,
     spec,
     packets_sent: int,
-    first_sequence: int = 0,
     total_records: Optional[int] = None,
     shm_ring: bool = False,
     chunk_bytes: Optional[int] = None,
@@ -263,7 +230,6 @@ def hello_payload(
         "name": name,
         "spec": spec_to_dict(spec),
         "packets_sent": packets_sent,
-        "first_sequence": first_sequence,
     }
     if total_records is not None:
         doc["total_records"] = total_records
@@ -284,11 +250,32 @@ def parse_hello(payload: bytes) -> dict:
     for key in ("session", "name", "spec", "packets_sent"):
         if key not in doc:
             raise ProtocolError(f"HELLO missing {key!r}")
+    if not _is_int(doc["packets_sent"], 0, None):
+        raise ProtocolError(
+            f"HELLO packets_sent {doc['packets_sent']!r} is not a count"
+        )
+    # A chunk sizes the ring slots; it can be no larger than a frame.
+    if "chunk_bytes" in doc and not _is_int(
+        doc["chunk_bytes"], 1, MAX_FRAME_BYTES
+    ):
+        raise ProtocolError(
+            f"HELLO chunk_bytes {doc['chunk_bytes']!r} is not a size in "
+            f"[1, {MAX_FRAME_BYTES}]"
+        )
     try:
         doc["spec"] = spec_from_dict(doc["spec"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"HELLO carries a malformed spec: {exc}") from exc
     return doc
+
+
+def _is_int(value: object, low: int, high: Optional[int]) -> bool:
+    """``value`` is a JSON integer (not a bool) in ``[low, high]``."""
+    return (
+        type(value) is int
+        and value >= low
+        and (high is None or value <= high)
+    )
 
 
 def chunk_ref_payload(slot: int, nbytes: int) -> bytes:

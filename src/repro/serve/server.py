@@ -113,7 +113,6 @@ class Session:
     name: str
     spec: object
     packets_sent: int
-    first_sequence: int
     queue: asyncio.Queue
     started_unix: float
     records: int = 0
@@ -509,13 +508,11 @@ class TraceAnalysisServer:
             return
 
         spec = hello["spec"]
-        packets_sent = int(hello["packets_sent"])
         session = Session(
             id=session_id,
             name=str(hello["name"]),
             spec=spec,
-            packets_sent=packets_sent,
-            first_sequence=int(hello.get("first_sequence", 0)),
+            packets_sent=hello["packets_sent"],
             queue=asyncio.Queue(maxsize=config.queue_chunks),
             started_unix=time.time(),
             digest=hashlib.blake2b(digest_size=8),
@@ -532,13 +529,13 @@ class TraceAnalysisServer:
             "window_chunks": config.window_chunks,
             "queue_chunks": config.queue_chunks,
         }
-        if hello.get("shm_ring") and int(hello.get("chunk_bytes") or 0) > 0:
+        if hello.get("shm_ring") and "chunk_bytes" in hello:
             # Same-host fast path: grant the client direct slot access.
             # The client writes chunk payloads into the ring itself and
             # sends CHUNK_REF frames; the socket stops carrying frame
             # bytes.  ``chunk_bytes`` (the client's largest payload)
             # sizes the slots up front.
-            ring = self._ring_for(session, int(hello["chunk_bytes"]))
+            ring = self._ring_for(session, hello["chunk_bytes"])
             session.client_ring = True
             hello_ok["ring"] = {
                 "name": ring.name,

@@ -26,26 +26,25 @@ slot)::
     [-16:-8] footer length, little-endian u64
     [-8:]   magic  b"WLTRACE2"  (trailer: absent on a truncated write)
 
-The footer lives at the end so the writer can stream the payload without
-knowing record counts up front; the trailing magic makes truncation
-detectable (a crashed writer leaves no trailer, and the loader refuses
-the file loudly rather than serving partial columns).
+The footer lives at the end, after the data it describes; the trailing
+magic makes truncation detectable (a crashed writer leaves no trailer,
+and the loader refuses the file loudly rather than serving partial
+columns).
 """
 
 from __future__ import annotations
 
 import json
 import struct
-from array import array
 from pathlib import Path
-from typing import IO, Callable, Iterator, Optional, Sequence, Union
+from typing import IO, Callable, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.framing.ethernet import MacAddress
 from repro.framing.testpacket import TestPacketSpec
 from repro.phy.modem import ModemRxStatus
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord
 
 MAGIC = b"WLTRACE2"
 FORMAT_VERSION = 2
@@ -57,15 +56,15 @@ V2_SUFFIX = ".wlt2"
 _ALIGN = 8
 _LEN_STRUCT = struct.Struct("<Q")
 
-# Column name -> (dtype, array.array typecode used while writing).
-_COLUMNS: dict[str, tuple[str, str]] = {
-    "times": ("<f8", "d"),
-    "levels": ("<i2", "h"),
-    "silences": ("<i2", "h"),
-    "qualities": ("<i2", "h"),
-    "antennas": ("<i2", "h"),
-    "offsets": ("<u8", "Q"),
-    "lengths": ("<u4", "I"),
+# Column name -> dtype, in file order.
+_COLUMNS: dict[str, str] = {
+    "times": "<f8",
+    "levels": "<i2",
+    "silences": "<i2",
+    "qualities": "<i2",
+    "antennas": "<i2",
+    "offsets": "<u8",
+    "lengths": "<u4",
 }
 
 PathLike = Union[str, Path]
@@ -101,228 +100,67 @@ def spec_from_dict(data: dict) -> TestPacketSpec:
 # ----------------------------------------------------------------------
 # Writer
 # ----------------------------------------------------------------------
-class ColumnarTraceWriter:
-    """Streaming append writer for format v2.
-
-    Frame bytes go straight to the output stream as records arrive —
-    the writer never holds the payload in memory — while the per-record
-    scalars (26 bytes each) accumulate in compact typed arrays and land
-    as contiguous columns at :meth:`close`.  Use as a context manager::
-
-        with ColumnarTraceWriter(path, name, spec, packets_sent) as w:
-            for record in records:
-                w.append_record(record)
-    """
-
-    def __init__(
-        self,
-        target: Union[PathLike, IO[bytes]],
-        name: str,
-        spec: TestPacketSpec,
-        packets_sent: int,
-        first_sequence: int = 0,
-    ) -> None:
-        if hasattr(target, "write"):
-            self._stream: IO[bytes] = target  # type: ignore[assignment]
-            self._owns_stream = False
-        else:
-            self._stream = open(target, "wb")
-            self._owns_stream = True
-        self.name = name
-        self.spec = spec
-        self.packets_sent = packets_sent
-        self.first_sequence = first_sequence
-        self._cols = {key: array(code) for key, (_, code) in _COLUMNS.items()}
-        self._payload_nbytes = 0
-        self._closed = False
-        self._stream.write(MAGIC)
-
-    # ------------------------------------------------------------------
-    def append(
-        self, data: bytes, status: ModemRxStatus, time: float = 0.0
-    ) -> None:
-        """Append one record (raw bytes + status registers)."""
-        cols = self._cols
-        cols["times"].append(time)
-        cols["levels"].append(status.signal_level)
-        cols["silences"].append(status.silence_level)
-        cols["qualities"].append(status.signal_quality)
-        cols["antennas"].append(status.antenna)
-        cols["offsets"].append(self._payload_nbytes)
-        cols["lengths"].append(len(data))
-        self._payload_nbytes += len(data)
-        self._stream.write(data)
-
-    def append_record(self, record: PacketRecord) -> None:
-        self.append(record.data, record.status, record.time)
-
-    # ------------------------------------------------------------------
-    def _pad(self, position: int) -> int:
-        pad = (-position) % _ALIGN
-        if pad:
-            self._stream.write(b"\0" * pad)
-        return position + pad
-
-    def close(self) -> None:
-        """Land the columns and the self-describing footer."""
-        if self._closed:
-            return
-        self._closed = True
-        position = self._pad(len(MAGIC) + self._payload_nbytes)
-        count = len(self._cols["times"])
-        column_table: dict[str, dict] = {}
-        for key, (dtype, _) in _COLUMNS.items():
-            block = np.asarray(self._cols[key], dtype=dtype).tobytes()
-            column_table[key] = {
-                "dtype": dtype, "offset": position, "count": count
-            }
-            self._stream.write(block)
-            position = self._pad(position + len(block))
-        footer = json.dumps(
-            {
-                "kind": TRACE_KIND,
-                "format": FORMAT_VERSION,
-                "name": self.name,
-                "spec": spec_to_dict(self.spec),
-                "packets_sent": self.packets_sent,
-                "first_sequence": self.first_sequence,
-                "count": count,
-                "payload": {
-                    "offset": len(MAGIC), "nbytes": self._payload_nbytes
-                },
-                "columns": column_table,
-            },
-            sort_keys=True,
-        ).encode("utf-8")
-        self._stream.write(footer)
-        self._stream.write(_LEN_STRUCT.pack(len(footer)))
-        self._stream.write(MAGIC)
-        if self._owns_stream:
-            self._stream.close()
-
-    def __enter__(self) -> "ColumnarTraceWriter":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
-
 def write_columnar(
-    trace: Union[TrialTrace, "ColumnarTrace"],
-    target: Union[PathLike, IO[bytes]],
+    trace: "ColumnarTrace", target: Union[PathLike, IO[bytes]]
 ) -> None:
-    """Write ``trace`` (in-memory or already-columnar) as format v2."""
-    trace = as_columnar(trace)
-    with ColumnarTraceWriter(
-        target, trace.name, trace.spec, trace.packets_sent,
-        trace.first_sequence,
-    ) as writer:
-        # The columns are the file's columns: stream the payload
-        # wholesale and splice the columns in directly.
-        payload = transient_payload(trace)
-        writer._stream.write(np.ascontiguousarray(payload).data)
-        writer._payload_nbytes = int(payload.shape[0])
-        for key, (dtype, code) in _COLUMNS.items():
-            column = array(code)
-            column.frombytes(
-                np.ascontiguousarray(getattr(trace, key), dtype=dtype).tobytes()
-            )
-            writer._cols[key] = column
+    """Write ``trace`` as one v2 block: magic, payload, the 8-byte
+    aligned columns, footer, footer length and trailer magic."""
+    if not hasattr(target, "write"):
+        with open(target, "wb") as stream:
+            write_columnar(trace, stream)
+        return
+    payload = transient_payload(trace)
+    count = trace.packets_received
+    target.write(MAGIC)
+    target.write(np.ascontiguousarray(payload).data)
+    position = len(MAGIC) + int(payload.shape[0])
+    column_table: dict[str, dict] = {}
+    for key, dtype in _COLUMNS.items():
+        position = _pad(target, position)
+        block = np.ascontiguousarray(getattr(trace, key), dtype=dtype).tobytes()
+        column_table[key] = {"dtype": dtype, "offset": position, "count": count}
+        target.write(block)
+        position += len(block)
+    _pad(target, position)
+    footer = json.dumps(
+        {
+            "kind": TRACE_KIND,
+            "format": FORMAT_VERSION,
+            "name": trace.name,
+            "spec": spec_to_dict(trace.spec),
+            "packets_sent": trace.packets_sent,
+            # Always 0, read by no one: the spec carries the base.
+            "first_sequence": 0,
+            "count": count,
+            "payload": {"offset": len(MAGIC), "nbytes": int(payload.shape[0])},
+            "columns": column_table,
+        },
+        sort_keys=True,
+    ).encode("utf-8")
+    target.write(footer)
+    target.write(_LEN_STRUCT.pack(len(footer)))
+    target.write(MAGIC)
 
 
-# ----------------------------------------------------------------------
-# Lazy record views
-# ----------------------------------------------------------------------
-class PacketRecordView:
-    """One record of a :class:`ColumnarTrace`, materialized on access.
-
-    Quacks like :class:`~repro.trace.records.PacketRecord` — ``status``,
-    ``time``, ``data``, ``length`` — but holds only an index into the
-    trace's columns until a field is read.  ``status`` is cached after
-    first access (the signal-statistics pass reads it three times).
-    """
-
-    __slots__ = ("_trace", "_index", "_status")
-
-    def __init__(self, trace: "ColumnarTrace", index: int) -> None:
-        self._trace = trace
-        self._index = index
-        self._status: Optional[ModemRxStatus] = None
-
-    @property
-    def status(self) -> ModemRxStatus:
-        if self._status is None:
-            t, i = self._trace, self._index
-            self._status = ModemRxStatus(
-                signal_level=int(t.levels[i]),
-                silence_level=int(t.silences[i]),
-                signal_quality=int(t.qualities[i]),
-                antenna=int(t.antennas[i]),
-            )
-        return self._status
-
-    @property
-    def time(self) -> float:
-        return float(self._trace.times[self._index])
-
-    @property
-    def data(self) -> bytes:
-        return self._trace.data(self._index)
-
-    @property
-    def length(self) -> int:
-        return int(self._trace.lengths[self._index])
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"PacketRecordView(index={self._index}, time={self.time}, "
-            f"length={self.length})"
-        )
-
-
-class LazyRecords(Sequence[PacketRecordView]):
-    """Sequence facade over a :class:`ColumnarTrace`'s columns.
-
-    Keeps the scalar ``trace.records[i]`` / iteration API working for
-    existing callers without materializing anything until a record is
-    actually touched.
-    """
-
-    __slots__ = ("_trace",)
-
-    def __init__(self, trace: "ColumnarTrace") -> None:
-        self._trace = trace
-
-    def __len__(self) -> int:
-        return self._trace.packets_received
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [
-                PacketRecordView(self._trace, i)
-                for i in range(*index.indices(len(self)))
-            ]
-        if index < 0:
-            index += len(self)
-        if not 0 <= index < len(self):
-            raise IndexError(index)
-        return PacketRecordView(self._trace, index)
-
-    def __iter__(self) -> Iterator[PacketRecordView]:
-        for i in range(len(self)):
-            yield PacketRecordView(self._trace, i)
+def _pad(stream: IO[bytes], position: int) -> int:
+    """Zero-fill ``stream`` from ``position`` to the next column boundary."""
+    pad = (-position) % _ALIGN
+    stream.write(b"\0" * pad)
+    return position + pad
 
 
 # ----------------------------------------------------------------------
 # The columnar trace
 # ----------------------------------------------------------------------
 class ColumnarTrace:
-    """A trial trace held as contiguous columns.
+    """A trial trace held as contiguous columns: the one in-memory form.
 
-    Drop-in for :class:`~repro.trace.records.TrialTrace` wherever the
-    analysis pipeline consumes traces (``classify_trace``,
-    ``analyze_trial``, the signal-statistics passes): ``name``, ``spec``,
-    ``packets_sent``, ``packets_received`` and ``records`` all work.
+    Every source builds one — the fast trial from its columns, the MAC
+    trial, :class:`~repro.trace.receiver.TraceRecorder` and the v1
+    loader from records through :meth:`from_records`, the v2 reader
+    over a file or buffer — and every consumer takes it as it is.
+    ``packets_sent`` is ground truth the experimenters knew (they ran
+    the sender); everything else must be inferred from the rows.
     Columns may be views onto a memory-mapped file or a shared-memory
     block (``_backing`` keeps the mapping alive); nothing is copied
     until a consumer asks for per-record bytes.
@@ -348,13 +186,11 @@ class ColumnarTrace:
         offsets: np.ndarray,
         lengths: np.ndarray,
         payload: Union[np.ndarray, Callable[[], np.ndarray]],
-        first_sequence: int = 0,
         backing: object = None,
     ) -> None:
         self.name = name
         self.spec = spec
         self.packets_sent = packets_sent
-        self.first_sequence = first_sequence
         self.times = times
         self.levels = levels
         self.silences = silences
@@ -372,21 +208,26 @@ class ColumnarTrace:
             self._payload = self._payload()
         return self._payload
 
-    # -- TrialTrace-compatible surface ---------------------------------
+    # -- rows ----------------------------------------------------------
     @property
     def packets_received(self) -> int:
         return int(self.times.shape[0])
 
-    @property
-    def records(self) -> LazyRecords:
-        return LazyRecords(self)
-
-    def record_view(self, index: int) -> PacketRecordView:
-        return PacketRecordView(self, index)
-
     def data(self, index: int) -> bytes:
         offset = int(self.offsets[index])
         return self.payload[offset : offset + int(self.lengths[index])].tobytes()
+
+    def record(self, index: int) -> PacketRecord:
+        """Row ``index`` as the receiver logged it."""
+        status = ModemRxStatus(
+            signal_level=int(self.levels[index]),
+            silence_level=int(self.silences[index]),
+            signal_quality=int(self.qualities[index]),
+            antenna=int(self.antennas[index]),
+        )
+        return PacketRecord.from_bytes(
+            self.data(index), status, float(self.times[index])
+        )
 
     # -- bulk access ---------------------------------------------------
     def frame_matrix(self, rows: np.ndarray, frame_bytes: int) -> np.ndarray:
@@ -418,7 +259,6 @@ class ColumnarTrace:
         name: str,
         spec: TestPacketSpec,
         packets_sent: int,
-        first_sequence: int = 0,
     ) -> "ColumnarTrace":
         """Columnarize a record list: one payload join, one pass per
         column, no file encoding in between."""
@@ -429,7 +269,6 @@ class ColumnarTrace:
             name=name,
             spec=spec,
             packets_sent=packets_sent,
-            first_sequence=first_sequence,
             times=np.array([record.time for record in records], dtype=np.float64),
             levels=np.array([s.signal_level for s in statuses], dtype=np.int16),
             silences=np.array([s.silence_level for s in statuses], dtype=np.int16),
@@ -440,14 +279,6 @@ class ColumnarTrace:
             offsets=start_offsets(lengths),
             lengths=lengths,
             payload=np.frombuffer(b"".join(datas), dtype=np.uint8),
-        )
-
-    @classmethod
-    def from_trace(cls, trace: TrialTrace) -> "ColumnarTrace":
-        """Columnarize an in-memory :class:`TrialTrace` (no file I/O)."""
-        return cls.from_records(
-            trace.records, trace.name, trace.spec, trace.packets_sent,
-            trace.first_sequence,
         )
 
     # -- slicing -------------------------------------------------------
@@ -471,7 +302,6 @@ class ColumnarTrace:
                 name=self.name,
                 spec=self.spec,
                 packets_sent=self.packets_sent,
-                first_sequence=self.first_sequence,
                 times=self.times[:0],
                 levels=self.levels[:0],
                 silences=self.silences[:0],
@@ -488,7 +318,6 @@ class ColumnarTrace:
             name=self.name,
             spec=self.spec,
             packets_sent=self.packets_sent,
-            first_sequence=self.first_sequence,
             times=self.times[start:stop],
             levels=self.levels[start:stop],
             silences=self.silences[start:stop],
@@ -508,8 +337,7 @@ class ColumnarTrace:
         """Concatenate shard traces column-wise (the parallel merge step).
 
         ``packets_sent`` adds up (the paper's "aggregating multiple
-        bursts to form a long trial"); specs must agree, exactly as
-        :meth:`TrialTrace.extend` demands.
+        bursts to form a long trial"); specs must agree.
         """
         if not traces:
             raise ValueError("cannot concatenate zero traces")
@@ -524,7 +352,6 @@ class ColumnarTrace:
             name=name if name is not None else traces[0].name,
             spec=spec,
             packets_sent=sum(t.packets_sent for t in traces),
-            first_sequence=traces[0].first_sequence,
             times=np.concatenate([t.times for t in traces]),
             levels=np.concatenate([t.levels for t in traces]),
             silences=np.concatenate([t.silences for t in traces]),
@@ -537,24 +364,12 @@ class ColumnarTrace:
             payload=np.concatenate([t.payload for t in traces]),
         )
 
-    def extend(self, other: "ColumnarTrace") -> None:
-        """In-place aggregation (column concatenation under the hood)."""
-        merged = ColumnarTrace.concat([self, other], name=self.name)
-        self.__dict__.update(merged.__dict__)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"ColumnarTrace(name={self.name!r}, "
             f"packets_sent={self.packets_sent}, "
             f"packets_received={self.packets_received})"
         )
-
-
-def as_columnar(trace: Union[TrialTrace, ColumnarTrace]) -> ColumnarTrace:
-    """``trace`` itself when already columnar, else its columnar form."""
-    if isinstance(trace, ColumnarTrace):
-        return trace
-    return ColumnarTrace.from_trace(trace)
 
 
 def transient_payload(trace: ColumnarTrace) -> np.ndarray:
@@ -622,7 +437,7 @@ def _parse_columnar(flat: np.ndarray, origin: str, backing: object,
         entry = footer["columns"][key]
         start, count = _index(entry["offset"]), _index(entry["count"])
         dtype = np.dtype(entry["dtype"])
-        if dtype != np.dtype(_COLUMNS[key][0]):
+        if dtype != np.dtype(_COLUMNS[key]):
             raise ValueError(f"column {key!r} has dtype {dtype}")
         stop = start + count * dtype.itemsize
         if stop > footer_start:
@@ -636,11 +451,13 @@ def _parse_columnar(flat: np.ndarray, origin: str, backing: object,
         payload = flat[
             payload_start : payload_start + _index(payload_meta["nbytes"])
         ]
+        # Written as 0 and ignored (the spec carries the base), but a
+        # malformed value still fails the load.
+        _index(footer.get("first_sequence", 0))
         return ColumnarTrace(
             name=footer["name"],
             spec=spec_from_dict(footer["spec"]),
             packets_sent=_index(footer["packets_sent"]),
-            first_sequence=_index(footer.get("first_sequence", 0)),
             times=column("times"),
             levels=column("levels"),
             silences=column("silences"),

@@ -36,20 +36,18 @@ from repro.phy.modem import ModemRxStatus
 from repro.trace import columnar
 from repro.trace.columnar import (
     ColumnarTrace,
-    as_columnar,
     read_columnar,
     spec_from_dict,
     spec_to_dict,
     transient_payload,
     write_columnar,
 )
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord
 
 FORMAT_VERSION = 1
 GZIP_MAGIC = b"\x1f\x8b"
 
 PathLike = Union[str, Path]
-AnyTrace = Union[TrialTrace, ColumnarTrace]
 
 def _infer_save_format(path: PathLike, format: Optional[str]) -> str:
     if format is not None:
@@ -60,7 +58,7 @@ def _infer_save_format(path: PathLike, format: Optional[str]) -> str:
 
 
 def save_trace(
-    trace: AnyTrace, path: PathLike, format: Optional[str] = None
+    trace: ColumnarTrace, path: PathLike, format: Optional[str] = None
 ) -> None:
     """Write a trace to ``path``.
 
@@ -74,11 +72,10 @@ def save_trace(
         _save_trace(trace, path, fmt)
 
 
-def _save_trace(trace: AnyTrace, path: PathLike, fmt: str) -> None:
+def _save_trace(trace: ColumnarTrace, path: PathLike, fmt: str) -> None:
     if fmt == "v2":
         write_columnar(trace, path)
         return
-    trace = as_columnar(trace)
     with open_jsonl(path, "w") as stream:
         header = {
             "format": FORMAT_VERSION,
@@ -110,13 +107,13 @@ def _save_trace(trace: AnyTrace, path: PathLike, fmt: str) -> None:
             stream.write(json.dumps(line) + "\n")
 
 
-def load_trace(path: PathLike) -> AnyTrace:
+def load_trace(path: PathLike) -> ColumnarTrace:
     """Read a trace written by :func:`save_trace`, either format.
 
     The format is sniffed from the file's first bytes: the v2 magic
-    selects the zero-copy columnar reader (returning a
-    :class:`ColumnarTrace`), anything else the v1 JSON-lines reader
-    (returning a :class:`TrialTrace`).  Every malformed file raises
+    selects the zero-copy columnar reader, anything else the v1
+    JSON-lines reader, whose records are columnarized once.  Both
+    return a :class:`ColumnarTrace`.  Every malformed file raises
     ValueError naming it — version/kind mismatches, malformed headers
     and record lines, and a damaged gzip stream or undecodable text
     alike; the formats are simple enough that failing loudly beats
@@ -134,7 +131,7 @@ def load_trace(path: PathLike) -> AnyTrace:
             raise ValueError(f"{path}: unreadable trace file: {exc!r}") from exc
 
 
-def _load_v1(path: PathLike) -> TrialTrace:
+def _load_v1(path: PathLike) -> ColumnarTrace:
     """The JSON-lines reader behind :func:`load_trace`."""
     with open_jsonl(path, "r") as stream:
         header_line = stream.readline()
@@ -152,13 +149,12 @@ def _load_v1(path: PathLike) -> TrialTrace:
                 f"(this reader supports {FORMAT_VERSION})"
             )
         try:
-            trace = TrialTrace(
-                name=header["name"],
-                spec=spec_from_dict(header["spec"]),
-                packets_sent=header["packets_sent"],
-            )
+            name = header["name"]
+            spec = spec_from_dict(header["spec"])
+            packets_sent = header["packets_sent"]
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:1: malformed trace header: {exc!r}") from exc
+        records = []
         for lineno, line in enumerate(stream, start=2):
             if not line.strip():
                 continue
@@ -180,5 +176,8 @@ def _load_v1(path: PathLike) -> TrialTrace:
                 raise ValueError(
                     f"{path}:{lineno}: malformed trace record: {exc!r}"
                 ) from exc
-            trace.records.append(record)
-        return trace
+            records.append(record)
+    try:
+        return ColumnarTrace.from_records(records, name, spec, packets_sent)
+    except (OverflowError, TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: malformed trace record: {exc!r}") from exc

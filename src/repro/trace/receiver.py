@@ -1,7 +1,7 @@
 """The promiscuous trace recorder.
 
 Wraps a :class:`~repro.link.station.LinkStation` so everything its
-controller accepts lands in a :class:`~repro.trace.records.TrialTrace`
+controller accepts lands in a list of ``PacketRecord`` rows
 — the software equivalent of the paper's modified NetBSD driver
 ("place both the Ethernet controller and the modem control unit into
 'promiscuous' mode and ... log, for each incoming packet, every bit
@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 from repro.framing.testpacket import TestPacketSpec
 from repro.link.station import LinkStation, ReceivedFrame
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import PacketRecord
 
 
 @dataclass
@@ -42,17 +43,15 @@ class TraceRecorder:
     def packets_recorded(self) -> int:
         return len(self.records)
 
-    def to_trace(self, packets_sent: int) -> TrialTrace:
-        """Materialize the recording as an analyzable trial trace.
+    def to_trace(self, packets_sent: int) -> ColumnarTrace:
+        """The recording so far as an analyzable trial trace.
 
         ``packets_sent`` is ground truth the experimenter supplies (they
         ran the sender), exactly as in the paper.
         """
-        trace = TrialTrace(
-            name=self.trial_name, spec=self.spec, packets_sent=packets_sent
+        return ColumnarTrace.from_records(
+            self.records, self.trial_name, self.spec, packets_sent
         )
-        trace.records.extend(self.records)
-        return trace
 
     def reset(self) -> None:
         """Discard the recording (start a new burst)."""

@@ -6,18 +6,17 @@ status registers.  The analysis package consumes *only* this artifact —
 it re-identifies test packets heuristically, exactly as the paper's
 offline tooling had to.
 
-Record lists are what event-driven sources produce (the MAC trial's
-receiver log, v1 trace files); the vectorized trial and the analysis
-work on the columnar form of the same bytes
-(:class:`~repro.trace.columnar.ColumnarTrace`).
+A record is one row as an event-driven source logs it (the MAC
+receiver, a v1 trace line); every source hands its rows on as one
+:class:`~repro.trace.columnar.ColumnarTrace`, the only in-memory trial
+trace.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from repro.framing.testpacket import TestPacketSpec
 from repro.phy.modem import ModemRxStatus
 
 
@@ -54,30 +53,3 @@ class LazyRecordList(list):
 
     def _materialize(self) -> None:
         """Exists only for ``perfbench/layertrace.py``; never called."""
-
-
-@dataclass
-class TrialTrace:
-    """Everything one trial produced, as the offline analysis sees it.
-
-    ``packets_sent`` is ground truth the experimenters knew (they ran
-    the sender); everything else must be inferred from ``records``.
-    """
-
-    name: str
-    spec: TestPacketSpec
-    packets_sent: int
-    records: list[PacketRecord] = field(default_factory=list)
-    first_sequence: int = 0
-
-    @property
-    def packets_received(self) -> int:
-        return len(self.records)
-
-    def extend(self, other: "TrialTrace") -> None:
-        """Aggregate another burst into this trial (paper: "aggregating
-        multiple bursts to form a long trial")."""
-        if other.spec != self.spec:
-            raise ValueError("cannot aggregate traces with different specs")
-        self.packets_sent += other.packets_sent
-        self.records.extend(other.records)

@@ -13,8 +13,9 @@ Two paths produce a trial's trace:
 * :func:`run_mac_trial` — the full event-driven simulation (MACs,
   carrier sense, overlapping transmissions); used by the
   receive-threshold and competing-transmitter experiments.  Its
-  receiver logs records, so its trace is a
-  :class:`~repro.trace.records.TrialTrace`.
+  receiver logs records, columnarized once when the run ends.
+
+Both return the trace as a :class:`~repro.trace.columnar.ColumnarTrace`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from __future__ import annotations
 import ctypes
 import functools
 from dataclasses import dataclass, field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -44,7 +45,7 @@ from repro.simkit.rng import RngRegistry
 from repro.simkit.simulator import Simulator
 from repro.trace.columnar import ColumnarTrace, start_offsets
 from repro.trace.outsiders import OutsiderTraffic
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord
 from repro.trace.sender import BurstSender
 from repro.units import AGC_MAX_READING, QUALITY_MAX
 
@@ -118,7 +119,7 @@ class TrialDispositions:
 class TrialOutput:
     """A trial's trace plus its ground-truth dispositions."""
 
-    trace: Union[ColumnarTrace, TrialTrace]
+    trace: ColumnarTrace
     dispositions: TrialDispositions
 
 
@@ -517,13 +518,15 @@ def run_mac_trial(
             horizon_s = config.packets * (FRAME_BYTES * 8.0 / rate_bps) * 3.0 + 1.0
         sim.run_until(horizon_s)
 
-        trace = TrialTrace(
-            name=config.name, spec=config.spec, packets_sent=config.packets
-        )
-        for received in receiver_station.log:
-            trace.records.append(
+        trace = ColumnarTrace.from_records(
+            [
                 PacketRecord.from_bytes(received.data, received.status, received.time)
-            )
+                for received in receiver_station.log
+            ],
+            config.name,
+            config.spec,
+            config.packets,
+        )
         # Everything the horizon cut off before it reached the air: test
         # packets the burst never generated, frames still queued or in
         # backoff at the MAC, and a frame mid-transmission on the

@@ -8,7 +8,8 @@ from repro.analysis.classify import classify_trace
 from repro.framing.bits import flip_bits
 from repro.framing.testpacket import BODY_START
 from repro.phy.modem import ModemRxStatus
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import PacketRecord
 from repro.trace.trial import TrialConfig, run_fast_trial
 
 STATUS = ModemRxStatus(9, 3, 14, 0)
@@ -17,14 +18,14 @@ STATUS = ModemRxStatus(9, 3, 14, 0)
 def _trace_with_bursts(spec, factory, burst_specs):
     """Hand-build a trace: burst_specs is a list of per-packet position
     lists (body-bit offsets)."""
-    trace = TrialTrace(name="bursts", spec=spec, packets_sent=len(burst_specs))
+    records = []
     for sequence, positions in enumerate(burst_specs):
         frame = factory.build(sequence)
         if positions:
             bits = BODY_START * 8 + np.asarray(positions)
             frame = flip_bits(frame, bits)
-        trace.records.append(PacketRecord.from_bytes(frame, STATUS))
-    return trace
+        records.append(PacketRecord.from_bytes(frame, STATUS))
+    return ColumnarTrace.from_records(records, "bursts", spec, len(burst_specs))
 
 
 class TestHandBuilt:

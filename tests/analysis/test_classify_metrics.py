@@ -8,16 +8,15 @@ from repro.analysis.metrics import analyze_trial
 from repro.framing.bits import flip_bits
 from repro.framing.testpacket import BODY_BITS, BODY_START, FRAME_BYTES
 from repro.phy.modem import ModemRxStatus
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import PacketRecord
 
 STATUS = ModemRxStatus(29, 3, 15, 0)
 WEAK_STATUS = ModemRxStatus(6, 3, 8, 1)
 
 
-def _trace(spec, records, sent=10) -> TrialTrace:
-    trace = TrialTrace(name="hand", spec=spec, packets_sent=sent)
-    trace.records.extend(records)
-    return trace
+def _trace(spec, records, sent=10) -> ColumnarTrace:
+    return ColumnarTrace.from_records(records, "hand", spec, sent)
 
 
 class TestClassification:

@@ -4,7 +4,7 @@ The streaming service's correctness rests on one property: verdicts
 depend only on their own record's bytes, so feeding a trace through
 :class:`IncrementalClassifier` in chunks of 1, 7, or all-at-once is
 byte-identical to :func:`classify_trace`.  These tests pin that for
-v1 record traces and v2 columnar traces, for the damaged rows'
+record lists and columnar traces, for the damaged rows'
 syndromes as well as the verdict columns, and for the degenerate
 shapes an ingest server sees routinely: zero-record traces and
 zero-length final chunks.
@@ -31,16 +31,18 @@ from repro.trace.columnar import (
     read_columnar_buffer,
     write_columnar,
 )
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.persist import load_trace, save_trace
+from repro.trace.records import PacketRecord
 
 STATUS = ModemRxStatus(29, 3, 15, 0)
 WEAK_STATUS = ModemRxStatus(6, 3, 8, 1)
 
 
 @pytest.fixture
-def mixed_trace(spec, factory) -> TrialTrace:
-    """A small trace with every damage shape the classifier knows."""
-    records = [
+def mixed_records(factory) -> list:
+    """A small trace's rows, with every damage shape the classifier
+    knows."""
+    return [
         PacketRecord.from_bytes(factory.build(0), STATUS),
         PacketRecord.from_bytes(factory.build(1)[:700], WEAK_STATUS),
         PacketRecord.from_bytes(
@@ -57,9 +59,11 @@ def mixed_trace(spec, factory) -> TrialTrace:
         PacketRecord.from_bytes(b"\x55" * 64, WEAK_STATUS),  # outsider
         PacketRecord.from_bytes(factory.build(5), STATUS),
     ]
-    trace = TrialTrace(name="mixed", spec=spec, packets_sent=10)
-    trace.records.extend(records)
-    return trace
+
+
+@pytest.fixture
+def mixed_trace(spec, mixed_records) -> ColumnarTrace:
+    return ColumnarTrace.from_records(mixed_records, "mixed", spec, 10)
 
 
 def _assert_packets_equal(left, right):
@@ -91,12 +95,12 @@ def _assert_matches_batch(clf, trace, batch):
 
 class TestChunkedEqualsBatch:
     @pytest.mark.parametrize("chunk", [1, 7, None])
-    def test_v1_records(self, mixed_trace, chunk):
+    def test_v1_records(self, mixed_trace, mixed_records, chunk):
         batch = classify_trace(mixed_trace)
         clf = IncrementalClassifier(
             mixed_trace.spec, mixed_trace.packets_sent
         )
-        records = mixed_trace.records
+        records = mixed_records
         size = chunk or len(records)
         for start in range(0, len(records), size):
             clf.feed_records(records[start : start + size])
@@ -107,7 +111,7 @@ class TestChunkedEqualsBatch:
 
     @pytest.mark.parametrize("chunk", [1, 7, None])
     def test_columnar(self, mixed_trace, chunk):
-        columnar = ColumnarTrace.from_trace(mixed_trace)
+        columnar = mixed_trace
         batch = classify_trace(columnar)
         clf = IncrementalClassifier(columnar.spec, columnar.packets_sent)
         n = columnar.packets_received
@@ -119,16 +123,17 @@ class TestChunkedEqualsBatch:
             cls.value: count for cls, count in batch.class_counts().items()
         }
 
-    def test_v1_equals_columnar(self, mixed_trace):
-        columnar = ColumnarTrace.from_trace(mixed_trace)
+    def test_v1_equals_columnar(self, mixed_trace, mixed_records):
         a = IncrementalClassifier(mixed_trace.spec, 10)
-        a.feed(mixed_trace)
-        b = IncrementalClassifier(columnar.spec, 10)
-        b.feed(columnar)
+        a.feed_records(mixed_records)
+        b = IncrementalClassifier(mixed_trace.spec, 10)
+        b.feed(mixed_trace)
         _columns_equal(a.verdict_columns(), b.verdict_columns())
         assert a.syndromes.keys() == b.syndromes.keys()
 
-    def test_records_entry_does_not_feed_columns(self, mixed_trace, monkeypatch):
+    def test_records_entry_does_not_feed_columns(
+        self, mixed_trace, mixed_records, monkeypatch
+    ):
         """feed_records runs the loop itself: a wrapper counting rows in
         both entry points must see each row once."""
 
@@ -137,7 +142,7 @@ class TestChunkedEqualsBatch:
 
         clf = IncrementalClassifier(mixed_trace.spec, 10)
         monkeypatch.setattr(clf, "feed_columnar", refuse)
-        clf.feed_records(mixed_trace.records)
+        clf.feed_records(mixed_records)
         assert clf.records_seen == mixed_trace.packets_received
 
     def test_syndromes_keyed_by_fed_row(self, mixed_trace):
@@ -156,7 +161,7 @@ class TestChunkedEqualsBatch:
         identically to the in-memory original."""
         path = tmp_path / "mixed.wlt2"
         with open(path, "wb") as stream:
-            write_columnar(ColumnarTrace.from_trace(mixed_trace), stream)
+            write_columnar(mixed_trace, stream)
         loaded = read_columnar(path)
         batch = classify_trace(mixed_trace)
         clf = IncrementalClassifier(loaded.spec, loaded.packets_sent)
@@ -169,7 +174,7 @@ class TestDigestStability:
     def test_row_bytes_concatenation_stable(self, mixed_trace):
         """rows(chunk A) + rows(chunk B) == rows(whole) — the property
         that makes the server's running digest chunking-independent."""
-        columnar = ColumnarTrace.from_trace(mixed_trace)
+        columnar = mixed_trace
         whole = IncrementalClassifier(columnar.spec, 10)
         whole.feed(columnar)
         whole_bytes = verdict_row_bytes(whole.verdict_columns())
@@ -182,26 +187,23 @@ class TestDigestStability:
 
 
 class TestDegenerateShapes:
-    def test_zero_record_v1(self, spec):
-        trace = TrialTrace(name="empty", spec=spec, packets_sent=0)
-        classified = classify_trace(trace)
+    def test_zero_record_v1(self, spec, tmp_path):
+        path = tmp_path / "empty.jsonl"
+        save_trace(ColumnarTrace.from_records([], "empty", spec, 0), path)
+        classified = classify_trace(load_trace(path))
         assert classified.packets == []
         counts = classified.class_counts()
         assert set(counts) == set(CLASS_ORDER)
         assert sum(counts.values()) == 0
 
     def test_zero_record_columnar(self, spec):
-        trace = ColumnarTrace.from_trace(
-            TrialTrace(name="empty", spec=spec, packets_sent=0)
-        )
+        trace = ColumnarTrace.from_records([], "empty", spec, 0)
         assert trace.packets_received == 0
         classified = classify_trace(trace)
         assert classified.packets == []
 
     def test_zero_record_wlt2_round_trip(self, spec, tmp_path):
-        trace = ColumnarTrace.from_trace(
-            TrialTrace(name="empty", spec=spec, packets_sent=0)
-        )
+        trace = ColumnarTrace.from_records([], "empty", spec, 0)
         path = tmp_path / "empty.wlt2"
         with open(path, "wb") as stream:
             write_columnar(trace, stream)
@@ -209,15 +211,17 @@ class TestDegenerateShapes:
         assert classify_trace(loaded).packets == []
 
     @pytest.mark.parametrize("records_first", [True, False])
-    def test_zero_length_final_chunk(self, mixed_trace, records_first):
+    def test_zero_length_final_chunk(
+        self, mixed_trace, mixed_records, records_first
+    ):
         """Feeding an empty tail chunk (a client flushing at EOF)
         through either entry point, after a trace fed through either,
         neither raises nor perturbs the verdicts."""
-        columnar = ColumnarTrace.from_trace(mixed_trace)
+        columnar = mixed_trace
         n = columnar.packets_received
         clf = IncrementalClassifier(columnar.spec, 10)
         if records_first:
-            clf.feed_records(mixed_trace.records)
+            clf.feed_records(mixed_records)
         else:
             clf.feed_columnar(columnar, 0, n)
         clf.feed_columnar(columnar, n, n)  # empty tail
@@ -237,8 +241,7 @@ class TestDegenerateShapes:
     def test_empty_slice_encodes(self, mixed_trace):
         """An empty columnar slice survives an encode/decode round
         trip (the wire shape of an idle session's only chunk)."""
-        columnar = ColumnarTrace.from_trace(mixed_trace)
-        empty = columnar.slice(2, 2)
+        empty = mixed_trace.slice(2, 2)
         assert empty.packets_received == 0
         buffer = io.BytesIO()
         write_columnar(empty, buffer)

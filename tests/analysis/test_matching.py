@@ -221,13 +221,14 @@ class TestSequenceAliasing:
         """classify_trace folds an ambiguous match into the truncated
         class without claiming a sequence."""
         from repro.analysis.classify import PacketClass, classify_trace
-        from repro.trace.records import TrialTrace
+        from repro.trace.columnar import ColumnarTrace
 
         damaged = bytearray(factory.build(66_000)[:BODY_START])
         damaged[42] ^= 0xFF
         damaged[43] ^= 0xFF
-        trace = TrialTrace(name="t", spec=spec, packets_sent=70_000)
-        trace.records.append(_record(bytes(damaged)))
+        trace = ColumnarTrace.from_records(
+            [_record(bytes(damaged))], "t", spec, 70_000
+        )
         classified = classify_trace(trace)
         packet = classified.packets[0]
         assert packet.packet_class is PacketClass.TRUNCATED

@@ -31,12 +31,12 @@ def classified(trace):
     return classify_trace(trace)
 
 
+def _records(trace) -> list:
+    return [trace.record(index) for index in range(trace.packets_received)]
+
+
 def _assert_same_records(original, loaded):
-    assert loaded.packets_received == len(original.records)
-    for a, b in zip(original.records, loaded.records):
-        assert bytes(a.data) == bytes(b.data)
-        assert a.time == b.time
-        assert a.status.signal_level == b.status.signal_level
+    assert _records(loaded) == _records(original)
 
 
 class TestPickleHandoff:
@@ -59,7 +59,6 @@ class TestPickleHandoff:
         assert (clone.name, clone.spec, clone.packets_sent) == (
             trace.name, trace.spec, trace.packets_sent
         )
-        assert clone.first_sequence == trace.first_sequence
 
     def test_classified_trace_round_trips(self, classified):
         resolved = pickle.loads(pickle.dumps(classified))
@@ -100,11 +99,9 @@ class TestMerge:
         single = _trial(7)
         merged = ColumnarTrace.concat(pooled, name="merged")
         assert merged.name == "merged"
-        assert merged.packets_received == 2 * len(single.records)
+        assert merged.packets_received == 2 * single.packets_received
         assert merged.packets_sent == 2 * single.packets_sent
-        doubled = list(single.records) + list(single.records)
-        for view, record in zip(merged.records, doubled):
-            assert bytes(view.data) == bytes(record.data)
+        assert _records(merged) == _records(single) * 2
 
 
 class TestPoolHandoffFiles:

@@ -32,15 +32,14 @@ class TestDispositionAccounting:
         output = run_fast_trial(
             TrialConfig(name="prop", packets=300, mean_level=level, seed=seed)
         )
-        times = [r.time for r in output.trace.records]
+        trace = output.trace
+        times = trace.times.tolist()
         assert times == sorted(times)
-        for record in output.trace.records:
-            status = record.status
-            assert 0 <= status.signal_level <= 63
-            assert 0 <= status.silence_level <= 63
-            assert 0 <= status.signal_quality <= 15
-            assert status.antenna in (0, 1)
-            assert 1 <= record.length <= 1072
+        assert ((0 <= trace.levels) & (trace.levels <= 63)).all()
+        assert ((0 <= trace.silences) & (trace.silences <= 63)).all()
+        assert ((0 <= trace.qualities) & (trace.qualities <= 15)).all()
+        assert set(trace.antennas.tolist()) <= {0, 1}
+        assert ((1 <= trace.lengths) & (trace.lengths <= 1072)).all()
 
     @given(levels, seeds)
     @settings(max_examples=15, deadline=None)
@@ -49,9 +48,8 @@ class TestDispositionAccounting:
         a = run_fast_trial(config)
         b = run_fast_trial(config)
         assert a.dispositions == b.dispositions
-        assert [r.data for r in a.trace.records] == [
-            r.data for r in b.trace.records
-        ]
+        assert a.trace.lengths.tolist() == b.trace.lengths.tolist()
+        assert a.trace.payload.tobytes() == b.trace.payload.tobytes()
 
     @given(levels, seeds)
     @settings(max_examples=15, deadline=None)
@@ -85,5 +83,4 @@ class TestDispositionAccounting:
                 modem_config=ModemConfig(receive_threshold=15),
             )
         )
-        for record in output.trace.records:
-            assert record.status.signal_level >= 15
+        assert (output.trace.levels >= 15).all()

@@ -1,4 +1,5 @@
-"""Wire-protocol unit tests: framing, handshake, chunk payloads."""
+"""Wire-protocol unit tests: framing (through :class:`FrameReader`, the
+one decoder both ends run), handshake, chunk payloads."""
 
 import asyncio
 
@@ -9,33 +10,41 @@ from repro.phy.modem import ModemRxStatus
 from repro.serve import protocol
 from repro.serve.protocol import FrameType, ProtocolError
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord
 
 STATUS = ModemRxStatus(29, 3, 15, 0)
 
 
-def _read_one(*frames: bytes):
-    """Feed bytes to a fresh StreamReader (inside a running loop) and
-    read one frame."""
+def _read_frames(data: bytes, count: int) -> list:
+    """Feed ``data`` and EOF to a fresh StreamReader (inside a running
+    loop) and read ``count`` frames through one :class:`FrameReader`,
+    copying each payload out before the next read releases it."""
 
     async def go():
         reader = asyncio.StreamReader()
-        for data in frames:
-            reader.feed_data(data)
+        reader.feed_data(data)
         reader.feed_eof()
-        return await protocol.read_frame(reader)
+        frames = protocol.FrameReader(reader)
+        items = []
+        for _ in range(count):
+            item = await frames.read_frame()
+            items.append(None if item is None else (item[0], bytes(item[1])))
+        return items
 
     return asyncio.run(go())
 
 
+def _read_one(*frames: bytes):
+    return _read_frames(b"".join(frames), 1)[0]
+
+
 @pytest.fixture
 def columnar(spec, factory) -> ColumnarTrace:
-    trace = TrialTrace(name="proto", spec=spec, packets_sent=6)
-    trace.records.extend(
+    records = [
         PacketRecord.from_bytes(factory.build(sequence), STATUS)
         for sequence in range(6)
-    )
-    return ColumnarTrace.from_trace(trace)
+    ]
+    return ColumnarTrace.from_records(records, "proto", spec, 6)
 
 
 class TestFraming:
@@ -87,17 +96,7 @@ class TestFraming:
         data = protocol.frame(FrameType.HELLO, b"a") + protocol.frame(
             FrameType.END
         )
-        async def read_three():
-            reader = asyncio.StreamReader()
-            reader.feed_data(data)
-            reader.feed_eof()
-            return (
-                await protocol.read_frame(reader),
-                await protocol.read_frame(reader),
-                await protocol.read_frame(reader),
-            )
-
-        first, second, third = asyncio.run(read_three())
+        first, second, third = _read_frames(data, 3)
         assert first == (FrameType.HELLO, b"a")
         assert second == (FrameType.END, b"")
         assert third is None

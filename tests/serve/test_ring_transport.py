@@ -38,7 +38,7 @@ from repro.serve.loadgen import run_loadgen
 from repro.serve.protocol import FrameType
 from repro.serve.server import ServeConfig, TraceAnalysisServer
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord
 
 STATUS = ModemRxStatus(29, 3, 15, 0)
 WEAK_STATUS = ModemRxStatus(6, 3, 8, 1)
@@ -89,17 +89,17 @@ def live_server(sock: str, jobs: int):
 
 def _mixed_columnar(spec, factory, repeats: int = 8) -> ColumnarTrace:
     """A trace cycling clean / truncated / bit-damaged / outsider."""
-    trace = TrialTrace(name="ring", spec=spec, packets_sent=4 * repeats)
+    records = []
     for base in range(0, 4 * repeats, 4):
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(factory.build(base), STATUS)
         )
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(
                 factory.build(base + 1)[:600], WEAK_STATUS
             )
         )
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(
                 flip_bits(
                     factory.build(base + 2),
@@ -108,10 +108,10 @@ def _mixed_columnar(spec, factory, repeats: int = 8) -> ColumnarTrace:
                 WEAK_STATUS,
             )
         )
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(b"\xa5" * 80, WEAK_STATUS)
         )
-    return ColumnarTrace.from_trace(trace)
+    return ColumnarTrace.from_records(records, "ring", spec, 4 * repeats)
 
 
 def _reference(trace: ColumnarTrace) -> tuple[str, dict]:

@@ -9,38 +9,40 @@ these are correctness tests; throughput lives in
 
 import asyncio
 import hashlib
+import json
 
 import numpy as np
 import pytest
 
 from repro.analysis.classify import IncrementalClassifier, verdict_row_bytes
 from repro.framing.bits import flip_bits
-from repro.framing.testpacket import BODY_START
+from repro.framing.testpacket import BODY_START, TestPacketSpec
 from repro.phy.modem import ModemRxStatus
 from repro.serve import protocol
 from repro.serve.loadgen import chunk_payloads, run_loadgen, run_session
 from repro.serve.protocol import FrameType, ProtocolError
 from repro.serve.server import ServeConfig, TraceAnalysisServer
 from repro.trace.columnar import ColumnarTrace
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord
 
 STATUS = ModemRxStatus(29, 3, 15, 0)
 WEAK_STATUS = ModemRxStatus(6, 3, 8, 1)
+SPEC = TestPacketSpec.default()
 
 
 def _mixed_columnar(spec, factory, repeats: int = 8) -> ColumnarTrace:
     """A trace cycling clean / truncated / bit-damaged / outsider."""
-    trace = TrialTrace(name="serve", spec=spec, packets_sent=4 * repeats)
+    records = []
     for base in range(0, 4 * repeats, 4):
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(factory.build(base), STATUS)
         )
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(
                 factory.build(base + 1)[:600], WEAK_STATUS
             )
         )
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(
                 flip_bits(
                     factory.build(base + 2),
@@ -49,10 +51,10 @@ def _mixed_columnar(spec, factory, repeats: int = 8) -> ColumnarTrace:
                 WEAK_STATUS,
             )
         )
-        trace.records.append(
+        records.append(
             PacketRecord.from_bytes(b"\xa5" * 80, WEAK_STATUS)
         )
-    return ColumnarTrace.from_trace(trace)
+    return ColumnarTrace.from_records(records, "serve", spec, 4 * repeats)
 
 
 def _reference(trace: ColumnarTrace) -> tuple[str, dict]:
@@ -62,6 +64,18 @@ def _reference(trace: ColumnarTrace) -> tuple[str, dict]:
         verdict_row_bytes(clf.verdict_columns()), digest_size=8
     ).hexdigest()
     return digest, clf.count_summary()
+
+
+async def _open(host, port):
+    """A raw client connection, its replies read through a FrameReader."""
+    reader, writer = await asyncio.open_connection(host, port)
+    return protocol.FrameReader(reader), writer
+
+
+async def _reply(frames: protocol.FrameReader):
+    """The next reply frame, its payload copied out of the reader."""
+    item = await frames.read_frame()
+    return None if item is None else (item[0], bytes(item[1]))
 
 
 async def _serve(config: ServeConfig, work):
@@ -120,9 +134,7 @@ class TestEndToEnd:
 
     def test_zero_record_session(self, spec):
         """An empty trace still completes the full protocol round."""
-        trace = ColumnarTrace.from_trace(
-            TrialTrace(name="empty", spec=spec, packets_sent=0)
-        )
+        trace = ColumnarTrace.from_records([], "empty", spec, 0)
 
         async def work(server):
             return await run_loadgen(
@@ -152,7 +164,72 @@ class TestEndToEnd:
         )
 
 
+async def _handshake(server, fields: dict):
+    """Send a valid HELLO with ``fields`` written over it.  Returns the
+    last reply (an ERROR, or the SUMMARY that answers an END after
+    HELLO_OK), whether the server then closed the connection, and the
+    session ids still live."""
+    doc = json.loads(protocol.hello_payload("probe", "hello-test", SPEC, 10))
+    doc.update(fields)
+    frames, writer = await _open(*server.address)
+    protocol.write_frame(writer, FrameType.HELLO, protocol.encode_json(doc))
+    await writer.drain()
+    reply = await asyncio.wait_for(_reply(frames), 5.0)
+    if reply[0] is FrameType.HELLO_OK:
+        protocol.write_frame(writer, FrameType.END)
+        await writer.drain()
+        while reply[0] is not FrameType.SUMMARY:
+            reply = await asyncio.wait_for(_reply(frames), 5.0)
+    closed = await asyncio.wait_for(_reply(frames), 5.0) is None
+    writer.close()
+    return reply, closed, list(server._sessions)
+
+
 class TestRobustness:
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"packets_sent": "x"},
+            {"packets_sent": None},
+            {"packets_sent": -5},
+            {"packets_sent": True},
+            {"shm_ring": True, "chunk_bytes": "big"},
+            {"shm_ring": True, "chunk_bytes": 0},
+            {"chunk_bytes": 2**40},
+        ],
+        ids=[
+            "packets_sent-str", "packets_sent-null", "packets_sent-negative",
+            "packets_sent-bool", "chunk_bytes-str", "chunk_bytes-zero",
+            "chunk_bytes-oversize",
+        ],
+    )
+    def test_malformed_hello_gets_error(self, fields):
+        """A HELLO whose counts are not counts is answered with a typed
+        ERROR, its connection closes, and no session stays registered."""
+        (frame_type, payload), closed, live = asyncio.run(
+            _serve(ServeConfig(heartbeat_s=0), lambda s: _handshake(s, fields))
+        )
+        assert frame_type is FrameType.ERROR
+        key = next(k for k in fields if k != "shm_ring")
+        assert key in protocol.decode_json(payload)["error"]
+        assert closed
+        assert live == []
+
+    @pytest.mark.parametrize(
+        "fields", [{}, {"first_sequence": "abc"}],
+        ids=["plain", "first_sequence-str"],
+    )
+    def test_valid_hello_is_served(self, fields):
+        """A well-formed HELLO gets HELLO_OK; keys the server does not
+        read, such as ``first_sequence``, are ignored."""
+        (frame_type, payload), closed, live = asyncio.run(
+            _serve(ServeConfig(heartbeat_s=0), lambda s: _handshake(s, fields))
+        )
+        assert frame_type is FrameType.SUMMARY
+        assert protocol.decode_json(payload)["records"] == 0
+        assert closed
+        assert live == []
+
     def test_abort_mid_stream_then_new_session(self, spec, factory):
         """A client dying mid-stream doesn't poison the server: the
         next session on the same server completes normally."""
@@ -163,7 +240,7 @@ class TestRobustness:
         async def work(server):
             host, port = server.address
             # Session 1: HELLO + one chunk, then vanish without END.
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await _open(host, port)
             protocol.write_frame(
                 writer,
                 FrameType.HELLO,
@@ -172,7 +249,7 @@ class TestRobustness:
                 ),
             )
             await writer.drain()
-            await protocol.read_frame(reader)  # HELLO_OK
+            await _reply(reader)  # HELLO_OK
             protocol.write_frame(writer, FrameType.CHUNK, payloads[0])
             await writer.drain()
             writer.close()
@@ -207,7 +284,7 @@ class TestRobustness:
 
         async def work(server):
             host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await _open(host, port)
             protocol.write_frame(
                 writer,
                 FrameType.HELLO,
@@ -216,7 +293,7 @@ class TestRobustness:
                 ),
             )
             await writer.drain()
-            await protocol.read_frame(reader)  # HELLO_OK: session live
+            await _reply(reader)  # HELLO_OK: session live
             assert "reset" in server._sessions
             protocol.write_frame(writer, FrameType.CHUNK, payloads[0])
             await writer.drain()
@@ -254,7 +331,7 @@ class TestRobustness:
 
         async def work(server):
             host, port = server.address
-            r1, w1 = await asyncio.open_connection(host, port)
+            r1, w1 = await _open(host, port)
             protocol.write_frame(
                 w1,
                 FrameType.HELLO,
@@ -263,8 +340,8 @@ class TestRobustness:
                 ),
             )
             await w1.drain()
-            await protocol.read_frame(r1)  # HELLO_OK: "dup" is live
-            r2, w2 = await asyncio.open_connection(host, port)
+            await _reply(r1)  # HELLO_OK: "dup" is live
+            r2, w2 = await _open(host, port)
             protocol.write_frame(
                 w2,
                 FrameType.HELLO,
@@ -273,14 +350,14 @@ class TestRobustness:
                 ),
             )
             await w2.drain()
-            rejection = await protocol.read_frame(r2)
+            rejection = await _reply(r2)
             w2.close()
             # The first session is unharmed and finishes normally.
             protocol.write_frame(w1, FrameType.END)
             await w1.drain()
             summary = None
             while summary is None:
-                frame_type, payload = await protocol.read_frame(r1)
+                frame_type, payload = await _reply(r1)
                 if frame_type is FrameType.SUMMARY:
                     summary = protocol.decode_json(payload)
             w1.close()
@@ -347,10 +424,10 @@ class TestRobustness:
     def test_garbage_handshake_rejected(self, spec, factory):
         async def work(server):
             host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await _open(host, port)
             protocol.write_frame(writer, FrameType.CHUNK, b"not-hello")
             await writer.drain()
-            item = await protocol.read_frame(reader)
+            item = await _reply(reader)
             writer.close()
             return item
 
@@ -369,7 +446,7 @@ class TestRobustness:
 
         async def work(server):
             host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await _open(host, port)
             protocol.write_frame(
                 writer,
                 FrameType.HELLO,
@@ -378,7 +455,7 @@ class TestRobustness:
                 ),
             )
             await writer.drain()
-            await protocol.read_frame(reader)  # HELLO_OK
+            await _reply(reader)  # HELLO_OK
             # Blast every chunk without waiting for a single ACK.
             for payload in payloads:
                 protocol.write_frame(writer, FrameType.CHUNK, payload)
@@ -386,7 +463,7 @@ class TestRobustness:
             await writer.drain()
             summary = None
             while summary is None:
-                frame_type, payload = await protocol.read_frame(reader)
+                frame_type, payload = await _reply(reader)
                 if frame_type is FrameType.SUMMARY:
                     summary = protocol.decode_json(payload)
             writer.close()
@@ -410,7 +487,7 @@ class TestRobustness:
             server = TraceAnalysisServer(ServeConfig(heartbeat_s=0))
             await server.start()
             host, port = server.address
-            reader, writer = await asyncio.open_connection(host, port)
+            reader, writer = await _open(host, port)
             server._accepting = False  # simulate the drain window
             protocol.write_frame(
                 writer,
@@ -420,7 +497,7 @@ class TestRobustness:
                 ),
             )
             await writer.drain()
-            item = await protocol.read_frame(reader)
+            item = await _reply(reader)
             writer.close()
             await server.stop()
             return item

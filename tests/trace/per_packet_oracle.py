@@ -16,7 +16,8 @@ from __future__ import annotations
 from repro.framing.testpacket import TestPacketFactory
 from repro.phy.modem import RxDisposition, WaveLanModem
 from repro.simkit.rng import RngRegistry
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.columnar import ColumnarTrace
+from repro.trace.records import PacketRecord
 from repro.trace.trial import (
     TrialConfig,
     TrialDispositions,
@@ -33,9 +34,7 @@ def run_per_packet_trial(config: TrialConfig) -> TrialOutput:
     modem.antenna.branches = config.antenna_branches
     mean_level = config.resolved_mean_level()
     dispositions = TrialDispositions()
-    trace = TrialTrace(
-        name=config.name, spec=config.spec, packets_sent=config.packets
-    )
+    records = []
     rng = rng_registry.stream("channel")
     ambient = config.propagation.ambient
     for sequence in range(config.packets):
@@ -48,7 +47,7 @@ def run_per_packet_trial(config: TrialConfig) -> TrialOutput:
         reception = modem.receive(frame, mean_level, ambient_level, rng, samples)
         if reception.disposition is RxDisposition.DELIVERED:
             dispositions.delivered += 1
-            trace.records.append(
+            records.append(
                 PacketRecord.from_bytes(
                     reception.data, reception.status, time=float(sequence)
                 )
@@ -60,5 +59,9 @@ def run_per_packet_trial(config: TrialConfig) -> TrialOutput:
         else:
             dispositions.quality_filtered += 1
     if config.outsiders is not None:
-        _inject_outsiders(config, modem, rng_registry, trace, dispositions)
+        outsiders = _inject_outsiders(config, modem, rng_registry, dispositions)
+        records = sorted(records + outsiders, key=lambda record: record.time)
+    trace = ColumnarTrace.from_records(
+        records, config.name, config.spec, config.packets
+    )
     return TrialOutput(trace=trace, dispositions=dispositions)

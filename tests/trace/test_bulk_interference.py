@@ -109,11 +109,9 @@ class TestSignalRegisterEquivalence:
             interference=(_narrowband_source(),),
         )
         output = (run_per_packet_trial if per_packet else run_fast_trial)(config)
-        records = output.trace.records
-        assert records
-        signal = sum(r.status.signal_level for r in records) / len(records)
-        silence = sum(r.status.silence_level for r in records) / len(records)
-        return signal, silence
+        trace = output.trace
+        assert trace.packets_received
+        return float(trace.levels.mean()), float(trace.silences.mean())
 
     def test_agc_fold_matches(self):
         bulk_signal, bulk_silence = self._signal_means(per_packet=False)

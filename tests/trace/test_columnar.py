@@ -1,5 +1,6 @@
-"""The v2 columnar store: writer, lazy views, and zero-copy analysis."""
+"""The columnar trace: rows, the v2 writer, and zero-copy analysis."""
 
+import hashlib
 import io
 
 import numpy as np
@@ -10,16 +11,16 @@ from repro.analysis.metrics import metrics_from_classified
 from repro.environment.geometry import Point
 from repro.framing.testpacket import FRAME_BYTES
 from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
+from repro.phy.modem import ModemRxStatus
 from repro.trace.columnar import (
     ColumnarTrace,
-    ColumnarTraceWriter,
     is_columnar_file,
     read_columnar,
     read_columnar_buffer,
     write_columnar,
 )
 from repro.trace.persist import save_trace
-from repro.trace.records import PacketRecord, TrialTrace
+from repro.trace.records import PacketRecord
 from repro.trace.trial import TrialConfig, run_fast_trial
 
 
@@ -53,36 +54,50 @@ def damaged_trace():
     ).trace
 
 
-def _column_view(trace):
-    return ColumnarTrace.from_trace(trace)
+def _records(trace):
+    return [trace.record(index) for index in range(trace.packets_received)]
 
 
 class TestWriter:
-    def test_streaming_append_matches_whole_trace_write(self, clean_trace):
-        streamed = io.BytesIO()
-        writer = ColumnarTraceWriter(
-            streamed,
-            name=clean_trace.name,
-            spec=clean_trace.spec,
-            packets_sent=clean_trace.packets_sent,
+    def test_records_write_like_columns(self, clean_trace):
+        """A trace columnarized from its rows, one record at a time,
+        writes the bytes its columns write."""
+        rebuilt = ColumnarTrace.from_records(
+            _records(clean_trace),
+            clean_trace.name,
+            clean_trace.spec,
+            clean_trace.packets_sent,
         )
-        for record in clean_trace.records:
-            writer.append(bytes(record.data), record.status, record.time)
-        writer.close()
-        whole = io.BytesIO()
+        streamed, whole = io.BytesIO(), io.BytesIO()
+        write_columnar(rebuilt, streamed)
         write_columnar(clean_trace, whole)
         assert streamed.getvalue() == whole.getvalue()
 
-    def test_context_manager(self, clean_trace, tmp_path):
-        path = tmp_path / "ctx.wlt2"
-        with ColumnarTraceWriter(
-            path, name="ctx", spec=clean_trace.spec, packets_sent=3
-        ) as writer:
-            for record in clean_trace.records[:3]:
-                writer.append(bytes(record.data), record.status, record.time)
+    def test_write_to_path(self, clean_trace, tmp_path):
+        path = tmp_path / "path.wlt2"
+        write_columnar(clean_trace.slice(0, 3), path)
         loaded = read_columnar(path)
         assert loaded.packets_received == 3
         assert is_columnar_file(path)
+
+    def test_bytes_pinned(self, spec, factory):
+        """The v2 layout, byte for byte: an odd-sized payload (so the
+        columns are padded), a full frame, a cut one and an outsider.
+        Saved files and wire chunks depend on these bytes."""
+        records = [
+            PacketRecord.from_bytes(
+                factory.build(0), ModemRxStatus(29, 3, 15, 0), 0.0
+            ),
+            PacketRecord.from_bytes(b"\x55" * 61, ModemRxStatus(6, 2, 8, 1), 0.5),
+            PacketRecord.from_bytes(
+                factory.build(1)[:100], ModemRxStatus(12, 4, 11, 1), 1.0
+            ),
+        ]
+        buffer = io.BytesIO()
+        write_columnar(ColumnarTrace.from_records(records, "pinned", spec, 3), buffer)
+        assert hashlib.sha256(buffer.getvalue()).hexdigest() == (
+            "2fffe385d426d135af8fee14131ff1cf5a162f7f9ab69ccba0fb4ea0c71b3ed7"
+        )
 
     def test_write_from_columnar_identical(self, clean_trace, tmp_path):
         """Re-serializing a ColumnarTrace streams the payload wholesale
@@ -94,89 +109,75 @@ class TestWriter:
         assert first.getvalue() == second.getvalue()
 
 
-class TestLazyRecords:
-    def test_length_and_iteration(self, clean_trace):
-        col = _column_view(clean_trace)
-        assert len(col.records) == len(clean_trace.records)
-        for view, record in zip(col.records, clean_trace.records):
-            assert view.time == record.time
-            assert bytes(view.data) == bytes(record.data)
+class TestRecord:
+    def test_every_row(self, damaged_trace):
+        offsets = damaged_trace.offsets
+        for index, record in enumerate(_records(damaged_trace)):
+            assert record.time == damaged_trace.times[index]
+            start = int(offsets[index])
+            assert record.data == damaged_trace.payload[
+                start : start + int(damaged_trace.lengths[index])
+            ].tobytes()
+            assert record.length == damaged_trace.lengths[index]
 
     def test_status_fields(self, clean_trace):
-        col = _column_view(clean_trace)
-        view = col.records[7]
-        status = clean_trace.records[7].status
-        assert view.status.signal_level == status.signal_level
-        assert view.status.silence_level == status.silence_level
-        assert view.status.signal_quality == status.signal_quality
-        assert view.status.antenna == status.antenna
+        status = clean_trace.record(7).status
+        assert status.signal_level == clean_trace.levels[7]
+        assert status.silence_level == clean_trace.silences[7]
+        assert status.signal_quality == clean_trace.qualities[7]
+        assert status.antenna == clean_trace.antennas[7]
 
-    def test_negative_index_and_slice(self, clean_trace):
-        col = _column_view(clean_trace)
-        assert bytes(col.records[-1].data) == bytes(
-            clean_trace.records[-1].data
-        )
-        tail = col.records[-3:]
-        assert len(tail) == 3
-        assert bytes(tail[0].data) == bytes(clean_trace.records[-3].data)
+    def test_negative_index(self, clean_trace):
+        last = clean_trace.packets_received - 1
+        assert clean_trace.record(-1) == clean_trace.record(last)
 
     def test_out_of_range(self, clean_trace):
-        col = _column_view(clean_trace)
         with pytest.raises(IndexError):
-            col.records[len(col.records)]
+            clean_trace.record(clean_trace.packets_received)
 
 
 class TestFrameMatrix:
     def test_full_matrix_matches_record_bytes(self, clean_trace):
-        col = _column_view(clean_trace)
-        full = np.nonzero(col.lengths == FRAME_BYTES)[0]
-        matrix = col.frame_matrix(full, FRAME_BYTES)
+        full = np.nonzero(clean_trace.lengths == FRAME_BYTES)[0]
+        matrix = clean_trace.frame_matrix(full, FRAME_BYTES)
         assert matrix.shape == (full.size, FRAME_BYTES)
         for row, index in zip(matrix[:5], full[:5].tolist()):
-            assert row.tobytes() == bytes(clean_trace.records[index].data)
+            assert row.tobytes() == clean_trace.data(index)
 
     def test_gather_path_on_mixed_lengths(self, damaged_trace):
-        col = _column_view(damaged_trace)
-        full = np.nonzero(col.lengths == FRAME_BYTES)[0]
-        assert full.size < col.packets_received  # truncation happened
-        matrix = col.frame_matrix(full, FRAME_BYTES)
+        full = np.nonzero(damaged_trace.lengths == FRAME_BYTES)[0]
+        assert full.size < damaged_trace.packets_received  # truncation happened
+        matrix = damaged_trace.frame_matrix(full, FRAME_BYTES)
         for row, index in zip(matrix, full.tolist()):
-            assert row.tobytes() == bytes(damaged_trace.records[index].data)
+            assert row.tobytes() == damaged_trace.data(index)
 
 
 class TestConcat:
     def test_concat_rebases_offsets(self, clean_trace, damaged_trace):
-        a = _column_view(clean_trace)
-        b = ColumnarTrace.from_trace(
-            TrialTrace(
-                name=clean_trace.name,
-                spec=clean_trace.spec,
-                packets_sent=damaged_trace.packets_sent,
-                records=list(damaged_trace.records),
-            )
+        a = clean_trace
+        b = ColumnarTrace.from_records(
+            _records(damaged_trace),
+            clean_trace.name,
+            clean_trace.spec,
+            damaged_trace.packets_sent,
         )
         merged = ColumnarTrace.concat([a, b])
         assert merged.packets_received == (
             a.packets_received + b.packets_received
         )
         assert merged.packets_sent == a.packets_sent + b.packets_sent
-        combined = list(clean_trace.records) + list(damaged_trace.records)
-        for view, record in zip(merged.records, combined):
-            assert bytes(view.data) == bytes(record.data)
-            assert view.time == record.time
+        combined = _records(clean_trace) + _records(damaged_trace)
+        assert _records(merged) == combined
 
     def test_concat_rejects_spec_mismatch(self, clean_trace):
         import dataclasses
 
-        a = _column_view(clean_trace)
         other_spec = dataclasses.replace(
             clean_trace.spec, src_port=clean_trace.spec.src_port + 1
         )
-        b = ColumnarTrace.from_trace(
-            TrialTrace(name="other", spec=other_spec, packets_sent=0)
-        )
+        b = ColumnarTrace.from_records([], "other", other_spec, 0)
         with pytest.raises(ValueError, match="spec"):
-            ColumnarTrace.concat([a, b])
+            ColumnarTrace.concat([clean_trace, b])
 
     def test_concat_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -212,19 +213,15 @@ class TestClassifyEquivalence:
 
 
 class TestConversions:
-    def test_from_trace_keeps_every_row(self, damaged_trace):
+    def test_from_records_keeps_every_row(self, damaged_trace):
         """Columnarizing the trial's rows as plain records rebuilds the
         columns the trial assembled, payload layout included."""
-        records = TrialTrace(
-            name=damaged_trace.name,
-            spec=damaged_trace.spec,
-            packets_sent=damaged_trace.packets_sent,
-            records=[
-                PacketRecord.from_bytes(view.data, view.status, view.time)
-                for view in damaged_trace.records
-            ],
+        col = ColumnarTrace.from_records(
+            _records(damaged_trace),
+            damaged_trace.name,
+            damaged_trace.spec,
+            damaged_trace.packets_sent,
         )
-        col = ColumnarTrace.from_trace(records)
         assert col.packets_sent == damaged_trace.packets_sent
         for key in ("times", "levels", "silences", "qualities", "antennas",
                     "offsets", "lengths", "payload"):

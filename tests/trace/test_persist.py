@@ -3,13 +3,17 @@
 import json
 import struct
 
+import numpy as np
 import pytest
 
 from repro.analysis import analyze_trial
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.persist import load_trace, save_trace
-from repro.trace.records import TrialTrace
 from repro.trace.trial import TrialConfig, run_fast_trial
+
+COLUMNS = (
+    "times", "levels", "silences", "qualities", "antennas", "offsets", "lengths",
+)
 
 
 @pytest.fixture
@@ -21,21 +25,12 @@ def trace():
 
 
 def _assert_records_equal(original, restored):
-    assert len(original.records) == len(restored.records)
-    for a, b in zip(original.records, restored.records):
-        assert bytes(b.data) == bytes(a.data)
-        assert b.time == a.time
-        assert (
-            b.status.signal_level,
-            b.status.silence_level,
-            b.status.signal_quality,
-            b.status.antenna,
-        ) == (
-            a.status.signal_level,
-            a.status.silence_level,
-            a.status.signal_quality,
-            a.status.antenna,
+    assert restored.packets_received == original.packets_received
+    for key in COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(restored, key), getattr(original, key)
         )
+    np.testing.assert_array_equal(restored.payload, original.payload)
 
 
 class TestRoundtrip:
@@ -58,10 +53,8 @@ class TestRoundtrip:
         path = tmp_path / "trial.jsonl"
         save_trace(trace, path)
         loaded = load_trace(path)
-        for original, restored in zip(trace.records, loaded.records):
-            assert restored.data == original.data
-            assert restored.status == original.status
-            assert restored.time == original.time
+        for index in range(trace.packets_received):
+            assert loaded.record(index) == trace.record(index)
 
     def test_analysis_identical_after_reload(self, trace, tmp_path):
         path = tmp_path / "trial.jsonl"
@@ -98,14 +91,17 @@ class TestFormatMatrix:
         _assert_records_equal(trace, loaded)
 
     def test_autodetect_is_content_based(self, trace, tmp_path):
-        """A v2 file under a v1-looking name still loads as columnar,
-        and vice versa — detection reads bytes, never filenames."""
+        """A v2 file under a v1-looking name still loads through the
+        zero-copy reader, and vice versa — detection reads bytes, never
+        filenames."""
         v2_in_disguise = tmp_path / "looks-like-v1.jsonl"
         save_trace(trace, v2_in_disguise, format="v2")
-        assert isinstance(load_trace(v2_in_disguise), ColumnarTrace)
+        assert isinstance(load_trace(v2_in_disguise).times, np.memmap)
         v1_in_disguise = tmp_path / "looks-like-v2.wlt2"
         save_trace(trace, v1_in_disguise, format="v1")
-        assert isinstance(load_trace(v1_in_disguise), TrialTrace)
+        loaded = load_trace(v1_in_disguise)
+        assert not isinstance(loaded.times, np.memmap)
+        _assert_records_equal(trace, loaded)
 
     def test_v2_to_v1_to_v2_byte_identical(self, trace, tmp_path):
         a, b, c = (tmp_path / n for n in ("a.wlt2", "b.jsonl", "c.wlt2"))
@@ -115,14 +111,12 @@ class TestFormatMatrix:
         assert a.read_bytes() == c.read_bytes()
 
     def test_empty_trace_roundtrips(self, trace, tmp_path):
-        empty = TrialTrace(
-            name="empty", spec=trace.spec, packets_sent=0
-        )
+        empty = ColumnarTrace.from_records([], "empty", trace.spec, 0)
         for name in ("empty.jsonl", "empty.jsonl.gz", "empty.wlt2"):
             path = tmp_path / name
             save_trace(empty, path)
             loaded = load_trace(path)
-            assert len(loaded.records) == 0
+            assert loaded.packets_received == 0
             assert loaded.name == "empty"
             assert loaded.spec == trace.spec
 
@@ -202,6 +196,20 @@ class TestErrorHandling:
         lines[1] = json.dumps(entry)
         path.write_text("\n".join(lines) + "\n")
         with pytest.raises(ValueError, match=r"broken\.jsonl:2: malformed"):
+            load_trace(path)
+
+    @pytest.mark.parametrize("level", [70000, "high", None])
+    def test_unstorable_register_names_file(self, trace, tmp_path, level):
+        """A record line that parses but cannot become a column fails
+        the load, naming the file."""
+        path = tmp_path / "broken.jsonl"
+        save_trace(trace, path)
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[3])
+        entry["lvl"] = level
+        lines[3] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ValueError, match=r"broken\.jsonl: malformed"):
             load_trace(path)
 
     def test_truncated_final_record_v1(self, trace, tmp_path):

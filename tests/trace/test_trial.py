@@ -35,8 +35,8 @@ class TestFastTrialVectorized:
         a = run_fast_trial(TrialConfig(name="t", packets=2_000, mean_level=9.5, seed=7))
         b = run_fast_trial(TrialConfig(name="t", packets=2_000, mean_level=9.5, seed=7))
         assert a.trace.packets_received == b.trace.packets_received
-        assert [r.data for r in a.trace.records[:20]] == [
-            r.data for r in b.trace.records[:20]
+        assert [a.trace.data(i) for i in range(20)] == [
+            b.trace.data(i) for i in range(20)
         ]
 
     def test_different_seed_differs(self):
@@ -91,7 +91,7 @@ class TestFastTrialPerPacket:
         from repro.framing.testpacket import FRAME_BYTES
 
         assert output.trace.packets_received > 90
-        assert all(r.length < FRAME_BYTES for r in output.trace.records)
+        assert (output.trace.lengths < FRAME_BYTES).all()
 
 
 class TestOutsiders:
@@ -107,11 +107,11 @@ class TestOutsiders:
         )
         from repro.framing.testpacket import FRAME_BYTES
 
-        short_frames = [r for r in output.trace.records if r.length < 200]
-        assert output.dispositions.outsiders_delivered == len(short_frames)
+        short_frames = int((output.trace.lengths < 200).sum())
+        assert output.dispositions.outsiders_delivered == short_frames
         assert output.dispositions.outsiders_delivered > 50
         # Records stay time-sorted after interleaving.
-        times = [r.time for r in output.trace.records]
+        times = output.trace.times.tolist()
         assert times == sorted(times)
 
     def test_dense_outsiders_never_collide_with_test_packets(self):
@@ -131,12 +131,11 @@ class TestOutsiders:
             )
         )
         assert output.dispositions.outsiders_delivered > 50
-        outsider_times = [
-            r.time for r in output.trace.records if r.length < 200
-        ]
+        trace = output.trace
+        outsider_times = trace.times[trace.lengths < 200].tolist()
         assert all(not float(t).is_integer() for t in outsider_times)
         assert len(set(outsider_times)) == len(outsider_times)
-        times = [r.time for r in output.trace.records]
+        times = trace.times.tolist()
         assert times == sorted(times)
 
     def test_dense_outsiders_deterministic(self):
@@ -149,9 +148,9 @@ class TestOutsiders:
         )
         a = run_fast_trial(TrialConfig(**config))
         b = run_fast_trial(TrialConfig(**config))
-        assert [(r.time, r.data) for r in a.trace.records] == [
-            (r.time, r.data) for r in b.trace.records
-        ]
+        assert a.trace.times.tolist() == b.trace.times.tolist()
+        assert a.trace.payload.tobytes() == b.trace.payload.tobytes()
+        assert a.trace.lengths.tolist() == b.trace.lengths.tolist()
 
     def test_weak_outsiders_mostly_lost(self):
         output = run_fast_trial(

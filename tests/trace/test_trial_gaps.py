@@ -48,10 +48,7 @@ class TestAntennaBranchConfig:
                     antenna_branches=branches,
                 )
             )
-            levels = [r.status.signal_level for r in output.trace.records]
-            import numpy as np
-
-            return float(np.std(levels))
+            return float(output.trace.levels.std())
 
         assert level_spread(1) > level_spread(4)
 
