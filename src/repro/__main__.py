@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from time import perf_counter
 
 from repro import obs
 from repro.experiments import engine
@@ -52,7 +51,7 @@ def _add_observability_flags(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="PATH",
         help="write structured run telemetry (JSONL; gzip if PATH ends "
-             "in .gz) with per-experiment manifests",
+             "in .gz) with the run's span tree",
     )
     parser.add_argument(
         "--metrics",
@@ -343,28 +342,6 @@ def _cmd_convert(source: str, destination: str,
     return 0
 
 
-def _emit_manifest(
-    experiment: str,
-    counters_before: dict[str, int],
-    wall_clock_s: float,
-    seed: int | None,
-    scale: float | None,
-    git_rev: str | None,
-) -> None:
-    """Build the per-experiment run manifest and write it to the sink."""
-    manifest = obs.build_manifest(
-        experiment,
-        metrics=obs.STATE.metrics,
-        counters_before=counters_before,
-        wall_clock_s=wall_clock_s,
-        seed=seed,
-        scale=scale,
-        git_rev=git_rev,
-    )
-    if obs.STATE.sink is not None:
-        obs.STATE.sink.emit(manifest.to_record())
-
-
 def _finish_observation(want_metrics: bool) -> None:
     """Flush the final metrics record and optionally print the summary."""
     snapshot = obs.STATE.metrics.snapshot()
@@ -375,11 +352,9 @@ def _finish_observation(want_metrics: bool) -> None:
         print(obs.render_snapshot(snapshot))
 
 
-def _run_one(spec, args, observing: bool, git_rev: str | None) -> None:
+def _run_one(spec, args) -> None:
     print("=" * 72)
     scale = args.scale if args.scale is not None else spec.default_scale
-    counters_before = obs.STATE.metrics.counters_snapshot()
-    start = perf_counter()
     result = engine.ENGINE.run(
         spec,
         scale=scale,
@@ -391,18 +366,6 @@ def _run_one(spec, args, observing: bool, git_rev: str | None) -> None:
     )
     if spec.render is not None:
         spec.render(result, scale)
-    # An experiment that fanned its trials across a pool already
-    # emitted per-trial manifests (in shards) plus one merged
-    # manifest; a wrapper manifest here would double-count them.
-    if observing and (args.jobs <= 1 or not spec.parallel):
-        _emit_manifest(
-            spec.name,
-            counters_before,
-            perf_counter() - start,
-            seed=args.seed,
-            scale=scale,
-            git_rev=git_rev,
-        )
     print()
 
 
@@ -478,7 +441,6 @@ def main(argv: list[str] | None = None) -> int:
         except OSError as exc:
             print(f"--telemetry: {exc}", file=sys.stderr)
             return 2
-    git_rev = obs.git_revision() if observing else None
 
     try:
         if args.command == "report":
@@ -495,9 +457,9 @@ def main(argv: list[str] | None = None) -> int:
 
         if args.experiment is None:  # "all"
             for spec in engine.specs():
-                _run_one(spec, args, observing, git_rev)
+                _run_one(spec, args)
         else:
-            _run_one(engine.get(args.experiment), args, observing, git_rev)
+            _run_one(engine.get(args.experiment), args)
         if observing:
             _finish_observation(args.metrics)
         return 0

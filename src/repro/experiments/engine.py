@@ -4,8 +4,8 @@ Every paper artifact (Tables 2-14, Figures 1-3, the X/V extensions) is
 the same shape of campaign: build trial configurations, run them,
 classify, aggregate.  Before this module each experiment re-implemented
 that loop by hand, so the scaling services (process-pool fan-out,
-trace persistence, telemetry manifests) only reached the few modules
-that were individually rewired.
+trace persistence, telemetry) only reached the few modules that were
+individually rewired.
 
 The engine factors the campaign shape out:
 
@@ -324,10 +324,12 @@ class ExperimentEngine:
         An unknown label raises ``ValueError`` before anything runs.
 
         When a trace recorder is active the run produces one
-        ``engine.<name>`` span with ``engine.plan`` / ``engine.execute``
-        / ``engine.aggregate`` children; every trial's task span (local
+        ``engine.<name>`` span (``kind="experiment"``, with its scale,
+        seed and jobs) with ``engine.plan`` / ``engine.execute`` /
+        ``engine.aggregate`` children; every trial's task span (local
         or in a pool worker) parents under ``engine.execute`` through
-        :func:`repro.parallel.run_tasks`.
+        :func:`repro.parallel.run_tasks`.  The experiment span's
+        counters are the run's work at any ``jobs``.
         """
         spec = (
             spec_or_name
@@ -350,7 +352,11 @@ class ExperimentEngine:
             extras=dict(extras or {}),
         )
         with _obs_runtime.trace_span(
-            f"engine.{spec.name}", scale=ctx.scale, seed=ctx.seed, jobs=jobs
+            f"engine.{spec.name}",
+            kind="experiment",
+            scale=ctx.scale,
+            seed=ctx.seed,
+            jobs=jobs,
         ):
             with _obs_runtime.trace_span("engine.plan"):
                 plans = list(spec.build_plans(ctx))
@@ -364,19 +370,11 @@ class ExperimentEngine:
             if ctx.trace_dir is not None and any(p.traceable for p in plans):
                 Path(ctx.trace_dir).mkdir(parents=True, exist_ok=True)
             tasks = [self._task(spec, ctx, plan) for plan in plans]
-            # Serial runs emit no trial-level manifests — the
-            # orchestration boundary (the CLI, the report runner) emits
-            # one per-experiment manifest, and trial records would
-            # double-count in ``stats``.  A real fan-out keeps per-trial
-            # manifests (in worker shards) plus one merged record,
-            # exactly like the pre-engine pool runs.
-            fanning = jobs > 1 and len(tasks) > 1
             with _obs_runtime.trace_span("engine.execute", trials=len(tasks)):
                 results = run_tasks(
                     tasks,
                     jobs=jobs,
-                    label=f"{spec.name}-trials" if fanning else None,
-                    task_manifests=fanning,
+                    label=f"{spec.name}-trials",
                     progress=progress,
                 )
             with _obs_runtime.trace_span("engine.aggregate"):

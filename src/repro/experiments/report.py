@@ -57,10 +57,22 @@ class ExperimentResources:
     wall_clock_s: float
     events_fired: int
     packets_offered: int
-    # From the run manifest's resource accounting; 0 when the manifest
-    # predates it (or the platform exposes neither /proc nor rusage).
     cpu_s: float = 0.0
+    # 0 when the platform exposes neither /proc nor rusage.
     peak_rss_kb: int = 0
+
+    @classmethod
+    def from_span(cls, span: dict) -> "ExperimentResources":
+        """The footprint an experiment's task span recorded."""
+        counters = span["counters"]
+        return cls(
+            experiment=span["name"],
+            wall_clock_s=span["wall_s"],
+            events_fired=counters.get("sim.events_fired", 0),
+            packets_offered=counters.get("trace.packets_offered", 0),
+            cpu_s=span["cpu_s"],
+            peak_rss_kb=span["peak_rss_kb"],
+        )
 
 
 @dataclass
@@ -176,9 +188,10 @@ def build_report(
     """Run every report experiment at ``scale`` and compare headlines.
 
     Runs under an observability session (reusing the CLI's if one is
-    active): each experiment is timed, its per-layer counter deltas are
-    folded into a run manifest (written to the telemetry sink when one
-    is open), and the report gains a resource-footprint footer.
+    active).  Each experiment runs as one task whose span records its
+    time, peak RSS and counter deltas; the report's resource-footprint
+    footer is read off those spans, so a caller's session without a
+    span recorder gets no footer.
 
     ``jobs > 1`` fans the experiments across a process pool; the
     comparison table, the per-experiment events/packets columns, and
@@ -188,26 +201,16 @@ def build_report(
     report = ReproductionReport()
     specs = {spec.name: spec for spec in report_specs()}
     with obs.ensure_metrics():
-        git_rev = obs.git_revision()
         with _obs_runtime.trace_span("report", scale=scale, jobs=jobs):
             results = run_tasks(
                 _report_tasks(scale, seed), jobs=jobs, label="report",
-                git_rev=git_rev, progress=progress,
+                progress=progress,
             )
         for result in results:
-            manifest = result.manifest or {}
-            report.resources.append(
-                ExperimentResources(
-                    experiment=result.name,
-                    wall_clock_s=manifest.get(
-                        "wall_clock_s", result.wall_clock_s
-                    ),
-                    events_fired=manifest.get("events_fired", 0),
-                    packets_offered=manifest.get("packets_offered", 0),
-                    cpu_s=manifest.get("cpu_s") or 0.0,
-                    peak_rss_kb=manifest.get("peak_rss_kb") or 0,
+            if result.span is not None:
+                report.resources.append(
+                    ExperimentResources.from_span(result.span)
                 )
-            )
             specs[result.name].report_lines(report, result.value, scale)
     return report
 

@@ -4,10 +4,11 @@ The paper's contribution rests on *instrumented* measurement — a driver
 modified to log every received bit plus per-packet status.  This package
 gives the reproduction the same property about itself: a metrics
 registry with hierarchical names (``phy.bits_flipped``,
-``link.drops{reason=...}``), structured JSONL run telemetry, per-run
-manifests, and one timing mechanism: trace spans at layer boundaries
-(``trace.trial``, ``fec.decode_batch``, experiment and task spans) —
-all near-zero cost when disabled (the default).
+``link.drops{reason=...}``), structured JSONL run telemetry, and one
+run record: trace spans at layer boundaries (``trace.trial``,
+``fec.decode_batch``, experiment and task spans), each carrying its
+wall/CPU time, peak RSS and the counter deltas over its extent — all
+near-zero cost when disabled (the default).
 
 Quick use::
 
@@ -25,11 +26,11 @@ from repro.obs.events import (
     JsonlTelemetrySink,
     TELEMETRY_FORMAT,
     TELEMETRY_KIND,
+    git_revision,
     iter_telemetry,
     read_telemetry,
     read_telemetry_header,
 )
-from repro.obs.manifest import RunManifest, build_manifest, git_revision
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -38,11 +39,12 @@ from repro.obs.metrics import (
     render_snapshot,
     scoped_name,
 )
-from repro.obs.resources import ResourceMonitor, ResourceSample, sample
 from repro.obs.runtime import (
     STATE,
     ObsState,
     configure,
+    detached_span,
+    emit_heartbeat,
     ensure_metrics,
     metrics,
     reset,
@@ -67,19 +69,17 @@ __all__ = [
     "JsonlTelemetrySink",
     "Metrics",
     "ObsState",
-    "ResourceMonitor",
-    "ResourceSample",
-    "RunManifest",
     "STATE",
     "SpanContext",
     "SpanRecorder",
     "TELEMETRY_FORMAT",
     "TELEMETRY_KIND",
     "TelemetrySummary",
-    "build_manifest",
     "configure",
     "derive_span_id",
     "derive_trace_id",
+    "detached_span",
+    "emit_heartbeat",
     "ensure_metrics",
     "git_revision",
     "iter_telemetry",
@@ -89,7 +89,6 @@ __all__ = [
     "render_snapshot",
     "render_summary",
     "reset",
-    "sample",
     "scoped_name",
     "session",
     "span_structure",

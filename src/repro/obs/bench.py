@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from repro.obs.manifest import git_revision
+from repro.obs.events import git_revision
 
 PathLike = Union[str, Path]
 

@@ -2,13 +2,15 @@
 
 The telemetry file follows the same conventions as the trial-trace
 format (docs/TRACE_FORMAT.md): JSON-lines, gzipped when the filename
-ends in ``.gz``, a self-describing header on line 1, and a reader that
-refuses unknown versions loudly.  Record types after the header:
+ends in ``.gz``, a self-describing header on line 1 (carrying the git
+revision that wrote it), and a reader that refuses unknown versions
+loudly.  Record types after the header:
 
+* ``span`` — one finished trace span (see :mod:`repro.obs.spans`),
+  the run's only per-experiment and per-task record;
 * ``event`` — one fired simulator event (name, sim time, queueing
   delay, handler wall-clock, queue depth after firing);
-* ``manifest`` — one per-experiment run manifest (see
-  :mod:`repro.obs.manifest`);
+* ``heartbeat`` — live progress (see :func:`repro.obs.emit_heartbeat`);
 * ``metrics`` — a full metrics snapshot, normally emitted once when the
   observability session closes.
 
@@ -17,9 +19,11 @@ The schema is documented in docs/OBSERVABILITY.md.
 
 from __future__ import annotations
 
+import functools
 import gzip
 import io
 import json
+import subprocess
 import time
 from pathlib import Path
 from typing import IO, Iterator, Optional, Union
@@ -66,23 +70,54 @@ def open_jsonl(path: PathLike, mode: str) -> IO:
     return open(path, mode, encoding="utf-8")
 
 
+@functools.lru_cache(maxsize=1)
+def git_revision() -> Optional[str]:
+    """Short git revision of the working tree, or None outside a repo.
+
+    Read once per process (forked pool workers inherit the answer), so
+    shard headers cost no extra ``git`` call.
+    """
+    try:
+        completed = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=5,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    if completed.returncode != 0:
+        return None
+    return completed.stdout.strip() or None
+
+
 class JsonlTelemetrySink:
     """Append-only JSONL telemetry writer.
 
     Writes the header eagerly so even an aborted run leaves a valid,
-    identifiable file.  ``emit`` takes any JSON-serializable mapping
-    with a ``type`` key; the sink never rewrites or buffers records
-    beyond the underlying stream's own buffering.
+    identifiable file; the header records the git revision once per
+    file.  ``emit`` takes any JSON-serializable mapping with a ``type``
+    key; the sink never rewrites or buffers records beyond the
+    underlying stream's own buffering.
+
+    Opening a parent file (not a shard) deletes that path's existing
+    shard family, so the family only ever holds the shards of the
+    session writing it (see :mod:`repro.parallel.shards`).
     """
 
     def __init__(self, path: PathLike) -> None:
+        from repro.parallel.shards import remove_shards
+
         self.path = Path(path)
         self.records_written = 0
         self._stream: Optional[IO] = open_jsonl(path, "w")
+        remove_shards(self.path)
         self._stream.write(json.dumps({
             "format": TELEMETRY_FORMAT,
             "kind": TELEMETRY_KIND,
             "created_unix": time.time(),
+            "git_rev": git_revision(),
         }) + "\n")
 
     def emit(self, record: dict) -> None:
@@ -165,19 +200,11 @@ def iter_telemetry(path: PathLike) -> Iterator[dict]:
 
 class EventTracer:
     """Per-event tracing hook the :class:`~repro.simkit.simulator.Simulator`
-    calls from its dispatch loop.
-
-    ``sample_every`` thins the record stream (1 = every event); the
-    aggregate histograms in the metrics registry are unaffected by
-    sampling, so summaries stay exact even when the event log is thinned.
+    calls from its dispatch loop: one ``event`` record per fired event.
     """
 
-    def __init__(self, sink: JsonlTelemetrySink, sample_every: int = 1) -> None:
-        if sample_every < 1:
-            raise ValueError(f"sample_every must be >= 1, got {sample_every}")
+    def __init__(self, sink: JsonlTelemetrySink) -> None:
         self.sink = sink
-        self.sample_every = sample_every
-        self.events_seen = 0
 
     def event_fired(
         self,
@@ -187,9 +214,6 @@ class EventTracer:
         duration_s: float,
         queue_depth: int,
     ) -> None:
-        self.events_seen += 1
-        if self.events_seen % self.sample_every:
-            return
         self.sink.emit({
             "type": "event",
             "name": name,

@@ -47,10 +47,10 @@ def to_chrome_trace(records: list[dict]) -> dict:
 
     Span records become ``ph: "X"`` complete events (timestamps in
     microseconds, normalized to the earliest span so the trace starts
-    at t=0); heartbeat and resource records become ``ph: "C"`` counter
-    tracks (packets/s, RSS); each pid gets a ``process_name`` metadata
-    event.  The output dict serializes to a file Perfetto and
-    ``chrome://tracing`` open as-is.
+    at t=0); heartbeat records become ``ph: "C"`` counter tracks
+    (packets/s); each pid gets a ``process_name`` metadata event.  The
+    output dict serializes to a file Perfetto and ``chrome://tracing``
+    open as-is.
     """
     spans = [r for r in records if r.get("type") == "span"]
     starts = [r.get("start_unix", 0.0) for r in spans]
@@ -83,8 +83,7 @@ def to_chrome_trace(records: list[dict]) -> dict:
             "args": args,
         })
     for record in records:
-        kind = record.get("type")
-        if kind == "heartbeat":
+        if record.get("type") == "heartbeat":
             pid = next(iter(pids), 0)
             events.append({
                 "name": "progress",
@@ -97,17 +96,6 @@ def to_chrome_trace(records: list[dict]) -> dict:
                     "packets_per_s": record.get("packets_per_s", 0.0),
                     "tasks_done": record.get("done", 0),
                 },
-            })
-        elif kind == "resource":
-            pid = next(iter(pids), 0)
-            events.append({
-                "name": "rss",
-                "cat": "resource",
-                "ph": "C",
-                "ts": _ts(record.get("unix", epoch)),
-                "pid": pid,
-                "tid": pid,
-                "args": {"rss_kb": record.get("rss_kb", 0)},
             })
     for pid in sorted(pids):
         events.append({

@@ -220,8 +220,10 @@ class Metrics:
         }
 
     def counters_snapshot(self) -> dict[str, int]:
-        """Just the counters — the cheap diffable slice manifests use."""
-        return {k: c.value for k, c in self._counters.items()}
+        """Just the counters — the cheap slice every span diffs over its
+        extent.  Iterates a copy: the serving tier's classifier thread
+        may register a counter while the event loop closes a span."""
+        return {k: c.value for k, c in self._counters.copy().items()}
 
     # ------------------------------------------------------------------
     # Mergeable state: how worker-process registries fold back into the

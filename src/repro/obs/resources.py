@@ -1,9 +1,8 @@
-"""Lightweight process-resource sampling (no external dependencies).
+"""Lightweight process-resource reads (no external dependencies).
 
-One cheap call (:func:`sample`) reads the process's current and peak
-resident set size plus cumulative CPU time; spans sample it at their
-boundaries, the parallel runner stamps per-task CPU/peak-RSS into run
-manifests, and heartbeat records carry the live RSS.
+Spans read the process's current and peak resident set size at their
+boundaries (one ``/proc`` read each), and heartbeat records carry the
+live RSS.
 
 On Linux the RSS figures come from ``/proc/self/status`` (``VmRSS`` /
 ``VmHWM``); elsewhere the fallback is ``resource.getrusage`` (peak
@@ -15,9 +14,6 @@ accounting is observability, never a reason to fail a run.
 from __future__ import annotations
 
 import sys
-import time
-from dataclasses import dataclass
-from time import process_time
 
 _PROC_STATUS = "/proc/self/status"
 
@@ -58,74 +54,7 @@ def rss_kb() -> int:
     return rss
 
 
-def peak_rss_kb() -> int:
-    """Peak (high-water) resident set size in KiB."""
-    _, peak = _proc_status_kb()
-    return peak or _rusage_peak_kb()
-
-
-@dataclass(frozen=True)
-class ResourceSample:
-    """One point-in-time reading of the process's resource state."""
-
-    unix_time: float
-    cpu_s: float  # cumulative process CPU time (user + system)
-    rss_kb: int
-    peak_rss_kb: int
-
-    def to_record(self) -> dict:
-        """The ``type: resource`` telemetry record."""
-        return {
-            "type": "resource",
-            "unix": self.unix_time,
-            "cpu_s": self.cpu_s,
-            "rss_kb": self.rss_kb,
-            "peak_rss_kb": self.peak_rss_kb,
-        }
-
-
-def sample() -> ResourceSample:
-    """Read the current resource state (one /proc read, ~tens of µs)."""
+def rss_and_peak_kb() -> tuple[int, int]:
+    """(current, peak) resident set size in KiB from one /proc read."""
     rss, peak = _proc_status_kb()
-    if not peak:
-        peak = _rusage_peak_kb()
-    return ResourceSample(
-        unix_time=time.time(),
-        cpu_s=process_time(),
-        rss_kb=rss,
-        peak_rss_kb=peak,
-    )
-
-
-class ResourceMonitor:
-    """Delta-tracking sampler for task/experiment boundaries.
-
-    ``start()`` pins a baseline; ``finish()`` returns ``(cpu_s delta,
-    peak RSS)`` — the two figures run manifests report per experiment.
-    ``emit(sink)`` additionally writes the raw sample as a telemetry
-    record, rate-limited to one record per ``min_interval_s``.
-    """
-
-    def __init__(self, min_interval_s: float = 0.5) -> None:
-        self.min_interval_s = min_interval_s
-        self._baseline: ResourceSample = sample()
-        self._last_emit_unix = 0.0
-
-    def start(self) -> ResourceSample:
-        self._baseline = sample()
-        return self._baseline
-
-    def finish(self) -> tuple[float, int]:
-        """(CPU seconds since start(), peak RSS in KiB)."""
-        current = sample()
-        return current.cpu_s - self._baseline.cpu_s, current.peak_rss_kb
-
-    def emit(self, sink) -> bool:
-        """Write one resource record if the rate limit allows; returns
-        whether a record was written."""
-        now = time.time()
-        if now - self._last_emit_unix < self.min_interval_s:
-            return False
-        self._last_emit_unix = now
-        sink.emit(sample().to_record())
-        return True
+    return rss, peak or _rusage_peak_kb()

@@ -21,26 +21,26 @@ reference to ``STATE`` itself — but must not cache its attributes.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
 from repro.obs.events import EventTracer, JsonlTelemetrySink
 from repro.obs.metrics import Metrics
+from repro.obs.resources import rss_kb
 from repro.obs.spans import NULL_TRACE_SPAN, SpanRecorder, derive_trace_id
 
 
 class ObsState:
     """Mutable holder of the active observability session."""
 
-    __slots__ = ("metrics", "tracer", "sink", "enabled", "rng_accounting",
-                 "spans")
+    __slots__ = ("metrics", "tracer", "sink", "enabled", "spans")
 
     def __init__(self) -> None:
         self.metrics = Metrics(enabled=False)
         self.tracer: Optional[EventTracer] = None
         self.sink: Optional[JsonlTelemetrySink] = None
         self.enabled = False
-        self.rng_accounting = False
         self.spans: Optional[SpanRecorder] = None
 
 
@@ -51,18 +51,18 @@ def configure(
     *,
     telemetry_path: Optional[str] = None,
     profiling: bool = True,
-    rng_accounting: bool = True,
-    trace_sample_every: int = 1,
     spans: bool = True,
     trace_label: Optional[str] = None,
     trace_id: Optional[str] = None,
 ) -> ObsState:
     """Enable instrumentation process-wide.
 
-    ``telemetry_path`` additionally opens a JSONL sink and attaches an
-    event tracer that simulators created *after* this call pick up.
-    ``spans`` (default on) attaches a :class:`SpanRecorder` whose trace
-    id derives from ``trace_label`` (or is taken verbatim from
+    Metrics are on, RNG streams created afterwards count their calls
+    (``rng.calls{stream=...}``), and ``telemetry_path`` additionally
+    opens a JSONL sink and attaches an event tracer that simulators
+    created *after* this call pick up.  ``spans`` (default on) attaches
+    a :class:`SpanRecorder` over the session's registry, whose trace id
+    derives from ``trace_label`` (or is taken verbatim from
     ``trace_id`` — how pool workers join the parent's trace).
     Returns :data:`STATE` (mutated in place).
 
@@ -73,10 +73,9 @@ def configure(
     reset()
     STATE.metrics = Metrics(enabled=True)
     STATE.enabled = True
-    STATE.rng_accounting = rng_accounting
     if telemetry_path is not None:
         STATE.sink = JsonlTelemetrySink(telemetry_path)
-        STATE.tracer = EventTracer(STATE.sink, sample_every=trace_sample_every)
+        STATE.tracer = EventTracer(STATE.sink)
     if spans:
         STATE.spans = SpanRecorder(
             sink=STATE.sink,
@@ -85,6 +84,7 @@ def configure(
                 if trace_id is not None
                 else derive_trace_id(trace_label or "session")
             ),
+            metrics=STATE.metrics,
         )
     return STATE
 
@@ -103,7 +103,6 @@ def detach_inherited_session() -> None:
     STATE.tracer = None
     STATE.sink = None
     STATE.enabled = False
-    STATE.rng_accounting = False
     STATE.spans = None
 
 
@@ -115,7 +114,6 @@ def reset() -> None:
     STATE.tracer = None
     STATE.sink = None
     STATE.enabled = False
-    STATE.rng_accounting = False
     STATE.spans = None
 
 
@@ -166,3 +164,48 @@ def trace_span(name: str, **attrs):
     if recorder is None:
         return NULL_TRACE_SPAN
     return recorder.span(name, **attrs)
+
+
+def detached_span(name: str, parent: Optional[str] = None, **attrs):
+    """Start a span off the stack, under the explicit ``parent`` id.
+
+    For spans whose lifetimes interleave (see
+    :meth:`SpanRecorder.detached`); end it with ``finish(status,
+    **attrs)``.  The shared null span when no recorder is active, whose
+    ``span_id`` is None.
+    """
+    recorder = STATE.spans
+    if recorder is None:
+        return NULL_TRACE_SPAN
+    return recorder.detached(name, parent, **attrs)
+
+
+def emit_heartbeat(
+    label: str,
+    done: int,
+    total: int,
+    packets_offered: int,
+    packets_per_s: float,
+    **extra,
+) -> None:
+    """Write one ``type: heartbeat`` record to the session sink.
+
+    Flushed at once, so ``timeline --follow`` sees it live.  ``extra``
+    carries a source's own fields (the server's sessions and queue
+    depth).  A no-op when no sink is open.
+    """
+    sink = STATE.sink
+    if sink is None:
+        return
+    sink.emit({
+        "type": "heartbeat",
+        "label": label,
+        "done": done,
+        "total": total,
+        "packets_offered": packets_offered,
+        "packets_per_s": round(packets_per_s, 1),
+        **extra,
+        "rss_kb": rss_kb(),
+        "unix": time.time(),
+    })
+    sink.flush()

@@ -8,19 +8,27 @@ finished span into the JSONL telemetry stream, carrying:
 * identity — ``trace`` / ``span`` / ``parent`` ids that stitch records
   from any number of processes into one tree;
 * cost — wall-clock seconds, CPU seconds (``time.process_time`` delta),
-  and the RSS delta sampled from :mod:`repro.obs.resources`;
+  and the RSS delta and process peak RSS from one
+  :mod:`repro.obs.resources` read at each boundary;
+* work — ``counters``, the nonzero counter deltas of the session's
+  metrics registry over the span (``trace.packets_offered``,
+  ``sim.events_fired``, ``rng.calls{stream=...}``, ...), worker states
+  merged inside the span included;
 * context — the span name, the emitting ``pid``, free-form ``attrs``,
   and an ``ok``/``error`` status.
+
+The span is the run's only record: the report footer, ``stats`` and
+``--progress`` heartbeats all read finished spans.
 
 **Deterministic identity.**  Ids are not random: a trace id is a pure
 function of its label (:func:`derive_trace_id`), and a span id is a pure
 function of ``(trace id, parent id, name, sibling index)``.  Two runs of
 the same campaign therefore produce the same tree ids, and — because the
 parallel runner hands each worker task the *parent's* span context — a
-``jobs=N`` run produces the identical span tree to ``jobs=1``, differing
-only in the volatile fields (timings, pids).  :func:`span_structure`
-strips the volatile fields so that identity can be asserted byte for
-byte.
+``jobs=N`` run produces the identical span tree to ``jobs=1``, counters
+included, differing only in the volatile fields (timings, pids, RSS).
+:func:`span_structure` strips the volatile fields so that identity can
+be asserted byte for byte.
 
 **Cross-process propagation.**  The worker side of a pool boundary
 receives a :class:`SpanContext` (two strings, trivially picklable) and
@@ -43,12 +51,12 @@ from dataclasses import dataclass
 from time import perf_counter, process_time
 from typing import Iterable, Iterator, Optional
 
-from repro.obs.resources import rss_kb
+from repro.obs.resources import rss_and_peak_kb, rss_kb
 
 #: Fields of a span record that legitimately differ between two runs of
 #: the same campaign (or between ``jobs=1`` and ``jobs=N``).
 VOLATILE_SPAN_FIELDS = frozenset(
-    {"pid", "start_unix", "wall_s", "cpu_s", "rss_delta_kb"}
+    {"pid", "start_unix", "wall_s", "cpu_s", "rss_delta_kb", "peak_rss_kb"}
 )
 
 
@@ -97,6 +105,7 @@ class _NullTraceSpan:
     """Shared no-op span for disabled sessions (stateless)."""
 
     __slots__ = ()
+    record = None  # a real span's finished record; none here
 
     def __enter__(self) -> "_NullTraceSpan":
         return self
@@ -107,6 +116,13 @@ class _NullTraceSpan:
     def set_attr(self, key: str, value) -> None:
         pass
 
+    @property
+    def span_id(self) -> None:
+        return None
+
+    def finish(self, status: str = "ok", **attrs) -> None:
+        pass
+
 
 NULL_TRACE_SPAN = _NullTraceSpan()
 
@@ -115,37 +131,63 @@ class _ActiveSpan:
     """One live span: a context manager that emits its record on exit."""
 
     __slots__ = ("_recorder", "record", "_start_perf", "_start_cpu",
-                 "_start_rss")
+                 "_start_rss", "_start_counters")
 
     def __init__(self, recorder: "SpanRecorder", record: dict) -> None:
         self._recorder = recorder
         self.record = record
+
+    @property
+    def span_id(self) -> str:
+        return self.record["span"]
 
     def set_attr(self, key: str, value) -> None:
         """Attach/overwrite one attribute while the span is live."""
         self.record["attrs"][key] = value
 
     def __enter__(self) -> "_ActiveSpan":
+        metrics = self._recorder.metrics
+        self._start_counters = (
+            metrics.counters_snapshot() if metrics is not None else {}
+        )
         self._start_cpu = process_time()
-        self._start_rss = rss_kb() if self._recorder.sample_resources else 0
+        self._start_rss = rss_kb()
         self._start_perf = perf_counter()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        wall_s = perf_counter() - self._start_perf
-        record = self.record
-        record["wall_s"] = wall_s
-        record["cpu_s"] = process_time() - self._start_cpu
-        record["rss_delta_kb"] = (
-            rss_kb() - self._start_rss
-            if self._recorder.sample_resources
-            else 0
-        )
-        record["status"] = "ok" if exc_type is None else "error"
         if exc_type is not None:
-            record["attrs"]["error"] = exc_type.__name__
-        self._recorder._finish(self)
+            self.record["attrs"]["error"] = exc_type.__name__
+        self.finish("ok" if exc_type is None else "error")
         return False
+
+    def finish(self, status: str = "ok", **attrs) -> None:
+        """Close the span: stamp its cost and counters, then emit it.
+
+        A ``with`` block calls this on exit; a detached span (see
+        :meth:`SpanRecorder.detached`) calls it directly, with the
+        attributes only known at its end.
+        """
+        wall_s = perf_counter() - self._start_perf
+        cpu_s = process_time() - self._start_cpu
+        rss, peak = rss_and_peak_kb()
+        record = self.record
+        record["attrs"].update(attrs)
+        record["wall_s"] = wall_s
+        record["cpu_s"] = cpu_s
+        record["rss_delta_kb"] = rss - self._start_rss
+        record["peak_rss_kb"] = peak
+        counters: dict[str, int] = {}
+        metrics = self._recorder.metrics
+        if metrics is not None:
+            before = self._start_counters
+            for key, value in metrics.counters_snapshot().items():
+                delta = value - before.get(key, 0)
+                if delta:
+                    counters[key] = delta
+        record["counters"] = counters
+        record["status"] = status
+        self._recorder._finish(self)
 
 
 class SpanRecorder:
@@ -153,23 +195,21 @@ class SpanRecorder:
 
     One per observability session (``obs.STATE.spans``).  Finished span
     records are appended to :attr:`finished` (for in-process consumers:
-    the report footer, tests) and emitted to ``sink`` when one is open.
-    The recorder is process-local; cross-process stitching works by
-    carrying a :class:`SpanContext` over the boundary and entering it
-    with :meth:`adopt` on the far side.
+    tests, and the runner handing a task's span back) and emitted to
+    ``sink`` when one is open.  ``metrics`` is the session's registry,
+    whose counter deltas every span records; without one, ``counters``
+    stays empty.  The recorder is process-local; cross-process
+    stitching works by carrying a :class:`SpanContext` over the
+    boundary and entering it with :meth:`adopt` on the far side.
     """
 
-    def __init__(
-        self,
-        sink=None,
-        trace_id: Optional[str] = None,
-        sample_resources: bool = True,
-    ) -> None:
+    def __init__(self, sink=None, trace_id: Optional[str] = None,
+                 metrics=None) -> None:
         self.sink = sink
         self.trace_id = (
             trace_id if trace_id is not None else derive_trace_id("session")
         )
-        self.sample_resources = sample_resources
+        self.metrics = metrics
         self.finished: list[dict] = []
         self._stack: list[str] = []  # span ids, innermost last
         # (parent id, name) -> next sibling ordinal; keyed per parent so
@@ -184,33 +224,49 @@ class SpanRecorder:
             return None
         return SpanContext(self.trace_id, self._stack[-1])
 
-    def span(self, name: str, **attrs) -> _ActiveSpan:
-        """Open a child span of the current span (a context manager)."""
-        parent = self._stack[-1] if self._stack else None
+    def _open(self, name: str, parent: Optional[str], attrs: dict) -> _ActiveSpan:
         key = (parent or "", name)
         index = self._child_index.get(key, 0)
         self._child_index[key] = index + 1
-        span_id = derive_span_id(self.trace_id, parent, name, index)
         record = {
             "type": "span",
             "trace": self.trace_id,
-            "span": span_id,
+            "span": derive_span_id(self.trace_id, parent, name, index),
             "parent": parent,
             "name": name,
             "pid": os.getpid(),
             "start_unix": time.time(),
-            "attrs": dict(attrs),
+            "attrs": attrs,
         }
-        self._stack.append(span_id)
         return _ActiveSpan(self, record)
+
+    def span(self, name: str, **attrs) -> _ActiveSpan:
+        """Open a child span of the current span (a context manager)."""
+        span = self._open(name, self._stack[-1] if self._stack else None, attrs)
+        self._stack.append(span.span_id)
+        return span
+
+    def detached(
+        self, name: str, parent: Optional[str] = None, **attrs
+    ) -> _ActiveSpan:
+        """Start a span under an explicit ``parent`` id, off the stack.
+
+        For spans whose lifetimes interleave (the serving tier's
+        concurrent sessions): the id derives like any other span's, but
+        the span never becomes the current one, and the caller ends it
+        with ``finish()``.  Its counters are the process's deltas over
+        its extent, so overlapping spans' work is included.
+        """
+        return self._open(name, parent, attrs).__enter__()
 
     def _finish(self, span: _ActiveSpan) -> None:
         # Pop down to (and including) this span — tolerates a caller
-        # leaking an inner span by exiting an outer one first.
-        span_id = span.record["span"]
-        while self._stack:
-            if self._stack.pop() == span_id:
-                break
+        # leaking an inner span by exiting an outer one first.  A
+        # detached span was never pushed.
+        span_id = span.span_id
+        if span_id in self._stack:
+            while self._stack.pop() != span_id:
+                pass
         self.finished.append(span.record)
         if self.sink is not None:
             self.sink.emit(span.record)

@@ -4,10 +4,15 @@ A parallel run (``--jobs N``) writes per-worker shard files next to the
 parent telemetry file (see :mod:`repro.parallel.shards`); the
 summarizer discovers them automatically and folds their records into
 one stream, so ``stats run.jsonl`` reports the whole run whether it was
-serial or parallel.  Merged run manifests (records carrying
-``merged_from``) are reported separately and excluded from the
-per-experiment totals — their counters are sums of per-task manifests
-already in the stream.
+serial or parallel.
+
+Everything is read off spans.  There is one experiment row per
+``kind="experiment"`` span (``engine.<name>``), wherever it ran — the
+CLI or a report, inline or in a pool worker — nested runs such as
+``fec``'s ``table5``/``table11`` harvests included, so the rows are the
+same for any ``--jobs``.  Nested rows overlap their parent's, so the
+run totals come from the final ``metrics`` record (and the root spans'
+wall-clock), never from a sum of rows.
 """
 
 from __future__ import annotations
@@ -17,6 +22,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.events import PathLike, iter_telemetry, read_telemetry_header
+
+_EXPERIMENT_PREFIX = "engine."
 
 
 @dataclass
@@ -30,8 +37,8 @@ class TelemetrySummary:
     event_names: TallyCounter = field(default_factory=TallyCounter)
     event_handler_s: float = 0.0
     max_queue_depth: int = 0
-    manifests: list[dict] = field(default_factory=list)
-    merged_manifests: list[dict] = field(default_factory=list)
+    # The experiment spans, in start order once summarized.
+    experiments: list[dict] = field(default_factory=list)
     shard_paths: list[str] = field(default_factory=list)
     final_metrics: Optional[dict] = None
     span_count: int = 0
@@ -40,17 +47,17 @@ class TelemetrySummary:
     heartbeat_count: int = 0
     peak_rss_kb: int = 0
 
-    @property
-    def total_wall_clock_s(self) -> float:
-        return sum(m.get("wall_clock_s", 0.0) for m in self.manifests)
-
-    @property
-    def total_events_fired(self) -> int:
-        return sum(m.get("events_fired", 0) for m in self.manifests)
-
-    @property
-    def total_packets_offered(self) -> int:
-        return sum(m.get("packets_offered", 0) for m in self.manifests)
+    def experiment_rows(self) -> list[tuple[str, int, int]]:
+        """``(experiment, events fired, packets offered)`` per
+        experiment span — the deterministic part of each row."""
+        return [
+            (
+                span["name"][len(_EXPERIMENT_PREFIX):],
+                span["counters"].get("sim.events_fired", 0),
+                span["counters"].get("trace.packets_offered", 0),
+            )
+            for span in self.experiments
+        ]
 
 
 def summarize_telemetry(
@@ -74,6 +81,7 @@ def summarize_telemetry(
         for shard in find_shards(path):
             summary.shard_paths.append(str(shard))
             _fold_stream(summary, shard)
+    summary.experiments.sort(key=lambda s: (s.get("start_unix", 0.0), s["span"]))
     return summary
 
 
@@ -89,14 +97,6 @@ def _fold_stream(summary: TelemetrySummary, path: PathLike) -> None:
             depth = record.get("queue_depth", 0)
             if depth > summary.max_queue_depth:
                 summary.max_queue_depth = depth
-        elif kind == "manifest":
-            if record.get("merged_from") is not None:
-                summary.merged_manifests.append(record)
-            else:
-                summary.manifests.append(record)
-            peak = record.get("peak_rss_kb") or 0
-            if peak > summary.peak_rss_kb:
-                summary.peak_rss_kb = peak
         elif kind == "metrics":
             summary.final_metrics = record.get("metrics")
         elif kind == "span":
@@ -104,12 +104,13 @@ def _fold_stream(summary: TelemetrySummary, path: PathLike) -> None:
             summary.span_pids.add(record.get("pid"))
             if record.get("parent") is None:
                 summary.span_wall_s += record.get("wall_s", 0.0)
-        elif kind == "heartbeat":
-            summary.heartbeat_count += 1
-        elif kind == "resource":
             peak = record.get("peak_rss_kb", 0)
             if peak > summary.peak_rss_kb:
                 summary.peak_rss_kb = peak
+            if record.get("attrs", {}).get("kind") == "experiment":
+                summary.experiments.append(record)
+        elif kind == "heartbeat":
+            summary.heartbeat_count += 1
 
 
 def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
@@ -117,35 +118,34 @@ def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
     lines = [
         f"telemetry file: {summary.path}",
         f"  records: {summary.record_count} "
-        f"(events {summary.event_count}, manifests {len(summary.manifests)})",
+        f"(spans {summary.span_count}, events {summary.event_count})",
     ]
     if summary.shard_paths:
         lines.append(
             f"  shards: {len(summary.shard_paths)} worker files folded in"
         )
-    for merged in summary.merged_manifests:
-        lines.append(
-            f"  merged run '{merged.get('experiment', '?')}': "
-            f"{len(merged.get('merged_from', []))} tasks, "
-            f"jobs={merged.get('jobs', '?')}, "
-            f"{merged.get('wall_clock_s', 0.0):.2f}s wall-clock, "
-            f"{merged.get('packets_offered', 0)} packets offered"
-        )
-    if summary.manifests:
-        lines.append(
-            f"  run totals: {summary.total_wall_clock_s:.2f}s wall-clock, "
-            f"{summary.total_events_fired} events fired, "
-            f"{summary.total_packets_offered} packets offered"
-        )
+    if summary.span_count or summary.final_metrics is not None:
+        totals = f"  run totals: {summary.span_wall_s:.2f}s wall-clock"
+        if summary.final_metrics is not None:
+            counters = summary.final_metrics.get("counters", {})
+            totals += (
+                f", {counters.get('sim.events_fired', 0)} events fired, "
+                f"{counters.get('trace.packets_offered', 0)} packets offered"
+            )
+        lines.append(totals)
+    if summary.experiments:
         lines.append("  experiments:")
-        for manifest in summary.manifests:
-            seed = manifest.get("seed")
-            scale = manifest.get("scale")
+        for span, (name, events, packets) in zip(
+            summary.experiments, summary.experiment_rows()
+        ):
+            attrs = span.get("attrs", {})
+            seed = attrs.get("seed")
+            scale = attrs.get("scale")
             lines.append(
-                f"    {manifest.get('experiment', '?'):<12} "
-                f"wall={manifest.get('wall_clock_s', 0.0):.2f}s "
-                f"events={manifest.get('events_fired', 0)} "
-                f"packets={manifest.get('packets_offered', 0)} "
+                f"    {name:<12} "
+                f"wall={span.get('wall_s', 0.0):.2f}s "
+                f"events={events} "
+                f"packets={packets} "
                 f"seed={'default' if seed is None else seed} "
                 f"scale={'default' if scale is None else f'{scale:g}'}"
             )
@@ -153,8 +153,7 @@ def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
         pids = len(summary.span_pids)
         lines.append(
             f"  trace spans: {summary.span_count} across {pids} "
-            f"process{'es' if pids != 1 else ''}, "
-            f"{summary.span_wall_s:.2f}s root wall-clock "
+            f"process{'es' if pids != 1 else ''} "
             f"(render with `python -m repro timeline {summary.path}`)"
         )
     if summary.heartbeat_count:

@@ -32,13 +32,7 @@ from repro.parallel.handoff import (
     load_ring_slot,
 )
 from repro.parallel.pool import PersistentPool
-from repro.parallel.runner import (
-    Task,
-    TaskResult,
-    default_jobs,
-    merged_manifest_record,
-    run_tasks,
-)
+from repro.parallel.runner import Task, TaskResult, run_tasks
 from repro.parallel.shards import find_shards, shard_path
 
 __all__ = [
@@ -48,11 +42,9 @@ __all__ = [
     "RingTransport",
     "Task",
     "TaskResult",
-    "default_jobs",
     "detach_ring",
     "find_shards",
     "load_ring_slot",
-    "merged_manifest_record",
     "run_tasks",
     "shard_path",
 ]

@@ -1,11 +1,17 @@
 """Telemetry shard naming and discovery for parallel runs.
 
 A parallel run with ``--telemetry run.jsonl --jobs N`` produces the
-parent file ``run.jsonl`` (merged manifest + final merged metrics) plus
-one shard per worker process — ``run.shard-000.jsonl``,
-``run.shard-001.jsonl``, … — holding that worker's per-task manifests
-and event records.  The ``stats`` subcommand discovers the shards
-automatically and reads the whole family as one stream.
+parent file ``run.jsonl`` (the parent's spans + final merged metrics)
+plus one shard per worker process — ``run.shard-000.jsonl``,
+``run.shard-001.jsonl``, … — holding that worker's task spans, the
+spans nested in them, and its event records.  The ``stats`` and
+``timeline`` subcommands discover the shards automatically and read
+the whole family as one stream.
+
+A family holds exactly one session's shards: opening the parent file
+deletes the shards already next to it (:func:`remove_shards`), and
+every pool of a session numbers its workers after the shards the
+session already wrote, so a second pool never reopens the first's.
 
 Shard names derive deterministically from the parent path: the
 ``.jsonl`` / ``.jsonl.gz`` suffix is preserved (so gzip-by-suffix keeps
@@ -18,6 +24,7 @@ experiment produces bit-identical ``.gz`` shard families.
 
 from __future__ import annotations
 
+import glob
 from pathlib import Path
 
 _SUFFIXES = (".jsonl.gz", ".jsonl", ".gz")
@@ -54,6 +61,14 @@ def find_shards(parent: str | Path) -> list[Path]:
     stem, suffix = split_suffix(parent)
     if SHARD_TAG in stem:
         return []
-    pattern = f"{stem}{SHARD_TAG}*{suffix}"
+    # Escaped: a name with glob characters must not match (and, through
+    # remove_shards, delete) another family's shards.
+    pattern = f"{glob.escape(stem)}{SHARD_TAG}*{glob.escape(suffix)}"
     directory = parent.parent if parent.parent != Path("") else Path(".")
     return sorted(directory.glob(pattern))
+
+
+def remove_shards(parent: str | Path) -> None:
+    """Delete every existing shard file of ``parent`` (none for a shard)."""
+    for shard in find_shards(parent):
+        shard.unlink(missing_ok=True)

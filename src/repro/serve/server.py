@@ -48,10 +48,11 @@ packing is chunking-independent).
 emits one ``serve.session`` span per completed session (child of one
 ``serve.run`` root), plus periodic ``heartbeat`` records with
 aggregate packets/s, active sessions, and the deepest session queue —
-the live signals ``timeline --follow`` tails.  Span ids use the same
-deterministic derivation as every other span in the codebase, but are
-emitted directly (not via the recorder's stack) because concurrent
-sessions interleave; the tree stitches identically in the exporters.
+the live signals ``timeline --follow`` tails.  Concurrent sessions
+interleave, so their spans are detached ones
+(:func:`repro.obs.detached_span`): the recorder derives their ids and
+builds their records like every other span's, under an explicit
+parent instead of its stack.
 """
 
 from __future__ import annotations
@@ -73,8 +74,7 @@ from repro.analysis.classify import (
     verdict_row_bytes,
 )
 from repro.analysis.matching import TraceMatcher
-from repro.obs import resources as _resources
-from repro.obs.spans import derive_span_id
+from repro.obs.spans import NULL_TRACE_SPAN
 from repro.parallel.handoff import (
     RingSlotHandle,
     RingTransport,
@@ -263,15 +263,9 @@ class TraceAnalysisServer:
         self._handler_tasks: set[asyncio.Task] = set()
         self._heartbeat_task: Optional[asyncio.Task] = None
         self._accepting = False
-        self._started_unix = 0.0
-        self._started_perf = 0.0
         self._total_records = 0
         self._completed_sessions = 0
-        # Deterministic span ids for concurrent sessions: our own
-        # sibling ordinals per span name, same derivation as the
-        # recorder's.
-        self._span_ordinals: Counter = Counter()
-        self._root_span_id: Optional[str] = None
+        self._run_span = NULL_TRACE_SPAN
 
     # -- lifecycle -----------------------------------------------------
     @property
@@ -300,9 +294,7 @@ class TraceAnalysisServer:
                 self._on_connection, host=config.host, port=config.port
             )
         self._accepting = True
-        self._started_unix = time.time()
-        self._started_perf = time.perf_counter()
-        self._root_span_id = self._next_span_id("serve.run", parent=None)
+        self._run_span = obs.detached_span("serve.run")
         if config.heartbeat_s > 0:
             self._heartbeat_task = asyncio.create_task(
                 self._heartbeat_loop()
@@ -344,17 +336,10 @@ class TraceAnalysisServer:
         if self._inline is not None:
             self._inline.shutdown(wait=True)
             self._inline = None
-        self._emit_span(
-            "serve.run",
-            self._root_span_id,
-            parent=None,
-            start_unix=self._started_unix,
-            wall_s=time.perf_counter() - self._started_perf,
-            attrs={
-                "sessions": self._completed_sessions,
-                "records": self._total_records,
-                "jobs": self.config.jobs,
-            },
+        self._run_span.finish(
+            sessions=self._completed_sessions,
+            records=self._total_records,
+            jobs=self.config.jobs,
         )
         if self.config.unix_path is not None:
             try:
@@ -363,53 +348,6 @@ class TraceAnalysisServer:
                 pass
 
     # -- telemetry -----------------------------------------------------
-    def _next_span_id(self, name: str, parent: Optional[str]) -> str:
-        recorder = obs.STATE.spans
-        if recorder is None:
-            return ""
-        key = (parent or "", name)
-        index = self._span_ordinals[key]
-        self._span_ordinals[key] = index + 1
-        return derive_span_id(recorder.trace_id, parent, name, index)
-
-    def _emit_span(
-        self,
-        name: str,
-        span_id: Optional[str],
-        parent: Optional[str],
-        start_unix: float,
-        wall_s: float,
-        attrs: dict,
-        status: str = "ok",
-    ) -> None:
-        """Emit one finished-span record with explicit parentage.
-
-        Concurrent sessions cannot share the recorder's span *stack*
-        (their lifetimes interleave), but their records are ordinary
-        spans: same schema, same deterministic id derivation, so
-        ``stats``/``timeline`` stitch them like any other tree.
-        """
-        recorder = obs.STATE.spans
-        if recorder is None or not span_id:
-            return
-        record = {
-            "type": "span",
-            "trace": recorder.trace_id,
-            "span": span_id,
-            "parent": parent,
-            "name": name,
-            "pid": os.getpid(),
-            "start_unix": start_unix,
-            "attrs": dict(attrs),
-            "wall_s": wall_s,
-            "cpu_s": 0.0,
-            "rss_delta_kb": 0,
-            "status": status,
-        }
-        recorder.finished.append(record)
-        if recorder.sink is not None:
-            recorder.sink.emit(record)
-
     async def _heartbeat_loop(self) -> None:
         state = obs.STATE
         last_records = 0
@@ -432,20 +370,15 @@ class TraceAnalysisServer:
                 )
                 state.metrics.gauge("serve.packets_per_s").set(rate)
                 state.metrics.gauge("serve.queue_depth").set(depth)
-            if state.enabled and state.sink is not None:
-                state.sink.emit({
-                    "type": "heartbeat",
-                    "label": "serve",
-                    "done": self._total_records,
-                    "total": self._total_records,
-                    "packets_offered": self._total_records,
-                    "packets_per_s": round(rate, 1),
-                    "sessions": len(self._sessions),
-                    "queue_depth": depth,
-                    "rss_kb": _resources.rss_kb(),
-                    "unix": time.time(),
-                })
-                state.sink.flush()
+            obs.emit_heartbeat(
+                "serve",
+                self._total_records,
+                self._total_records,
+                self._total_records,
+                rate,
+                sessions=len(self._sessions),
+                queue_depth=depth,
+            )
 
     # -- per-connection ------------------------------------------------
     async def _on_connection(
@@ -522,8 +455,9 @@ class TraceAnalysisServer:
         if self._pool is not None:
             session.shard = self._pick_shard()
             self._shard_sessions[session.shard] += 1
-        started_perf = time.perf_counter()
-        span_id = self._next_span_id("serve.session", self._root_span_id)
+        span = obs.detached_span(
+            "serve.session", parent=self._run_span.span_id
+        )
         hello_ok = {
             "session": session.id,
             "window_chunks": config.window_chunks,
@@ -561,24 +495,17 @@ class TraceAnalysisServer:
                 state.metrics.counter("serve.records_ingested").inc(
                     session.records
                 )
-            self._emit_span(
-                "serve.session",
-                span_id,
-                parent=self._root_span_id,
-                start_unix=session.started_unix,
-                wall_s=time.perf_counter() - started_perf,
-                attrs={
-                    "session": session.id,
-                    "name": session.name,
-                    "records": session.records,
-                    "chunks": session.chunks,
-                    "batches": session.batches,
-                    "shard": session.shard,
-                    "ring_overflows": session.ring_overflows,
-                    "max_queue_depth": session.max_queue_depth,
-                    "aborted": session.aborted,
-                },
-                status="error" if session.error else "ok",
+            span.finish(
+                "error" if session.error else "ok",
+                session=session.id,
+                name=session.name,
+                records=session.records,
+                chunks=session.chunks,
+                batches=session.batches,
+                shard=session.shard,
+                ring_overflows=session.ring_overflows,
+                max_queue_depth=session.max_queue_depth,
+                aborted=session.aborted,
             )
 
     #: Warm rings kept per geometry; beyond this, closing sessions

@@ -9,22 +9,16 @@ classic event-list simulator:
 * :class:`~repro.simkit.rng.RngRegistry` — named, independently seeded
   random streams, so adding a new consumer of randomness never perturbs
   the draws made by existing consumers.
-* :class:`~repro.simkit.process.Process` — a generator-based process
-  abstraction for writing station behaviour as sequential code.
 """
 
 from repro.simkit.event import Event, EventQueue
-from repro.simkit.process import Process, Timeout, Waiter
 from repro.simkit.rng import RngRegistry, derive_seed
 from repro.simkit.simulator import Simulator
 
 __all__ = [
     "Event",
     "EventQueue",
-    "Process",
     "RngRegistry",
     "Simulator",
-    "Timeout",
-    "Waiter",
     "derive_seed",
 ]

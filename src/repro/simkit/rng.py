@@ -61,9 +61,9 @@ def spawn_seed(root_seed: int, *labels: str) -> int:
 class _CountingStream:
     """Transparent proxy over a generator that tallies method calls.
 
-    Only installed when an observability session enables RNG
-    accounting; the tally feeds the ``rng.calls{stream=...}`` counters
-    the run manifest reports as each stream's draw budget.  Counting
+    Installed whenever an observability session is on; the tally
+    feeds the ``rng.calls{stream=...}`` counters that each span's
+    ``counters`` report as the stream's draw budget.  Counting
     wraps *calls*, not elements, so a vectorized ``rng.random(n)`` is
     one call — the interesting quantity for reproducibility audits is
     how often a stream is consulted, and wrapping per element would
@@ -116,7 +116,7 @@ class RngRegistry:
             child_seed = derive_seed(self.seed, name)
             generator = np.random.Generator(np.random.PCG64(child_seed))
             state = _obs.STATE
-            if state.rng_accounting and state.enabled:
+            if state.enabled:
                 generator = _CountingStream(
                     generator, state.metrics.counter("rng.calls", stream=name)
                 )

@@ -131,8 +131,28 @@ def load_trace(path: PathLike) -> ColumnarTrace:
             raise ValueError(f"{path}: unreadable trace file: {exc!r}") from exc
 
 
+def _integer(value, what: str) -> int:
+    """``value`` if it is a JSON integer (a bool is not one)."""
+    if type(value) is not int:
+        raise ValueError(f"{what} is {value!r}, not an integer")
+    return value
+
+
+def _time(value) -> float:
+    """``value`` if it is a JSON number (a bool is not one)."""
+    if type(value) not in (int, float):
+        raise ValueError(f"time 't' is {value!r}, not a number")
+    return value
+
+
 def _load_v1(path: PathLike) -> ColumnarTrace:
-    """The JSON-lines reader behind :func:`load_trace`."""
+    """The JSON-lines reader behind :func:`load_trace`.
+
+    Values must be what the format says: the four registers and the
+    header's ``packets_sent`` (also ``>= 0``) JSON integers, ``t`` a
+    JSON number.  Anything else — a string, a bool, a fraction — fails
+    naming the file and line rather than being coerced.
+    """
     with open_jsonl(path, "r") as stream:
         header_line = stream.readline()
         if not header_line:
@@ -151,7 +171,9 @@ def _load_v1(path: PathLike) -> ColumnarTrace:
         try:
             name = header["name"]
             spec = spec_from_dict(header["spec"])
-            packets_sent = header["packets_sent"]
+            packets_sent = _integer(header["packets_sent"], "packets_sent")
+            if packets_sent < 0:
+                raise ValueError(f"packets_sent is {packets_sent}, below 0")
         except (KeyError, TypeError, ValueError) as exc:
             raise ValueError(f"{path}:1: malformed trace header: {exc!r}") from exc
         records = []
@@ -161,13 +183,13 @@ def _load_v1(path: PathLike) -> ColumnarTrace:
             try:
                 entry = json.loads(line)
                 status = ModemRxStatus(
-                    signal_level=entry["lvl"],
-                    silence_level=entry["sil"],
-                    signal_quality=entry["q"],
-                    antenna=entry["ant"],
+                    signal_level=_integer(entry["lvl"], "register 'lvl'"),
+                    silence_level=_integer(entry["sil"], "register 'sil'"),
+                    signal_quality=_integer(entry["q"], "register 'q'"),
+                    antenna=_integer(entry["ant"], "register 'ant'"),
                 )
                 record = PacketRecord.from_bytes(
-                    bytes.fromhex(entry["data"]), status, entry["t"]
+                    bytes.fromhex(entry["data"]), status, _time(entry["t"])
                 )
             except (
                 json.JSONDecodeError, KeyError, TypeError, ValueError,

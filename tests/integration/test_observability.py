@@ -1,4 +1,4 @@
-"""End-to-end observability: CLI telemetry, manifests, and stats.
+"""End-to-end observability: CLI telemetry, spans, and stats.
 
 The acceptance path of the instrumentation bus: run a real experiment
 through ``python -m repro`` with telemetry and metrics on, then check
@@ -15,6 +15,7 @@ import pytest
 from repro import obs
 from repro.__main__ import main
 from repro.obs import runtime
+from repro.obs.stats import summarize_telemetry
 
 
 @pytest.fixture(autouse=True)
@@ -51,13 +52,17 @@ class TestTelemetryCli:
     def test_manifest_has_nonzero_layer_counters(self, telemetry_run):
         _, path = telemetry_run
         _, records = obs.read_telemetry(path)
-        manifests = [r for r in records if r["type"] == "manifest"]
-        (manifest,) = manifests
-        assert manifest["experiment"] == "table2"
-        assert manifest["scale"] == 0.01
-        assert manifest["wall_clock_s"] > 0
-        assert manifest["packets_offered"] > 0
-        counters = manifest["layer_counters"]
+        assert not [r for r in records if r["type"] in ("manifest", "resource")]
+        (span,) = [
+            r for r in records
+            if r["type"] == "span" and r["name"] == "engine.table2"
+        ]
+        assert span["attrs"]["kind"] == "experiment"
+        assert span["attrs"]["scale"] == 0.01
+        assert span["wall_s"] > 0
+        assert span["peak_rss_kb"] > 0
+        counters = span["counters"]
+        assert counters["trace.packets_offered"] > 0
         for layer in ("phy.", "mac.", "link."):
             layer_total = sum(
                 v for k, v in counters.items() if k.startswith(layer)
@@ -67,9 +72,16 @@ class TestTelemetryCli:
     def test_rng_streams_accounted(self, telemetry_run):
         _, path = telemetry_run
         _, records = obs.read_telemetry(path)
-        (manifest,) = [r for r in records if r["type"] == "manifest"]
-        assert manifest["rng_streams"], "expected at least one rng stream"
-        assert all(v > 0 for v in manifest["rng_streams"].values())
+        (span,) = [
+            r for r in records
+            if r["type"] == "span" and r["name"] == "engine.table2"
+        ]
+        streams = {
+            key: value for key, value in span["counters"].items()
+            if key.startswith("rng.calls{stream=")
+        }
+        assert streams, "expected at least one rng stream"
+        assert all(v > 0 for v in streams.values())
 
     def test_final_metrics_record_present(self, telemetry_run):
         _, path = telemetry_run
@@ -106,6 +118,27 @@ class TestStatsCli:
         assert main(["stats"]) == 2
         captured = capsys.readouterr()
         assert "usage" in captured.err
+
+    def test_stats_rows_do_not_depend_on_jobs(self, tmp_path, capsys):
+        """One ``table2`` row either way: trial spans are not rows, and
+        the pooled run's row carries the merged trials' counters."""
+        rows = {}
+        for jobs in (1, 2):
+            path = tmp_path / f"jobs{jobs}.jsonl"
+            argv = ["table2", "--scale", "0.01", "--jobs", str(jobs),
+                    "--telemetry", str(path)]
+            assert main(argv) == 0
+            assert main(["stats", str(path)]) == 0
+            # (name, events, packets) of each row; wall-clock varies.
+            rows[jobs] = [
+                (fields[0], fields[2], fields[3])
+                for fields in map(str.split, capsys.readouterr().out.splitlines())
+                if len(fields) > 3 and fields[1].startswith("wall=")
+            ]
+        assert rows[1] == [("table2", "events=0", "packets=14071")]
+        assert rows[2] == rows[1]
+        summary = summarize_telemetry(tmp_path / "jobs2.jsonl")
+        assert summary.experiment_rows() == [("table2", 0, 14071)]
 
 
 class TestSeedStabilityUnderObservation:

@@ -10,6 +10,7 @@ variant changes or removes the line).
 
 from __future__ import annotations
 
+import functools
 import hashlib
 
 import pytest
@@ -51,9 +52,42 @@ def test_selection_keeps_every_line(name):
 #: 16 hex digits of ``table_markdown()``).
 REPORT_DIGESTS = {1996: "cf1458e03d67f61f", 4: "c5d3513b4c71aa15"}
 
+#: The resource footer's ``(experiment, events fired, packets offered)``
+#: for seed 4 at scale 0.05, read off each experiment's task span.
+REPORT_FOOTER_SEED_4 = [
+    ("table2", 0, 14071),
+    ("figure1", 0, 1600),
+    ("table3", 0, 3000),
+    ("table4", 0, 2544),
+    ("table5", 0, 400),
+    ("table8", 0, 800),
+    ("table10", 0, 2000),
+    ("table11", 0, 1200),
+    ("table14", 0, 1905),
+    ("fec", 0, 800),
+    ("mac", 1486, 0),
+    ("hidden", 122, 0),
+    ("throughput", 0, 2400),
+]
+
+
+@functools.lru_cache(maxsize=None)
+def _report(seed: int) -> ReproductionReport:
+    return build_report(scale=0.05, seed=seed)
+
 
 @pytest.mark.slow
 @pytest.mark.parametrize("seed", sorted(REPORT_DIGESTS))
 def test_report_digest_pinned(seed):
-    table = build_report(scale=0.05, seed=seed).table_markdown()
+    table = _report(seed).table_markdown()
     assert hashlib.sha256(table.encode()).hexdigest()[:16] == REPORT_DIGESTS[seed]
+
+
+@pytest.mark.slow
+def test_report_footer_pinned():
+    resources = _report(4).resources
+    assert [
+        (r.experiment, r.events_fired, r.packets_offered) for r in resources
+    ] == REPORT_FOOTER_SEED_4
+    assert sum(r.packets_offered for r in resources) == 30720
+    assert all(r.wall_clock_s > 0 and r.peak_rss_kb > 0 for r in resources)

@@ -1,65 +1,25 @@
-"""Resource sampling: /proc parsing, fallbacks, and the monitor."""
+"""Resource reads: /proc parsing and the getrusage fallback."""
 
 from __future__ import annotations
 
 from repro.obs import resources
-from repro.obs.events import JsonlTelemetrySink, read_telemetry
-from repro.obs.resources import ResourceMonitor, peak_rss_kb, rss_kb, sample
+from repro.obs.resources import rss_and_peak_kb, rss_kb
 
 
 class TestSampling:
-    def test_sample_fields_are_plausible(self):
-        reading = sample()
-        assert reading.unix_time > 0
-        assert reading.cpu_s >= 0.0
-        # On Linux both RSS figures come from /proc and are positive; on
-        # platforms without /proc the contract is "degrade to zero".
-        assert reading.rss_kb >= 0
-        assert reading.peak_rss_kb >= reading.rss_kb or reading.rss_kb == 0
-
-    def test_to_record_schema(self):
-        record = sample().to_record()
-        assert record["type"] == "resource"
-        assert set(record) == {
-            "type", "unix", "cpu_s", "rss_kb", "peak_rss_kb"
-        }
-
     def test_unreadable_proc_degrades_to_zero(self, monkeypatch):
         monkeypatch.setattr(resources, "_PROC_STATUS", "/nonexistent/status")
         assert resources._proc_status_kb() == (0, 0)
         assert rss_kb() == 0
         # peak falls back to getrusage, which still works
-        assert peak_rss_kb() >= 0
+        rss, peak = rss_and_peak_kb()
+        assert rss == 0
+        assert peak >= 0
 
     def test_peak_rss_positive_on_linux(self):
         import sys
 
         if sys.platform != "linux":  # pragma: no cover - linux CI
             return
-        assert peak_rss_kb() > 0
-
-
-class TestMonitor:
-    def test_finish_reports_cpu_delta_and_peak(self):
-        monitor = ResourceMonitor()
-        monitor.start()
-        sum(i * i for i in range(10_000))  # burn a little CPU
-        cpu_delta, peak = monitor.finish()
-        assert cpu_delta >= 0.0
-        assert peak >= 0
-
-    def test_emit_rate_limited(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with JsonlTelemetrySink(path) as sink:
-            monitor = ResourceMonitor(min_interval_s=3600.0)
-            assert monitor.emit(sink) is True
-            assert monitor.emit(sink) is False  # inside the interval
-        _, records = read_telemetry(path)
-        assert [r["type"] for r in records] == ["resource"]
-
-    def test_emit_unlimited_when_interval_zero(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with JsonlTelemetrySink(path) as sink:
-            monitor = ResourceMonitor(min_interval_s=0.0)
-            assert monitor.emit(sink) is True
-            assert monitor.emit(sink) is True
+        rss, peak = rss_and_peak_kb()
+        assert peak >= rss > 0

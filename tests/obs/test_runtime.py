@@ -11,7 +11,6 @@ from repro.obs.spans import NULL_TRACE_SPAN
 class TestDefaults:
     def test_disabled_by_default(self):
         assert runtime.STATE.enabled is False
-        assert runtime.STATE.rng_accounting is False
         assert runtime.STATE.spans is None
         assert runtime.STATE.tracer is None
         assert runtime.STATE.sink is None
@@ -28,14 +27,11 @@ class TestConfigure:
         state = obs.configure()
         assert state is before  # modules may cache the STATE reference
         assert state.enabled is True
-        assert state.rng_accounting is True
         assert state.metrics.enabled is True
         assert state.spans is not None
+        assert state.spans.metrics is state.metrics  # spans diff it
 
     def test_flags_respected(self):
-        state = obs.configure(rng_accounting=False)
-        assert state.enabled is True
-        assert state.rng_accounting is False
         # perfbench/serve_child.py's exact call: ``profiling`` is still
         # accepted (and ignored), spans stay off, metrics stay on.
         state = obs.configure(telemetry_path=None, profiling=False, spans=False)
@@ -108,3 +104,23 @@ class TestSpanHelper:
             assert record["name"] == "trace.trial"
             assert record["attrs"] == {"mode": "fast"}
             assert record["wall_s"] >= 0.0
+
+
+class TestHeartbeat:
+    def test_emits_one_record_with_source_fields(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with obs.session(telemetry_path=str(path)):
+            obs.emit_heartbeat("serve", 5, 5, 5, 12.345, sessions=2)
+        _, records = obs.read_telemetry(path)
+        (record,) = records
+        assert list(record) == [
+            "type", "label", "done", "total", "packets_offered",
+            "packets_per_s", "sessions", "rss_kb", "unix",
+        ]
+        assert record["packets_per_s"] == 12.3
+        assert record["sessions"] == 2
+
+    def test_noop_without_sink(self):
+        with obs.session() as state:
+            assert state.sink is None
+            obs.emit_heartbeat("run", 1, 2, 3, 4.0)

@@ -88,6 +88,8 @@ class TestRecorder:
         assert record["wall_s"] >= 0.0
         assert record["cpu_s"] >= 0.0
         assert "rss_delta_kb" in record
+        assert record["peak_rss_kb"] >= 0
+        assert record["counters"] == {}  # no registry, no counters
         assert record["attrs"]["size"] == 3
         assert record["pid"] > 0
 
@@ -172,3 +174,61 @@ class TestHelpers:
         child = next(r for r in records if r["name"] == "child")
         roots, _ = span_tree([child])  # parent record absent (other shard)
         assert roots == [child]
+
+
+class TestCounters:
+    def test_counter_deltas_over_each_span(self):
+        with obs.session() as state:
+            state.metrics.counter("before").inc(5)
+            with obs.trace_span("outer"):
+                state.metrics.counter("a").inc(2)
+                with obs.trace_span("inner"):
+                    state.metrics.counter("a").inc()
+                    state.metrics.counter("rng.calls", stream="x").inc()
+                state.metrics.counter("zero")  # registered, never counted
+            inner, outer = state.spans.finished
+        assert inner["counters"] == {"a": 1, "rng.calls{stream=x}": 1}
+        assert outer["counters"] == {"a": 3, "rng.calls{stream=x}": 1}
+
+    def test_counters_are_not_volatile_but_peak_rss_is(self):
+        assert "counters" not in VOLATILE_SPAN_FIELDS
+        assert "peak_rss_kb" in VOLATILE_SPAN_FIELDS
+
+
+class TestDetached:
+    def test_interleaved_spans_parent_explicitly(self):
+        trace = derive_trace_id("t")
+        recorder = SpanRecorder(trace_id=trace)
+        root = recorder.detached("serve.run")
+        first = recorder.detached("serve.session", parent=root.span_id)
+        second = recorder.detached("serve.session", parent=root.span_id)
+        with recorder.span("stacked"):  # detached spans never stack
+            pass
+        first.finish(records=3)
+        second.finish("error")
+        root.finish(sessions=2)
+        by_name: dict[str, list[dict]] = {}
+        for record in recorder.finished:
+            by_name.setdefault(record["name"], []).append(record)
+        (stacked,) = by_name["stacked"]
+        assert stacked["parent"] is None
+        (run,) = by_name["serve.run"]
+        assert run["span"] == derive_span_id(trace, None, "serve.run", 0)
+        assert run["attrs"] == {"sessions": 2}
+        a, b = by_name["serve.session"]
+        assert [a["span"], b["span"]] == [
+            derive_span_id(trace, run["span"], "serve.session", index)
+            for index in (0, 1)
+        ]
+        assert a["parent"] == b["parent"] == run["span"]
+        assert (a["status"], a["attrs"]) == ("ok", {"records": 3})
+        assert b["status"] == "error"
+        for record in recorder.finished:
+            assert {"wall_s", "cpu_s", "peak_rss_kb", "counters"} <= set(record)
+
+    def test_null_span_without_recorder(self):
+        assert obs.STATE.spans is None
+        span = obs.detached_span("serve.run")
+        assert span is NULL_TRACE_SPAN
+        assert span.span_id is None
+        span.finish("error", records=1)  # does nothing, raises nothing

@@ -18,11 +18,19 @@ def telemetry_file(tmp_path):
                    "queued_s": 0.1, "dur_us": 30.0, "queue_depth": 2})
         sink.emit({"type": "event", "name": "tx.end", "sim_t": 0.3,
                    "queued_s": 0.2, "dur_us": 20.0, "queue_depth": 1})
-        sink.emit({"type": "manifest", "experiment": "table2",
-                   "seed": 1996, "scale": 0.05, "wall_clock_s": 1.25,
-                   "events_fired": 3, "packets_offered": 500})
+        sink.emit({"type": "span", "trace": "t", "span": "a", "parent": None,
+                   "name": "engine.table2", "pid": 1, "start_unix": 0.0,
+                   "attrs": {"kind": "experiment", "seed": 1996,
+                             "scale": 0.05, "jobs": 1},
+                   "wall_s": 1.25, "cpu_s": 1.0, "rss_delta_kb": 0,
+                   "peak_rss_kb": 4096,
+                   "counters": {"sim.events_fired": 3,
+                                "trace.packets_offered": 500},
+                   "status": "ok"})
         sink.emit({"type": "metrics",
-                   "metrics": {"counters": {"phy.missed": 2, "zeroed": 0}}})
+                   "metrics": {"counters": {"phy.missed": 2, "zeroed": 0,
+                                            "sim.events_fired": 3,
+                                            "trace.packets_offered": 500}}})
     return path
 
 
@@ -30,25 +38,47 @@ class TestSummarize:
     def test_aggregates_events(self, telemetry_file):
         summary = summarize_telemetry(telemetry_file)
         assert summary.record_count == 5
+        assert summary.span_count == 1
         assert summary.event_count == 3
         assert summary.event_names["mac.poll"] == 2
         assert summary.event_handler_s == pytest.approx(100e-6)
         assert summary.max_queue_depth == 4
 
-    def test_collects_manifests_and_metrics(self, telemetry_file):
+    def test_collects_experiment_spans_and_metrics(self, telemetry_file):
         summary = summarize_telemetry(telemetry_file)
-        assert len(summary.manifests) == 1
-        assert summary.total_wall_clock_s == pytest.approx(1.25)
-        assert summary.total_events_fired == 3
-        assert summary.total_packets_offered == 500
+        assert summary.experiment_rows() == [("table2", 3, 500)]
+        assert summary.span_wall_s == pytest.approx(1.25)  # root span
+        assert summary.peak_rss_kb == 4096
         assert summary.final_metrics["counters"]["phy.missed"] == 2
+
+    def test_only_experiment_spans_are_rows(self, tmp_path):
+        """Task, layer and nested spans carry counters too; only
+        ``kind="experiment"`` spans are rows, nested ones included."""
+        path = tmp_path / "run.jsonl"
+
+        def span(name, span_id, parent, kind, start, packets):
+            return {"type": "span", "span": span_id, "parent": parent,
+                    "name": name, "start_unix": start,
+                    "attrs": {"kind": kind} if kind else {},
+                    "wall_s": 0.5, "peak_rss_kb": 0,
+                    "counters": {"trace.packets_offered": packets}}
+
+        with JsonlTelemetrySink(path) as sink:
+            sink.emit(span("engine.table5", "c", "b", "experiment", 2.0, 40))
+            sink.emit(span("Tx5", "b", "a", "task", 1.5, 40))
+            sink.emit(span("trace.trial", "d", "b", None, 1.6, 40))
+            sink.emit(span("engine.fec", "a", None, "experiment", 1.0, 40))
+        summary = summarize_telemetry(path)
+        # In start order: the outer run first, its nested harvest next.
+        assert summary.experiment_rows() == [("fec", 0, 40), ("table5", 0, 40)]
 
 
 class TestRender:
     def test_mentions_headline_numbers(self, telemetry_file):
         text = render_summary(summarize_telemetry(telemetry_file))
         assert "table2" in text
-        assert "500 packets offered" in text
+        assert "wall=1.25s events=3 packets=500 seed=1996 scale=0.05" in text
+        assert "1.25s wall-clock, 3 events fired, 500 packets offered" in text
         assert "mac.poll" in text
         assert "phy.missed" in text
         # zero-valued counters are suppressed in the final section

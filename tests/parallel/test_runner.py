@@ -13,18 +13,11 @@ import os
 import pytest
 
 from repro import obs
-from repro.experiments import baseline, multiroom
+from repro.experiments import baseline, engine, multiroom
 from repro.obs.events import read_telemetry
+from repro.obs.export import load_run_records
 from repro.obs.stats import summarize_telemetry
-from repro.parallel import (
-    Task,
-    default_jobs,
-    find_shards,
-    merged_manifest_record,
-    run_tasks,
-    shard_path,
-)
-from repro.parallel.runner import TaskResult
+from repro.parallel import Task, find_shards, run_tasks, shard_path
 from repro.simkit.rng import RngRegistry, derive_seed
 
 
@@ -36,6 +29,22 @@ def _draw(seed: int) -> float:
     """A task whose result depends only on its seed, via the registry."""
     registry = RngRegistry(seed)
     return float(registry.stream("x").random())
+
+
+def _task_spans(records) -> list[dict]:
+    return [
+        r for r in records
+        if r["type"] == "span" and r["attrs"].get("kind") == "task"
+    ]
+
+
+def _shard_task_spans(telemetry) -> list[dict]:
+    """The task spans the worker shards of ``telemetry`` hold."""
+    return _task_spans(
+        record
+        for shard in find_shards(telemetry)
+        for record in read_telemetry(shard)[1]
+    )
 
 
 def _tasks(count: int = 4) -> list[Task]:
@@ -72,15 +81,24 @@ class TestRunTasks:
         results = run_tasks(_tasks(1), jobs=8)
         assert results[0].value == 10
 
-    def test_default_jobs_positive(self):
-        assert default_jobs() >= 1
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_results_carry_their_task_span(self, jobs):
+        with obs.session():
+            results = run_tasks(_tasks(), jobs=jobs)
+        for task, result in zip(_tasks(), results):
+            assert result.span["name"] == task.name
+            assert result.span["attrs"] == {
+                "kind": "task", "seed": task.seed, "scale": None
+            }
+            assert {"wall_s", "cpu_s", "peak_rss_kb", "counters"} <= set(
+                result.span
+            )
 
 
 class TestObservabilityMerge:
     def test_parallel_counters_equal_serial(self, tmp_path):
         """The headline invariant: final merged counters match a serial
-        run exactly, and the telemetry family carries per-task manifests
-        plus one merged manifest."""
+        run exactly, and the worker shards carry one span per trial."""
         telemetry = tmp_path / "run.jsonl"
         with obs.session() as state:
             baseline.run(scale=0.01, seed=1996, jobs=1)
@@ -92,17 +110,16 @@ class TestObservabilityMerge:
 
         summary = summarize_telemetry(telemetry)
         assert len(summary.shard_paths) == 2
-        assert len(summary.manifests) == 9  # one per office trial
-        assert len(summary.merged_manifests) == 1
-        merged = summary.merged_manifests[0]
-        assert merged["experiment"] == "table2-trials"
-        assert merged["jobs"] == 2
-        assert sorted(merged["merged_from"]) == sorted(
-            m["experiment"] for m in summary.manifests
-        )
-        # Merged totals equal the sum of the per-task manifests the
-        # stats totals are built from (no double counting).
-        assert merged["packets_offered"] == summary.total_packets_offered
+        tasks = _shard_task_spans(telemetry)
+        assert len(tasks) == 9  # one per office trial
+        # The experiment span in the parent file holds the merged
+        # worker states: the trials' sum, counted once.
+        assert summary.experiment_rows() == [
+            ("table2", 0, serial_counters["trace.packets_offered"])
+        ]
+        assert sum(
+            t["counters"]["trace.packets_offered"] for t in tasks
+        ) == serial_counters["trace.packets_offered"]
 
     def test_rows_identical_across_jobs(self):
         serial = baseline.run(scale=0.01, seed=7, jobs=1)
@@ -127,7 +144,7 @@ class TestObservabilityMerge:
     def test_unobserved_run_writes_nothing(self, tmp_path):
         obs.reset()
         results = run_tasks(_tasks(), jobs=2)
-        assert all(r.manifest is None for r in results)
+        assert all(r.span is None for r in results)
         assert all(r.metrics_state is None for r in results)
 
 
@@ -167,35 +184,78 @@ class TestShards:
             assert records
         summary = summarize_telemetry(telemetry)
         assert len(summary.shard_paths) == 2
-        assert len(summary.manifests) == 9
+        assert len(_shard_task_spans(telemetry)) == 9
 
 
-class TestMergedManifest:
-    def test_sums_and_labels(self):
-        results = [
-            TaskResult(
-                name=f"t{i}",
-                value=None,
-                wall_clock_s=0.5,
-                manifest={
-                    "events_fired": 10 * (i + 1),
-                    "packets_offered": 100,
-                    "rng_streams": {"channel": i},
-                    "layer_counters": {"trace.packets_offered": 100},
-                    "git_rev": "abc",
-                },
-            )
-            for i in range(3)
+class TestShardFamily:
+    """A shard family holds exactly the shards of the session that
+    wrote its parent file."""
+
+    def test_second_pool_keeps_the_first_pools_shards(self, tmp_path):
+        telemetry = tmp_path / "run.jsonl"
+        with obs.session(telemetry_path=str(telemetry)):
+            baseline.run(scale=0.01, seed=1996, jobs=2)
+            multiroom.run(scale=0.1, seed=65, jobs=2)
+        assert [p.name for p in find_shards(telemetry)] == [
+            f"run.shard-00{i}.jsonl" for i in range(4)
         ]
-        record = merged_manifest_record("combo", results, wall_clock_s=1.25)
-        assert record["type"] == "manifest"
-        assert record["experiment"] == "combo"
-        assert record["merged_from"] == ["t0", "t1", "t2"]
-        assert record["events_fired"] == 60
-        assert record["packets_offered"] == 300
-        assert record["rng_streams"]["channel"] == 3
-        assert record["layer_counters"]["trace.packets_offered"] == 300
-        assert record["wall_clock_s"] == 1.25
+        names = [span["name"] for span in _shard_task_spans(telemetry)]
+        assert sum(name.startswith("office") for name in names) == 9
+        assert sum(name.startswith("Tx") for name in names) == 4
+
+    def test_reopening_a_path_drops_its_stale_shards(self, tmp_path):
+        from repro.__main__ import main
+
+        telemetry = str(tmp_path / "st.jsonl")
+        for argv in (["table2", "--scale", "0.01", "--jobs", "3"],
+                     ["table5", "--scale", "0.05", "--jobs", "2"]):
+            assert main([*argv, "--telemetry", telemetry]) == 0
+        assert len(find_shards(telemetry)) == 2  # table2's third is gone
+        names = [span["name"] for span in _shard_task_spans(telemetry)]
+        assert sorted(names) == ["Tx1", "Tx2", "Tx4", "Tx5"]
+        summary = summarize_telemetry(telemetry)
+        ((name, _, packets),) = summary.experiment_rows()
+        assert name == "table5"
+        assert packets == (
+            summary.final_metrics["counters"]["trace.packets_offered"]
+        )
+
+
+    def test_glob_characters_name_only_their_own_family(self, tmp_path):
+        from repro.obs.events import JsonlTelemetrySink
+
+        for index in (0, 1):
+            shard_path(tmp_path / "run.jsonl", index).write_text("{}\n")
+        odd = tmp_path / "r*.jsonl"
+        assert find_shards(odd) == []
+        JsonlTelemetrySink(odd).close()  # deletes only r*'s own shards
+        assert len(find_shards(tmp_path / "run.jsonl")) == 2
+
+
+class TestSpanRecordsAcrossJobs:
+    @pytest.mark.parametrize(
+        "name, scale", [("table2", 0.01), ("table5", 0.05)]
+    )
+    def test_ids_parents_names_and_counters_identical(
+        self, tmp_path, name, scale
+    ):
+        """Every span — experiment, task, layer — has the same id,
+        parent, name and counters at jobs=1 and jobs=2."""
+
+        def spans(jobs: int) -> list[tuple]:
+            path = tmp_path / f"{name}-{jobs}.jsonl"
+            with obs.session(telemetry_path=str(path), trace_label=name):
+                engine.ENGINE.run(name, scale=scale, jobs=jobs)
+            return sorted(
+                (r["span"], r["parent"] or "", r["name"],
+                 sorted(r["counters"].items()))
+                for r in load_run_records(path)
+                if r["type"] == "span"
+            )
+
+        serial = spans(1)
+        assert any(counters for *_, counters in serial)
+        assert spans(2) == serial
 
 
 @pytest.mark.slow

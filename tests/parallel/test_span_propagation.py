@@ -9,6 +9,8 @@ merged telemetry stream's span records against the serial run's.
 
 from __future__ import annotations
 
+import pytest
+
 from repro import obs
 from repro.experiments import engine
 from repro.obs.export import load_run_records
@@ -118,6 +120,20 @@ class TestProgressHeartbeats:
         run_tasks(_tasks(2), jobs=1, label="fan", progress=True)
         err = capsys.readouterr().err
         assert "progress: fan 2/2" in err
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_heartbeat_packets_come_from_task_spans(self, tmp_path, jobs):
+        path = tmp_path / "run.jsonl"
+        with obs.session(telemetry_path=str(path), trace_label="e") as state:
+            engine.ENGINE.run(
+                "table2", scale=0.01, seed=7, jobs=jobs, progress=True
+            )
+            packets = state.metrics.counter("trace.packets_offered").value
+        beats = [
+            r for r in load_run_records(path) if r.get("type") == "heartbeat"
+        ]
+        assert beats[-1]["done"] == 9
+        assert beats[-1]["packets_offered"] == packets > 0
 
     def test_engine_threads_progress(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -124,7 +124,7 @@ class TestCountingStream:
 
         plain = draws()
         try:
-            state = obs.configure(rng_accounting=True)
+            state = obs.configure()
             assert isinstance(RngRegistry(seed=1).stream("probe"), _CountingStream)
             counted = draws()
             calls = state.metrics.counter("rng.calls", stream="channel").value

@@ -1,6 +1,7 @@
 """Trace save/load roundtrips, across both formats."""
 
 import json
+import re
 import struct
 
 import numpy as np
@@ -201,7 +202,8 @@ class TestErrorHandling:
     @pytest.mark.parametrize("level", [70000, "high", None])
     def test_unstorable_register_names_file(self, trace, tmp_path, level):
         """A record line that parses but cannot become a column fails
-        the load, naming the file."""
+        the load, naming the file — and the line, for a value that is
+        not an integer at all."""
         path = tmp_path / "broken.jsonl"
         save_trace(trace, path)
         lines = path.read_text().splitlines()
@@ -209,7 +211,8 @@ class TestErrorHandling:
         entry["lvl"] = level
         lines[3] = json.dumps(entry)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(ValueError, match=r"broken\.jsonl: malformed"):
+        where = "broken.jsonl" if level == 70000 else "broken.jsonl:4"
+        with pytest.raises(ValueError, match=re.escape(where) + ": malformed"):
             load_trace(path)
 
     def test_truncated_final_record_v1(self, trace, tmp_path):
@@ -252,6 +255,48 @@ class TestErrorHandling:
         )
         with pytest.raises(ValueError, match=r"broken\.wlt2: "):
             load_trace(path)
+
+
+class TestV1ValueTypes:
+    """A v1 value that is not what the format says fails the load,
+    naming the file and line, instead of being coerced: registers are
+    JSON integers, ``t`` a JSON number, ``packets_sent`` an integer
+    ``>= 0`` (it divides the loss rate)."""
+
+    @pytest.fixture
+    def saved(self, tmp_path):
+        trace = run_fast_trial(
+            TrialConfig(name="types", packets=5, mean_level=20.0, seed=1)
+        ).trace
+        path = tmp_path / "types.jsonl"
+        save_trace(trace, path)
+        return path
+
+    @staticmethod
+    def _edit(path, line: int, key: str, value) -> None:
+        lines = path.read_text().splitlines()
+        entry = json.loads(lines[line - 1])
+        entry[key] = value
+        lines[line - 1] = json.dumps(entry)
+        path.write_text("\n".join(lines) + "\n")
+
+    def test_saved_files_satisfy_the_rules(self, saved):
+        assert load_trace(saved).packets_received == 5
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("lvl", "29"), ("q", 14.9), ("ant", True), ("t", "0.5"), ("t", True)],
+    )
+    def test_record_value_of_the_wrong_type(self, saved, key, value):
+        self._edit(saved, 3, key, value)
+        with pytest.raises(ValueError, match=r"types\.jsonl:3: malformed"):
+            load_trace(saved)
+
+    @pytest.mark.parametrize("packets_sent", ["7", -3, 2.5])
+    def test_header_packets_sent_must_be_a_count(self, saved, packets_sent):
+        self._edit(saved, 1, "packets_sent", packets_sent)
+        with pytest.raises(ValueError, match=r"types\.jsonl:1: malformed"):
+            load_trace(saved)
 
 
 class TestMutatedV1Files:
