@@ -77,8 +77,19 @@ def _plurality(words: np.ndarray) -> tuple[int, int]:
     Ties break toward the value that occurs *first* in ``words`` —
     the behaviour ``collections.Counter.most_common`` had here (its
     sort is stable over insertion order), preserved so the voting
-    verdicts are bit-compatible with the old implementation.
+    verdicts are bit-compatible with the old implementation.  A strict
+    majority for the first word is the unique plurality under any tie
+    rule, so the common lightly damaged body costs one comparison; any
+    other vote runs :func:`_plurality_unique`.
     """
+    count = int(np.count_nonzero(words == words[0]))
+    if 2 * count > len(words):
+        return int(words[0]), count
+    return _plurality_unique(words)
+
+
+def _plurality_unique(words: np.ndarray) -> tuple[int, int]:
+    """:func:`_plurality` of any vote, through one ``np.unique`` sort."""
     values, first, counts = np.unique(
         words, return_index=True, return_counts=True
     )
@@ -298,9 +309,9 @@ class TraceMatcher:
         prefix_len = min(len(data), BODY_START)
         if prefix_len == 0:
             return 0.0
-        received = np.frombuffer(data[:prefix_len], dtype=np.uint8)
-        template = np.frombuffer(expected[:prefix_len], dtype=np.uint8)
-        return float((received == template).mean())
+        received = np.frombuffer(data, dtype=np.uint8, count=prefix_len)
+        template = np.frombuffer(expected, dtype=np.uint8, count=prefix_len)
+        return np.count_nonzero(received == template) / prefix_len
 
 
     def _header_match(self, data: bytes) -> Optional[MatchResult]:

@@ -83,18 +83,19 @@ def extract_syndrome(
             f"syndrome undefined for truncated frame ({len(data)} bytes)"
         )
     expected = factory.build(sequence)
-    received = np.frombuffer(data, dtype=np.uint8)
-    template = np.frombuffer(expected, dtype=np.uint8)
-    xored = received ^ template
-    bit_positions = np.flatnonzero(np.unpackbits(xored))
+    xored = np.frombuffer(data, dtype=np.uint8) ^ np.frombuffer(
+        expected, dtype=np.uint8
+    )
+    # Unpack only the damaged bytes: their set bits, in frame order.
+    damaged = np.flatnonzero(xored)
+    rows, bits = np.nonzero(np.unpackbits(xored[damaged]).reshape(-1, 8))
+    bit_positions = damaged[rows] * 8 + bits
 
-    body_start_bit = BODY_START * 8
-    body_end_bit = BODY_END * 8
-    in_body = (bit_positions >= body_start_bit) & (bit_positions < body_end_bit)
-    body_positions = bit_positions[in_body] - body_start_bit
-    wrapper_positions = bit_positions[~in_body]
+    lo, hi = np.searchsorted(bit_positions, (BODY_START * 8, BODY_END * 8))
     return ErrorSyndrome(
         sequence=sequence,
-        body_bit_positions=body_positions,
-        wrapper_bit_positions=wrapper_positions,
+        body_bit_positions=bit_positions[lo:hi] - BODY_START * 8,
+        wrapper_bit_positions=np.concatenate(
+            (bit_positions[:lo], bit_positions[hi:])
+        ),
     )

@@ -18,7 +18,7 @@ bodies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -26,7 +26,7 @@ from repro.analysis.classify import PacketClass, classify_trace
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.fec.interleave import BlockInterleaver
 from repro.fec.rcpc import RcpcCodec
-from repro.fec.replay import replay_damage
+from repro.fec.replay import DamagePopulation, replay_damage, replay_populations
 from repro.framing.testpacket import BODY_BITS
 from repro.trace.trial import TrialConfig, run_fast_trial
 
@@ -103,21 +103,27 @@ def _coded_positions(syndrome, coded_bits: int) -> np.ndarray:
 
 
 def _fec_recovers(syndrome, codec, interleaver, info, transmitted) -> bool:
-    """Whether FEC repairs one syndrome (one row of :func:`_run_level`'s
+    """Whether FEC repairs one syndrome (one row of :func:`_aggregate`'s
     batched replay)."""
     positions = _coded_positions(syndrome, len(transmitted))
     errors = replay_damage(codec, info, transmitted, [positions], interleaver)
     return bool(errors[0] == 0)
 
 
-def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
-    """One operating point: trial, classification, FEC replay."""
-    codec = RcpcCodec(FEC_RATE)
-    interleaver = BlockInterleaver(32, 64)
-    rng = np.random.default_rng(seed)
-    info = rng.integers(0, 2, FEC_INFO_BITS).astype(np.uint8)
-    transmitted = codec.encode(info)
+def _run_level(
+    level: float, packets: int, seed: int
+) -> tuple[ThroughputPoint, np.ndarray, list[np.ndarray]]:
+    """One operating point: trial and classification.
 
+    Returns the point, whose ``fec_recovered`` :func:`_aggregate` fills
+    in, and the level's replay inputs: its FEC information block and
+    every damaged packet's coded-bit positions.
+    """
+    info = (
+        np.random.default_rng(seed)
+        .integers(0, 2, FEC_INFO_BITS)
+        .astype(np.uint8)
+    )
     output = run_fast_trial(
         TrialConfig(
             name=f"tp-{level}", packets=packets, seed=seed,
@@ -125,35 +131,38 @@ def _run_level(level: float, packets: int, seed: int) -> ThroughputPoint:
         )
     )
     classified = classify_trace(output.trace)
-    undamaged = len(classified.rows(PacketClass.UNDAMAGED))
-    damaged = len(classified.rows(PacketClass.BODY_DAMAGED))
-    truncated = len(classified.rows(PacketClass.TRUNCATED))
-    # Every damaged packet of the level replays in one batched decode.
-    errors = replay_damage(
-        codec,
-        info,
-        transmitted,
-        [
-            _coded_positions(syndrome, len(transmitted))
-            for syndrome in classified.syndromes_of(PacketClass.BODY_DAMAGED)
-        ],
-        interleaver,
-    )
-    recovered = int((errors == 0).sum())
-    return ThroughputPoint(
+    coded_bits = RcpcCodec(FEC_RATE).coded_length(FEC_INFO_BITS)
+    positions = [
+        _coded_positions(syndrome, coded_bits)
+        for syndrome in classified.syndromes_of(PacketClass.BODY_DAMAGED)
+    ]
+    point = ThroughputPoint(
         level=level,
         packets_sent=packets,
-        undamaged=undamaged,
-        body_damaged=damaged,
-        truncated=truncated,
+        undamaged=len(classified.rows(PacketClass.UNDAMAGED)),
+        body_damaged=len(classified.rows(PacketClass.BODY_DAMAGED)),
+        truncated=len(classified.rows(PacketClass.TRUNCATED)),
         lost=packets - len(classified.test_rows),
-        fec_recovered=recovered,
+        fec_recovered=0,
     )
+    return point, info, positions
 
 
 def _aggregate(ctx: PlanContext, values: list) -> ThroughputResult:
+    """Every level's damaged packets replay in one batched decode, each
+    level against its own information block, folded in plan order."""
+    codec = RcpcCodec(FEC_RATE)
+    interleaver = BlockInterleaver(32, 64)
+    errors = replay_populations([
+        DamagePopulation(codec, info, codec.encode(info), positions, interleaver)
+        for _, info, positions in values
+    ])
     return ThroughputResult(
-        points=list(values), fec_overhead=RcpcCodec(FEC_RATE).overhead
+        points=[
+            replace(point, fec_recovered=int((level_errors == 0).sum()))
+            for (point, _, _), level_errors in zip(values, errors)
+        ],
+        fec_overhead=codec.overhead,
     )
 
 

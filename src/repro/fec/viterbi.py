@@ -12,26 +12,49 @@ from states ``2·(t mod S/2)`` and ``2·(t mod S/2)+1`` on input bit
 the 2^(K-1) states as strided even/odd views of the path metrics;
 :func:`viterbi_decode_batch` additionally vectorizes over whole
 *batches* of received blocks, turning the per-step work into
-``(batch, states)`` array operations so the Python-level step loop is
+``(states, batch)`` array operations so the Python-level step loop is
 paid once per sweep instead of once per packet.  The scalar
 :func:`viterbi_decode` is the same kernel at batch size 1, so the two
 agree bit for bit.
+
+Path metrics are exact integers whenever the branch costs are: an
+unweighted bit costs 0 or 1, and weights that are non-negative
+multiples of 1/:data:`WEIGHT_SCALE` (the soft receivers' 0.25) cost
+integers once scaled by it.  Those decodes add and compare int16 (or,
+for long blocks, int32) metrics, and an unweighted step's pattern
+costs are one table lookup on its received symbol.  Any other
+weighting keeps float64 metrics.  Both make exactly the decisions of
+float64 metrics (see :func:`_acs_numpy`).
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 from repro.fec.convolutional import ConvolutionalCode
 from repro.obs import runtime as _obs
 
-ERASED = 2  # sentinel value in the received stream: no bit at this slot
+# Sentinel value in the received stream: no bit at this slot.  With 0
+# and 1 it makes each received bit a base-3 digit (see _symbol_costs).
+ERASED = 2
 
 #: Most rows one trellis sweep decodes.  Rows are independent, so a
 #: larger batch is swept in slices of this many rows, which bounds a
 #: decode's transient memory (pattern costs plus the one-byte-per-
-#: state-step traceback, ~10 MiB for 1 kbit blocks) whatever the batch.
-SWEEP_ROWS = 64
+#: state-step traceback, ~12 MiB for 1 kbit blocks) whatever the batch.
+SWEEP_ROWS = 128
+
+#: Trellis steps the kernel prepares at once: the add-compare-select
+#: gathers their branch costs, and the traceback their predecessor
+#: tables, in blocks of this many steps (``GATHER_STEPS × 2·states ×
+#: rows`` entries at most, whatever the block length).
+GATHER_STEPS = 32
+
+#: Weights that are non-negative multiples of ``1 / WEIGHT_SCALE`` give
+#: integer branch costs once scaled by it.
+WEIGHT_SCALE = 4
 
 
 def _transition_tables(code: ConvolutionalCode):
@@ -135,9 +158,9 @@ def viterbi_decode_batch(
     """Decode a ``(batch, length)`` block of received streams at once.
 
     Row ``i`` of the result equals ``viterbi_decode(code, received[i],
-    terminated, weights[i])`` bit for bit — the branch metrics are
-    accumulated in the same floating-point order — but the trellis step
-    loop runs over ``(batch, states)`` arrays, amortizing the
+    terminated, weights[i])`` bit for bit — rows are independent, and
+    every metric type makes the same decisions — but the trellis step
+    loop runs over ``(states, batch)`` arrays, amortizing the
     Python-level per-step cost across the whole batch.  ``weights``
     (optional) must have the same shape as ``received``; a row of ones
     is exactly equivalent to no weights.  Opens one ``fec.decode_batch``
@@ -166,6 +189,8 @@ def _decode_batch_impl(
     n_steps = length // n_out
     if n_steps == 0 or batch == 0:
         return np.empty((batch, 0), dtype=np.uint8)
+    if received.max() > ERASED:
+        raise ValueError("received symbols must be 0, 1 or ERASED")
     if weights is not None:
         weights = np.asarray(weights, dtype=np.float64)
         if weights.shape != received.shape:
@@ -173,6 +198,7 @@ def _decode_batch_impl(
                 f"weights shape {weights.shape} != received {received.shape}"
             )
         weights = weights.reshape(batch, n_steps, n_out)
+    dtype, weights = _metric_units(length, weights)
 
     *_, all_patterns, butterfly_pattern = _cached_tables(code)
 
@@ -184,6 +210,7 @@ def _decode_batch_impl(
             symbols[rows],
             None if weights is None else weights[rows],
             all_patterns,
+            dtype,
         )
         decoded[rows] = _acs_numpy(cost_pattern, butterfly_pattern, terminated)
 
@@ -194,25 +221,85 @@ def _decode_batch_impl(
     return decoded
 
 
+def _metric_units(
+    bits_per_row: int, weights: np.ndarray | None
+) -> tuple[np.dtype, np.ndarray | None]:
+    """The path-metric dtype of a decode, and its weights in its units.
+
+    An unweighted bit costs 0 or 1; non-negative multiples of
+    1/:data:`WEIGHT_SCALE` cost integers once scaled.  No reachable
+    path's metric then exceeds ``bound = bits_per_row × largest integer
+    weight``, and with an unreachable start above it (see
+    :func:`_acs_numpy`) no metric exceeds ``2·bound + 1``: int16 holds
+    that for kilobit blocks, int32 for longer ones.  Any other weight,
+    or a bound past int32, keeps float64 metrics and the weights as
+    given.
+    """
+    if weights is None:
+        largest = 1
+    else:
+        scaled = weights * WEIGHT_SCALE
+        if not (scaled.min() >= 0 and np.array_equal(scaled, np.rint(scaled))):
+            return np.dtype(np.float64), weights
+        largest = scaled.max()
+    bound = bits_per_row * largest
+    for dtype in (np.int16, np.int32):
+        if 2 * bound + 1 <= np.iinfo(dtype).max:
+            return np.dtype(dtype), (
+                None if weights is None else scaled.astype(dtype)
+            )
+    return np.dtype(np.float64), weights
+
+
+@functools.cache
+def _symbol_costs(n_outputs: int) -> np.ndarray:
+    """Every output pattern's cost for every received symbol.
+
+    A step's symbol reads as a base-3 code of its ``n_outputs`` bits,
+    first bit most significant, each 0, 1 or :data:`ERASED` (2).
+    ``table[code, p]`` counts the symbol's unerased bits that differ
+    from pattern ``p``, whose bit ``i`` sits at place
+    ``2**(n_outputs - 1 - i)`` as in the trellis tables.
+    """
+    first = np.arange(n_outputs - 1, -1, -1)
+    digits = (np.arange(3**n_outputs)[:, None] // 3**first) % 3
+    patterns = (np.arange(1 << n_outputs)[:, None] >> first) & 1
+    differs = (digits[:, None, :] != patterns[None, :, :]) & (
+        digits[:, None, :] != ERASED
+    )
+    table = differs.sum(axis=2).astype(np.int16)
+    table.flags.writeable = False  # shared by every caller
+    return table
+
+
 def _pattern_costs(
     symbols: np.ndarray,
     weights: np.ndarray | None,
     all_patterns: np.ndarray,
+    dtype: np.dtype,
 ) -> np.ndarray:
     """Per-step costs of every output pattern for ``(rows, steps, n)``
-    received symbols.
+    received symbols, in ``dtype``.
 
     ``cost_pattern[b, step, p]`` is the (weighted) count of usable
     symbol bits differing from pattern ``p``; branch costs are gathers
-    from it — identical floats to a per-branch computation (same terms,
-    same summation order over the symbol axis).
+    from it.  Unweighted integer costs are a lookup of each step's
+    symbol code in :func:`_symbol_costs`; weighted ones sum the
+    differing bits' weights, already in ``dtype``'s units.  float64
+    costs are the float64 sums of the same terms in the same order.
     """
+    if weights is None and dtype.kind == "i":
+        codes = symbols[:, :, 0].astype(np.intp)
+        for bit in range(1, symbols.shape[2]):
+            codes = codes * 3 + symbols[:, :, bit]
+        return _symbol_costs(symbols.shape[2]).astype(dtype).take(codes, axis=0)
     usable = symbols != ERASED
-    diffs = all_patterns[None, None, :, :] != symbols[:, :, None, :]
-    effective = (diffs & usable[:, :, None, :]).astype(np.float64)
-    if weights is not None:
-        effective *= weights[:, :, None, :]
-    return effective.sum(axis=3)
+    effective = (all_patterns[None, None, :, :] != symbols[:, :, None, :]) & (
+        usable[:, :, None, :]
+    )
+    if weights is None:
+        return effective.sum(axis=3, dtype=dtype)
+    return (effective * weights[:, :, None, :]).sum(axis=3, dtype=dtype)
 
 
 def _acs_numpy(
@@ -227,40 +314,95 @@ def _acs_numpy(
     candidates are the metrics' even/odd strided views plus the branch
     costs gathered through ``butterfly_pattern``.  One add per
     candidate, strict ``<`` keeping the first predecessor on ties, and
-    the first-minimum end state: the float operations and decisions of
-    the gather-based formulation, so decoded bits are byte-identical to
-    it (kept as the oracle in ``tests/fec/test_acs_kernel.py``).  The
-    traceback stores one bool per state-step (entered from the odd
-    predecessor?).
+    the first-minimum end state: the decisions of the gather-based
+    formulation, so decoded bits are byte-identical to it (kept as the
+    oracle in ``tests/fec/test_acs_kernel.py``).  The select is
+    ``np.minimum``: on a tie both candidates hold the same value.
+
+    Metrics take the costs' dtype.  Float64 metrics start the
+    unreachable states at 1e9.  Integer ones start them one above
+    ``steps × largest cost``, the most any reachable path can collect,
+    so they lose every comparison against a reachable path just as 1e9
+    does.  Integer costs are the float costs times a power of two, and
+    the float sums are exact (multiples of 1/4, far below 2^50), so the
+    two make the same strict-``<`` decisions and the same first-minimum
+    end state.
+
+    Arrays are state-major, ``(states, batch)``, so every per-step
+    operation runs along contiguous batch rows.  The forward pass keeps
+    one bool per state-step (entered from the odd predecessor?) for the
+    traceback.
+    """
+    metrics, odd_choice = _forward(cost_pattern, butterfly_pattern)
+    if terminated:
+        end_state = np.zeros(metrics.shape[1], dtype=np.intp)
+    else:
+        end_state = np.argmin(metrics, axis=0)  # first minimum, like scalar
+    return _traceback(odd_choice, end_state)
+
+
+def _forward(
+    cost_pattern: np.ndarray, butterfly_pattern: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The add-compare-select sweep of :func:`_acs_numpy`.
+
+    Gathers the branch costs of :data:`GATHER_STEPS` steps at a time.
+    Returns the final ``(states, batch)`` path metrics and the
+    ``(steps, states, batch)`` odd-predecessor choices.
     """
     batch, n_steps, _ = cost_pattern.shape
     half = butterfly_pattern.shape[1]
-    n_states = 2 * half
     gather = butterfly_pattern.reshape(-1)
+    dtype = cost_pattern.dtype
 
-    metrics = np.full((batch, n_states), np.float64(1e9))
-    metrics[:, 0] = 0.0  # encoder starts in state 0
-    odd_choice = np.empty((n_steps, batch, n_states), dtype=bool)
-    for step in range(n_steps):
-        candidate = metrics.reshape(batch, 1, half, 2) + cost_pattern[
-            :, step, :
-        ].take(gather, axis=1).reshape(batch, 2, half, 2)
-        first, second = candidate[..., 0], candidate[..., 1]
-        choice = odd_choice[step].reshape(batch, 2, half)
-        np.less(second, first, out=choice)
-        metrics = np.where(choice, second, first).reshape(batch, n_states)
-
-    if terminated:
-        state = np.zeros(batch, dtype=np.intp)
+    if dtype.kind == "f":
+        unreachable = 1e9
     else:
-        state = np.argmin(metrics, axis=1)  # first minimum, like scalar
-    states = np.empty((n_steps, batch), dtype=np.intp)
-    planes = odd_choice.reshape(n_steps, batch * n_states)
-    row_base = np.arange(batch) * n_states
-    for step in range(n_steps - 1, -1, -1):
-        states[step] = state
-        odd = planes[step].take(row_base + state)
-        # Predecessor 2·(state mod S/2) + odd, as shift-and-mask.
-        state = ((state << 1) & (n_states - 1)) | odd
+        unreachable = n_steps * int(cost_pattern.max()) + 1
+    metrics = np.full((2 * half, batch), unreachable, dtype=dtype)
+    metrics[0] = 0  # encoder starts in state 0
+    predecessors = metrics.reshape(1, half, 2, batch)
+    entered = metrics.reshape(2, half, batch)
+    candidate = np.empty((2, half, 2, batch), dtype=dtype)
+    first, second = candidate[:, :, 0], candidate[:, :, 1]
+    odd_choice = np.empty((n_steps, 2, half, batch), dtype=bool)
+    step_costs = cost_pattern.transpose(1, 2, 0)  # (steps, patterns, batch)
+    for lo in range(0, n_steps, GATHER_STEPS):
+        branch = step_costs[lo : lo + GATHER_STEPS].take(gather, axis=1)
+        for step, costs in enumerate(
+            branch.reshape(-1, 2, half, 2, batch), start=lo
+        ):
+            np.add(predecessors, costs, out=candidate)
+            np.less(second, first, out=odd_choice[step])
+            np.minimum(first, second, out=entered)
+    return metrics, odd_choice.reshape(n_steps, 2 * half, batch)
+
+
+def _traceback(odd_choice: np.ndarray, end_state: np.ndarray) -> np.ndarray:
+    """Decoded bits from :func:`_forward`'s choices and the end states.
+
+    Walks flat indices ``state·batch + row``: a step's predecessor
+    table maps each one to the index of ``2·(state mod S/2) + odd``,
+    built for :data:`GATHER_STEPS` steps at a time, so each step is
+    one take.
+    """
+    n_steps, n_states, batch = odd_choice.shape
+    flat = np.min_scalar_type(n_states * batch - 1).type
+    rows = np.arange(batch)
+    even = (
+        ((np.arange(n_states) << 1) & (n_states - 1))[:, None] * batch + rows
+    ).reshape(-1).astype(flat)
+    index = (end_state * batch + rows).astype(flat)
+    visited = np.empty((n_steps, batch), dtype=flat)
+    planes = odd_choice.reshape(n_steps, n_states * batch)
+    block = np.empty((GATHER_STEPS, n_states * batch), dtype=flat)
+    for hi in range(n_steps, 0, -GATHER_STEPS):
+        lo = max(0, hi - GATHER_STEPS)
+        predecessor = block[: hi - lo]
+        np.multiply(planes[lo:hi], flat(batch), out=predecessor)
+        predecessor += even
+        for step in range(hi - 1, lo - 1, -1):
+            visited[step] = index
+            index = predecessor[step - lo].take(index)
     # The input bit into state t is t // (S/2).
-    return (states.T // half).astype(np.uint8)
+    return (visited.T // (n_states // 2 * batch)).astype(np.uint8)

@@ -194,9 +194,10 @@ class SpanRecorder:
     """The per-process span stack, id assigner, and record emitter.
 
     One per observability session (``obs.STATE.spans``).  Finished span
-    records are appended to :attr:`finished` (for in-process consumers:
-    tests, and the runner handing a task's span back) and emitted to
-    ``sink`` when one is open.  ``metrics`` is the session's registry,
+    records are emitted to ``sink`` when one is open, and kept nowhere
+    else: a recorder's memory does not grow with the spans it has run
+    (the runner hands a task's span back through the live span's
+    ``record``).  ``metrics`` is the session's registry,
     whose counter deltas every span records; without one, ``counters``
     stays empty.  The recorder is process-local; cross-process
     stitching works by carrying a :class:`SpanContext` over the
@@ -210,7 +211,6 @@ class SpanRecorder:
             trace_id if trace_id is not None else derive_trace_id("session")
         )
         self.metrics = metrics
-        self.finished: list[dict] = []
         self._stack: list[str] = []  # span ids, innermost last
         # (parent id, name) -> next sibling ordinal; keyed per parent so
         # ordinals agree between a serial run and a pool run where each
@@ -267,7 +267,6 @@ class SpanRecorder:
         if span_id in self._stack:
             while self._stack.pop() != span_id:
                 pass
-        self.finished.append(span.record)
         if self.sink is not None:
             self.sink.emit(span.record)
 

@@ -5,7 +5,7 @@ import pytest
 
 from repro.analysis.syndrome import extract_syndrome
 from repro.framing.bits import flip_bits
-from repro.framing.testpacket import BODY_START, FRAME_BYTES
+from repro.framing.testpacket import BODY_END, BODY_START, FRAME_BYTES
 
 
 class TestExtraction:
@@ -45,6 +45,24 @@ class TestExtraction:
         syndrome = extract_syndrome(damaged, 9, factory)
         assert syndrome.wrapper_damaged
         assert syndrome.body_bits_damaged == 2
+
+    def test_body_edges_split_exactly(self, factory):
+        """The bits on either side of both body edges land on their own
+        side, every bit of a damaged byte is found, and the frame's
+        first and last bits count."""
+        frame = factory.build(11)
+        start, end = BODY_START * 8, BODY_END * 8
+        positions = np.array(
+            [0, start - 1, start, end - 1, end, FRAME_BYTES * 8 - 1]
+            + list(range(start + 64, start + 72))
+        )
+        syndrome = extract_syndrome(flip_bits(frame, positions), 11, factory)
+        assert syndrome.body_bit_positions.tolist() == [
+            0, *range(64, 72), end - start - 1
+        ]
+        assert syndrome.wrapper_bit_positions.tolist() == [
+            0, start - 1, end, FRAME_BYTES * 8 - 1
+        ]
 
     def test_truncated_frame_rejected(self, factory):
         with pytest.raises(ValueError):

@@ -4,12 +4,17 @@
 that ``repro.fec.viterbi`` ran before it switched to the butterfly
 formulation, kept verbatim as an oracle: it gathers both predecessors'
 metrics and branch costs through the trellis tables and stores an
-int32 branch index per state-step.  The batch ≡ scalar tests in
-``test_batch_decode.py`` cannot see a kernel change (both sides run
-the same kernel), so this module pins the production decode
-byte-identical to that reference across rates, termination, erasures,
-weights, batch sizes on both sides of the sweep-row cap, and
-non-default codes.
+int32 branch index per state-step.  It runs on float64 pattern costs
+from its own builder, ``_reference_pattern_costs`` (the float cost
+builder the production decode used before its metrics became
+integers), so it shares no cost path with the kernel under test.  The
+batch ≡ scalar tests in ``test_batch_decode.py`` cannot see a kernel
+change (both sides run the same kernel), so this module pins the
+production decode byte-identical to that reference across rates,
+termination, erasures, weights, batch sizes on both sides of the
+sweep-row cap, and non-default codes, on every metric type: int16
+(unweighted and quarter-weighted rows), int32 (a block too long for
+int16) and float64 (any other weight).
 """
 
 from __future__ import annotations
@@ -69,6 +74,25 @@ def _acs_gather_reference(
     return decoded
 
 
+def _reference_pattern_costs(
+    symbols: np.ndarray,
+    weights: np.ndarray | None,
+    all_patterns: np.ndarray,
+) -> np.ndarray:
+    """Float64 per-step costs of every output pattern.
+
+    ``cost_pattern[b, step, p]`` is the (weighted) count of usable
+    symbol bits of ``(rows, steps, n)`` ``symbols`` differing from
+    pattern ``p``.
+    """
+    usable = symbols != ERASED
+    diffs = all_patterns[None, None, :, :] != symbols[:, :, None, :]
+    effective = (diffs & usable[:, :, None, :]).astype(np.float64)
+    if weights is not None:
+        effective *= weights[:, :, None, :]
+    return effective.sum(axis=3)
+
+
 def _reference_decode(code, received, terminated=True, weights=None):
     """Whole-batch decode through the gather-based reference kernel."""
     received = np.asarray(received, dtype=np.uint8)
@@ -81,7 +105,7 @@ def _reference_decode(code, received, terminated=True, weights=None):
         weights = np.asarray(weights, dtype=np.float64).reshape(
             batch, n_steps, n_out
         )
-    cost_pattern = viterbi._pattern_costs(
+    cost_pattern = _reference_pattern_costs(
         received.reshape(batch, n_steps, n_out), weights, all_patterns
     )
     decoded = _acs_gather_reference(
@@ -133,6 +157,21 @@ def rng():
     return np.random.default_rng(1302)
 
 
+def _metric_dtype(received, weights=None) -> np.dtype:
+    """The path-metric dtype the production decode picks for a block."""
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.float64)
+    return viterbi._metric_units(received.shape[1], weights)[0]
+
+
+def _soft_weights(rng, shape, soft=0.25, share=0.2):
+    """Weight 1.0 everywhere but about ``share`` of the positions, which
+    get ``soft`` (the receivers' soft marking)."""
+    weights = np.ones(shape)
+    weights[rng.random(shape) < share] = soft
+    return weights
+
+
 def test_batch_sizes_straddle_the_sweep_cap():
     assert 7 < SWEEP_ROWS < 200
 
@@ -145,6 +184,7 @@ def test_butterfly_matches_gather_reference(code_name, terminated, batch, rng):
     received = _received(
         code, rng, batch, 40, flip=0.06, erase=0.1, terminate=terminated
     )
+    assert _metric_dtype(received) == np.int16
     np.testing.assert_array_equal(
         viterbi_decode_batch(code, received, terminated=terminated),
         _reference_decode(code, received, terminated),
@@ -157,6 +197,7 @@ def test_butterfly_matches_reference_with_random_weights(code_name, batch, rng):
     code = CODES[code_name]
     received = _received(code, rng, batch, 40, flip=0.08, erase=0.05)
     weights = rng.random(received.shape)
+    assert _metric_dtype(received, weights) == np.float64
     for terminated in (True, False):
         np.testing.assert_array_equal(
             viterbi_decode_batch(
@@ -198,12 +239,71 @@ def test_rcpc_rates_match_reference(rate_name, batch, rng):
         transmitted[rng.random(transmitted.size) < 0.03] = ERASED
         rows.append(transmitted)
     received = np.stack(rows)
-    weights = rng.random(received.shape)
-    for w in (None, weights):
+    for w in (None, rng.random(received.shape), _soft_weights(rng, received.shape)):
         np.testing.assert_array_equal(
             codec.decode_batch(received, weights=w),
             _reference_rcpc_decode(codec, received, w),
         )
+
+
+@pytest.mark.parametrize("code_name", sorted(CODES))
+@pytest.mark.parametrize("batch", [1, 7, 200])
+@pytest.mark.parametrize(
+    ("soft", "dtype"), [(0.25, np.int16), (0.3, np.float64)]
+)
+def test_soft_weights_match_reference(code_name, batch, soft, dtype, rng):
+    """Weights of 1.0 and 0.25 (the soft receivers' marking) scale by 4
+    to integer costs; 0.3 does not and keeps float64 metrics."""
+    code = CODES[code_name]
+    received = _received(code, rng, batch, 40, flip=0.08, erase=0.05)
+    weights = _soft_weights(rng, received.shape, soft)
+    assert _metric_dtype(received, weights) == dtype
+    for terminated in (True, False):
+        np.testing.assert_array_equal(
+            viterbi_decode_batch(
+                code, received, terminated=terminated, weights=weights
+            ),
+            _reference_decode(code, received, terminated, weights),
+        )
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_blocks_too_long_for_int16_use_int32(weighted, rng):
+    """An unweighted block of 8,206 steps bounds reachable metrics at
+    16,412, and a soft-weighted one of 2,106 steps at 16,848 (a weight-1
+    bit costs 4): ``2·bound + 1`` no longer fits int16."""
+    code = CODES["K7 (171,133)"]
+    info_bits = 2100 if weighted else 8200
+    received = _received(code, rng, 3, info_bits, flip=0.06, erase=0.05)
+    weights = _soft_weights(rng, received.shape) if weighted else None
+    assert _metric_dtype(received, weights) == np.int32
+    for terminated in (True, False):
+        np.testing.assert_array_equal(
+            viterbi_decode_batch(
+                code, received, terminated=terminated, weights=weights
+            ),
+            _reference_decode(code, received, terminated, weights),
+        )
+
+
+@pytest.mark.parametrize("soft", [None, 0.25, 0.3])
+def test_unterminated_tied_end_metrics_take_the_first_state(soft, rng):
+    """With its last K-1 steps erased, an unterminated block reaches
+    every end state at the best path's metric, so all end metrics tie
+    and the first minimum (state 0) must start the traceback, on the
+    int16 and the float64 path alike."""
+    code = CODES["K7 (171,133)"]
+    received = _received(code, rng, 7, 40, flip=0.06, terminate=False)
+    received[:, -code.tail_bits() * code.n_outputs:] = ERASED
+    weights = None if soft is None else _soft_weights(rng, received.shape, soft)
+    decoded = viterbi_decode_batch(
+        code, received, terminated=False, weights=weights
+    )
+    np.testing.assert_array_equal(
+        decoded, _reference_decode(code, received, False, weights)
+    )
+    # Ending in state 0 decodes the erased tail as zeros.
+    assert not decoded[:, -code.tail_bits():].any()
 
 
 def test_non_butterfly_trellis_is_rejected():

@@ -97,6 +97,14 @@ class TestViterbiBatchIdentity:
                 weights=np.ones((2, 8)),
             )
 
+    def test_symbols_outside_the_alphabet_rejected(self, code):
+        """Each received bit must be 0, 1 or ERASED: the integer kernel
+        reads a step's bits as base-3 digits."""
+        received = np.zeros((2, 16), dtype=np.uint8)
+        received[1, 5] = ERASED + 1
+        with pytest.raises(ValueError, match="0, 1 or ERASED"):
+            viterbi_decode_batch(code, received)
+
 
 class TestRcpcBatchIdentity:
     @pytest.mark.parametrize("rate_name", RATE_ORDER)

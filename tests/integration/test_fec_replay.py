@@ -1,7 +1,8 @@
 """The experiments' batched FEC replay: per-packet equivalence and goldens.
 
-``throughput`` replays every damaged packet of a signal level in one
-batched decode, and ``fec_eval`` replays each rate's syndrome
+``throughput``'s aggregate replays the damaged packets of all eight
+signal levels in one batched decode, each level against its own
+information block, and ``fec_eval`` replays each rate's syndrome
 population the same way.  The per-packet ``throughput._fec_recovers``
 loop must count the same recoveries level by level, and both
 experiments' results are pinned to the values the per-packet replay on
@@ -18,6 +19,7 @@ import pytest
 
 from repro.analysis.classify import PacketClass, classify_trace
 from repro.experiments import fec_eval, throughput
+from repro.experiments.engine import trial_seed
 from repro.fec.interleave import BlockInterleaver
 from repro.fec.rcpc import RcpcCodec
 from repro.trace.trial import TrialConfig, run_fast_trial
@@ -72,25 +74,35 @@ ADAPTIVE_GOLDEN = [
 ]
 
 
+@pytest.fixture(scope="module")
+def stacked_levels() -> throughput.ThroughputResult:
+    """All eight levels at 300 packets, through the aggregate's one
+    stacked replay."""
+    return throughput.run(scale=0.05, seed=LEVEL_SEED)
+
+
 @pytest.mark.parametrize("level", throughput.LEVELS)
-def test_batched_level_replay_equals_per_packet_loop(level):
-    """``_run_level``'s one-decode replay counts exactly the recoveries
-    of calling ``_fec_recovers`` once per damaged packet."""
-    point = throughput._run_level(level, LEVEL_PACKETS, LEVEL_SEED)
+def test_batched_level_replay_equals_per_packet_loop(level, stacked_levels):
+    """The aggregate's one decode over all levels counts exactly the
+    recoveries of calling ``_fec_recovers`` once per damaged packet of
+    each level, against that level's own information block."""
+    point = stacked_levels.point(level)
+    assert point.packets_sent == LEVEL_PACKETS
 
     # The level's replay inputs and damaged population, as _run_level
-    # builds them.
+    # and the aggregate build them from the level's trial seed.
+    seed = trial_seed(LEVEL_SEED, "throughput", f"level-{level:g}")
     codec = RcpcCodec(throughput.FEC_RATE)
     interleaver = BlockInterleaver(32, 64)
     info = (
-        np.random.default_rng(LEVEL_SEED)
+        np.random.default_rng(seed)
         .integers(0, 2, throughput.FEC_INFO_BITS)
         .astype(np.uint8)
     )
     transmitted = codec.encode(info)
     trace = run_fast_trial(
         TrialConfig(name=f"tp-{level}", packets=LEVEL_PACKETS,
-                    seed=LEVEL_SEED, mean_level=level)
+                    seed=seed, mean_level=level)
     ).trace
     damaged = classify_trace(trace).by_class(PacketClass.BODY_DAMAGED)
     assert len(damaged) == point.body_damaged
@@ -105,8 +117,8 @@ def test_batched_level_replay_equals_per_packet_loop(level):
     assert point.fec_recovered == per_packet
 
 
-def test_throughput_points_pinned():
-    points = throughput.run(scale=0.05, seed=2004).points
+def test_throughput_points_pinned(stacked_levels):
+    points = stacked_levels.points
     assert [
         (p.level, p.packets_sent, p.undamaged, p.body_damaged, p.truncated,
          p.lost, p.fec_recovered)

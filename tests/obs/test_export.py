@@ -17,6 +17,7 @@ from repro.obs.export import (
 )
 from repro.obs.spans import SpanRecorder, derive_trace_id
 from repro.parallel import Task, run_tasks
+from tests.obs.sinks import ListSink
 
 
 def _spin(seed: int) -> int:
@@ -24,11 +25,12 @@ def _spin(seed: int) -> int:
 
 
 def _traced_records() -> list[dict]:
-    recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+    records = ListSink()
+    recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
     with recorder.span("root", scale=0.5):
         with recorder.span("child"):
             pass
-    return recorder.finished
+    return records
 
 
 class TestChromeTrace:
@@ -86,11 +88,12 @@ class TestWaterfall:
         assert "no spans" in render_waterfall([])
 
     def test_error_span_flagged(self):
-        recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
         with pytest.raises(RuntimeError):
             with recorder.span("doomed"):
                 raise RuntimeError
-        assert "[ERROR]" in render_waterfall(recorder.finished)
+        assert "[ERROR]" in render_waterfall(records)
 
 
 class TestRunRecords:

@@ -96,14 +96,16 @@ class TestEnsureMetrics:
 
 
 class TestSpanHelper:
-    def test_span_times_when_enabled(self):
-        with obs.session() as state:
+    def test_span_times_when_enabled(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with obs.session(telemetry_path=str(path)):
             with obs.trace_span("trace.trial", mode="fast"):
                 pass
-            (record,) = state.spans.finished
-            assert record["name"] == "trace.trial"
-            assert record["attrs"] == {"mode": "fast"}
-            assert record["wall_s"] >= 0.0
+        _, records = obs.read_telemetry(path)
+        (record,) = [r for r in records if r["type"] == "span"]
+        assert record["name"] == "trace.trial"
+        assert record["attrs"] == {"mode": "fast"}
+        assert record["wall_s"] >= 0.0
 
 
 class TestHeartbeat:

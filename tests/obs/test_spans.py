@@ -16,6 +16,7 @@ from repro.obs.spans import (
     span_structure,
     span_tree,
 )
+from tests.obs.sinks import ListSink
 
 
 class TestDeterministicIds:
@@ -39,52 +40,57 @@ class TestDeterministicIds:
 
 class TestRecorder:
     def test_nesting_links_parent_ids(self):
-        recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
         with recorder.span("outer") as outer:
             with recorder.span("inner"):
                 pass
-        outer_rec, = [r for r in recorder.finished if r["name"] == "outer"]
-        inner_rec, = [r for r in recorder.finished if r["name"] == "inner"]
+        outer_rec, = [r for r in records if r["name"] == "outer"]
+        inner_rec, = [r for r in records if r["name"] == "inner"]
         assert inner_rec["parent"] == outer_rec["span"]
         assert outer_rec["parent"] is None
         assert outer is not None
 
     def test_same_named_siblings_get_distinct_ordinals(self):
-        recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
         with recorder.span("parent"):
             with recorder.span("child"):
                 pass
             with recorder.span("child"):
                 pass
-        children = [r for r in recorder.finished if r["name"] == "child"]
+        children = [r for r in records if r["name"] == "child"]
         assert len({r["span"] for r in children}) == 2
 
     def test_rerun_produces_identical_ids(self):
         def run() -> list[dict]:
-            recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+            records = ListSink()
+            recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
             with recorder.span("a"):
                 with recorder.span("b"):
                     pass
                 with recorder.span("b"):
                     pass
-            return recorder.finished
+            return records
 
         assert span_structure(run()) == span_structure(run())
 
     def test_error_status_and_exception_name(self):
-        recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
         with pytest.raises(ValueError):
             with recorder.span("doomed"):
                 raise ValueError("boom")
-        record, = recorder.finished
+        record, = records
         assert record["status"] == "error"
         assert record["attrs"]["error"] == "ValueError"
 
     def test_records_carry_cost_fields(self):
-        recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
         with recorder.span("work", size=3):
             pass
-        record, = recorder.finished
+        record, = records
         assert record["wall_s"] >= 0.0
         assert record["cpu_s"] >= 0.0
         assert "rss_delta_kb" in record
@@ -94,19 +100,21 @@ class TestRecorder:
         assert record["pid"] > 0
 
     def test_set_attr_while_live(self):
-        recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
         with recorder.span("work") as span:
             span.set_attr("rows", 42)
-        assert recorder.finished[0]["attrs"]["rows"] == 42
+        assert records[0]["attrs"]["rows"] == 42
 
     def test_adopt_parents_under_remote_span(self):
         remote_trace = derive_trace_id("remote")
         remote_span = derive_span_id(remote_trace, None, "run_tasks", 0)
-        recorder = SpanRecorder(trace_id=derive_trace_id("local"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("local"))
         with recorder.adopt(SpanContext(remote_trace, remote_span)):
             with recorder.span("task"):
                 pass
-        record, = recorder.finished
+        record, = records
         assert record["trace"] == remote_trace
         assert record["parent"] == remote_span
         # outside the adoption the local trace id is restored
@@ -130,11 +138,14 @@ class TestRuntimeHook:
         with span:  # does nothing, raises nothing
             span.set_attr("k", "v")
 
-    def test_trace_span_records_when_enabled(self):
-        with obs.session(trace_label="t") as state:
+    def test_trace_span_records_when_enabled(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with obs.session(telemetry_path=str(path), trace_label="t"):
             with obs.trace_span("work"):
                 pass
-            assert state.spans.finished[0]["name"] == "work"
+        _, records = read_telemetry(path)
+        (span,) = [r for r in records if r["type"] == "span"]
+        assert span["name"] == "work"
 
     def test_configure_trace_id_verbatim(self):
         with obs.session(trace_id="feedfacedeadbeef") as state:
@@ -149,11 +160,12 @@ class TestRuntimeHook:
 
 class TestHelpers:
     def _records(self) -> list[dict]:
-        recorder = SpanRecorder(trace_id=derive_trace_id("t"))
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=derive_trace_id("t"))
         with recorder.span("root"):
             with recorder.span("child"):
                 pass
-        return recorder.finished
+        return records
 
     def test_span_structure_strips_volatiles(self):
         structure = span_structure(self._records())
@@ -177,8 +189,9 @@ class TestHelpers:
 
 
 class TestCounters:
-    def test_counter_deltas_over_each_span(self):
-        with obs.session() as state:
+    def test_counter_deltas_over_each_span(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        with obs.session(telemetry_path=str(path)) as state:
             state.metrics.counter("before").inc(5)
             with obs.trace_span("outer"):
                 state.metrics.counter("a").inc(2)
@@ -186,7 +199,8 @@ class TestCounters:
                     state.metrics.counter("a").inc()
                     state.metrics.counter("rng.calls", stream="x").inc()
                 state.metrics.counter("zero")  # registered, never counted
-            inner, outer = state.spans.finished
+        _, records = read_telemetry(path)
+        inner, outer = [r for r in records if r["type"] == "span"]
         assert inner["counters"] == {"a": 1, "rng.calls{stream=x}": 1}
         assert outer["counters"] == {"a": 3, "rng.calls{stream=x}": 1}
 
@@ -198,7 +212,8 @@ class TestCounters:
 class TestDetached:
     def test_interleaved_spans_parent_explicitly(self):
         trace = derive_trace_id("t")
-        recorder = SpanRecorder(trace_id=trace)
+        records = ListSink()
+        recorder = SpanRecorder(sink=records, trace_id=trace)
         root = recorder.detached("serve.run")
         first = recorder.detached("serve.session", parent=root.span_id)
         second = recorder.detached("serve.session", parent=root.span_id)
@@ -208,7 +223,7 @@ class TestDetached:
         second.finish("error")
         root.finish(sessions=2)
         by_name: dict[str, list[dict]] = {}
-        for record in recorder.finished:
+        for record in records:
             by_name.setdefault(record["name"], []).append(record)
         (stacked,) = by_name["stacked"]
         assert stacked["parent"] is None
@@ -223,7 +238,7 @@ class TestDetached:
         assert a["parent"] == b["parent"] == run["span"]
         assert (a["status"], a["attrs"]) == ("ok", {"records": 3})
         assert b["status"] == "error"
-        for record in recorder.finished:
+        for record in records:
             assert {"wall_s", "cpu_s", "peak_rss_kb", "counters"} <= set(record)
 
     def test_null_span_without_recorder(self):

@@ -6,13 +6,20 @@ matcher recovers the true sequence number, and the syndrome equals the
 inflicted damage exactly.
 """
 
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.analysis.matching import SEQUENCE_SLACK, MatchOutcome, TraceMatcher
+from repro.analysis.matching import (
+    SEQUENCE_SLACK,
+    MatchOutcome,
+    TraceMatcher,
+    _plurality,
+    _plurality_unique,
+)
 from repro.analysis.syndrome import extract_syndrome
 from repro.framing.bits import flip_bits
 from repro.framing.testpacket import (
@@ -61,6 +68,58 @@ class TestMatcherProperties:
         result = _MATCHER.match_bytes(damaged)
         assert result.outcome is MatchOutcome.TEST_PACKET
         assert result.sequence == sequence
+
+
+body_words = st.integers(0, 2**32 - 1)
+
+
+@st.composite
+def planted_majorities(draw):
+    """A word holding a strict majority, at any position."""
+    others = draw(st.lists(body_words, max_size=40))
+    winner = draw(body_words)
+    extra = draw(st.integers(1, 12))
+    return draw(st.permutations([winner] * (len(others) + extra) + others))
+
+
+@st.composite
+def tied_votes(draw):
+    """Two to five words sharing the top count, among scattered ones."""
+    tied = draw(st.lists(body_words, min_size=2, max_size=5, unique=True))
+    count = draw(st.integers(1, 8))
+    scattered = draw(
+        st.lists(
+            body_words.filter(lambda w: w not in tied),
+            max_size=count,
+            unique=True,
+        )
+    )
+    return draw(st.permutations(tied * count + scattered))
+
+
+@st.composite
+def plain_votes(draw):
+    """Neither: a unique top count that is no strict majority.  Over
+    three values the first word often holds a large minority."""
+    values = st.integers(0, draw(st.integers(2, 6)))
+    words = draw(st.lists(values, min_size=3, max_size=80))
+    top = Counter(words).most_common(2)
+    assume(len(top) == 2 and top[0][1] > top[1][1])
+    assume(2 * top[0][1] <= len(words))
+    return words
+
+
+class TestPluralityProperties:
+    """The strict-majority shortcut answers exactly as the ``np.unique``
+    vote and as ``Counter.most_common`` (first occurrence wins ties)."""
+
+    @given(st.one_of(planted_majorities(), tied_votes(), plain_votes()))
+    @settings(max_examples=300, deadline=None)
+    def test_plurality_equals_unique_reference(self, words):
+        array = np.array(words, dtype=np.int64)
+        expected = Counter(words).most_common(1)[0]
+        assert _plurality_unique(array) == expected
+        assert _plurality(array) == expected
 
 
 class TestExactMatchProperties:

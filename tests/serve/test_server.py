@@ -512,6 +512,7 @@ class TestTelemetry:
         """One serve.session span per session, parented under one
         serve.run root, readable by the span tooling."""
         from repro import obs
+        from repro.obs.events import read_telemetry
         from repro.obs.spans import span_tree
 
         trace = _mixed_columnar(spec, factory, repeats=2)
@@ -525,10 +526,10 @@ class TestTelemetry:
                 )
 
             asyncio.run(_serve(ServeConfig(heartbeat_s=0), work))
-            recorder = obs.STATE.spans
-            spans = list(recorder.finished)
         finally:
             obs.reset()
+        _, records = read_telemetry(telemetry)
+        spans = [r for r in records if r["type"] == "span"]
         by_name = {}
         for record in spans:
             by_name.setdefault(record["name"], []).append(record)
