@@ -668,6 +668,61 @@ def test_perf_mac_contention(monkeypatch):
 
 
 @pytest.mark.bench_smoke
+def test_perf_obs_tax():
+    """What an observability session costs the report's DES path.
+
+    ``build_report`` always runs under a session, so its spans, counter
+    hooks and counted RNG streams are part of every report's wall.  The
+    ``mac`` experiment at its report scale and trial selection is the
+    report's per-event path: its two MAC trials fire ~1.5k simulator
+    events, each counted, timed and hooked.  Legs alternate (ABBA, as
+    in ``engine_overhead``) and ``tax_percent`` is the median per-round
+    ratio.  Not in ``benchmarks/baseline.json``: reported, never gated.
+    An equivalence ride-along requires equal results either way.
+    """
+    from repro import obs
+    from repro.experiments import engine as experiment_engine
+
+    experiment_engine.load_all()
+    spec = experiment_engine.get("mac")
+    scale = spec.report_scale(0.05)
+
+    def plain():
+        return experiment_engine.ENGINE.run(
+            spec, scale=scale, seed=4, extras=dict(spec.report_extras)
+        )
+
+    def observed():
+        with obs.session(telemetry_path=None):
+            return plain()
+
+    plain()  # warm both legs
+    observed()
+    times: dict = {plain: [], observed: []}
+    results: dict = {}
+    for round_index in range(10):
+        order = (plain, observed) if round_index % 2 == 0 else (observed, plain)
+        for leg in order:
+            start = time.perf_counter()
+            results[leg] = leg()
+            times[leg].append(time.perf_counter() - start)
+    tax = statistics.median(
+        o / p for o, p in zip(times[observed], times[plain])
+    ) - 1.0
+    _record_stage(
+        "obs_tax",
+        {
+            "experiment": "mac",
+            "scale": scale,
+            "plain_wall_s": round(statistics.median(times[plain]), 4),
+            "observed_wall_s": round(statistics.median(times[observed]), 4),
+            "tax_percent": round(100.0 * tax, 2),
+        },
+    )
+    assert results[observed] == results[plain]
+
+
+@pytest.mark.bench_smoke
 def test_source_size():
     """Physical lines and files of the package source (``src/**/*.py``).
 

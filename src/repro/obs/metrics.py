@@ -177,6 +177,9 @@ class Metrics:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
+        # (name, *labels.items()) -> the labelled counter in _counters:
+        # per-delivery hooks skip re-folding the sorted storage key.
+        self._labelled: dict[tuple, Counter] = {}
         self._gauges: dict[str, Gauge] = {}
         self._histograms: dict[str, Histogram] = {}
 
@@ -184,10 +187,17 @@ class Metrics:
     def counter(self, name: str, **labels: str) -> Counter:
         if not self.enabled:
             return NULL_COUNTER
-        key = scoped_name(name, labels)
-        instrument = self._counters.get(key)
+        if labels:
+            handle = (name, *labels.items())
+            instrument = self._labelled.get(handle)
+            if instrument is None:
+                instrument = self._labelled[handle] = self._plain(
+                    self._counters, scoped_name(name, labels), Counter
+                )
+            return instrument
+        instrument = self._counters.get(name)
         if instrument is None:
-            instrument = self._counters[key] = Counter()
+            instrument = self._counters[name] = Counter()
         return instrument
 
     def gauge(self, name: str, **labels: str) -> Gauge:
@@ -271,6 +281,7 @@ class Metrics:
     def reset(self) -> None:
         """Forget every instrument (values and registrations)."""
         self._counters.clear()
+        self._labelled.clear()
         self._gauges.clear()
         self._histograms.clear()
 

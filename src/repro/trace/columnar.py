@@ -236,8 +236,10 @@ class ColumnarTrace:
         ``rows`` must index records whose length is ``frame_bytes``.
         When the selected payload spans are back to back (the common
         case: a clean trial written in arrival order) the matrix is a
-        zero-copy reshape of the payload; otherwise a single vectorized
-        gather builds it.
+        zero-copy reshape of the payload; otherwise each row is copied
+        out of a strided window view of the payload (one
+        ``frame_bytes``-wide window per byte offset), with no index
+        matrix built.
         """
         offsets = self.offsets[rows]
         if offsets.size == 0:
@@ -248,8 +250,10 @@ class ColumnarTrace:
         ):
             flat = self.payload[start : start + offsets.size * frame_bytes]
             return flat.reshape(offsets.size, frame_bytes)
-        gather = offsets[:, None].astype(np.int64) + np.arange(frame_bytes)
-        return self.payload[gather]
+        windows = np.lib.stride_tricks.sliding_window_view(
+            self.payload, frame_bytes
+        )
+        return windows[offsets]
 
     # -- conversion ----------------------------------------------------
     @classmethod
@@ -347,7 +351,11 @@ class ColumnarTrace:
                 raise ValueError(
                     "cannot aggregate traces with different specs"
                 )
-        shifts = np.cumsum([0] + [t.payload.shape[0] for t in traces[:-1]])
+        # uint64 like the offsets: an int64 shift would promote them to
+        # float64.
+        shifts = np.cumsum(
+            [0] + [t.payload.shape[0] for t in traces[:-1]], dtype=np.uint64
+        )
         return cls(
             name=name if name is not None else traces[0].name,
             spec=spec,

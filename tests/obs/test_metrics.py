@@ -45,6 +45,67 @@ class TestCounter:
         assert c is not a
 
 
+class TestLabelledHandleCache:
+    """Labelled counters are handed out from a cache keyed by the call's
+    name and label items; the storage key stays ``name{k=v,...}``."""
+
+    def test_label_order_does_not_matter(self):
+        metrics = Metrics()
+        first = metrics.counter("x", a="1", b="2")
+        assert first is metrics.counter("x", b="2", a="1")
+        assert first is metrics.counter("x", a="1", b="2")
+        first.inc()
+        assert metrics.counters_snapshot() == {"x{a=1,b=2}": 1}
+        assert metrics.counter("x", a="1") is not metrics.counter("x", b="1")
+
+    def test_reset_drops_cached_handles(self):
+        metrics = Metrics()
+        old = metrics.counter("link.drops", reason="missed")
+        old.inc(4)
+        metrics.reset()
+        fresh = metrics.counter("link.drops", reason="missed")
+        assert fresh is not old
+        assert fresh.value == 0
+        old.inc(3)
+        assert metrics.counters_snapshot() == {"link.drops{reason=missed}": 0}
+        assert metrics.snapshot()["counters"] == {"link.drops{reason=missed}": 0}
+
+    def test_merge_adds_into_the_cached_instrument(self):
+        parent, worker = Metrics(), Metrics()
+        handle = parent.counter("mac.attempts", protocol="csma_ca")
+        handle.inc(2)
+        worker.counter("mac.attempts", protocol="csma_ca").inc(5)
+        worker.counter("link.drops", reason="missed").inc(1)
+        parent.merge_state(worker.export_state())
+        assert handle.value == 7
+        assert parent.counter("mac.attempts", protocol="csma_ca") is handle
+        # A key first created by the merge is the one later handed out.
+        merged = parent.counter("link.drops", reason="missed")
+        assert merged.value == 1
+        parent.merge_state(worker.export_state())
+        assert merged.value == 2
+
+    def test_disabled_registry_hands_out_the_null_counter(self):
+        metrics = Metrics(enabled=False)
+        assert metrics.counter("x", a="1") is NULL_COUNTER
+        assert metrics.counter("x") is NULL_COUNTER
+
+    def test_snapshot_and_export_keys_unchanged(self):
+        metrics = Metrics()
+        metrics.counter("phy.missed").inc()
+        metrics.counter("m", b="2", a="1").inc(2)
+        metrics.counter("link.drops", reason="mac_collision").inc(3)
+        metrics.counter("rng.calls", stream="phy").inc(4)
+        metrics.counter("m", a="1", b="2").inc(5)
+        snapshot = json.dumps(metrics.snapshot()["counters"])
+        assert snapshot == (
+            '{"link.drops{reason=mac_collision}": 3, "m{a=1,b=2}": 7, '
+            '"phy.missed": 1, "rng.calls{stream=phy}": 4}'
+        )
+        exported = metrics.export_state()["counters"]
+        assert json.dumps(exported, sort_keys=True) == snapshot
+
+
 class TestGauge:
     def test_last_write_wins(self):
         gauge = Metrics().gauge("sim.queue_depth")

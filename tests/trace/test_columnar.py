@@ -168,6 +168,12 @@ class TestConcat:
         assert merged.packets_sent == a.packets_sent + b.packets_sent
         combined = _records(clean_trace) + _records(damaged_trace)
         assert _records(merged) == combined
+        assert merged.offsets.dtype == np.uint64
+        full = np.nonzero(merged.lengths == FRAME_BYTES)[0]
+        matrix = merged.frame_matrix(full, FRAME_BYTES)
+        assert [row.tobytes() for row in matrix] == [
+            merged.data(index) for index in full.tolist()
+        ]
 
     def test_concat_rejects_spec_mismatch(self, clean_trace):
         import dataclasses
