@@ -675,9 +675,10 @@ def test_perf_obs_tax():
     hooks and counted RNG streams are part of every report's wall.  The
     ``mac`` experiment at its report scale and trial selection is the
     report's per-event path: its two MAC trials fire ~1.5k simulator
-    events, each counted, timed and hooked.  Legs alternate (ABBA, as
-    in ``engine_overhead``) and ``tax_percent`` is the median per-round
-    ratio.  Not in ``benchmarks/baseline.json``: reported, never gated.
+    events, each one counter increment, besides the MAC's counter hooks
+    and the counted RNG draws of its per-packet paths.  Legs alternate
+    (ABBA, as in ``engine_overhead``) and ``tax_percent`` is the median
+    per-round ratio.  Not in ``benchmarks/baseline.json``: reported, never gated.
     An equivalence ride-along requires equal results either way.
     """
     from repro import obs

@@ -162,25 +162,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     bench = commands.add_parser(
         "bench",
-        help="benchmark history: append snapshots, diff with a "
-             "regression gate",
+        help="benchmark snapshots: diff with a regression gate",
     )
     bench_commands = bench.add_subparsers(dest="bench_command",
                                           metavar="ACTION", required=True)
-    bench_append = bench_commands.add_parser(
-        "append",
-        help="stamp BENCH_internal.json with the git revision and "
-             "append it to the history series",
-    )
-    bench_append.add_argument(
-        "--bench", default="BENCH_internal.json", metavar="FILE",
-        help="snapshot to append (default BENCH_internal.json)",
-    )
-    bench_append.add_argument(
-        "--history", default="benchmarks/history.jsonl", metavar="FILE",
-        help="history series to append to "
-             "(default benchmarks/history.jsonl)",
-    )
     bench_diff = bench_commands.add_parser(
         "diff",
         help="compare two snapshots' *_wall_s timings; exit 1 when any "
@@ -272,8 +257,8 @@ def _cmd_list() -> int:
           "written with --telemetry")
     print("  timeline                     render a traced run's span "
           "tree (waterfall, Perfetto export, --follow)")
-    print("  bench                        benchmark history: append "
-          "snapshots, diff with a regression gate")
+    print("  bench                        benchmark snapshots: diff "
+          "with a regression gate")
     print("  convert                      re-encode a saved trace "
           "between v1 and v2")
     print("  serve                        run the streaming "
@@ -402,10 +387,6 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs import bench as bench_module
 
         try:
-            if args.bench_command == "append":
-                return bench_module.main_append(
-                    bench=args.bench, history=args.history
-                )
             return bench_module.main_diff(
                 args.baseline,
                 args.current,

@@ -33,17 +33,24 @@ class MetricSummary:
 
 
 def summarize(values: Sequence[int]) -> Optional[MetricSummary]:
-    """Summary statistics over raw register values (None when empty)."""
-    if not values:
-        return None
+    """Summary statistics over raw register values (None when empty).
+
+    ``values`` is a register column or a list of ints.  Σv and Σv² are
+    exact int64 sums, so the mean is ``Σv / n`` rounded once and the
+    population deviation is ``sqrt((n·Σv² − (Σv)²) / n²)`` from exact
+    integers, the same on every Python version.
+    """
     n = len(values)
-    mean = sum(values) / n
-    variance = sum((v - mean) ** 2 for v in values) / n
+    if n == 0:
+        return None
+    column = np.asarray(values, dtype=np.int64)
+    total = int(column.sum())
+    squares = int(np.dot(column, column))
     return MetricSummary(
-        minimum=min(values),
-        mean=mean,
-        sd=math.sqrt(variance),
-        maximum=max(values),
+        minimum=int(column.min()),
+        mean=total / n,
+        sd=math.sqrt((n * squares - total * total) / (n * n)),
+        maximum=int(column.max()),
         count=n,
     )
 
@@ -64,9 +71,9 @@ def stats_for_rows(group: str, trace: ColumnarTrace, rows: np.ndarray) -> Signal
     return SignalStats(
         group=group,
         packets=len(rows),
-        level=summarize(trace.levels[rows].tolist()),
-        silence=summarize(trace.silences[rows].tolist()),
-        quality=summarize(trace.qualities[rows].tolist()),
+        level=summarize(trace.levels[rows]),
+        silence=summarize(trace.silences[rows]),
+        quality=summarize(trace.qualities[rows]),
     )
 
 

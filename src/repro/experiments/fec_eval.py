@@ -20,7 +20,7 @@ left as future work:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,9 +51,11 @@ class RateOutcome:
     marking: str = "none"
 
     @property
-    def recovery_fraction(self) -> float:
+    def recovery_fraction(self) -> Optional[float]:
+        """Share of the packets recovered; None for an empty population,
+        which is no evidence either way."""
         if self.packets == 0:
-            return 1.0
+            return None
         return self.packets_recovered / self.packets
 
 
@@ -311,9 +313,11 @@ def _render(result: FecEvalResult, scale: float) -> None:
           f"{'recovered':>9} | {'residual':>8} | {'overhead':>8}")
     for o in result.outcomes:
         label = o.rate_name + {"none": "", "erase": "+E", "soft": "+S"}[o.marking]
+        fraction = o.recovery_fraction
+        recovered = "n/a" if fraction is None else f"{100 * fraction:.1f}%"
         print(f"{o.scenario:>18} | {label:>6} | "
               f"{'yes' if o.interleaved else 'no':>3} | {o.packets:5d} | "
-              f"{100 * o.recovery_fraction:8.1f}% | {o.residual_bit_errors:8d} | "
+              f"{recovered:>9} | {o.residual_bit_errors:8d} | "
               f"{100 * o.overhead_fraction:7.1f}%")
     print("\nAdaptive controller schedules:")
     for a in result.adaptive:
@@ -321,18 +325,27 @@ def _render(result: FecEvalResult, scale: float) -> None:
               f"mean overhead {100 * a.mean_overhead:.1f}%")
 
 
-def _report_lines(report, result: FecEvalResult, scale: float) -> None:
-    tx5_fec = result.outcome("Tx5 attenuation", "4/5", interleaved=True)
-    ss_fec = result.outcome("SS-phone handset", "1/2", interleaved=True)
+def _add_recovery_line(report, quantity: str, paper: str,
+                       outcome: RateOutcome, floor: float) -> None:
+    """One X1 line; an empty population is no data, never in band."""
+    fraction = outcome.recovery_fraction
+    if fraction is None:
+        report.add("X1 variable FEC", quantity, paper, "no data (n=0)", False)
+        return
     report.add(
-        "X1 variable FEC", "Tx5 @ 4/5+ilv", "'trivial to correct'",
-        f"{100 * tx5_fec.recovery_fraction:.0f}% recovered",
-        tx5_fec.recovery_fraction > 0.9,
+        "X1 variable FEC", quantity, paper,
+        f"{100 * fraction:.0f}% recovered", fraction > floor,
     )
-    report.add(
-        "X1 variable FEC", "SS phone @ 1/2", "'might be recoverable'",
-        f"{100 * ss_fec.recovery_fraction:.0f}% recovered",
-        ss_fec.recovery_fraction > 0.8,
+
+
+def _report_lines(report, result: FecEvalResult, scale: float) -> None:
+    _add_recovery_line(
+        report, "Tx5 @ 4/5+ilv", "'trivial to correct'",
+        result.outcome("Tx5 attenuation", "4/5", interleaved=True), 0.9,
+    )
+    _add_recovery_line(
+        report, "SS phone @ 1/2", "'might be recoverable'",
+        result.outcome("SS-phone handset", "1/2", interleaved=True), 0.8,
     )
 
 

@@ -149,8 +149,8 @@ class CsmaCaMac:
             gap = self._gap()
             backoff_delay = self.backoff.delay(next_attempt, self.rng)
             if state.enabled:
-                state.metrics.histogram("mac.backoff_slots").record(
-                    backoff_delay / self.backoff.slot_time_s
+                state.metrics.counter("mac.backoff_slots", protocol="csma_ca").inc(
+                    round(backoff_delay / self.backoff.slot_time_s)
                 )
             self.sim.schedule(
                 gap + backoff_delay,
@@ -290,8 +290,8 @@ class CsmaCdMac:
                 return
             delay = self.backoff.delay(next_attempt, self.rng)
             if state.enabled:
-                state.metrics.histogram("mac.backoff_slots").record(
-                    delay / self.backoff.slot_time_s
+                state.metrics.counter("mac.backoff_slots", protocol="csma_cd").inc(
+                    round(delay / self.backoff.slot_time_s)
                 )
             self.sim.schedule(
                 delay, lambda: self._attempt_head(next_attempt), name="mac.retry"

@@ -22,7 +22,6 @@ See docs/OBSERVABILITY.md for the metric namespace and file schema.
 """
 
 from repro.obs.events import (
-    EventTracer,
     JsonlTelemetrySink,
     TELEMETRY_FORMAT,
     TELEMETRY_KIND,
@@ -33,8 +32,6 @@ from repro.obs.events import (
 )
 from repro.obs.metrics import (
     Counter,
-    Gauge,
-    Histogram,
     Metrics,
     render_snapshot,
     scoped_name,
@@ -63,9 +60,6 @@ from repro.obs.stats import TelemetrySummary, render_summary, summarize_telemetr
 
 __all__ = [
     "Counter",
-    "EventTracer",
-    "Gauge",
-    "Histogram",
     "JsonlTelemetrySink",
     "Metrics",
     "ObsState",

@@ -1,19 +1,13 @@
-"""Benchmark history and the regression gate.
+"""The benchmark regression gate.
 
 The smoke benchmarks (``benchmarks/bench_internal_performance.py``)
 merge their measurements into ``BENCH_internal.json`` — a snapshot of
-*this* working tree's performance.  This module gives those snapshots a
-memory and a gate:
-
-* :func:`append_history` stamps the current snapshot with the git
-  revision and appends it to ``benchmarks/history.jsonl`` — one JSON
-  line per benchmarked revision, so performance over time is a
-  greppable series (``python -m repro bench append``).
-* :func:`diff_stages` compares two snapshots' ``*_wall_s`` timings and
-  ``*_per_s`` throughputs per stage with a tolerance band;
-  :func:`main_diff` (``python -m repro bench diff BASELINE CURRENT``)
-  exits nonzero when any stage slowed beyond tolerance — the CI
-  regression gate against the committed ``benchmarks/baseline.json``.
+*this* working tree's performance.  :func:`diff_stages` compares two
+snapshots' ``*_wall_s`` timings and ``*_per_s`` throughputs per stage
+with a tolerance band; :func:`main_diff` (``python -m repro bench diff
+BASELINE CURRENT``) exits nonzero when any stage slowed beyond
+tolerance — the CI regression gate against the committed
+``benchmarks/baseline.json``.
 
 Two key families are gated, with opposite regression directions:
 ``*_wall_s`` keys are timings (regression = ratio *above* ``1 +
@@ -30,12 +24,9 @@ gate — adding a benchmark must not break CI retroactively.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Optional, Union
-
-from repro.obs.events import git_revision
+from typing import Union
 
 PathLike = Union[str, Path]
 
@@ -59,39 +50,6 @@ def load_snapshot(path: PathLike) -> dict:
             "supports 1)"
         )
     return doc
-
-
-def append_history(
-    bench_path: PathLike,
-    history_path: PathLike,
-    git_rev: Optional[str] = None,
-) -> dict:
-    """Append the current snapshot to the history series.
-
-    The appended line carries the snapshot's stages plus the git
-    revision and a timestamp; returns the record written.
-    """
-    snapshot = load_snapshot(bench_path)
-    record = {
-        "git_rev": git_rev if git_rev is not None else git_revision(),
-        "unix": time.time(),
-        "stages": snapshot.get("stages", {}),
-    }
-    history_path = Path(history_path)
-    history_path.parent.mkdir(parents=True, exist_ok=True)
-    with open(history_path, "a", encoding="utf-8") as stream:
-        stream.write(json.dumps(record) + "\n")
-    return record
-
-
-def load_history(history_path: PathLike) -> list[dict]:
-    """Every record of the history series, oldest first."""
-    records = []
-    with open(history_path, encoding="utf-8") as stream:
-        for line in stream:
-            if line.strip():
-                records.append(json.loads(line))
-    return records
 
 
 # ----------------------------------------------------------------------
@@ -244,19 +202,6 @@ def render_diff(
 # ----------------------------------------------------------------------
 # CLI
 # ----------------------------------------------------------------------
-def main_append(
-    bench: str = "BENCH_internal.json",
-    history: str = "benchmarks/history.jsonl",
-) -> int:
-    """``python -m repro bench append``: stamp + append the snapshot."""
-    record = append_history(bench, history)
-    print(
-        f"appended {len(record['stages'])} stages at rev "
-        f"{record['git_rev'] or 'unknown'} to {history}"
-    )
-    return 0
-
-
 def main_diff(
     baseline: str,
     current: str,

@@ -1,4 +1,4 @@
-"""Structured run telemetry: the JSONL sink and the simulator tracer.
+"""Structured run telemetry: the JSONL sink and its readers.
 
 The telemetry file follows the same conventions as the trial-trace
 format (docs/TRACE_FORMAT.md): JSON-lines, gzipped when the filename
@@ -8,11 +8,9 @@ loudly.  Record types after the header:
 
 * ``span`` — one finished trace span (see :mod:`repro.obs.spans`),
   the run's only per-experiment and per-task record;
-* ``event`` — one fired simulator event (name, sim time, queueing
-  delay, handler wall-clock, queue depth after firing);
 * ``heartbeat`` — live progress (see :func:`repro.obs.emit_heartbeat`);
-* ``metrics`` — a full metrics snapshot, normally emitted once when the
-  observability session closes.
+* ``metrics`` — the final counter snapshot, normally emitted once when
+  the observability session closes.
 
 The schema is documented in docs/OBSERVABILITY.md.
 """
@@ -196,29 +194,3 @@ def iter_telemetry(path: PathLike) -> Iterator[dict]:
         for line in stream:
             if line.strip():
                 yield json.loads(line)
-
-
-class EventTracer:
-    """Per-event tracing hook the :class:`~repro.simkit.simulator.Simulator`
-    calls from its dispatch loop: one ``event`` record per fired event.
-    """
-
-    def __init__(self, sink: JsonlTelemetrySink) -> None:
-        self.sink = sink
-
-    def event_fired(
-        self,
-        name: str,
-        sim_time: float,
-        created_time: float,
-        duration_s: float,
-        queue_depth: int,
-    ) -> None:
-        self.sink.emit({
-            "type": "event",
-            "name": name,
-            "sim_t": sim_time,
-            "queued_s": sim_time - created_time,
-            "dur_us": duration_s * 1e6,
-            "queue_depth": queue_depth,
-        })

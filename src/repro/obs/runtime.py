@@ -25,7 +25,7 @@ import time
 from contextlib import contextmanager
 from typing import Iterator, Optional
 
-from repro.obs.events import EventTracer, JsonlTelemetrySink
+from repro.obs.events import JsonlTelemetrySink
 from repro.obs.metrics import Metrics
 from repro.obs.resources import rss_kb
 from repro.obs.spans import NULL_TRACE_SPAN, SpanRecorder, derive_trace_id
@@ -34,11 +34,10 @@ from repro.obs.spans import NULL_TRACE_SPAN, SpanRecorder, derive_trace_id
 class ObsState:
     """Mutable holder of the active observability session."""
 
-    __slots__ = ("metrics", "tracer", "sink", "enabled", "spans")
+    __slots__ = ("metrics", "sink", "enabled", "spans")
 
     def __init__(self) -> None:
         self.metrics = Metrics(enabled=False)
-        self.tracer: Optional[EventTracer] = None
         self.sink: Optional[JsonlTelemetrySink] = None
         self.enabled = False
         self.spans: Optional[SpanRecorder] = None
@@ -59,11 +58,11 @@ def configure(
 
     Metrics are on, RNG streams created afterwards count their calls
     (``rng.calls{stream=...}``), and ``telemetry_path`` additionally
-    opens a JSONL sink and attaches an event tracer that simulators
-    created *after* this call pick up.  ``spans`` (default on) attaches
-    a :class:`SpanRecorder` over the session's registry, whose trace id
-    derives from ``trace_label`` (or is taken verbatim from
-    ``trace_id`` — how pool workers join the parent's trace).
+    opens a JSONL sink for span, heartbeat and metrics records.
+    ``spans`` (default on) attaches a :class:`SpanRecorder` over the
+    session's registry, whose trace id derives from ``trace_label`` (or
+    is taken verbatim from ``trace_id`` — how pool workers join the
+    parent's trace).
     Returns :data:`STATE` (mutated in place).
 
     ``profiling`` is accepted and ignored, only because
@@ -75,7 +74,6 @@ def configure(
     STATE.enabled = True
     if telemetry_path is not None:
         STATE.sink = JsonlTelemetrySink(telemetry_path)
-        STATE.tracer = EventTracer(STATE.sink)
     if spans:
         STATE.spans = SpanRecorder(
             sink=STATE.sink,
@@ -100,7 +98,6 @@ def detach_inherited_session() -> None:
     then configure their own session (see :mod:`repro.parallel`).
     """
     STATE.metrics = Metrics(enabled=False)
-    STATE.tracer = None
     STATE.sink = None
     STATE.enabled = False
     STATE.spans = None
@@ -111,7 +108,6 @@ def reset() -> None:
     if STATE.sink is not None:
         STATE.sink.close()
     STATE.metrics = Metrics(enabled=False)
-    STATE.tracer = None
     STATE.sink = None
     STATE.enabled = False
     STATE.spans = None

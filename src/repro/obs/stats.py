@@ -17,7 +17,6 @@ wall-clock), never from a sum of rows.
 
 from __future__ import annotations
 
-from collections import Counter as TallyCounter
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -33,10 +32,6 @@ class TelemetrySummary:
     path: str
     header: dict
     record_count: int = 0
-    event_count: int = 0
-    event_names: TallyCounter = field(default_factory=TallyCounter)
-    event_handler_s: float = 0.0
-    max_queue_depth: int = 0
     # The experiment spans, in start order once summarized.
     experiments: list[dict] = field(default_factory=list)
     shard_paths: list[str] = field(default_factory=list)
@@ -90,14 +85,7 @@ def _fold_stream(summary: TelemetrySummary, path: PathLike) -> None:
     for record in iter_telemetry(path):
         summary.record_count += 1
         kind = record.get("type")
-        if kind == "event":
-            summary.event_count += 1
-            summary.event_names[record.get("name") or "(unnamed)"] += 1
-            summary.event_handler_s += record.get("dur_us", 0.0) * 1e-6
-            depth = record.get("queue_depth", 0)
-            if depth > summary.max_queue_depth:
-                summary.max_queue_depth = depth
-        elif kind == "metrics":
+        if kind == "metrics":
             summary.final_metrics = record.get("metrics")
         elif kind == "span":
             summary.span_count += 1
@@ -113,12 +101,11 @@ def _fold_stream(summary: TelemetrySummary, path: PathLike) -> None:
             summary.heartbeat_count += 1
 
 
-def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
+def render_summary(summary: TelemetrySummary) -> str:
     """Human-readable report for one telemetry file."""
     lines = [
         f"telemetry file: {summary.path}",
-        f"  records: {summary.record_count} "
-        f"(spans {summary.span_count}, events {summary.event_count})",
+        f"  records: {summary.record_count} (spans {summary.span_count})",
     ]
     if summary.shard_paths:
         lines.append(
@@ -162,14 +149,6 @@ def render_summary(summary: TelemetrySummary, top: int = 10) -> str:
         lines.append(
             f"  peak RSS: {summary.peak_rss_kb / 1024:.0f} MB"
         )
-    if summary.event_count:
-        lines.append(
-            f"  event spans: {summary.event_handler_s * 1e3:.1f}ms handler "
-            f"time, max queue depth {summary.max_queue_depth}"
-        )
-        lines.append("  top event names:")
-        for name, count in summary.event_names.most_common(top):
-            lines.append(f"    {name:<20} {count}")
     if summary.final_metrics is not None:
         counters = summary.final_metrics.get("counters", {})
         nonzero = {k: v for k, v in counters.items() if v}

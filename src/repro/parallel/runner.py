@@ -198,9 +198,6 @@ def _emit_heartbeat(
         if r.span is not None
     )
     rate = packets / elapsed_s if elapsed_s > 0 else 0.0
-    if state.enabled:
-        state.metrics.gauge("progress.done").set(done)
-        state.metrics.gauge("progress.packets_per_s").set(rate)
     if state.sink is not None:
         _obs_runtime.emit_heartbeat(label or "run", done, total, packets, rate)
     else:

@@ -349,7 +349,6 @@ class TraceAnalysisServer:
 
     # -- telemetry -----------------------------------------------------
     async def _heartbeat_loop(self) -> None:
-        state = obs.STATE
         last_records = 0
         last_time = time.perf_counter()
         while True:
@@ -364,12 +363,6 @@ class TraceAnalysisServer:
                 (s.queue.qsize() for s in self._sessions.values()),
                 default=0,
             )
-            if state.enabled:
-                state.metrics.gauge("serve.sessions").set(
-                    len(self._sessions)
-                )
-                state.metrics.gauge("serve.packets_per_s").set(rate)
-                state.metrics.gauge("serve.queue_depth").set(depth)
             obs.emit_heartbeat(
                 "serve",
                 self._total_records,
@@ -434,7 +427,7 @@ class TraceAnalysisServer:
         if session_id in self._sessions:
             # Session ids are client-chosen and key the live-session
             # table; letting a second connection reuse a live id would
-            # clobber the first session's entry and gauges.
+            # clobber the first session's entry.
             await self._send_error(
                 writer, f"session id {session_id!r} is already active"
             )

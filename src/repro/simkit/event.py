@@ -24,9 +24,6 @@ class Event:
     action: Callable[[], Any]
     name: str = ""
     cancelled: bool = field(default=False, compare=False)
-    # Simulation time at which the event was scheduled; the tracer
-    # derives the scheduled-vs-fired queueing delay from it.
-    created: float = field(default=0.0, compare=False)
 
     def cancel(self) -> None:
         """Mark the event so the queue discards it instead of firing it."""

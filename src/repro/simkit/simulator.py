@@ -2,13 +2,9 @@
 
 from __future__ import annotations
 
-import warnings
-from time import perf_counter
 from typing import Any, Callable, Optional
 
 from repro.obs import runtime as _obs
-from repro.obs.events import EventTracer
-from repro.obs.metrics import Metrics
 from repro.simkit.event import Event, EventQueue
 from repro.simkit.rng import RngRegistry
 
@@ -25,34 +21,20 @@ class Simulator:
     :meth:`schedule_at`, and the experiment driver advances time with
     :meth:`run` or :meth:`run_until`.
 
-    Observability: the kernel mirrors its event accounting into the
-    active metrics registry (``sim.events_fired``, ``sim.queue_depth``,
-    ``sim.event_queued_s``, ``sim.event_handler_s``) and, when an event
-    tracer is attached, emits one telemetry record per fired event.
-    Both default to the process-wide state in :mod:`repro.obs.runtime`
-    and cost one branch per event when disabled.
+    Observability: each fired event increments the active registry's
+    ``sim.events_fired`` counter, whose handle is fetched once when the
+    simulator is built (the no-op ``NULL_COUNTER`` outside a session).
+    Time is attributed by the trace spans around a run, never per event.
     """
 
-    def __init__(
-        self,
-        seed: int = 0,
-        metrics: Optional[Metrics] = None,
-        tracer: Optional[EventTracer] = None,
-    ) -> None:
+    def __init__(self, seed: int = 0) -> None:
         self.now = 0.0
         self.queue = EventQueue()
         self.rng = RngRegistry(seed)
-        self.metrics = metrics if metrics is not None else _obs.STATE.metrics
-        self.tracer = tracer if tracer is not None else _obs.STATE.tracer
         self._fired = 0
         self._running = False
         self._stop_requested = False
-        # Instrument handles are fetched once; on a disabled registry
-        # they are shared no-ops.
-        self._fired_counter = self.metrics.counter("sim.events_fired")
-        self._queued_histogram = self.metrics.histogram("sim.event_queued_s")
-        self._handler_histogram = self.metrics.histogram("sim.event_handler_s")
-        self._depth_gauge = self.metrics.gauge("sim.queue_depth")
+        self._fired_counter = _obs.STATE.metrics.counter("sim.events_fired")
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -79,9 +61,7 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule into the past: now={self.now}, requested={time}"
             )
-        event = self.queue.push(time, action, priority, name)
-        event.created = self.now
-        return event
+        return self.queue.push(time, action, priority, name)
 
     def cancel(self, event: Event) -> None:
         """Cancel a scheduled event."""
@@ -97,27 +77,8 @@ class Simulator:
             return False
         self.now = event.time
         self._fired += 1
-        metrics = self.metrics
-        tracer = self.tracer
-        if tracer is None and not metrics.enabled:
-            event.action()
-            return True
-        start = perf_counter()
         event.action()
-        elapsed = perf_counter() - start
-        if metrics.enabled:
-            self._fired_counter.inc()
-            self._queued_histogram.record(event.time - event.created)
-            self._handler_histogram.record(elapsed)
-            self._depth_gauge.set(len(self.queue))
-        if tracer is not None:
-            tracer.event_fired(
-                name=event.name,
-                sim_time=event.time,
-                created_time=event.created,
-                duration_s=elapsed,
-                queue_depth=len(self.queue),
-            )
+        self._fired_counter.inc()
         return True
 
     def run(self, max_events: Optional[int] = None) -> int:
@@ -169,23 +130,7 @@ class Simulator:
     def events_fired(self) -> int:
         """Total events executed over the simulator's lifetime.
 
-        Also mirrored into the ``sim.events_fired`` counter of the
-        attached metrics registry when one is enabled.
+        Also added to the session's ``sim.events_fired`` counter when
+        one is enabled.
         """
-        return self._fired
-
-    @property
-    def _events_fired(self) -> int:
-        """Deprecated alias of :attr:`events_fired`.
-
-        The counter used to be a bare underscore attribute; external
-        readers should use the public property or the
-        ``sim.events_fired`` metric.
-        """
-        warnings.warn(
-            "Simulator._events_fired is deprecated; use the events_fired "
-            "property or the sim.events_fired metrics counter",
-            DeprecationWarning,
-            stacklevel=2,
-        )
         return self._fired

@@ -1,5 +1,9 @@
 """Signal statistics summaries and table rendering."""
 
+import math
+import statistics
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -58,6 +62,26 @@ class TestSummarize:
 
     def test_formatted(self):
         assert summarize([2, 4, 6]).formatted().startswith("2 4.00")
+
+    def test_register_column_equals_list(self):
+        values = [29, 3, 15, -4, 63, 0, 7, 7]
+        column = np.array(values, dtype=np.int16)
+        assert summarize(column) == summarize(values)
+        assert summarize(column[:0]) is None
+        assert type(summarize(column).minimum) is int
+
+    def test_exact_mean_and_population_deviation(self):
+        """Mean and deviation are exact-integer forms rounded once,
+        whatever the Python version's float ``sum``.  ``pvariance`` over
+        Fractions is exact on every supported Python; over ints it is
+        exact only since 3.11."""
+        rng = np.random.default_rng(1996)
+        for _ in range(200):
+            values = rng.integers(0, 64, size=int(rng.integers(1, 300))).tolist()
+            s = summarize(values)
+            assert s.mean == sum(values) / len(values)
+            exact = statistics.pvariance([Fraction(v) for v in values])
+            assert s.sd == math.sqrt(exact)
 
 
 class TestGrouping:

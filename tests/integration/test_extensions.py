@@ -3,6 +3,7 @@
 import pytest
 
 from repro.experiments import burst_ablation, cdma_extension, fec_eval, mac_ablation
+from repro.experiments.report import ReproductionReport
 
 
 class TestFecEval:
@@ -14,6 +15,7 @@ class TestFecEval:
         """The Section-6.2 claim, closed: 'trivial to correct using
         error coding'."""
         outcome = result.outcome("Tx5 attenuation", "4/5", interleaved=True)
+        assert outcome.packets > 0
         assert outcome.recovery_fraction == 1.0
 
     def test_redundancy_monotone_on_tx5(self, result):
@@ -32,6 +34,34 @@ class TestFecEval:
         tx5, ss = result.adaptive
         assert ss.mean_overhead > tx5.mean_overhead
         assert ss.rate_counts["1/2"] > ss.rate_counts["8/9"]
+
+
+class TestFecEvalReportLines:
+    """An empty X1 population is no data, never in band."""
+
+    @staticmethod
+    def _outcome(scenario, rate, packets, recovered):
+        return fec_eval.RateOutcome(
+            scenario=scenario, rate_name=rate, interleaved=True,
+            packets=packets, packets_recovered=recovered,
+            residual_bit_errors=0, overhead_fraction=0.25,
+        )
+
+    def test_empty_tx5_population_is_not_in_band(self, capsys):
+        result = fec_eval.FecEvalResult(outcomes=[
+            self._outcome("Tx5 attenuation", "4/5", 0, 0),
+            self._outcome("SS-phone handset", "1/2", 10, 9),
+        ])
+        assert result.outcomes[0].recovery_fraction is None
+        report = ReproductionReport()
+        fec_eval._report_lines(report, result, scale=0.05)
+        tx5, ss = report.lines
+        assert (tx5.measured, tx5.in_band) == ("no data (n=0)", False)
+        assert (ss.measured, ss.in_band) == ("90% recovered", True)
+        fec_eval._render(result, scale=0.05)
+        rows = capsys.readouterr().out.splitlines()
+        assert "|       n/a |" in rows[2]
+        assert "|     90.0% |" in rows[3]
 
 
 class TestBurstAblation:

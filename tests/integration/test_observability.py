@@ -141,6 +141,27 @@ class TestStatsCli:
         assert summary.experiment_rows() == [("table2", 0, 14071)]
 
 
+class TestDesTelemetry:
+    def test_des_run_writes_only_spans_and_metrics(self, tmp_path, capsys):
+        """A discrete-event run records no per-event stream: its events
+        are one counter, read off the experiment span by ``stats``."""
+        path = tmp_path / "mac.jsonl"
+        assert main(["mac", "--scale", "0.05", "--telemetry", str(path)]) == 0
+        _, records = obs.read_telemetry(path)
+        assert {r["type"] for r in records} == {"span", "metrics"}
+        (span,) = [r for r in records
+                   if r["type"] == "span" and r["name"] == "engine.mac"]
+        events = span["counters"]["sim.events_fired"]
+        assert events > 0
+        (metrics_record,) = [r for r in records if r["type"] == "metrics"]
+        assert list(metrics_record["metrics"]) == ["counters"]
+        capsys.readouterr()
+        assert main(["stats", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert f"events={events} " in out
+        assert f"{events} events fired" in out
+
+
 class TestSeedStabilityUnderObservation:
     def test_observation_does_not_change_results(self):
         """Instrumentation must be purely observational: the same seed

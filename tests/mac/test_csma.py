@@ -172,3 +172,39 @@ class TestCsmaCd:
         mac.enqueue(b"doomed")
         sim.run()
         assert dropped == [b"doomed"]
+
+
+class TestBackoffSlotsCounter:
+    """``mac.backoff_slots{protocol=...}`` counts every slot drawn."""
+
+    @pytest.mark.parametrize(
+        "variant, protocol",
+        [("csma_ca", "csma_ca"), ("csma_cd_wired", "csma_cd")],
+    )
+    def test_counter_equals_slots_drawn(self, monkeypatch, variant, protocol):
+        from repro import obs
+        from repro.experiments import mac_ablation
+
+        drawn = []
+        delay = BackoffPolicy.delay
+
+        def counted_delay(policy, attempt, rng):
+            seconds = delay(policy, attempt, rng)
+            slots = round(seconds / policy.slot_time_s)
+            assert seconds == slots * policy.slot_time_s
+            drawn.append(slots)
+            return seconds
+
+        monkeypatch.setattr(BackoffPolicy, "delay", counted_delay)
+        with obs.session() as state:
+            mac_ablation._run_variant(variant, scale=0.05, seed=83)
+            counters = state.metrics.counters_snapshot()
+        assert sum(drawn) > 0
+        assert counters[f"mac.backoff_slots{{protocol={protocol}}}"] == sum(drawn)
+        assert not [key for key in counters
+                    if key.startswith("mac.backoff_slots") and protocol not in key]
+        # One draw per collision that did not exhaust the frame.
+        assert len(drawn) == (
+            counters[f"mac.collisions{{protocol={protocol}}}"]
+            - counters.get("mac.drops{reason=backoff_exhausted}", 0)
+        )

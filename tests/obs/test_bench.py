@@ -1,4 +1,4 @@
-"""Benchmark history and the regression gate."""
+"""The benchmark regression gate."""
 
 from __future__ import annotations
 
@@ -9,9 +9,7 @@ import pytest
 from repro.obs.bench import (
     DEFAULT_TOLERANCE,
     TimingDelta,
-    append_history,
     diff_stages,
-    load_history,
     load_snapshot,
     main_diff,
     render_diff,
@@ -30,23 +28,6 @@ class TestSnapshots:
         path.write_text(json.dumps({"schema": 99, "stages": {}}))
         with pytest.raises(ValueError, match="schema"):
             load_snapshot(path)
-
-    def test_append_history_stamps_revision(self, tmp_path):
-        bench = _snapshot(tmp_path, "b.json",
-                          {"clean_trial": {"bulk_wall_s": 0.1}})
-        history = tmp_path / "hist" / "history.jsonl"
-        record = append_history(bench, history, git_rev="abc1234")
-        assert record["git_rev"] == "abc1234"
-        assert record["stages"]["clean_trial"]["bulk_wall_s"] == 0.1
-        loaded = load_history(history)
-        assert loaded == [record]
-
-    def test_history_appends_in_order(self, tmp_path):
-        bench = _snapshot(tmp_path, "b.json", {"s": {"bulk_wall_s": 0.1}})
-        history = tmp_path / "history.jsonl"
-        append_history(bench, history, git_rev="one")
-        append_history(bench, history, git_rev="two")
-        assert [r["git_rev"] for r in load_history(history)] == ["one", "two"]
 
 
 class TestDiff:
@@ -171,16 +152,6 @@ class TestGate:
         assert main(
             ["bench", "diff", baseline, current, "--tolerance", "5.0"]
         ) == 0
-
-    def test_cli_append(self, tmp_path, capsys):
-        from repro.__main__ import main
-
-        bench = _snapshot(tmp_path, "b.json", {"s": {"bulk_wall_s": 0.1}})
-        history = str(tmp_path / "history.jsonl")
-        assert main(
-            ["bench", "append", "--bench", bench, "--history", history]
-        ) == 0
-        assert len(load_history(history)) == 1
 
 
 class TestUnknownAndMalformedStages:

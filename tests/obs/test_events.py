@@ -1,4 +1,4 @@
-"""Telemetry sink round-trips and simulator event tracing."""
+"""Telemetry sink round-trips and what a simulator writes to it."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from repro import obs
 from repro.obs.events import (
-    EventTracer,
     JsonlTelemetrySink,
     TELEMETRY_FORMAT,
     TELEMETRY_KIND,
@@ -85,38 +84,31 @@ class TestReaderValidation:
             read_telemetry(path)
 
 
-class TestEventTracer:
-    def test_records_queueing_and_duration(self, tmp_path):
-        path = tmp_path / "run.jsonl"
-        with JsonlTelemetrySink(path) as sink:
-            tracer = EventTracer(sink)
-            tracer.event_fired("tick", sim_time=2.5, created_time=1.0,
-                               duration_s=0.25, queue_depth=3)
-        _, records = read_telemetry(path)
-        (record,) = records
-        assert record["type"] == "event"
-        assert record["name"] == "tick"
-        assert record["sim_t"] == 2.5
-        assert record["queued_s"] == 1.5
-        assert record["dur_us"] == pytest.approx(250_000)
-        assert record["queue_depth"] == 3
-
-
-
 class TestSimulatorTracing:
-    def test_simulator_emits_event_records(self, tmp_path):
+    def test_simulator_counts_events_without_records(self, tmp_path):
+        """A fired event is one counter increment: the telemetry holds
+        no per-event record, only the span's counter delta."""
         path = tmp_path / "run.jsonl"
         with obs.session(telemetry_path=str(path)):
-            sim = Simulator(seed=1)
-            sim.schedule(1.0, lambda: None, name="tick")
-            sim.schedule(2.0, lambda: None, name="tock")
-            sim.run()
+            with obs.trace_span("sim.run"):
+                sim = Simulator(seed=1)
+                sim.schedule(1.0, lambda: None, name="tick")
+                sim.schedule(2.0, lambda: None, name="tock")
+                sim.run()
         _, records = read_telemetry(path)
-        events = [r for r in records if r["type"] == "event"]
-        assert [e["name"] for e in events] == ["tick", "tock"]
-        assert events[0]["sim_t"] == 1.0
-        # Scheduled at t=0 and fired at t=1: one simulated second queued.
-        assert events[0]["queued_s"] == pytest.approx(1.0)
+        (span,) = records
+        assert span["type"] == "span"
+        assert span["counters"] == {"sim.events_fired": 2}
+
+    def test_counter_handle_is_taken_when_built(self):
+        """A simulator built outside a session holds the no-op counter,
+        even when it runs inside one."""
+        idle = Simulator(seed=1)
+        with obs.session() as state:
+            idle.schedule(1.0, lambda: None)
+            idle.run()
+            assert idle.events_fired == 1
+            assert state.metrics.counters_snapshot() == {}
 
     def test_simulator_metrics_when_enabled(self):
         with obs.session() as state:

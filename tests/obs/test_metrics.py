@@ -1,16 +1,12 @@
-"""Registry semantics: instruments, labels, snapshots, disabled no-ops."""
+"""Registry semantics: counters, labels, snapshots, disabled no-ops."""
 
 from __future__ import annotations
 
 import json
 
-import pytest
-
 from repro.obs.metrics import (
     Metrics,
     NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     render_snapshot,
     scoped_name,
 )
@@ -106,32 +102,6 @@ class TestLabelledHandleCache:
         assert json.dumps(exported, sort_keys=True) == snapshot
 
 
-class TestGauge:
-    def test_last_write_wins(self):
-        gauge = Metrics().gauge("sim.queue_depth")
-        gauge.set(7)
-        gauge.set(3)
-        assert gauge.value == 3
-
-
-class TestHistogram:
-    def test_running_moments(self):
-        histogram = Metrics().histogram("mac.backoff_slots")
-        for value in (1.0, 2.0, 3.0, 4.0):
-            histogram.record(value)
-        assert histogram.count == 4
-        assert histogram.total == 10.0
-        assert histogram.minimum == 1.0
-        assert histogram.maximum == 4.0
-        assert histogram.mean == pytest.approx(2.5)
-        assert histogram.stddev == pytest.approx(1.118, abs=1e-3)
-
-    def test_empty_summary(self):
-        summary = Metrics().histogram("h").summary()
-        assert summary["count"] == 0
-        assert summary["min"] is None
-
-
 class TestMergeableState:
     """export_state/merge_state: how worker registries fold into the
     parent's after a parallel run."""
@@ -145,43 +115,17 @@ class TestMergeableState:
         assert parent.counter("trace.packets_offered").value == 15
         assert parent.counter("link.drops", reason="missed").value == 2
 
-    def test_histogram_merge_is_exact(self):
-        parent, worker = Metrics(), Metrics()
-        for value in (1.0, 5.0):
-            parent.histogram("h").record(value)
-        for value in (2.0, 3.0, 10.0):
-            worker.histogram("h").record(value)
-        parent.merge_state(worker.export_state())
-        merged = parent.histogram("h")
-        reference = Metrics().histogram("h")
-        for value in (1.0, 5.0, 2.0, 3.0, 10.0):
-            reference.record(value)
-        assert merged.count == reference.count
-        assert merged.total == reference.total
-        assert merged.minimum == reference.minimum
-        assert merged.maximum == reference.maximum
-        assert merged.stddev == pytest.approx(reference.stddev)
-
     def test_empty_worker_state_is_noop(self):
         parent = Metrics()
         parent.counter("c").inc(3)
         parent.merge_state(Metrics().export_state())
-        assert parent.counter("c").value == 3
-        assert parent.histogram("h").count == 0
-
-    def test_gauges_last_write_wins(self):
-        parent, worker = Metrics(), Metrics()
-        parent.gauge("g").set(1)
-        worker.gauge("g").set(9)
-        parent.merge_state(worker.export_state())
-        assert parent.gauge("g").value == 9
+        assert parent.counters_snapshot() == {"c": 3}
 
     def test_state_is_pickle_friendly(self):
         import pickle
 
         worker = Metrics()
         worker.counter("c").inc()
-        worker.histogram("h").record(2.0)
         state = pickle.loads(pickle.dumps(worker.export_state()))
         parent = Metrics()
         parent.merge_state(state)
@@ -199,25 +143,18 @@ class TestDisabledRegistry:
     def test_hands_out_shared_null_instruments(self):
         metrics = Metrics(enabled=False)
         assert metrics.counter("x") is NULL_COUNTER
-        assert metrics.gauge("x") is NULL_GAUGE
-        assert metrics.histogram("x") is NULL_HISTOGRAM
+        assert metrics.counter("y", reason="z") is NULL_COUNTER
 
     def test_null_mutators_are_noops(self):
         metrics = Metrics(enabled=False)
         metrics.counter("x").inc(5)
-        metrics.gauge("x").set(5)
-        metrics.histogram("x").record(5)
+        NULL_COUNTER.inc()
         assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0.0
-        assert NULL_HISTOGRAM.count == 0
 
     def test_disabled_snapshot_empty(self):
         metrics = Metrics(enabled=False)
         metrics.counter("x").inc()
-        snapshot = metrics.snapshot()
-        assert snapshot["counters"] == {}
-        assert snapshot["histograms"] == {}
-        assert "timers" not in snapshot
+        assert metrics.snapshot() == {"counters": {}}
 
 
 class TestSnapshot:
@@ -225,12 +162,20 @@ class TestSnapshot:
         metrics = Metrics()
         metrics.counter("b").inc(2)
         metrics.counter("a").inc(1)
-        metrics.gauge("g").set(1.5)
-        metrics.histogram("h").record(2.0)
         snapshot = metrics.snapshot()
         json.dumps(snapshot)  # must not raise
         assert list(snapshot["counters"]) == ["a", "b"]
-        assert snapshot["histograms"]["h"]["count"] == 1
+
+    def test_snapshot_and_export_hold_only_counters(self):
+        """The counter is the registry's one instrument: the ``metrics``
+        record and a worker's exported state have no other section."""
+        metrics = Metrics()
+        metrics.counter("mac.backoff_slots", protocol="csma_ca").inc(3)
+        metrics.counter("sim.events_fired").inc()
+        assert metrics.snapshot() == {"counters": {
+            "mac.backoff_slots{protocol=csma_ca}": 3, "sim.events_fired": 1,
+        }}
+        assert list(metrics.export_state()) == ["counters"]
 
     def test_counters_snapshot_is_plain_dict(self):
         metrics = Metrics()
@@ -248,12 +193,13 @@ class TestRenderSnapshot:
     def test_mentions_each_section(self):
         metrics = Metrics()
         metrics.counter("phy.missed").inc(2)
-        metrics.gauge("sim.queue_depth").set(3)
-        metrics.histogram("mac.backoff_slots").record(1.0)
+        metrics.counter("mac.backoff_slots", protocol="csma_cd").inc(7)
         text = render_snapshot(metrics.snapshot())
-        assert "phy.missed" in text
-        assert "sim.queue_depth" in text
-        assert "mac.backoff_slots" in text
+        assert text.splitlines() == [
+            "counters:",
+            "  mac.backoff_slots{protocol=csma_cd}  7",
+            "  phy.missed                           2",
+        ]
 
     def test_empty_snapshot(self):
         assert "no metrics" in render_snapshot(Metrics().snapshot())

@@ -12,7 +12,6 @@ class TestDefaults:
     def test_disabled_by_default(self):
         assert runtime.STATE.enabled is False
         assert runtime.STATE.spans is None
-        assert runtime.STATE.tracer is None
         assert runtime.STATE.sink is None
         assert runtime.STATE.metrics.enabled is False
 
@@ -41,12 +40,11 @@ class TestConfigure:
         assert state.sink is None
         assert obs.trace_span("trace.trial") is NULL_TRACE_SPAN
 
-    def test_telemetry_path_opens_sink_and_tracer(self, tmp_path):
+    def test_telemetry_path_opens_sink(self, tmp_path):
         path = tmp_path / "run.jsonl"
         state = obs.configure(telemetry_path=str(path))
         assert state.sink is not None
-        assert state.tracer is not None
-        assert state.tracer.sink is state.sink
+        assert state.spans.sink is state.sink
         assert path.exists()  # header written eagerly
 
     def test_reconfigure_closes_previous_sink(self, tmp_path):

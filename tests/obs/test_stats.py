@@ -12,12 +12,6 @@ from repro.obs.stats import main, render_summary, summarize_telemetry
 def telemetry_file(tmp_path):
     path = tmp_path / "run.jsonl"
     with JsonlTelemetrySink(path) as sink:
-        sink.emit({"type": "event", "name": "mac.poll", "sim_t": 0.1,
-                   "queued_s": 0.1, "dur_us": 50.0, "queue_depth": 4})
-        sink.emit({"type": "event", "name": "mac.poll", "sim_t": 0.2,
-                   "queued_s": 0.1, "dur_us": 30.0, "queue_depth": 2})
-        sink.emit({"type": "event", "name": "tx.end", "sim_t": 0.3,
-                   "queued_s": 0.2, "dur_us": 20.0, "queue_depth": 1})
         sink.emit({"type": "span", "trace": "t", "span": "a", "parent": None,
                    "name": "engine.table2", "pid": 1, "start_unix": 0.0,
                    "attrs": {"kind": "experiment", "seed": 1996,
@@ -35,17 +29,28 @@ def telemetry_file(tmp_path):
 
 
 class TestSummarize:
-    def test_aggregates_events(self, telemetry_file):
-        summary = summarize_telemetry(telemetry_file)
-        assert summary.record_count == 5
+    def test_aggregates_events(self, tmp_path):
+        """Events fired are read off span counters.  A file from an
+        older writer may still hold per-event ``event`` records: they
+        count as records and add no events."""
+        path = tmp_path / "run.jsonl"
+        with JsonlTelemetrySink(path) as sink:
+            for name in ("mac.poll", "mac.poll", "tx.end"):
+                sink.emit({"type": "event", "name": name, "dur_us": 50.0})
+            sink.emit({"type": "span", "span": "a", "parent": None,
+                       "name": "engine.mac", "start_unix": 0.0,
+                       "attrs": {"kind": "experiment"}, "wall_s": 0.5,
+                       "peak_rss_kb": 0,
+                       "counters": {"sim.events_fired": 3}})
+        summary = summarize_telemetry(path)
+        assert summary.record_count == 4
         assert summary.span_count == 1
-        assert summary.event_count == 3
-        assert summary.event_names["mac.poll"] == 2
-        assert summary.event_handler_s == pytest.approx(100e-6)
-        assert summary.max_queue_depth == 4
+        assert summary.experiment_rows() == [("mac", 3, 0)]
+        assert not hasattr(summary, "event_count")
 
     def test_collects_experiment_spans_and_metrics(self, telemetry_file):
         summary = summarize_telemetry(telemetry_file)
+        assert summary.record_count == 2
         assert summary.experiment_rows() == [("table2", 3, 500)]
         assert summary.span_wall_s == pytest.approx(1.25)  # root span
         assert summary.peak_rss_kb == 4096
@@ -79,7 +84,7 @@ class TestRender:
         assert "table2" in text
         assert "wall=1.25s events=3 packets=500 seed=1996 scale=0.05" in text
         assert "1.25s wall-clock, 3 events fired, 500 packets offered" in text
-        assert "mac.poll" in text
+        assert "records: 2 (spans 1)" in text
         assert "phy.missed" in text
         # zero-valued counters are suppressed in the final section
         assert "zeroed" not in text

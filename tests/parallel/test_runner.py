@@ -121,6 +121,19 @@ class TestObservabilityMerge:
             t["counters"]["trace.packets_offered"] for t in tasks
         ) == serial_counters["trace.packets_offered"]
 
+    def test_mac_counters_equal_across_jobs(self):
+        """The DES experiment's counters merge exactly, the backoff
+        slots of both protocols included."""
+        counters = {}
+        for jobs in (1, 2):
+            with obs.session() as state:
+                engine.ENGINE.run("mac", scale=0.05, jobs=jobs)
+                counters[jobs] = state.metrics.counters_snapshot()
+        assert counters[2] == counters[1]
+        assert counters[1]["sim.events_fired"] > 0
+        for protocol in ("csma_ca", "csma_cd"):
+            assert counters[1][f"mac.backoff_slots{{protocol={protocol}}}"] > 0
+
     def test_rows_identical_across_jobs(self):
         serial = baseline.run(scale=0.01, seed=7, jobs=1)
         parallel = baseline.run(scale=0.01, seed=7, jobs=3)

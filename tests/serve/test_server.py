@@ -546,3 +546,35 @@ class TestTelemetry:
         roots, children = span_tree(spans)
         assert root in roots
         assert len(children.get(root["span"], [])) == 3
+
+    def test_heartbeats_carry_the_live_figures(self, spec, factory, tmp_path):
+        """The live session count, ingest rate and queue depth are
+        heartbeat fields; the registry holds counters only."""
+        from repro import obs
+        from repro.obs.events import read_telemetry
+
+        trace = _mixed_columnar(spec, factory, repeats=2)
+        telemetry = tmp_path / "serve.jsonl"
+        state = obs.configure(telemetry_path=str(telemetry), trace_label="test")
+        try:
+
+            async def work(server):
+                report = await run_loadgen(
+                    server.address, trace, sessions=2, chunk_records=4
+                )
+                await asyncio.sleep(0.05)  # at least one beat after ingest
+                return report
+
+            asyncio.run(_serve(ServeConfig(heartbeat_s=0.01), work))
+            counters = state.metrics.counters_snapshot()
+        finally:
+            obs.reset()
+        _, records = read_telemetry(telemetry)
+        beats = [r for r in records if r["type"] == "heartbeat"]
+        assert beats and all(b["label"] == "serve" for b in beats)
+        assert all({"sessions", "queue_depth", "packets_per_s"} <= set(b)
+                   for b in beats)
+        assert beats[-1]["done"] == 2 * trace.packets_received
+        assert counters["serve.records_ingested"] == 2 * trace.packets_received
+        assert not {"serve.sessions", "serve.queue_depth",
+                    "serve.packets_per_s"} & set(counters)

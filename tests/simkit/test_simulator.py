@@ -86,9 +86,3 @@ class TestRunLoops:
         sim.schedule(1.0, lambda: None)
         sim.run()
         assert sim.events_fired == 2
-
-    def test_underscore_events_fired_deprecated(self, sim):
-        sim.schedule(1.0, lambda: None)
-        sim.run()
-        with pytest.warns(DeprecationWarning, match="events_fired"):
-            assert sim._events_fired == 1
