@@ -488,7 +488,7 @@ def test_perf_trace_persist_v1_vs_v2(tmp_path):
 @pytest.mark.bench_smoke
 def test_perf_engine_dispatch_overhead():
     """The unified experiment engine against a hand-rolled loop over
-    the same worker functions with the same derived seeds.
+    the same trial runner with the same derived seeds.
 
     The engine's declarative layer (spec lookup, plan building, seed
     derivation, task wrapping, aggregation) must stay measurement
@@ -504,6 +504,7 @@ def test_perf_engine_dispatch_overhead():
     from repro.experiments import engine as experiment_engine
     from repro.experiments import walls
     from repro.experiments.engine import PlanContext
+    from repro.experiments.trials import TrialSpec, run_trial
     from repro.scenario.builtin import TABLE4_SCENARIOS
 
     scale, seed = 0.25, 64
@@ -511,12 +512,13 @@ def test_perf_engine_dispatch_overhead():
 
     def direct():
         values = [
-            walls._run_wall(
-                name,
-                packets,
+            run_trial(
+                TrialSpec(
+                    name, packets, scenario=scenario, reads=("metrics", "signal")
+                ),
                 experiment_engine.trial_seed(seed, "table4", name),
             )
-            for name in TABLE4_SCENARIOS
+            for name, scenario in TABLE4_SCENARIOS.items()
         ]
         return walls._aggregate(PlanContext(scale=scale, seed=seed), values)
 

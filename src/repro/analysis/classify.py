@@ -153,6 +153,26 @@ class ClassifiedTrace:
         counts = np.bincount(self.class_codes, minlength=len(CLASS_ORDER))
         return dict(zip(CLASS_ORDER, counts.tolist()))
 
+    @classmethod
+    def concat(
+        cls, parts: Sequence["ClassifiedTrace"], name: Optional[str] = None
+    ) -> "ClassifiedTrace":
+        """Join classified traces row-wise, as :meth:`ColumnarTrace.concat`
+        joins their traces: verdict columns concatenate, and each part's
+        syndrome keys shift by the rows before it.  Every verdict stays
+        the one its part's own classifier gave."""
+        syndromes: dict[int, ErrorSyndrome] = {}
+        offset = 0
+        for part in parts:
+            for row, syndrome in part.syndromes.items():
+                syndromes[offset + row] = syndrome
+            offset += len(part.class_codes)
+        return cls(
+            trace=ColumnarTrace.concat([part.trace for part in parts], name=name),
+            columns=_concat_columns([part.columns for part in parts]),
+            syndromes=syndromes,
+        )
+
 
 def _classify_outsider(data: bytes) -> PacketClass:
     """Damage heuristic for foreign packets: without ground truth, the
@@ -303,21 +323,7 @@ class IncrementalClassifier:
         :data:`CLASS_ORDER`; ``sequences`` holds -1 for "none"): cheap
         to pickle across a pool boundary or frame onto a wire.
         """
-        chunks = self._column_chunks
-        if len(chunks) == 1:
-            return dict(chunks[0])
-        if not chunks:
-            return {
-                "class_codes": np.zeros(0, dtype=np.uint8),
-                "sequences": np.zeros(0, dtype=np.int64),
-                "wrapper_damaged": np.zeros(0, dtype=bool),
-                "body_bits_damaged": np.zeros(0, dtype=np.int64),
-                "truncated_missing": np.zeros(0, dtype=np.int32),
-            }
-        return {
-            key: np.concatenate([chunk[key] for chunk in chunks])
-            for key in chunks[0]
-        }
+        return _concat_columns(self._column_chunks)
 
     def count_summary(self) -> dict[str, int]:
         """JSON-friendly per-class counts (zero-filled, conserved)."""
@@ -335,6 +341,25 @@ class IncrementalClassifier:
             columns=self.verdict_columns(),
             syndromes=dict(self.syndromes),
         )
+
+
+def _concat_columns(chunks: Sequence[dict]) -> dict:
+    """Verdict column chunks joined in order (zero chunks: empty
+    columns of the right dtypes)."""
+    if len(chunks) == 1:
+        return dict(chunks[0])
+    if not chunks:
+        return {
+            "class_codes": np.zeros(0, dtype=np.uint8),
+            "sequences": np.zeros(0, dtype=np.int64),
+            "wrapper_damaged": np.zeros(0, dtype=bool),
+            "body_bits_damaged": np.zeros(0, dtype=np.int64),
+            "truncated_missing": np.zeros(0, dtype=np.int32),
+        }
+    return {
+        key: np.concatenate([chunk[key] for chunk in chunks])
+        for key in chunks[0]
+    }
 
 
 def verdict_row_bytes(columns: dict) -> bytes:

@@ -10,14 +10,11 @@ environment.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.analysis.metrics import TrialMetrics, analyze_trial
+from repro.analysis.metrics import TrialMetrics
 from repro.analysis.tables import render_metrics_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.tracedir import trial_trace_path
-from repro.trace.persist import save_trace
-from repro.trace.trial import run_fast_trial
+from repro.experiments.trials import TrialSpec, trial_plan
 
 #: The registered topology all nine trials share.
 SCENARIO = "paper/office"
@@ -68,40 +65,8 @@ class BaselineResult:
         return max((r.packet_loss_percent for r in self.rows), default=0.0)
 
 
-def _run_trial(
-    name: str,
-    packets: int,
-    seed: int,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> TrialMetrics:
-    """One office trial, self-contained and picklable.
-
-    Compiles the (deterministic, RNG-free) registered scenario
-    in-process rather than shipping model objects to workers; every
-    random stream derives from ``seed``, so the row is identical on any
-    worker or inline.  ``trace_dir`` persists the raw trace
-    (capture-then-analyze-offline, like the paper's workflow) as
-    ``<dir>/<name>.wlt2`` columnar or ``<dir>/<name>.jsonl`` v1, per
-    ``trace_format``.
-    """
-    from repro.scenario.registry import REGISTRY
-
-    config = REGISTRY.compile(SCENARIO).trial_config(
-        name=name, packets=packets, seed=seed
-    )
-    output = run_fast_trial(config)
-    if trace_dir is not None:
-        save_trace(
-            output.trace,
-            trial_trace_path(trace_dir, name, trace_format),
-            format=trace_format,
-        )
-    return analyze_trial(output.trace)
-
-
 def _aggregate(ctx: PlanContext, values: list) -> BaselineResult:
-    return BaselineResult(rows=list(values))
+    return BaselineResult(rows=[outcome.metrics for outcome in values])
 
 
 def _render(result: BaselineResult, scale: float) -> None:
@@ -148,34 +113,18 @@ def _report_scale(scale: float) -> float:
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """The nine office trials as independent plans."""
     return [
-        TrialPlan(
-            name,
-            _run_trial,
-            {"name": name, "packets": max(1000, int(paper_count * ctx.scale))},
-            traceable=True,
-            scenario=SCENARIO,
-        )
+        trial_plan(name, TrialSpec(
+            name, max(1000, int(paper_count * ctx.scale)), scenario=SCENARIO
+        ))
         for name, paper_count in PAPER_TRIALS
     ]
 
 
-def run(
-    scale: float = 1.0,
-    seed: int = 1996,
-    jobs: int = 1,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> BaselineResult:
+def run(scale: float = 1.0, seed: int = 1996, jobs: int = 1) -> BaselineResult:
     """Run the nine office trials at ``scale`` times the paper's lengths.
 
     The trials are mutually independent, so ``jobs > 1`` fans them over
     a process pool (:mod:`repro.parallel`); rows come back in trial
-    order and are identical to a serial run.  ``trace_dir`` saves each
-    trial's raw trace there for offline analysis (workers write their
-    own shard files directly — nothing extra crosses the pool
-    boundary).
+    order and are identical to a serial run.
     """
-    return ENGINE.run(
-        "table2", scale=scale, seed=seed, jobs=jobs,
-        trace_dir=trace_dir, trace_format=trace_format,
-    )
+    return ENGINE.run("table2", scale=scale, seed=seed, jobs=jobs)

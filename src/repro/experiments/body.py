@@ -10,20 +10,12 @@ received packets — while the no-body control is error free.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.analysis.classify import ClassifiedTrace, classify_trace
-from repro.analysis.metrics import TrialMetrics, metrics_from_classified
-from repro.analysis.signalstats import (
-    SignalStats,
-    signal_stats_by_class,
-    stats_for_test_packets,
-)
+from repro.analysis.classify import ClassifiedTrace
+from repro.analysis.signalstats import SignalStats
 from repro.analysis.tables import render_metrics_table, render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.tracedir import trial_trace_path
-from repro.trace.persist import save_trace
-from repro.trace.trial import run_fast_trial
+from repro.experiments.trials import TrialSpec, TrialTable, trial_plan
 
 #: Trial name -> registered topology (with/without the person in the way).
 TRIAL_SCENARIOS = {"No body": "paper/no-body", "Body": "paper/body"}
@@ -35,66 +27,22 @@ PAPER_BODY_DAMAGED = 224  # of 1442 received
 
 
 @dataclass
-class BodyResult:
-    metrics_rows: list[TrialMetrics] = field(default_factory=list)
-    signal_rows: list[SignalStats] = field(default_factory=list)
+class BodyResult(TrialTable):
     body_breakdown: list[SignalStats] = field(default_factory=list)
     body_classified: ClassifiedTrace | None = None
-
-    def metrics(self, name: str) -> TrialMetrics:
-        for row in self.metrics_rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
-    def level_mean(self, name: str) -> float:
-        for row in self.signal_rows:
-            if row.group == name and row.level is not None:
-                return row.level.mean
-        raise KeyError(name)
 
     @property
     def body_cost_levels(self) -> float:
         return self.level_mean("No body") - self.level_mean("Body")
 
 
-def _run_trial(
-    name: str,
-    with_body: bool,
-    packets: int,
-    seed: int,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> tuple:
-    """One body trial, picklable; compiles the scenario in-process."""
-    from repro.scenario.registry import REGISTRY
-
-    config = REGISTRY.compile(TRIAL_SCENARIOS[name]).trial_config(
-        name=name, packets=packets, seed=seed
-    )
-    output = run_fast_trial(config)
-    if trace_dir is not None:
-        save_trace(
-            output.trace,
-            trial_trace_path(trace_dir, name, trace_format),
-            format=trace_format,
-        )
-    classified = classify_trace(output.trace)
-    return (
-        metrics_from_classified(classified),
-        stats_for_test_packets(name, classified),
-        classified if with_body else None,
-    )
-
-
 def _aggregate(ctx: PlanContext, values: list) -> BodyResult:
     result = BodyResult()
-    for metrics_row, signal_row, classified in values:
-        result.metrics_rows.append(metrics_row)
-        result.signal_rows.append(signal_row)
-        if classified is not None:
-            result.body_classified = classified
-            result.body_breakdown = signal_stats_by_class(classified)
+    for outcome in values:
+        result.add(outcome)
+        if outcome.classified is not None:
+            result.body_classified = outcome.classified
+            result.body_breakdown = outcome.breakdown
     return result
 
 
@@ -134,21 +82,14 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """The no-body control and the body trial."""
     packets = max(400, int(PAPER_PACKETS * ctx.scale))
     return [
-        TrialPlan(
-            name,
-            _run_trial,
-            {"name": name, "with_body": with_body, "packets": packets},
-            traceable=True,
-            scenario=TRIAL_SCENARIOS[name],
-        )
-        for name, with_body in [("No body", False), ("Body", True)]
+        trial_plan(name, TrialSpec(
+            name, packets, scenario=scenario,
+            reads=("metrics", "signal")
+            + (("breakdown", "classified") if name == "Body" else ()),
+        ))
+        for name, scenario in TRIAL_SCENARIOS.items()
     ]
 
 
-def run(scale: float = 1.0, seed: int = 63, jobs: int = 1,
-        trace_dir: Optional[str] = None,
-        trace_format: str = "v2") -> BodyResult:
-    return ENGINE.run(
-        "table8", scale=scale, seed=seed, jobs=jobs,
-        trace_dir=trace_dir, trace_format=trace_format,
-    )
+def run(scale: float = 1.0, seed: int = 63, jobs: int = 1) -> BodyResult:
+    return ENGINE.run("table8", scale=scale, seed=seed, jobs=jobs)

@@ -15,18 +15,13 @@ never defer).  Paper findings:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
 
-from repro.analysis.classify import classify_trace
-from repro.analysis.metrics import TrialMetrics, metrics_from_classified
-from repro.analysis.signalstats import SignalStats, stats_for_test_packets
+from repro.analysis.metrics import TrialMetrics
 from repro.analysis.tables import render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.tracedir import trial_trace_path
+from repro.experiments.trials import TrialSpec, TrialTable, trial_plan
 from repro.scenario.builtin import TABLE14_SCENARIOS
-from repro.trace.persist import save_trace
-from repro.trace.trial import run_fast_trial
 
 PAPER_PACKETS = 12_715
 MASKING_THRESHOLD = 25
@@ -34,75 +29,24 @@ DEFAULT_THRESHOLD = 3
 
 PAPER_SILENCE = {"Without interference": 3.35, "With interference": 13.62}
 
+#: The paper's first attempt, victim at the default threshold.
+UNMASKED = "Unmasked (threshold 3)"
+
 
 @dataclass
-class CompetingResult:
-    metrics_rows: list[TrialMetrics] = field(default_factory=list)
-    signal_rows: list[SignalStats] = field(default_factory=list)
+class CompetingResult(TrialTable):
     unusable_metrics: TrialMetrics | None = None
-
-    def metrics(self, name: str) -> TrialMetrics:
-        for row in self.metrics_rows:
-            if row.name == name:
-                return row
-        raise KeyError(name)
-
-    def silence_mean(self, name: str) -> float:
-        for row in self.signal_rows:
-            if row.group == name and row.silence is not None:
-                return row.silence.mean
-        raise KeyError(name)
-
-    def level_mean(self, name: str) -> float:
-        for row in self.signal_rows:
-            if row.group == name and row.level is not None:
-                return row.level.mean
-        raise KeyError(name)
-
-
-def _run_trial(
-    name: str,
-    packets: int,
-    seed: int,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> tuple[TrialMetrics, SignalStats]:
-    """One Table-14 trial, self-contained and picklable.
-
-    Each trial compiles its registered scenario in-process; the victim
-    threshold and the hostile transmitters' matched power levels are
-    declared in the scenario (``match_received_level`` inverts the
-    emitter model so the jammers land at the Table-6 levels).
-    """
-    from repro.scenario.registry import REGISTRY
-
-    config = REGISTRY.compile(TABLE14_SCENARIOS[name]).trial_config(
-        "Tx1", packets=packets, seed=seed, name=name
-    )
-    output = run_fast_trial(config)
-    if trace_dir is not None:
-        save_trace(
-            output.trace,
-            trial_trace_path(trace_dir, name, trace_format),
-            format=trace_format,
-        )
-    classified = classify_trace(output.trace)
-    return (
-        metrics_from_classified(classified),
-        stats_for_test_packets(name, classified),
-    )
 
 
 def _aggregate(ctx: PlanContext, values: list) -> CompetingResult:
     result = CompetingResult()
-    # Each value carries its trial name (the signal row's group), so a
-    # ``trials`` selection folds correctly.
-    for metrics, signal_row in values:
-        if signal_row.group == "Unmasked (threshold 3)":
-            result.unusable_metrics = metrics
+    # Each outcome carries its trial name, so a ``trials`` selection
+    # folds correctly.
+    for outcome in values:
+        if outcome.name == UNMASKED:
+            result.unusable_metrics = outcome.metrics
         else:
-            result.metrics_rows.append(metrics)
-            result.signal_rows.append(signal_row)
+            result.add(outcome)
     return result
 
 
@@ -164,15 +108,15 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
     if ctx.extra("include_unusable", True):
         # The paper's first attempt: victim at the default threshold 3,
         # the competition unmasked — "completely unusable".
-        setups.append(("Unmasked (threshold 3)", min(packets, 1_440)))
+        setups.append((UNMASKED, min(packets, 1_440)))
+    # The victim threshold and the hostile transmitters' matched power
+    # levels are declared in the scenarios; the victim link is Tx1.
+    # Only the masked pair's signal rows are tabulated.
     return [
-        TrialPlan(
-            name,
-            _run_trial,
-            {"name": name, "packets": count},
-            traceable=True,
-            scenario=TABLE14_SCENARIOS[name],
-        )
+        trial_plan(name, TrialSpec(
+            name, count, scenario=TABLE14_SCENARIOS[name], link="Tx1",
+            reads=("metrics",) if name == UNMASKED else ("metrics", "signal"),
+        ))
         for name, count in setups
     ]
 
@@ -182,8 +126,6 @@ def run(
     seed: int = 74,
     include_unusable: bool = True,
     jobs: int = 1,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
 ) -> CompetingResult:
     """Run the masked pair of Table-14 trials (plus the unmasked one).
 
@@ -192,6 +134,5 @@ def run(
     """
     return ENGINE.run(
         "table14", scale=scale, seed=seed, jobs=jobs,
-        trace_dir=trace_dir, trace_format=trace_format,
         extras={"include_unusable": include_unusable},
     )

@@ -16,18 +16,15 @@ are summarized per damage class.  Paper findings to preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.analysis.classify import ClassifiedTrace, PacketClass, classify_trace
+from repro.analysis.classify import ClassifiedTrace, PacketClass
 from repro.analysis.signalstats import SignalStats, signal_stats_by_class
 from repro.analysis.tables import render_signal_table
 from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.tracedir import trial_trace_path
-from repro.trace.columnar import ColumnarTrace
+from repro.experiments.trials import TrialSpec, trial_plan
 from repro.trace.outsiders import OutsiderTraffic
-from repro.trace.persist import save_trace
-from repro.trace.trial import TrialConfig, run_fast_trial
+from repro.trace.trial import TrialConfig
 
 # The aggregated trials: distances spanning strong to error-region, with
 # "slight variations of receiver position, orientation, and obstacles"
@@ -83,79 +80,27 @@ class ErrorVsLevelResult:
         raise KeyError(name)
 
 
-@dataclass
-class _Subtrial:
-    """One sub-trial's Figure-2 bin counts plus its raw trace."""
-
-    mean_level: int
-    sent: int
-    received: int
-    damaged: int
-    trace: ColumnarTrace
-
-
-def _run_subtrial(
-    distance: float,
-    index: int,
-    packets: int,
-    seed: int,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> _Subtrial:
-    """One lecture-hall sub-trial, picklable."""
-    from repro.scenario.registry import REGISTRY
-
-    propagation = REGISTRY.compile(SCENARIO).propagation()
-    config = TrialConfig(
-        name="distance-aggregate",
-        packets=packets,
-        seed=seed,
-        propagation=propagation,
-        tx_position=Point(float(distance), 0.35 * (index % 3 - 1)),
-        rx_position=Point(0.0, 0.0),
-        outsiders=OutsiderTraffic(
-            mean_level=4.6, level_sd=1.6, rate_per_test_packet=0.11
-        )
-        if index % 3 == 0
-        else None,
-    )
-    output = run_fast_trial(config)
-    if trace_dir is not None:
-        save_trace(
-            output.trace,
-            trial_trace_path(trace_dir, f"subtrial-{distance:g}ft", trace_format),
-            format=trace_format,
-        )
-    # Figure-2 bins use the *predicted* mean level of the sub-trial for
-    # the sent count and observed readings for received packets.
-    mean_level = int(round(config.resolved_mean_level()))
-    classified_sub = classify_trace(output.trace)
-    received = len(classified_sub.test_rows)
-    damaged = received - len(classified_sub.rows(PacketClass.UNDAMAGED))
-    return _Subtrial(
-        mean_level=mean_level,
-        sent=packets,
-        received=received,
-        damaged=damaged,
-        trace=output.trace,
-    )
-
-
-def _aggregate(ctx: PlanContext, values: list[_Subtrial]) -> ErrorVsLevelResult:
+def _aggregate(ctx: PlanContext, values: list) -> ErrorVsLevelResult:
     sent_by_level: dict[int, int] = {}
     received_by_level: dict[int, int] = {}
     damaged_by_level: dict[int, int] = {}
-    for sub in values:
-        level = sub.mean_level
-        sent_by_level[level] = sent_by_level.get(level, 0) + sub.sent
-        received_by_level[level] = (
-            received_by_level.get(level, 0) + sub.received
+    for outcome in values:
+        # Figure-2 bins use the *predicted* mean level of the sub-trial
+        # for the sent count and observed readings for received packets.
+        level = int(round(outcome.level))
+        classified = outcome.classified
+        received = len(classified.test_rows)
+        damaged = received - len(classified.rows(PacketClass.UNDAMAGED))
+        sent_by_level[level] = (
+            sent_by_level.get(level, 0) + classified.trace.packets_sent
         )
-        damaged_by_level[level] = damaged_by_level.get(level, 0) + sub.damaged
-    aggregate = ColumnarTrace.concat(
-        [sub.trace for sub in values], name="distance-aggregate"
+        received_by_level[level] = received_by_level.get(level, 0) + received
+        damaged_by_level[level] = damaged_by_level.get(level, 0) + damaged
+    # Table 3 aggregates the sub-trials' verdicts; each packet was
+    # classified once, against its own burst.
+    classified = ClassifiedTrace.concat(
+        [outcome.classified for outcome in values], name="distance-aggregate"
     )
-    classified = classify_trace(aggregate)
     result = ErrorVsLevelResult(classified=classified)
     result.table3 = signal_stats_by_class(classified)
     for level in sorted(sent_by_level):
@@ -213,22 +158,30 @@ def _report_lines(report, result: ErrorVsLevelResult, scale: float) -> None:
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per sub-trial distance."""
     packets = max(200, int(PACKETS_PER_SUBTRIAL * ctx.scale))
-    return [
-        TrialPlan(
-            f"subtrial-{distance:g}ft",
-            _run_subtrial,
-            {"distance": float(distance), "index": index, "packets": packets},
-            traceable=True,
-            scenario=SCENARIO,
+    plans = []
+    for index, distance in enumerate(SUBTRIAL_DISTANCES_FT):
+        label = f"subtrial-{distance:g}ft"
+        # Every sub-trial's config is named "distance-aggregate" (the
+        # name forks its RNG streams), so its file takes the label.
+        config = TrialConfig(
+            name="distance-aggregate",
+            packets=packets,
+            tx_position=Point(float(distance), 0.35 * (index % 3 - 1)),
+            rx_position=Point(0.0, 0.0),
+            outsiders=OutsiderTraffic(
+                mean_level=4.6, level_sd=1.6, rate_per_test_packet=0.11
+            )
+            if index % 3 == 0
+            else None,
         )
-        for index, distance in enumerate(SUBTRIAL_DISTANCES_FT)
-    ]
+        plans.append(trial_plan(label, TrialSpec(
+            scenario=SCENARIO,
+            config=config,
+            reads=("level", "classified"),
+            trace_name=label,
+        )))
+    return plans
 
 
-def run(scale: float = 1.0, seed: int = 52, jobs: int = 1,
-        trace_dir: Optional[str] = None,
-        trace_format: str = "v2") -> ErrorVsLevelResult:
-    return ENGINE.run(
-        "table3", scale=scale, seed=seed, jobs=jobs,
-        trace_dir=trace_dir, trace_format=trace_format,
-    )
+def run(scale: float = 1.0, seed: int = 52, jobs: int = 1) -> ErrorVsLevelResult:
+    return ENGINE.run("table3", scale=scale, seed=seed, jobs=jobs)

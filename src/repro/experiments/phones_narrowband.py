@@ -16,21 +16,12 @@ apart in a lecture hall.  Paper findings to preserve:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.analysis.classify import OUTSIDER_CLASSES, classify_trace
-from repro.analysis.metrics import TrialMetrics, metrics_from_classified
-from repro.analysis.signalstats import (
-    SignalStats,
-    stats_for_rows,
-    stats_for_test_packets,
-)
+from repro.analysis.signalstats import SignalStats
 from repro.analysis.tables import render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.tracedir import trial_trace_path
+from repro.experiments.trials import TrialSpec, TrialTable, trial_plan
 from repro.scenario.builtin import TABLE10_SCENARIOS
-from repro.trace.persist import save_trace
-from repro.trace.trial import run_fast_trial
 
 PAPER_PACKETS = 1_440
 
@@ -51,22 +42,8 @@ TRIALS = list(PAPER_SILENCE_MEANS)
 
 
 @dataclass
-class NarrowbandResult:
-    signal_rows: list[SignalStats] = field(default_factory=list)
+class NarrowbandResult(TrialTable):
     outsider_rows: list[SignalStats] = field(default_factory=list)
-    metrics_rows: list[TrialMetrics] = field(default_factory=list)
-
-    def silence_mean(self, trial: str) -> float:
-        for row in self.signal_rows:
-            if row.group == trial and row.silence is not None:
-                return row.silence.mean
-        raise KeyError(trial)
-
-    def metrics(self, trial: str) -> TrialMetrics:
-        for row in self.metrics_rows:
-            if row.name == trial:
-                return row
-        raise KeyError(trial)
 
     @property
     def total_damaged_test_packets(self) -> int:
@@ -76,44 +53,12 @@ class NarrowbandResult:
         )
 
 
-def _run_trial(
-    trial: str,
-    packets: int,
-    seed: int,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> tuple[TrialMetrics, SignalStats, SignalStats | None]:
-    """One Table-10 configuration, self-contained and picklable."""
-    from repro.scenario.registry import REGISTRY
-
-    config = REGISTRY.compile(TABLE10_SCENARIOS[trial]).trial_config(
-        name=trial, packets=packets, seed=seed
-    )
-    output = run_fast_trial(config)
-    if trace_dir is not None:
-        save_trace(
-            output.trace,
-            trial_trace_path(trace_dir, trial, trace_format),
-            format=trace_format,
-        )
-    classified = classify_trace(output.trace)
-    outsiders = classified.rows(*OUTSIDER_CLASSES)
-    return (
-        metrics_from_classified(classified),
-        stats_for_test_packets(trial, classified),
-        stats_for_rows(f"{trial} (outsiders)", classified.trace, outsiders)
-        if len(outsiders)
-        else None,
-    )
-
-
 def _aggregate(ctx: PlanContext, values: list) -> NarrowbandResult:
     result = NarrowbandResult()
-    for metrics, signal_row, outsider_row in values:
-        result.metrics_rows.append(metrics)
-        result.signal_rows.append(signal_row)
-        if outsider_row is not None:
-            result.outsider_rows.append(outsider_row)
+    for outcome in values:
+        result.add(outcome)
+        if outcome.outsiders is not None:
+            result.outsider_rows.append(outcome.outsiders)
     return result
 
 
@@ -164,26 +109,18 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per Table-10 phone configuration."""
     packets = max(400, int(PAPER_PACKETS * ctx.scale))
     return [
-        TrialPlan(
-            trial,
-            _run_trial,
-            {"trial": trial, "packets": packets},
-            traceable=True,
-            scenario=TABLE10_SCENARIOS[trial],
-        )
+        trial_plan(trial, TrialSpec(
+            trial, packets, scenario=TABLE10_SCENARIOS[trial],
+            reads=("metrics", "signal", "outsiders"),
+        ))
         for trial in TRIALS
     ]
 
 
-def run(scale: float = 1.0, seed: int = 710, jobs: int = 1,
-        trace_dir: Optional[str] = None,
-        trace_format: str = "v2") -> NarrowbandResult:
+def run(scale: float = 1.0, seed: int = 710, jobs: int = 1) -> NarrowbandResult:
     """Run the five Table-10 configurations.
 
     The trials are mutually independent, so ``jobs > 1`` fans them over
     a process pool; the assembled result is identical to a serial run.
     """
-    return ENGINE.run(
-        "table10", scale=scale, seed=seed, jobs=jobs,
-        trace_dir=trace_dir, trace_format=trace_format,
-    )
+    return ENGINE.run("table10", scale=scale, seed=seed, jobs=jobs)

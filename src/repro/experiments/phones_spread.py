@@ -16,22 +16,15 @@ in a conference room.  Paper findings to preserve (Table 11):
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.analysis.classify import ClassifiedTrace, classify_trace
-from repro.analysis.metrics import TrialMetrics, metrics_from_classified
-from repro.analysis.signalstats import (
-    SignalStats,
-    signal_stats_by_class,
-    stats_for_test_packets,
-)
+from repro.analysis.classify import ClassifiedTrace
+from repro.analysis.metrics import TrialMetrics
+from repro.analysis.signalstats import SignalStats
 from repro.analysis.tables import render_signal_table
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.tracedir import trial_trace_path
+from repro.experiments.trials import TrialSpec, TrialTable, trial_plan
 from repro.framing.testpacket import BODY_BITS
 from repro.scenario.builtin import TABLE11_SCENARIOS
-from repro.trace.persist import save_trace
-from repro.trace.trial import run_fast_trial
 
 PAPER_PACKETS = 1_440
 
@@ -64,12 +57,23 @@ class TrialSummary:
     body_percent: float
     worst_body_fraction: float
 
+    @classmethod
+    def from_metrics(cls, metrics: TrialMetrics) -> "TrialSummary":
+        """The Table-11 row of a trial's Table-1 row."""
+        received = max(1, metrics.packets_received)
+        return cls(
+            name=metrics.name,
+            loss_percent=metrics.packet_loss_percent,
+            truncated_percent=100.0 * metrics.packets_truncated / received,
+            wrapper_percent=100.0 * metrics.wrapper_damaged / received,
+            body_percent=100.0 * metrics.body_damaged_packets / received,
+            worst_body_fraction=(metrics.worst_body_bits or 0) / BODY_BITS,
+        )
+
 
 @dataclass
-class SpreadResult:
+class SpreadResult(TrialTable):
     summaries: list[TrialSummary] = field(default_factory=list)
-    signal_rows: list[SignalStats] = field(default_factory=list)
-    metrics_rows: list[TrialMetrics] = field(default_factory=list)
     classified: dict[str, ClassifiedTrace] = field(default_factory=dict)
     handset_breakdown: list[SignalStats] = field(default_factory=list)
 
@@ -79,88 +83,16 @@ class SpreadResult:
                 return row
         raise KeyError(trial)
 
-    def silence_mean(self, trial: str) -> float:
-        for row in self.signal_rows:
-            if row.group == trial and row.silence is not None:
-                return row.silence.mean
-        raise KeyError(trial)
-
-
-@dataclass
-class _TrialBundle:
-    """Everything one Table-11 trial contributes to the result.
-
-    ``classified`` is ``None`` when the caller asked to drop it.
-    """
-
-    trial: str
-    classified: Optional[ClassifiedTrace]
-    metrics: TrialMetrics
-    summary: TrialSummary
-    signal_row: SignalStats
-    handset_breakdown: list[SignalStats]
-
-
-def _run_trial(
-    trial: str,
-    packets: int,
-    seed: int,
-    keep_classified: bool = True,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> _TrialBundle:
-    """One Table-11 configuration, self-contained and picklable.
-
-    Compiles the registered scenario in-process; the bundle is
-    identical whether it runs inline or on a pool worker.
-    ``keep_classified=False`` drops the per-packet output entirely for
-    callers that only read the summary tables.
-    """
-    from repro.scenario.registry import REGISTRY
-
-    config = REGISTRY.compile(TABLE11_SCENARIOS[trial]).trial_config(
-        name=trial, packets=packets, seed=seed
-    )
-    output = run_fast_trial(config)
-    if trace_dir is not None:
-        save_trace(
-            output.trace,
-            trial_trace_path(trace_dir, trial, trace_format),
-            format=trace_format,
-        )
-    classified = classify_trace(output.trace)
-    metrics = metrics_from_classified(classified)
-    received = max(1, metrics.packets_received)
-    summary = TrialSummary(
-        name=trial,
-        loss_percent=metrics.packet_loss_percent,
-        truncated_percent=100.0 * metrics.packets_truncated / received,
-        wrapper_percent=100.0 * metrics.wrapper_damaged / received,
-        body_percent=100.0 * metrics.body_damaged_packets / received,
-        worst_body_fraction=(metrics.worst_body_bits or 0) / BODY_BITS,
-    )
-    return _TrialBundle(
-        trial=trial,
-        classified=classified if keep_classified else None,
-        metrics=metrics,
-        summary=summary,
-        signal_row=stats_for_test_packets(trial, classified),
-        handset_breakdown=(
-            signal_stats_by_class(classified) if trial == "AT&T handset" else []
-        ),
-    )
-
 
 def _aggregate(ctx: PlanContext, values: list) -> SpreadResult:
     result = SpreadResult()
-    for bundle in values:
-        if bundle.classified is not None:
-            result.classified[bundle.trial] = bundle.classified
-        result.metrics_rows.append(bundle.metrics)
-        result.summaries.append(bundle.summary)
-        result.signal_rows.append(bundle.signal_row)
-        if bundle.handset_breakdown:
-            result.handset_breakdown = bundle.handset_breakdown
+    for outcome in values:
+        if outcome.classified is not None:
+            result.classified[outcome.name] = outcome.classified
+        result.add(outcome)
+        result.summaries.append(TrialSummary.from_metrics(outcome.metrics))
+        if outcome.breakdown is not None:
+            result.handset_breakdown = outcome.breakdown
     return result
 
 
@@ -227,19 +159,15 @@ def _report_lines(report, result: SpreadResult, scale: float) -> None:
 def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per Table-11 phone configuration."""
     packets = max(400, int(PAPER_PACKETS * ctx.scale))
-    keep_classified = ctx.extra("keep_classified", True)
+    # ``keep_classified=False`` drops the per-packet output for callers
+    # that only read the summary tables.
+    kept = ("classified",) if ctx.extra("keep_classified", True) else ()
     return [
-        TrialPlan(
-            trial,
-            _run_trial,
-            {
-                "trial": trial,
-                "packets": packets,
-                "keep_classified": keep_classified,
-            },
-            traceable=True,
-            scenario=TABLE11_SCENARIOS[trial],
-        )
+        trial_plan(trial, TrialSpec(
+            trial, packets, scenario=TABLE11_SCENARIOS[trial],
+            reads=("metrics", "signal") + kept
+            + (("breakdown",) if trial == "AT&T handset" else ()),
+        ))
         for trial in TRIALS
     ]
 
@@ -249,8 +177,6 @@ def run(
     seed: int = 73,
     jobs: int = 1,
     keep_classified: bool = True,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
 ) -> SpreadResult:
     """Run the six Table-11 configurations.
 
@@ -263,6 +189,5 @@ def run(
     """
     return ENGINE.run(
         "table11", scale=scale, seed=seed, jobs=jobs,
-        trace_dir=trace_dir, trace_format=trace_format,
         extras={"keep_classified": keep_classified},
     )

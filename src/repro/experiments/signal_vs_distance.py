@@ -10,15 +10,12 @@ min/max observed per distance.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from repro.analysis.classify import classify_trace
-from repro.analysis.signalstats import stats_for_test_packets
+from repro.analysis.signalstats import SignalStats
 from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
-from repro.experiments.tracedir import trial_trace_path
-from repro.trace.persist import save_trace
-from repro.trace.trial import TrialConfig, run_fast_trial
+from repro.experiments.trials import TrialSpec, trial_plan
+from repro.trace.trial import TrialConfig
 
 # Transmitter distances in feet (0 = physical contact).
 DISTANCES_FT = [0, 2, 4, 6, 8, 10, 15, 20, 25, 30, 35, 40, 50, 60, 70, 80]
@@ -57,34 +54,13 @@ class PathLossResult:
         return neighbour_mean - at_dip[0].level_mean
 
 
-def _run_point(
-    distance: float,
-    packets: int,
-    seed: int,
-    trace_dir: Optional[str] = None,
-    trace_format: str = "v2",
-) -> DistancePoint:
-    """One distance step, picklable."""
-    from repro.scenario.registry import REGISTRY
+def _config_name(distance: float) -> str:
+    """The trial's config name ("d=0.0ft"): it forks the trial's RNG
+    streams and names its ``--save-traces`` file."""
+    return f"d={float(distance)}ft"
 
-    propagation = REGISTRY.compile("paper/lecture-hall").propagation()
-    config = TrialConfig(
-        name=f"d={distance}ft",
-        packets=packets,
-        seed=seed,
-        propagation=propagation,
-        tx_position=Point(float(distance), 0.0),
-        rx_position=Point(0.0, 0.0),
-    )
-    output = run_fast_trial(config)
-    if trace_dir is not None:
-        save_trace(
-            output.trace,
-            trial_trace_path(trace_dir, config.name, trace_format),
-            format=trace_format,
-        )
-    classified = classify_trace(output.trace)
-    stats = stats_for_test_packets(config.name, classified)
+
+def _point(distance: float, stats: SignalStats) -> DistancePoint:
     if stats.level is None:
         return DistancePoint(distance, 0, 0, 0.0, 0)
     return DistancePoint(
@@ -97,7 +73,10 @@ def _run_point(
 
 
 def _aggregate(ctx: PlanContext, values: list) -> PathLossResult:
-    return PathLossResult(points=list(values))
+    distances = {_config_name(d): float(d) for d in DISTANCES_FT}
+    return PathLossResult(
+        points=[_point(distances[o.name], o.signal) for o in values]
+    )
 
 
 def _render(result: PathLossResult, scale: float) -> None:
@@ -139,20 +118,19 @@ def _plans(ctx: PlanContext) -> list[TrialPlan]:
     """One plan per distance step."""
     packets = max(100, int(PACKETS_PER_POINT * ctx.scale))
     return [
-        TrialPlan(
-            f"d={distance}ft",
-            _run_point,
-            {"distance": float(distance), "packets": packets},
-            traceable=True,
-        )
+        trial_plan(f"d={distance}ft", TrialSpec(
+            scenario="paper/lecture-hall",
+            config=TrialConfig(
+                name=_config_name(distance),
+                packets=packets,
+                tx_position=Point(float(distance), 0.0),
+                rx_position=Point(0.0, 0.0),
+            ),
+            reads=("signal",),
+        ))
         for distance in DISTANCES_FT
     ]
 
 
-def run(scale: float = 1.0, seed: int = 51, jobs: int = 1,
-        trace_dir: Optional[str] = None,
-        trace_format: str = "v2") -> PathLossResult:
-    return ENGINE.run(
-        "figure1", scale=scale, seed=seed, jobs=jobs,
-        trace_dir=trace_dir, trace_format=trace_format,
-    )
+def run(scale: float = 1.0, seed: int = 51, jobs: int = 1) -> PathLossResult:
+    return ENGINE.run("figure1", scale=scale, seed=seed, jobs=jobs)

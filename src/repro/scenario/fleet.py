@@ -18,18 +18,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.analysis.classify import classify_trace
-from repro.analysis.metrics import metrics_from_classified
+from repro.analysis.metrics import TrialMetrics
 from repro.experiments.engine import (
     ENGINE,
     ExperimentSpec,
     PlanContext,
     TrialPlan,
 )
+from repro.experiments.trials import TrialSpec, trial_plan
 from repro.framing.testpacket import BODY_BITS
-from repro.scenario.compiler import compile_scenario
+from repro.scenario.compiler import CompiledLink, compile_scenario
 from repro.scenario.spec import ScenarioSpec
-from repro.trace.trial import run_fast_trial
 
 FLEET_EXPERIMENT = "scenario-fleet"
 DEFAULT_FLEET_SEED = 1996
@@ -70,26 +69,10 @@ class FleetResult:
         )
 
 
-def _run_link(
-    spec_dict: dict, link: str, packets: int, seed: int
+def _link_row(
+    scenario: str, link: CompiledLink, metrics: TrialMetrics
 ) -> LinkRow:
-    """One fleet link, self-contained and picklable.
-
-    Rebuilds (and re-validates) the scenario from its dict form, runs
-    the compiled trial, and classifies in-worker — only the summary row
-    returns to the parent.
-    """
-    spec = ScenarioSpec.from_dict(spec_dict)
-    compiled = compile_scenario(spec)
-    resolved = compiled.link(link)
-    config = compiled.trial_config(
-        resolved,
-        packets=packets,
-        seed=seed,
-        name=f"{spec.name}:{link}",
-    )
-    output = run_fast_trial(config)
-    metrics = metrics_from_classified(classify_trace(output.trace))
+    """One fleet link's goodput-table row, from its Table-1 row."""
     received = metrics.packets_received
     damaged = (
         metrics.packets_truncated
@@ -98,22 +81,20 @@ def _run_link(
     )
     denominator = max(1, received)
     return LinkRow(
-        scenario=spec.name,
-        link=resolved.name,
-        distance_ft=resolved.distance_ft,
-        predicted_level=resolved.predicted_level,
-        packets_sent=packets,
+        scenario=scenario,
+        link=link.name,
+        distance_ft=link.distance_ft,
+        predicted_level=link.predicted_level,
+        packets_sent=metrics.packets_sent,
         packets_received=received,
         loss_percent=metrics.packet_loss_percent,
         truncated_percent=100.0 * metrics.packets_truncated / denominator,
         body_damaged_percent=100.0 * metrics.body_damaged_packets / denominator,
         worst_body_fraction=(metrics.worst_body_bits or 0) / BODY_BITS,
-        goodput_percent=100.0 * max(0, received - damaged) / max(1, packets),
+        goodput_percent=100.0
+        * max(0, received - damaged)
+        / max(1, metrics.packets_sent),
     )
-
-
-def _aggregate(ctx: PlanContext, values: list) -> FleetResult:
-    return FleetResult(rows=[row for row in values if row is not None])
 
 
 def fleet_experiment(
@@ -129,34 +110,39 @@ def fleet_experiment(
     fleet member is present in the scenario registry.
     """
     specs = [spec.validate() for spec in fleet]
+    # Trial name -> (scenario, compiled link), filled as plans are built.
+    links: dict[str, tuple[str, CompiledLink]] = {}
 
     def build_plans(ctx: PlanContext) -> list[TrialPlan]:
         plans: list[TrialPlan] = []
         for spec in specs:
             compiled = compile_scenario(spec)
+            # The member travels as a dict and compiles in the worker: a
+            # spawned worker's registry lacks generated members.
             spec_dict = spec.to_dict()
+            count = packets if packets is not None else spec.traffic.packets
             for link in compiled.links:
-                count = packets if packets is not None else spec.traffic.packets
-                plans.append(
-                    TrialPlan(
-                        f"{spec.name}:{link.name}",
-                        _run_link,
-                        {
-                            "spec_dict": spec_dict,
-                            "link": link.name,
-                            "packets": max(1, int(count * ctx.scale)),
-                        },
-                        scenario=spec.name,
-                    )
-                )
+                label = f"{spec.name}:{link.name}"
+                links[label] = (spec.name, link)
+                plans.append(trial_plan(label, TrialSpec(
+                    label,
+                    max(1, int(count * ctx.scale)),
+                    scenario_dict=spec_dict,
+                    link=link.name,
+                )))
         return plans
+
+    def aggregate(ctx: PlanContext, values: list) -> FleetResult:
+        return FleetResult(
+            rows=[_link_row(*links[o.name], o.metrics) for o in values]
+        )
 
     return ExperimentSpec(
         name=name,
         artifact="scenario fleet",
         description=f"{len(specs)} scenario(s) through the engine",
         build_plans=build_plans,
-        aggregate=_aggregate,
+        aggregate=aggregate,
         default_seed=DEFAULT_FLEET_SEED,
     )
 

@@ -12,8 +12,8 @@ Three pillars:
   root seed across all experiments sound.
 * **Golden equivalence** — the engine's plumbing (plan -> task -> seed
   injection -> aggregation) is behaviour-neutral: running through
-  ``ExperimentEngine`` equals a hand-rolled loop over the module's
-  worker function with the same derived seeds.
+  ``ExperimentEngine`` equals a hand-rolled loop over the trial runner
+  with the same derived seeds.
 """
 
 import pkgutil
@@ -31,11 +31,13 @@ from repro.experiments.engine import (
     experiment,
 )
 from repro.experiments.report import report_specs
+from repro.experiments.trials import TrialSpec, run_trial
+from repro.scenario.builtin import TABLE4_SCENARIOS, TABLE11_SCENARIOS
 from repro.simkit.rng import spawn_seed
 from tests.integration.test_fec_replay import ADAPTIVE_GOLDEN, FEC_GOLDEN
 
 # Package modules that are infrastructure, not experiments.
-NON_EXPERIMENT_MODULES = {"engine", "report", "tracedir"}
+NON_EXPERIMENT_MODULES = {"engine", "report", "trials"}
 
 
 class TestRegistry:
@@ -181,35 +183,39 @@ class TestSeedStreams:
 
 
 class TestGoldenEquivalence:
-    """Engine runs equal hand-rolled loops over the worker functions."""
+    """Engine runs equal hand-rolled loops over the trial runner."""
 
     def test_baseline_rows_match_hand_rolled_loop(self):
         scale, seed = 0.01, 1996
         result = baseline.run(scale=scale, seed=seed)
         expected = [
-            baseline._run_trial(
-                name,
-                max(1000, int(paper_count * scale)),
+            run_trial(
+                TrialSpec(
+                    name,
+                    max(1000, int(paper_count * scale)),
+                    scenario=baseline.SCENARIO,
+                ),
                 engine.trial_seed(seed, "table2", name),
-            )
+            ).metrics
             for name, paper_count in baseline.PAPER_TRIALS
         ]
         assert result.rows == expected
 
     def test_walls_rows_match_hand_rolled_loop(self):
-        from repro.scenario.builtin import TABLE4_SCENARIOS
-
         scale, seed = 0.05, 64
         result = walls.run(scale=scale, seed=seed)
         packets = max(500, int(walls.PAPER_PACKETS * scale))
         expected = [
-            walls._run_wall(
-                name, packets, engine.trial_seed(seed, "table4", name)
+            run_trial(
+                TrialSpec(
+                    name, packets, scenario=scenario, reads=("metrics", "signal")
+                ),
+                engine.trial_seed(seed, "table4", name),
             )
-            for name in TABLE4_SCENARIOS
+            for name, scenario in TABLE4_SCENARIOS.items()
         ]
-        assert result.metrics_rows == [m for m, _ in expected]
-        assert result.signal_rows == [s for _, s in expected]
+        assert result.metrics_rows == [o.metrics for o in expected]
+        assert result.signal_rows == [o.signal for o in expected]
 
     def test_phones_spread_match_hand_rolled_loop(self):
         scale, seed = 0.1, 73
@@ -219,17 +225,22 @@ class TestGoldenEquivalence:
         )
         packets = max(400, int(phones_spread.PAPER_PACKETS * scale))
         expected = [
-            phones_spread._run_trial(
-                trial,
-                packets,
+            run_trial(
+                TrialSpec(
+                    trial,
+                    packets,
+                    scenario=TABLE11_SCENARIOS[trial],
+                    reads=("metrics", "signal"),
+                ),
                 engine.trial_seed(seed, "table11", trial),
-                keep_classified=False,
             )
             for trial in phones_spread.TRIALS
         ]
-        assert result.summaries == [b.summary for b in expected]
-        assert result.metrics_rows == [b.metrics for b in expected]
-        assert result.signal_rows == [b.signal_row for b in expected]
+        assert result.summaries == [
+            phones_spread.TrialSummary.from_metrics(o.metrics) for o in expected
+        ]
+        assert result.metrics_rows == [o.metrics for o in expected]
+        assert result.signal_rows == [o.signal for o in expected]
         assert result.classified == {}  # keep_classified=False dropped them
 
 

@@ -4,14 +4,19 @@
 format, at ``jobs=1`` or ``jobs=2``, each trial lands in one file named
 after it; the file reloads to the trial the run analyzed, the two
 formats load to the same columns, and pool workers write the bytes the
-serial run writes.
+serial run writes.  Every traceable experiment writes one file per
+plan.
 """
 
 import numpy as np
 import pytest
 
 from repro.analysis.metrics import analyze_trial
-from repro.experiments.engine import ENGINE
+from repro.experiments import engine
+from repro.experiments.engine import ENGINE, PlanContext
+from repro.experiments.error_vs_level import SUBTRIAL_DISTANCES_FT
+from repro.experiments.signal_vs_distance import DISTANCES_FT
+from repro.experiments.threshold import THRESHOLD_SWEEP
 from repro.trace.persist import load_trace
 
 SUFFIX = {"v2": ".wlt2", "v1": ".jsonl"}
@@ -78,3 +83,24 @@ def test_pooled_files_equal_serial(runs, fmt):
     for trial in SLUGS:
         serial = _path(runs, fmt, 1, trial).read_bytes()
         assert _path(runs, fmt, 2, trial).read_bytes() == serial
+
+
+#: Where the file name is not the plan label: figure1 and figure3 name
+#: files after the trial's config name, and table3, whose sub-trials
+#: share one config name, after the label.
+PINNED_FILES = {
+    "figure1": [f"d_{d}_0ft.wlt2" for d in DISTANCES_FT],
+    "figure3": [f"threshold_{t}.wlt2" for t in THRESHOLD_SWEEP],
+    "table3": [f"subtrial_{d}ft.wlt2" for d in SUBTRIAL_DISTANCES_FT],
+}
+
+
+@pytest.mark.parametrize("name", engine.traceable_names())
+def test_every_traceable_experiment_writes_one_file_per_plan(tmp_path, name):
+    scale, seed = 0.001, 3
+    ENGINE.run(name, scale=scale, seed=seed, trace_dir=str(tmp_path))
+    plans = engine.get(name).build_plans(PlanContext(scale=scale, seed=seed))
+    files = sorted(path.name for path in tmp_path.iterdir())
+    assert len(files) == sum(plan.traceable for plan in plans)
+    if name in PINNED_FILES:
+        assert files == sorted(PINNED_FILES[name])
