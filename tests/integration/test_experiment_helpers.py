@@ -2,8 +2,12 @@
 
 import pytest
 
+from repro.analysis.metrics import TrialMetrics
+from repro.analysis.signalstats import MetricSummary, SignalStats
+from repro.experiments import multiroom
 from repro.experiments.diversity_ablation import DiversityPoint, DiversityResult
 from repro.experiments.error_vs_level import LevelBin
+from repro.experiments.report import ReproductionReport
 from repro.experiments.signal_vs_distance import DistancePoint, PathLossResult
 from repro.experiments.throughput import OFFERED_RATE_BPS, ThroughputPoint, ThroughputResult
 from repro.experiments.tcp_over_wavelan import TransferOutcome
@@ -19,6 +23,29 @@ class TestLevelBin:
         bin_ = LevelBin(level=7, sent=0, received=0, damaged=0)
         assert bin_.loss_fraction == 0.0
         assert bin_.damage_fraction == 0.0
+
+
+class TestMultiroomReportLines:
+    def test_tx5_damage_counts_per_1440_packets_sent(self):
+        """5 damaged of 400 sent reads 18.0 per 1,440 at any scale."""
+        tx5 = TrialMetrics(
+            name="Tx5", packets_sent=400, packets_received=398,
+            packets_truncated=0, body_bits_received=398 * 8192,
+            wrapper_damaged=0, body_damaged_packets=5, body_bits_damaged=12,
+            worst_body_bits=4, outsiders_received=0,
+        )
+        level = MetricSummary(minimum=7, mean=9.5, sd=1.0, maximum=12, count=398)
+        result = multiroom.MultiroomResult(
+            metrics_rows=[tx5],
+            signal_rows=[SignalStats("Tx5", 398, level, None, None)],
+        )
+        for scale in (0.05, 1.0):
+            report = ReproductionReport()
+            multiroom._report_lines(report, result, scale)
+            line = report.lines[1]
+            assert line.quantity == "Tx5 damaged packets / 1440"
+            assert line.measured == "18.0 (5 of 400 sent)"
+            assert line.in_band
 
 
 class TestPathLossHelpers:

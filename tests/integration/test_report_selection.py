@@ -50,7 +50,7 @@ def test_selection_keeps_every_line(name):
 
 #: ``build_report(scale=0.05)`` comparison-table digests (sha256, first
 #: 16 hex digits of ``table_markdown()``).
-REPORT_DIGESTS = {1996: "cf1458e03d67f61f", 4: "c5d3513b4c71aa15"}
+REPORT_DIGESTS = {1996: "51373359680dc980", 4: "5e4eff0379bd792c"}
 
 #: The resource footer's ``(experiment, events fired, packets offered)``
 #: for seed 4 at scale 0.05, read off each experiment's task span.
