@@ -14,7 +14,10 @@ gate: the bulk paths must never fall behind their scalar references.
 """
 
 import json
+import os
 import statistics
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -723,6 +726,67 @@ def test_perf_obs_tax():
         },
     )
     assert results[observed] == results[plain]
+
+
+#: The set-up of each command path measured by ``startup``.
+STARTUP_PATHS = {
+    "report_setup": (
+        "from repro.experiments import engine, report\n"
+        "engine.load_all()\n"
+    ),
+    "serve_setup": (
+        "from repro.__main__ import _build_parser\n"
+        "_build_parser(['serve'])\n"
+        "import repro.serve.server\n"
+    ),
+}
+
+#: Times ``sys.argv[1]`` from a fresh interpreter's first line of code;
+#: prints the wall and how many ``repro`` modules it loaded.
+STARTUP_PROBE = """
+import json, sys, time
+start = time.perf_counter()
+exec(sys.argv[1], {})
+wall = time.perf_counter() - start
+loaded = [n for n in sys.modules if n == "repro" or n.startswith("repro.")]
+print(json.dumps([wall, len(loaded)]))
+"""
+
+
+@pytest.mark.bench_smoke
+def test_perf_startup():
+    """What a command costs before it runs, in fresh interpreters.
+
+    ``report_setup`` is the report's set-up (the imports and the
+    experiment registry); ``serve_setup`` is what ``python -m repro
+    serve`` imports before it listens.  Each wall is the median of
+    five alternating runs and includes compiling any module that has no
+    cached bytecode; numpy's import, about 0.12-0.15 s, is the floor
+    of both.  Not in ``benchmarks/baseline.json``: reported, never
+    gated.
+    """
+    env = dict(os.environ, PYTHONPATH=str(BENCH_JSON.parent / "src"))
+    walls: dict = {path: [] for path in STARTUP_PATHS}
+    modules: dict = {}
+    for _ in range(5):
+        for path, code in STARTUP_PATHS.items():
+            out = subprocess.run(
+                [sys.executable, "-c", STARTUP_PROBE, code],
+                capture_output=True, text=True, env=env, check=True,
+            ).stdout
+            wall, modules[path] = json.loads(out)
+            walls[path].append(wall)
+    _record_stage(
+        "startup",
+        {
+            **{
+                f"{path}_wall_s": round(statistics.median(times), 4)
+                for path, times in walls.items()
+            },
+            **{f"{path}_modules": count for path, count in modules.items()},
+        },
+    )
+    assert modules["serve_setup"] < modules["report_setup"]
 
 
 @pytest.mark.bench_smoke

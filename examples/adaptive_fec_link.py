@@ -16,7 +16,7 @@ import numpy as np
 
 from repro import TrialConfig, run_fast_trial
 from repro.analysis.classify import PacketClass, classify_trace
-from repro.environment import Point
+from repro.environment.geometry import Point
 from repro.environment.propagation import PropagationModel
 from repro.fec.adaptive import AdaptiveFecController
 from repro.fec.interleave import BlockInterleaver

@@ -13,15 +13,13 @@ Run:  python examples/interference_survey.py
 
 from repro import TrialConfig, analyze_trial, classify_trace, run_fast_trial
 from repro.analysis.signalstats import stats_for_test_packets
-from repro.environment import Point, PropagationModel
+from repro.environment.geometry import Point
+from repro.environment.propagation import PropagationModel
 from repro.phy.modem import ModemConfig
-from repro.interference import (
-    AmateurRadioTransmitter,
-    CompetingWaveLanTransmitter,
-    MicrowaveOven,
-    NarrowbandPhonePair,
-    SpreadSpectrumPhonePair,
-)
+from repro.interference.frontend import AmateurRadioTransmitter, MicrowaveOven
+from repro.interference.narrowband import NarrowbandPhonePair
+from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
+from repro.interference.wavelan import CompetingWaveLanTransmitter
 
 TX = Point(20.0, 0.0)
 RX = Point(0.0, 0.0)

@@ -20,7 +20,9 @@ from pathlib import Path
 import numpy as np
 
 from repro import TrialConfig, run_fast_trial
-from repro.analysis import analyze_trial, burst_statistics, classify_trace
+from repro.analysis.burststats import burst_statistics
+from repro.analysis.classify import classify_trace
+from repro.analysis.metrics import analyze_trial
 from repro.analysis.tables import render_metrics_table
 from repro.fec.interleave import BlockInterleaver
 from repro.fec.rcpc import RATE_ORDER, RcpcCodec

@@ -17,13 +17,10 @@ Run:  python examples/pseudo_cell_planning.py
 """
 
 from repro import TrialConfig, analyze_trial, run_fast_trial
-from repro.environment import (
-    CONCRETE_BLOCK_WALL,
-    FloorPlan,
-    Point,
-    PropagationModel,
-    Wall,
-)
+from repro.environment.floorplan import FloorPlan, Wall
+from repro.environment.geometry import Point
+from repro.environment.materials import CONCRETE_BLOCK_WALL
+from repro.environment.propagation import PropagationModel
 from repro.phy.modem import ModemConfig
 
 CELL_A_STATION = Point(0.0, 0.0)

@@ -15,7 +15,8 @@ Run:  python examples/quickstart.py
 from repro import TrialConfig, analyze_trial, classify_trace, run_fast_trial
 from repro.analysis.signalstats import signal_stats_by_class
 from repro.analysis.tables import render_metrics_table, render_signal_table
-from repro.environment import Point, PropagationModel
+from repro.environment.geometry import Point
+from repro.environment.propagation import PropagationModel
 
 
 def main() -> None:

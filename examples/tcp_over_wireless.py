@@ -14,7 +14,9 @@ registers would have told you in advance.
 Run:  python examples/tcp_over_wireless.py
 """
 
-from repro.transport import LinkConfig, run_snoop_transfer, run_transfer
+from repro.transport.link import LinkConfig
+from repro.transport.snoop import run_snoop_transfer
+from repro.transport.tcp import run_transfer
 
 FILE_SEGMENTS = 200  # 200 KB at 1 KB per segment
 

@@ -36,42 +36,52 @@ Layer map (bottom-up):
   Table-1 metrics, signal statistics.
 * :mod:`repro.fec` — the Section-8 variable-FEC proposal, implemented.
 * :mod:`repro.experiments` — one module per paper table/figure.
+
+The quick-start names are imported on first use, so ``import repro``
+loads none of the layers, and each ``python -m repro`` command loads
+only what it runs.  The subpackages re-export nothing: import from the
+defining module, e.g. ``from repro.environment.geometry import Point``.
 """
 
-from repro.analysis import analyze_trial, classify_trace, signal_stats_by_class
-from repro.analysis.metrics import TrialMetrics
-from repro.environment import FloorPlan, Point, PropagationModel, Wall
-from repro.fec import AdaptiveFecController, ConvolutionalCode, RcpcCodec
-from repro.framing import TestPacketFactory, TestPacketSpec
-from repro.link import LinkStation, RadioChannel
-from repro.phy import ModemConfig, WaveLanErrorModel, WaveLanModem
-from repro.simkit import Simulator
-from repro.trace import TrialConfig, run_fast_trial, run_mac_trial
+import importlib
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AdaptiveFecController",
-    "ConvolutionalCode",
-    "FloorPlan",
-    "LinkStation",
-    "ModemConfig",
-    "Point",
-    "PropagationModel",
-    "RadioChannel",
-    "RcpcCodec",
-    "Simulator",
-    "TestPacketFactory",
-    "TestPacketSpec",
-    "TrialConfig",
-    "TrialMetrics",
-    "Wall",
-    "WaveLanErrorModel",
-    "WaveLanModem",
-    "analyze_trial",
-    "classify_trace",
-    "run_fast_trial",
-    "run_mac_trial",
-    "signal_stats_by_class",
-    "__version__",
-]
+#: Quick-start name -> the module that defines it.
+_EXPORTS = {
+    "AdaptiveFecController": "repro.fec.adaptive",
+    "ConvolutionalCode": "repro.fec.convolutional",
+    "FloorPlan": "repro.environment.floorplan",
+    "LinkStation": "repro.link.station",
+    "ModemConfig": "repro.phy.modem",
+    "Point": "repro.environment.geometry",
+    "PropagationModel": "repro.environment.propagation",
+    "RadioChannel": "repro.link.channel",
+    "RcpcCodec": "repro.fec.rcpc",
+    "Simulator": "repro.simkit.simulator",
+    "TestPacketFactory": "repro.framing.testpacket",
+    "TestPacketSpec": "repro.framing.testpacket",
+    "TrialConfig": "repro.trace.trial",
+    "TrialMetrics": "repro.analysis.metrics",
+    "Wall": "repro.environment.floorplan",
+    "WaveLanErrorModel": "repro.phy.errormodel",
+    "WaveLanModem": "repro.phy.modem",
+    "analyze_trial": "repro.analysis.metrics",
+    "classify_trace": "repro.analysis.classify",
+    "run_fast_trial": "repro.trace.trial",
+    "run_mac_trial": "repro.trace.trial",
+    "signal_stats_by_class": "repro.analysis.signalstats",
+}
+
+__all__ = [*_EXPORTS, "__version__"]
+
+
+def __getattr__(name: str):
+    """Import a quick-start name from its defining module on first use."""
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -17,12 +17,15 @@ Every experiment subcommand is generated from the spec registry
 default scales, and the ``--jobs``/``--save-traces`` capability lists
 all come from the registered :class:`ExperimentSpec` objects, so a new
 experiment module shows up here by registering itself — no CLI edit.
+A command that runs no experiment (``serve``, ``stats``, ...) builds
+its parser without the registry, so it imports no experiment module.
 """
 
 from __future__ import annotations
 
 import argparse
 import sys
+from typing import Sequence
 
 from repro import obs
 from repro.experiments import engine
@@ -92,17 +95,15 @@ def _add_run_flags(parser: argparse.ArgumentParser, default_scale: float) -> Non
     _add_observability_flags(parser)
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro",
-        description="Regenerate tables/figures from Eckhardt & Steenkiste, "
-                    "SIGCOMM 1996.",
-    )
-    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
-                                     required=True)
+#: Commands that run no experiment: their parsers skip the registry.
+_TOOL_COMMANDS = frozenset(
+    {"serve", "loadgen", "stats", "timeline", "bench", "convert", "scenario"}
+)
 
-    commands.add_parser("list", help="list every experiment")
 
+def _add_experiment_commands(commands) -> None:
+    """One subcommand per registered experiment, plus ``all`` and
+    ``report``."""
     for spec in engine.specs():
         sub = commands.add_parser(
             spec.name,
@@ -135,6 +136,31 @@ def _build_parser() -> argparse.ArgumentParser:
              "per-experiment --progress flag)",
     )
     _add_observability_flags(report)
+
+
+def _build_parser(argv: Sequence[str] | None = None) -> argparse.ArgumentParser:
+    """The CLI parser for the command line ``argv`` (without the program
+    name).
+
+    Only the command that ``argv`` names is built in full: a tool
+    command skips the experiment registry, and ``loadgen`` and
+    ``scenario`` import their modules only for their own command.  With
+    no command word (no ``argv``, or a leading ``--help``) every command
+    is built, so the help lists them all.
+    """
+    command = argv[0] if argv and not argv[0].startswith("-") else None
+    parser = argparse.ArgumentParser(
+        prog="python -m repro",
+        description="Regenerate tables/figures from Eckhardt & Steenkiste, "
+                    "SIGCOMM 1996.",
+    )
+    commands = parser.add_subparsers(dest="command", metavar="COMMAND",
+                                     required=True)
+
+    commands.add_parser("list", help="list every experiment")
+
+    if command not in _TOOL_COMMANDS:
+        _add_experiment_commands(commands)
 
     stats = commands.add_parser(
         "stats", help="summarize a telemetry file written with --telemetry"
@@ -231,16 +257,21 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="write session spans and ingest heartbeats "
                             "as JSONL (tail with `timeline --follow`)")
 
-    from repro.scenario import cli as scenario_cli
-    from repro.serve import loadgen as loadgen_cli
-
-    loadgen_cli.add_arguments(
-        commands.add_parser(
-            "loadgen",
-            help="replay a stored trace against a running server",
-        )
+    loadgen = commands.add_parser(
+        "loadgen", help="replay a stored trace against a running server"
     )
-    scenario_cli.build_parser(commands)
+    if command in (None, "loadgen"):
+        from repro.serve import loadgen as loadgen_cli
+
+        loadgen_cli.add_arguments(loadgen)
+    scenario = commands.add_parser(
+        "scenario",
+        help="declarative topologies: list, validate, render, run, export",
+    )
+    if command in (None, "scenario"):
+        from repro.scenario import cli as scenario_cli
+
+        scenario_cli.add_arguments(scenario)
     return parser
 
 
@@ -355,7 +386,8 @@ def _run_one(spec, args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = _build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

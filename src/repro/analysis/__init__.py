@@ -23,29 +23,3 @@ simulator's ground truth is never used (the test suite *checks* the
 pipeline against ground truth, which is a luxury the paper's authors
 did not have).
 """
-
-from repro.analysis.burststats import BurstStatistics, burst_statistics
-from repro.analysis.classify import ClassifiedPacket, PacketClass, classify_trace
-from repro.analysis.matching import MatchOutcome, MatchResult
-from repro.analysis.metrics import TrialMetrics, analyze_trial
-from repro.analysis.signalstats import SignalStats, signal_stats_by_class
-from repro.analysis.syndrome import ErrorSyndrome, extract_syndrome
-from repro.analysis.tables import render_metrics_table, render_signal_table
-
-__all__ = [
-    "BurstStatistics",
-    "ClassifiedPacket",
-    "ErrorSyndrome",
-    "MatchOutcome",
-    "MatchResult",
-    "PacketClass",
-    "SignalStats",
-    "TrialMetrics",
-    "analyze_trial",
-    "burst_statistics",
-    "classify_trace",
-    "extract_syndrome",
-    "render_metrics_table",
-    "render_signal_table",
-    "signal_stats_by_class",
-]

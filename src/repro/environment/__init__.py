@@ -8,44 +8,3 @@ decays smoothly with distance apart from room-specific multipath dips
 station positions) into the *mean* signal level a receiver observes,
 which the PHY layer then perturbs per packet.
 """
-
-from repro.environment.floorplan import FloorPlan, Wall
-from repro.environment.geometry import Point, Segment, segments_intersect
-from repro.environment.materials import (
-    CONCRETE_BLOCK_WALL,
-    CONCRETE_FLOOR_SLAB,
-    GLASS_PARTITION,
-    HUMAN_BODY,
-    INTERIOR_DOOR,
-    MATERIALS_BY_NAME,
-    METAL_OBSTACLE,
-    PLASTER_MESH_WALL,
-    Material,
-    material_named,
-)
-from repro.environment.propagation import (
-    AmbientNoise,
-    MultipathDip,
-    PropagationModel,
-)
-
-__all__ = [
-    "AmbientNoise",
-    "CONCRETE_BLOCK_WALL",
-    "CONCRETE_FLOOR_SLAB",
-    "FloorPlan",
-    "GLASS_PARTITION",
-    "HUMAN_BODY",
-    "INTERIOR_DOOR",
-    "MATERIALS_BY_NAME",
-    "METAL_OBSTACLE",
-    "Material",
-    "MultipathDip",
-    "PLASTER_MESH_WALL",
-    "Point",
-    "PropagationModel",
-    "Segment",
-    "Wall",
-    "material_named",
-    "segments_intersect",
-]

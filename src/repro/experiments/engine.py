@@ -22,7 +22,7 @@ The engine factors the campaign shape out:
 * :class:`ExperimentEngine` — executes any spec with uniform services:
   collision-free per-trial seeds (:func:`repro.simkit.rng.spawn_seed`
   over ``(root seed, experiment, trial)``), ``jobs=N`` fan-out through
-  :func:`repro.parallel.run_tasks`, ``trace_dir`` persistence for
+  :func:`repro.parallel.runner.run_tasks`, ``trace_dir`` persistence for
   traceable plans, and loud warnings when a flag cannot apply.
 
 Determinism contract: a trial's seed is a pure function of
@@ -40,7 +40,7 @@ from pathlib import Path
 from typing import Any, Callable, Mapping, Optional, Sequence, Union
 
 from repro.obs import runtime as _obs_runtime
-from repro.parallel import Task, run_tasks
+from repro.parallel.runner import Task, run_tasks
 from repro.simkit.rng import spawn_seed
 
 
@@ -135,6 +135,7 @@ class ExperimentSpec:
 # ----------------------------------------------------------------------
 _REGISTRY: dict[str, ExperimentSpec] = {}
 _ALIASES: dict[str, str] = {}
+_LOADED = False
 
 
 def experiment(
@@ -196,8 +197,32 @@ def experiment(
 
 
 def load_all() -> None:
-    """Import every experiment module, populating the registry."""
-    import repro.experiments  # noqa: F401  (imports register the specs)
+    """Import every experiment module, populating the registry.
+
+    The registry then lists the specs in :data:`repro.experiments.MODULES`
+    order, whichever module was imported first; a spec registered from
+    any other module follows them, in registration order.
+    """
+    global _LOADED
+    if _LOADED:
+        return
+    from repro.experiments import MODULES
+
+    for module in MODULES:
+        # __import__, unlike importlib.import_module, is timed by
+        # ``python -X importtime``.
+        __import__(f"repro.experiments.{module}")
+    rank = {f"repro.experiments.{module}": i for i, module in enumerate(MODULES)}
+    ordered = sorted(
+        _REGISTRY.values(), key=lambda spec: rank.get(spec.module, len(rank))
+    )
+    _REGISTRY.clear()
+    _REGISTRY.update((spec.name, spec) for spec in ordered)
+    _ALIASES.clear()
+    _ALIASES.update(
+        (alias, spec.name) for spec in ordered for alias in spec.aliases
+    )
+    _LOADED = True
 
 
 def canonical_name(name: str) -> str:
@@ -213,7 +238,7 @@ def get(name: str) -> ExperimentSpec:
 
 
 def specs() -> list[ExperimentSpec]:
-    """Every registered spec, in registration (= presentation) order."""
+    """Every registered spec, in canonical (= presentation) order."""
     load_all()
     return list(_REGISTRY.values())
 
@@ -328,7 +353,7 @@ class ExperimentEngine:
         seed and jobs) with ``engine.plan`` / ``engine.execute`` /
         ``engine.aggregate`` children; every trial's task span (local
         or in a pool worker) parents under ``engine.execute`` through
-        :func:`repro.parallel.run_tasks`.  The experiment span's
+        :func:`repro.parallel.runner.run_tasks`.  The experiment span's
         counters are the run's work at any ``jobs``.
         """
         spec = (

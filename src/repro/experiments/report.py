@@ -28,7 +28,12 @@ from dataclasses import dataclass, field
 from repro import obs
 from repro.experiments import engine
 from repro.obs import runtime as _obs_runtime
-from repro.parallel import Task, run_tasks
+from repro.parallel.runner import Task, run_tasks
+
+# The report covers the whole registry.  Loading it with this module
+# means a spawned pool worker imports every experiment while it
+# unpickles its first task, not inside that task's span.
+engine.load_all()
 
 
 @dataclass

@@ -33,8 +33,9 @@ from repro.environment.geometry import Point
 from repro.experiments.engine import ENGINE, PlanContext, TrialPlan, experiment
 from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
 from repro.scenario.builtin import PHONE_NEAR
-from repro.transport import LinkConfig, run_transfer
+from repro.transport.link import LinkConfig
 from repro.transport.snoop import run_snoop_transfer
+from repro.transport.tcp import run_transfer
 
 SEGMENTS = 400
 SEGMENT_BYTES = 1024

@@ -20,19 +20,3 @@ Viterbi algorithm; this package implements that stack from scratch:
 * :mod:`~repro.fec.adaptive` — a rate controller driven by the modem's
   per-packet signal metrics.
 """
-
-from repro.fec.adaptive import AdaptiveFecController, RateDecision
-from repro.fec.convolutional import ConvolutionalCode
-from repro.fec.interleave import BlockInterleaver
-from repro.fec.rcpc import RcpcCodec, RcpcFamily
-from repro.fec.viterbi import viterbi_decode
-
-__all__ = [
-    "AdaptiveFecController",
-    "BlockInterleaver",
-    "ConvolutionalCode",
-    "RateDecision",
-    "RcpcCodec",
-    "RcpcFamily",
-    "viterbi_decode",
-]

@@ -14,33 +14,3 @@ frame formats involved, built from scratch:
 * :mod:`~repro.framing.testpacket` — the paper's test payload: 256
   identical 32-bit words, incremented between packets (Section 4).
 """
-
-from repro.framing.checksum import internet_checksum, verify_internet_checksum
-from repro.framing.crc import crc32, crc32_update
-from repro.framing.ethernet import (
-    ETHERTYPE_ARP,
-    ETHERTYPE_IPV4,
-    EthernetFrame,
-    MacAddress,
-)
-from repro.framing.ip import IPV4_PROTO_UDP, Ipv4Header
-from repro.framing.modem import ModemFrame
-from repro.framing.testpacket import TestPacketFactory, TestPacketSpec
-from repro.framing.udp import UdpHeader
-
-__all__ = [
-    "ETHERTYPE_ARP",
-    "ETHERTYPE_IPV4",
-    "EthernetFrame",
-    "IPV4_PROTO_UDP",
-    "Ipv4Header",
-    "MacAddress",
-    "ModemFrame",
-    "TestPacketFactory",
-    "TestPacketSpec",
-    "UdpHeader",
-    "crc32",
-    "crc32_update",
-    "internet_checksum",
-    "verify_internet_checksum",
-]

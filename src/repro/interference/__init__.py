@@ -18,20 +18,3 @@ class by exactly these effect signatures:
 * **Competing WaveLAN units**: carrier + packet interference, handled
   jointly with the MAC in :mod:`repro.link` — Table 14.
 """
-
-from repro.interference.base import EmitterGeometry, InterferenceSource
-from repro.interference.frontend import AmateurRadioTransmitter, MicrowaveOven
-from repro.interference.narrowband import AmpsCellPhone, NarrowbandPhonePair
-from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
-from repro.interference.wavelan import CompetingWaveLanTransmitter
-
-__all__ = [
-    "AmateurRadioTransmitter",
-    "AmpsCellPhone",
-    "CompetingWaveLanTransmitter",
-    "EmitterGeometry",
-    "InterferenceSource",
-    "MicrowaveOven",
-    "NarrowbandPhonePair",
-    "SpreadSpectrumPhonePair",
-]

@@ -7,8 +7,3 @@ interference samples (capture effect included).
 :class:`~repro.link.station.LinkStation` bundles position, modem,
 controller and MAC into one WaveLAN host.
 """
-
-from repro.link.channel import RadioChannel
-from repro.link.station import LinkStation, ReceivedFrame
-
-__all__ = ["LinkStation", "RadioChannel", "ReceivedFrame"]

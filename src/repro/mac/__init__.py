@@ -14,17 +14,3 @@ and exponential backoff.
 * :mod:`~repro.mac.controller` — the 82593 receive path: network-ID and
   address filtering, CRC check, promiscuous mode.
 """
-
-from repro.mac.backoff import BackoffPolicy
-from repro.mac.controller import ControllerConfig, LanController, RxFrameStatus
-from repro.mac.csma import CsmaCaMac, CsmaCdMac, MacStats
-
-__all__ = [
-    "BackoffPolicy",
-    "ControllerConfig",
-    "CsmaCaMac",
-    "CsmaCdMac",
-    "LanController",
-    "MacStats",
-    "RxFrameStatus",
-]

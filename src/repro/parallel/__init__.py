@@ -1,14 +1,15 @@
 """Parallel experiment execution.
 
-A process-pool runner (:func:`run_tasks`) that fans independent,
-seed-stable tasks across workers while keeping three invariants:
-results are byte-identical to a serial run, worker metrics fold back
-into the parent registry exactly, and telemetry lands in per-worker
-shards the ``stats`` subcommand reads as one stream.
+A process-pool runner (:func:`repro.parallel.runner.run_tasks`) that
+fans independent, seed-stable tasks across workers while keeping three
+invariants: results are byte-identical to a serial run, worker metrics
+fold back into the parent registry exactly, and telemetry lands in
+per-worker shards the ``stats`` subcommand reads as one stream.  The
+pool machinery is imported only when a run asks for ``jobs > 1``.
 
 Quick use::
 
-    from repro.parallel import Task, run_tasks
+    from repro.parallel.runner import Task, run_tasks
 
     tasks = [Task(name, fn, kwargs={"seed": seed, ...}) for ...]
     results = run_tasks(tasks, jobs=8, label="my-run")
@@ -23,28 +24,3 @@ Wired into the CLI as ``python -m repro report --jobs N`` (and
 ``--jobs`` on experiments with independent trials, e.g. ``table2``).
 See docs/OBSERVABILITY.md for the sharding and merge semantics.
 """
-
-from repro.parallel.handoff import (
-    RingClient,
-    RingSlotHandle,
-    RingTransport,
-    detach_ring,
-    load_ring_slot,
-)
-from repro.parallel.pool import PersistentPool
-from repro.parallel.runner import Task, TaskResult, run_tasks
-from repro.parallel.shards import find_shards, shard_path
-
-__all__ = [
-    "PersistentPool",
-    "RingClient",
-    "RingSlotHandle",
-    "RingTransport",
-    "Task",
-    "TaskResult",
-    "detach_ring",
-    "find_shards",
-    "load_ring_slot",
-    "run_tasks",
-    "shard_path",
-]

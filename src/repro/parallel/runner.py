@@ -22,12 +22,9 @@ inside one) out across worker processes, with three guarantees:
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import sys
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
-from multiprocessing import util as _mp_util
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Any, Callable, Optional, Sequence
@@ -102,12 +99,14 @@ def _worker_init(session_kwargs: Optional[dict], telemetry_parent: Optional[str]
     # task (_execute_task) so shards are always complete on disk.
     state = obs.STATE
     if state.sink is not None:
+        from multiprocessing import util as mp_util
+
         state.sink.flush()
         # flush() is not enough for .gz shards: GzipFile writes its
         # end-of-stream trailer only on close().  multiprocessing runs
         # Finalize callbacks in the worker's bootstrap teardown (before
         # os._exit), so close the shard there.
-        _mp_util.Finalize(state.sink, state.sink.close, exitpriority=100)
+        mp_util.Finalize(state.sink, state.sink.close, exitpriority=100)
 
 
 def _run_task(task: Task) -> TaskResult:
@@ -161,6 +160,8 @@ def _execute_task(
 def _pool_context():
     """Fork when the platform offers it (cheap, shares loaded modules);
     spawn otherwise."""
+    import multiprocessing
+
     methods = multiprocessing.get_all_start_methods()
     return multiprocessing.get_context(
         "fork" if "fork" in methods else "spawn"
@@ -248,6 +249,9 @@ def run_tasks(
                         perf_counter() - start,
                     )
             return results
+
+        # The pool machinery loads only when a run asks for it.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 
         context = _pool_context()
         session_kwargs = _session_kwargs(state)

@@ -17,31 +17,3 @@ between two antennas (paper, Section 2).  This package models:
 * :mod:`~repro.phy.modem` — the modem control unit: receive/quality
   thresholds and per-packet status reporting.
 """
-
-from repro.phy.agc import AgcModel, power_sum_dbm
-from repro.phy.antenna import AntennaDiversity
-from repro.phy.dqpsk import dqpsk_ber
-from repro.phy.dsss import BARKER_11, DsssCodec, processing_gain_db
-from repro.phy.errormodel import (
-    ErrorModelParams,
-    InterferenceSample,
-    PacketFate,
-    WaveLanErrorModel,
-)
-from repro.phy.modem import ModemConfig, ModemRxStatus, WaveLanModem
-
-__all__ = [
-    "AgcModel",
-    "AntennaDiversity",
-    "BARKER_11",
-    "DsssCodec",
-    "dqpsk_ber",
-    "ErrorModelParams",
-    "InterferenceSample",
-    "ModemConfig",
-    "ModemRxStatus",
-    "PacketFate",
-    "WaveLanErrorModel",
-    "power_sum_dbm",
-    "processing_gain_db",
-]

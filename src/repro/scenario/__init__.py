@@ -23,26 +23,3 @@ makes topology *data*:
 
 See ``docs/SCENARIOS.md`` for the YAML schema and a tour.
 """
-
-from repro.scenario.compiler import (
-    CompiledLink,
-    CompiledScenario,
-    compile_scenario,
-)
-from repro.scenario.registry import REGISTRY, ScenarioRegistry
-from repro.scenario.spec import (
-    ScenarioBuilder,
-    ScenarioError,
-    ScenarioSpec,
-)
-
-__all__ = [
-    "REGISTRY",
-    "CompiledLink",
-    "CompiledScenario",
-    "ScenarioBuilder",
-    "ScenarioError",
-    "ScenarioRegistry",
-    "ScenarioSpec",
-    "compile_scenario",
-]

@@ -21,14 +21,9 @@ from pathlib import Path
 from repro.scenario.spec import ScenarioError
 
 
-def build_parser(
-    subparsers: argparse._SubParsersAction,
-) -> argparse.ArgumentParser:
-    """Attach the ``scenario`` subcommand tree to the repro CLI."""
-    scenario = subparsers.add_parser(
-        "scenario",
-        help="declarative topologies: list, validate, render, run, export",
-    )
+def add_arguments(scenario: argparse.ArgumentParser) -> argparse.ArgumentParser:
+    """Declare the ``scenario`` action tree on the repro CLI's
+    ``scenario`` subcommand parser."""
     actions = scenario.add_subparsers(
         dest="scenario_command", metavar="ACTION", required=True
     )

@@ -7,8 +7,8 @@ length-prefixed wire protocol (:mod:`repro.serve.protocol`), classifies
 packets *incrementally* as frames arrive through
 :class:`repro.analysis.classify.IncrementalClassifier`, and shards
 per-chunk classification across a persistent worker pool
-(:class:`repro.parallel.PersistentPool`) using the shared-memory
-:class:`~repro.parallel.RingTransport` slot rings.  Ingest is
+(:class:`repro.parallel.pool.PersistentPool`) using the shared-memory
+:class:`~repro.parallel.handoff.RingTransport` slot rings.  Ingest is
 flow-controlled end to end: bounded per-session queues backpressure the
 socket, and a credit window advertised at handshake bounds the client's
 in-flight chunks — a slow consumer never costs unbounded memory.
@@ -19,24 +19,3 @@ are wired into the CLI (``python -m repro serve`` / ``loadgen``).  See
 docs/SERVING.md for the protocol, backpressure semantics, and the
 session telemetry schema.
 """
-
-from repro.serve.protocol import (
-    FrameReader,
-    FrameType,
-    ProtocolError,
-    decode_chunk,
-    encode_chunk,
-    write_frame,
-)
-from repro.serve.server import ServeConfig, TraceAnalysisServer
-
-__all__ = [
-    "FrameReader",
-    "FrameType",
-    "ProtocolError",
-    "ServeConfig",
-    "TraceAnalysisServer",
-    "decode_chunk",
-    "encode_chunk",
-    "write_frame",
-]

@@ -11,7 +11,7 @@ Two data paths, negotiated per session:
 
 * **Shared-memory ring** (same host): the HELLO requests ``shm_ring``;
   when the server grants one, the client attaches the session's slot
-  ring (:class:`repro.parallel.RingClient`), writes each chunk payload
+  ring (:class:`repro.parallel.handoff.RingClient`), writes each chunk payload
   straight into a free slot, and sends a tiny CHUNK_REF frame — the
   socket never carries frame bytes.  ACKs return the freed slots.
 * **Socket framing** (remote, or no grant): full CHUNK payload frames,

@@ -12,7 +12,7 @@ payloads (:attr:`FrameType.CHUNK`) are **format v2 columnar blocks**
 so the protocol reuses the trace store's one reader/writer pair, every
 chunk is self-describing (spec, counts, column table), and the server
 can ship a chunk to a pool worker through a shared-memory
-:class:`~repro.parallel.RingTransport` slot without re-encoding.
+:class:`~repro.parallel.handoff.RingTransport` slot without re-encoding.
 
 Session flow (client frames on the left, server on the right)::
 

@@ -21,14 +21,14 @@ session is therefore O(ring slots × slot bytes), independent of trace
 length.
 
 **Sharding and affinity.**  With ``jobs > 1`` the server runs a
-:class:`~repro.parallel.PersistentPool` of single-worker shards: every
+:class:`~repro.parallel.pool.PersistentPool` of single-worker shards: every
 session is pinned at HELLO to the least-loaded shard and all its
 chunks classify on that one worker.  The session's matcher and running
 verdict digest therefore live in that worker's per-session state
 (:data:`_WORKER_SESSIONS`), created by the session's first batch and
 retired when it finishes or aborts, so no worker state outlives its
 session.  Chunk payloads cross the boundary through the session's
-:class:`~repro.parallel.RingTransport`: a preallocated ring of
+:class:`~repro.parallel.handoff.RingTransport`: a preallocated ring of
 reusable shared-memory slots, one memcpy in, zero per-chunk segment
 creation.  Ring overflow (payload too big, or every slot leased) sends
 the chunk's bytes in the task arguments instead and is **counted

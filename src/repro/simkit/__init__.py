@@ -10,15 +10,3 @@ classic event-list simulator:
   random streams, so adding a new consumer of randomness never perturbs
   the draws made by existing consumers.
 """
-
-from repro.simkit.event import Event, EventQueue
-from repro.simkit.rng import RngRegistry, derive_seed
-from repro.simkit.simulator import Simulator
-
-__all__ = [
-    "Event",
-    "EventQueue",
-    "RngRegistry",
-    "Simulator",
-    "derive_seed",
-]

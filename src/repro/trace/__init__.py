@@ -15,24 +15,3 @@ status information, even if the packet failed the Ethernet CRC check."
   contention-free scenarios (half-million-packet office trials) and an
   event-driven path through the full MAC/channel simulation.
 """
-
-from repro.trace.columnar import ColumnarTrace, read_columnar, write_columnar
-from repro.trace.persist import load_trace, save_trace
-from repro.trace.receiver import TraceRecorder
-from repro.trace.records import PacketRecord
-from repro.trace.sender import BurstSender
-from repro.trace.trial import TrialConfig, run_fast_trial, run_mac_trial
-
-__all__ = [
-    "BurstSender",
-    "ColumnarTrace",
-    "PacketRecord",
-    "TraceRecorder",
-    "TrialConfig",
-    "load_trace",
-    "read_columnar",
-    "run_fast_trial",
-    "run_mac_trial",
-    "save_trace",
-    "write_columnar",
-]

@@ -13,26 +13,3 @@ less aggressive approaches may suffice."
   (slow start, congestion avoidance, fast retransmit, Jacobson/Karels
   RTO) driven by the event kernel.
 """
-
-from repro.transport.link import HalfDuplexLink, LinkConfig
-from repro.transport.snoop import SnoopNetwork, WiredPipe, run_snoop_transfer
-from repro.transport.tcp import (
-    DirectNetwork,
-    TcpConfig,
-    TcpReceiver,
-    TcpSender,
-    run_transfer,
-)
-
-__all__ = [
-    "DirectNetwork",
-    "HalfDuplexLink",
-    "LinkConfig",
-    "SnoopNetwork",
-    "TcpConfig",
-    "TcpReceiver",
-    "TcpSender",
-    "WiredPipe",
-    "run_snoop_transfer",
-    "run_transfer",
-]

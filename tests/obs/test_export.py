@@ -16,7 +16,7 @@ from repro.obs.export import (
     write_chrome_trace,
 )
 from repro.obs.spans import SpanRecorder, derive_trace_id
-from repro.parallel import Task, run_tasks
+from repro.parallel.runner import Task, run_tasks
 from tests.obs.sinks import ListSink
 
 

@@ -9,7 +9,7 @@ import pytest
 
 from repro.analysis.classify import classify_trace
 from repro.analysis.metrics import metrics_from_classified
-from repro.parallel import Task, run_tasks
+from repro.parallel.runner import Task, run_tasks
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.trial import TrialConfig, run_fast_trial
 

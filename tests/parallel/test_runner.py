@@ -17,7 +17,8 @@ from repro.experiments import baseline, engine, multiroom
 from repro.obs.events import read_telemetry
 from repro.obs.export import load_run_records
 from repro.obs.stats import summarize_telemetry
-from repro.parallel import Task, find_shards, run_tasks, shard_path
+from repro.parallel.runner import Task, run_tasks
+from repro.parallel.shards import find_shards, shard_path
 from repro.simkit.rng import RngRegistry, derive_seed
 
 

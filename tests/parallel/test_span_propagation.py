@@ -15,7 +15,7 @@ from repro import obs
 from repro.experiments import engine
 from repro.obs.export import load_run_records
 from repro.obs.spans import span_structure, span_tree
-from repro.parallel import Task, run_tasks
+from repro.parallel.runner import Task, run_tasks
 from repro.simkit.rng import RngRegistry
 
 

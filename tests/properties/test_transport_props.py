@@ -3,8 +3,9 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.transport import LinkConfig, run_transfer
+from repro.transport.link import LinkConfig
 from repro.transport.snoop import run_snoop_transfer
+from repro.transport.tcp import run_transfer
 
 levels = st.floats(min_value=6.0, max_value=32.0)
 seeds = st.integers(0, 2**31)

@@ -13,16 +13,15 @@ from __future__ import annotations
 
 import pytest
 
-from repro.environment import (
+from repro.environment.floorplan import FloorPlan, Wall
+from repro.environment.geometry import Point
+from repro.environment.materials import (
     CONCRETE_BLOCK_WALL,
-    FloorPlan,
     INTERIOR_DOOR,
     METAL_OBSTACLE,
     PLASTER_MESH_WALL,
-    Point,
-    PropagationModel,
-    Wall,
 )
+from repro.environment.propagation import PropagationModel
 from repro.interference.spreadspectrum import SpreadSpectrumPhonePair
 from repro.scenario.registry import REGISTRY
 from repro.trace.outsiders import OutsiderTraffic

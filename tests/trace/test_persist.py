@@ -7,7 +7,7 @@ import struct
 import numpy as np
 import pytest
 
-from repro.analysis import analyze_trial
+from repro.analysis.metrics import analyze_trial
 from repro.trace.columnar import ColumnarTrace
 from repro.trace.persist import load_trace, save_trace
 from repro.trace.trial import TrialConfig, run_fast_trial

@@ -1,6 +1,6 @@
 """The promiscuous trace recorder."""
 
-from repro.analysis import analyze_trial
+from repro.analysis.metrics import analyze_trial
 from repro.environment.geometry import Point
 from repro.environment.propagation import PropagationModel
 from repro.framing.testpacket import TestPacketFactory
