@@ -75,6 +75,13 @@ class AmbientNoise:
         draws = rng.normal(self.mean_level, self.sd_level, size=n)
         return np.clip(draws, 0.0, None)
 
+    def sample_level(self, rng: np.random.Generator) -> float:
+        """One reading: ``sample(rng, 1)[0]`` as a float, from the same
+        single draw (a scalar normal consumes the stream as a size-1
+        one does)."""
+        draw = rng.normal(self.mean_level, self.sd_level)
+        return 0.0 if draw <= 0.0 else draw
+
 
 @dataclass
 class PropagationModel:

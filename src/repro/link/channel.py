@@ -81,7 +81,16 @@ class ChannelStats:
 
 
 class RadioChannel:
-    """The single shared 900 MHz channel all WaveLAN units occupy."""
+    """The single shared 900 MHz channel all WaveLAN units occupy.
+
+    Stations never move during a run, so the channel computes each
+    ordered (sender id, receiver id) pair's ``propagation.mean_level``
+    once, when the later of the two stations is added, and keeps it in
+    :attr:`mean_levels` (a station's pair with itself included).  It
+    also keeps each station's ``rx.{id}`` and ``carrier.{id}`` random
+    streams, and holds its ``link.*`` counter handles (see
+    :meth:`repro.obs.metrics.Metrics.handle`).
+    """
 
     def __init__(
         self,
@@ -105,24 +114,41 @@ class RadioChannel:
         # finite window is what makes post-busy pile-ups possible.
         self.carrier_detect_delay_s = carrier_detect_delay_s
         self.stations: dict[int, LinkStation] = {}
+        self.mean_levels: dict[tuple[int, int], float] = {}
         self.active: dict[int, ActiveTransmission] = {}
         self.stats = ChannelStats()
         self._waiters: list[Callable[[], None]] = []
+        self._rx_rng: dict[int, np.random.Generator] = {}
+        self._carrier_rng: dict[int, np.random.Generator] = {}
+        metrics = _obs.STATE.metrics
+        self._transmissions = metrics.handle("link.transmissions")
+        self._deliveries = metrics.handle("link.deliveries")
+        self._drops = metrics.family("link.drops", "reason")
 
     # ------------------------------------------------------------------
     # Wiring
     # ------------------------------------------------------------------
     def add_station(self, station: LinkStation) -> None:
-        if station.station_id in self.stations:
-            raise ValueError(f"duplicate station id {station.station_id}")
-        self.stations[station.station_id] = station
+        station_id = station.station_id
+        if station_id in self.stations:
+            raise ValueError(f"duplicate station id {station_id}")
+        self.stations[station_id] = station
+        mean_level = self.propagation.mean_level
+        for other_id, other in self.stations.items():
+            # The station's own pair too: a receiver's earlier frame can
+            # be among the overlaps of the frame it receives.
+            self.mean_levels[station_id, other_id] = mean_level(
+                station.position, other.position
+            )
+            self.mean_levels[other_id, station_id] = mean_level(
+                other.position, station.position
+            )
+        self._rx_rng[station_id] = self.sim.rng.stream(f"rx.{station_id}")
+        self._carrier_rng[station_id] = self.sim.rng.stream(f"carrier.{station_id}")
 
     def airtime(self, frame: bytes) -> float:
         """Seconds needed to transmit ``frame`` at the channel data rate."""
         return len(frame) * 8.0 / self.data_rate_bps
-
-    def _rng(self, name: str) -> np.random.Generator:
-        return self.sim.rng.stream(name)
 
     # ------------------------------------------------------------------
     # Medium protocol (MAC side)
@@ -135,14 +161,13 @@ class RadioChannel:
         threshold.
         """
         listener = self.stations[station_id]
-        rng = self._rng(f"carrier.{station_id}")
+        rng = self._carrier_rng[station_id]
         for tx in self.active.values():
             if tx.station_id == station_id or tx.aborted:
                 continue
             if self.sim.now - tx.start < self.carrier_detect_delay_s:
                 continue  # too new: not yet acquired by the listener
-            sender = self.stations[tx.station_id]
-            level = self.propagation.mean_level(sender.position, listener.position)
+            level = self.mean_levels[tx.station_id, station_id]
             reading = level + rng.normal(0.0, listener.modem.agc.reading_jitter_sd)
             if reading >= listener.receive_threshold:
                 return True
@@ -172,9 +197,7 @@ class RadioChannel:
         )
         self.active[station_id] = tx
         self.stats.transmissions += 1
-        state = _obs.STATE
-        if state.enabled:
-            state.metrics.counter("link.transmissions").inc()
+        self._transmissions.inc()
         return duration
 
     def collision_detected(self, station_id: int) -> bool:
@@ -190,11 +213,7 @@ class RadioChannel:
         tx.aborted = True
         self.sim.cancel(tx.completion)
         self.stats.aborted += 1
-        state = _obs.STATE
-        if state.enabled:
-            state.metrics.counter(
-                "link.drops", reason=DropReason.MAC_COLLISION.value
-            ).inc()
+        self._drops[DropReason.MAC_COLLISION.value].inc()
         self._wake_waiters()
 
     def notify_on_change(self, callback: Callable[[], None]) -> None:
@@ -227,10 +246,9 @@ class RadioChannel:
             if overlap_s <= 0.0:
                 continue
             overlap_fraction = overlap_s / (tx.end - tx.start)
-            other_station = self.stations[other.station_id]
-            interference_level = self.propagation.mean_level(
-                other_station.position, receiver.position
-            )
+            interference_level = self.mean_levels[
+                other.station_id, receiver.station_id
+            ]
             margin = signal_level - interference_level
             # Stomp strength rises as the desired signal's advantage
             # shrinks below the capture-safe margin; above it the
@@ -267,34 +285,26 @@ class RadioChannel:
 
     def _complete(self, tx: ActiveTransmission) -> None:
         self.active.pop(tx.station_id, None)
-        sender = self.stations[tx.station_id]
-        state = _obs.STATE
         for receiver in self.stations.values():
             if receiver.station_id == tx.station_id:
                 continue
             if receiver.station_id in self.active:
                 # Half duplex: a station that is itself transmitting
                 # cannot receive.
-                if state.enabled:
-                    state.metrics.counter(
-                        "link.drops", reason=DropReason.HALF_DUPLEX.value
-                    ).inc()
+                self._drops[DropReason.HALF_DUPLEX.value].inc()
                 continue
-            self._deliver(tx, sender, receiver)
+            self._deliver(tx, receiver)
         self._wake_waiters()
 
-    def _deliver(
-        self, tx: ActiveTransmission, sender: LinkStation, receiver: LinkStation
-    ) -> None:
-        rng = self._rng(f"rx.{receiver.station_id}")
-        signal_level = self.propagation.mean_level(sender.position, receiver.position)
+    def _deliver(self, tx: ActiveTransmission, receiver: LinkStation) -> None:
+        rng = self._rx_rng[receiver.station_id]
+        signal_level = self.mean_levels[tx.station_id, receiver.station_id]
         samples = self._overlap_samples(tx, receiver, signal_level)
         samples.extend(self._external_samples(receiver, signal_level, rng))
-        ambient = float(self.propagation.ambient.sample(rng, 1)[0])
+        ambient = self.propagation.ambient.sample_level(rng)
         reception = receiver.modem.receive(
             tx.frame, signal_level, ambient, rng, samples
         )
-        state = _obs.STATE
         if reception.disposition is not RxDisposition.DELIVERED:
             if reception.disposition is RxDisposition.MISSED:
                 self.stats.misses += 1
@@ -302,21 +312,16 @@ class RadioChannel:
                 self.stats.threshold_filtered += 1
             else:
                 self.stats.quality_filtered += 1
-            if state.enabled:
-                reason = DropReason.from_disposition(reception.disposition)
-                state.metrics.counter("link.drops", reason=reason.value).inc()
+            reason = DropReason.from_disposition(reception.disposition)
+            self._drops[reason.value].inc()
             return
         result = receiver.controller.receive(reception.data)
         if not result.delivered:
             self.stats.controller_rejected += 1
-            if state.enabled:
-                state.metrics.counter(
-                    "link.drops", reason=DropReason.CONTROLLER_REJECTED.value
-                ).inc()
+            self._drops[DropReason.CONTROLLER_REJECTED.value].inc()
             return
         self.stats.deliveries += 1
-        if state.enabled:
-            state.metrics.counter("link.deliveries").inc()
+        self._deliveries.inc()
         receiver.deliver(
             ReceivedFrame(
                 data=reception.data,

@@ -9,6 +9,7 @@ from repro.environment.geometry import Point
 from repro.framing.ethernet import MacAddress
 from repro.mac.controller import ControllerConfig, LanController
 from repro.obs import runtime as _obs
+from repro.obs.metrics import CounterHandle
 from repro.phy.modem import ModemConfig, ModemRxStatus, WaveLanModem
 
 
@@ -40,11 +41,14 @@ class LinkStation:
     on_receive: Optional[Callable[[ReceivedFrame], None]] = None
     log: list[ReceivedFrame] = field(default_factory=list)
 
+    _frames_logged: CounterHandle = field(init=False, repr=False, compare=False)
+
     def __post_init__(self) -> None:
         if self.controller is None:
             self.controller = LanController(
                 ControllerConfig(station_address=self.mac_address)
             )
+        self._frames_logged = _obs.STATE.metrics.handle("link.frames_logged")
 
     @classmethod
     def tracing_station(
@@ -74,9 +78,7 @@ class LinkStation:
     def deliver(self, frame: ReceivedFrame) -> None:
         """Called by the channel when the controller accepted a frame."""
         self.log.append(frame)
-        state = _obs.STATE
-        if state.enabled:
-            state.metrics.counter("link.frames_logged").inc()
+        self._frames_logged.inc()
         if self.on_receive is not None:
             self.on_receive(frame)
 

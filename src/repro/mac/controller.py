@@ -19,6 +19,7 @@ from repro.framing import ethernet, modem
 from repro.framing.crc import check_fcs
 from repro.framing.ethernet import MacAddress
 from repro.obs import runtime as _obs
+from repro.obs.metrics import CounterFamily
 
 
 class RxFrameStatus(enum.Enum):
@@ -62,12 +63,14 @@ class LanController:
 
     config: ControllerConfig
     stats: dict[RxFrameStatus, int] = field(default_factory=dict)
+    _rx: CounterFamily = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._rx = _obs.STATE.metrics.family("mac.controller_rx", "status")
 
     def _count(self, status: RxFrameStatus) -> None:
         self.stats[status] = self.stats.get(status, 0) + 1
-        state = _obs.STATE
-        if state.enabled:
-            state.metrics.counter("mac.controller_rx", status=status.value).inc()
+        self._rx[status.value].inc()
 
     def receive(self, modem_frame: bytes) -> RxResult:
         """Apply network-ID, length, address and CRC filters.

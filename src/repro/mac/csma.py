@@ -79,6 +79,20 @@ class MacStats:
         return 1.0 - self.collisions / self.attempts
 
 
+class _MacCounters:
+    """One MAC's ``mac.*`` handles, each registered on first use."""
+
+    __slots__ = ("attempts", "collisions", "drops", "backoff_slots", "transmissions")
+
+    def __init__(self, protocol: str) -> None:
+        metrics = _obs.STATE.metrics
+        self.attempts = metrics.handle("mac.attempts", protocol=protocol)
+        self.collisions = metrics.handle("mac.collisions", protocol=protocol)
+        self.drops = metrics.handle("mac.drops", reason="backoff_exhausted")
+        self.backoff_slots = metrics.handle("mac.backoff_slots", protocol=protocol)
+        self.transmissions = metrics.handle("mac.transmissions", protocol=protocol)
+
+
 @dataclass
 class CsmaCaMac:
     """The WaveLAN MAC: carrier sense, collision avoidance, backoff."""
@@ -102,6 +116,10 @@ class CsmaCaMac:
 
     _busy: bool = field(default=False, init=False)
     _queue: list[bytes] = field(default_factory=list, init=False)
+    _counters: _MacCounters = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._counters = _MacCounters("csma_ca")
 
     def _gap(self) -> float:
         return self.interframe_gap_s + self.rng.uniform(0.0, self.interframe_jitter_s)
@@ -124,21 +142,16 @@ class CsmaCaMac:
             return
         frame = self._queue[0]
         self.stats.attempts += 1
-        state = _obs.STATE
-        if state.enabled:
-            state.metrics.counter("mac.attempts", protocol="csma_ca").inc()
+        counters = self._counters
+        counters.attempts.inc()
         if self.medium.carrier_busy(self.station_id):
             # Busy medium == collision under CSMA/CA.
             self.stats.collisions += 1
-            if state.enabled:
-                state.metrics.counter("mac.collisions", protocol="csma_ca").inc()
+            counters.collisions.inc()
             next_attempt = attempt + 1
             if self.backoff.exhausted(next_attempt):
                 self.stats.drops += 1
-                if state.enabled:
-                    state.metrics.counter(
-                        "mac.drops", reason="backoff_exhausted"
-                    ).inc()
+                counters.drops.inc()
                 self._queue.pop(0)
                 if self.on_dropped is not None:
                     self.on_dropped(frame)
@@ -148,10 +161,9 @@ class CsmaCaMac:
             # single-expression form to keep the rng stream stable.
             gap = self._gap()
             backoff_delay = self.backoff.delay(next_attempt, self.rng)
-            if state.enabled:
-                state.metrics.counter("mac.backoff_slots", protocol="csma_ca").inc(
-                    round(backoff_delay / self.backoff.slot_time_s)
-                )
+            counters.backoff_slots.inc(
+                round(backoff_delay / self.backoff.slot_time_s)
+            )
             self.sim.schedule(
                 gap + backoff_delay,
                 lambda: self._attempt_head(next_attempt),
@@ -161,8 +173,7 @@ class CsmaCaMac:
         # Medium free: transmit now.
         duration = self.medium.begin_transmission(self.station_id, frame)
         self.stats.transmissions += 1
-        if state.enabled:
-            state.metrics.counter("mac.transmissions", protocol="csma_ca").inc()
+        counters.transmissions.inc()
         self._queue.pop(0)
         if self.on_sent is not None:
             self.on_sent(frame)
@@ -214,6 +225,10 @@ class CsmaCdMac:
 
     _busy: bool = field(default=False, init=False)
     _queue: list[bytes] = field(default_factory=list, init=False)
+    _counters: _MacCounters = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._counters = _MacCounters("csma_cd")
 
     def enqueue(self, frame: bytes) -> None:
         self._queue.append(frame)
@@ -232,9 +247,7 @@ class CsmaCdMac:
             return
         frame = self._queue[0]
         self.stats.attempts += 1
-        state = _obs.STATE
-        if state.enabled:
-            state.metrics.counter("mac.attempts", protocol="csma_cd").inc()
+        self._counters.attempts.inc()
         duration = self.medium.begin_transmission(self.station_id, frame)
         # Collision window: check shortly after the transmission starts.
         self.sim.schedule(
@@ -270,37 +283,29 @@ class CsmaCdMac:
         self.sim.schedule_at(t, lambda: self._attempt_head(attempt), name="mac.poll")
 
     def _after_start(self, frame: bytes, duration: float, attempt: int) -> None:
-        state = _obs.STATE
+        counters = self._counters
         if self.medium.collision_detected(self.station_id):
             self.medium.abort_transmission(self.station_id)
             self.stats.collisions += 1
-            if state.enabled:
-                state.metrics.counter("mac.collisions", protocol="csma_cd").inc()
+            counters.collisions.inc()
             next_attempt = attempt + 1
             if self.backoff.exhausted(next_attempt):
                 self.stats.drops += 1
-                if state.enabled:
-                    state.metrics.counter(
-                        "mac.drops", reason="backoff_exhausted"
-                    ).inc()
+                counters.drops.inc()
                 self._queue.pop(0)
                 if self.on_dropped is not None:
                     self.on_dropped(frame)
                 self.sim.schedule(0.0, self._attempt_head, name="mac.next")
                 return
             delay = self.backoff.delay(next_attempt, self.rng)
-            if state.enabled:
-                state.metrics.counter("mac.backoff_slots", protocol="csma_cd").inc(
-                    round(delay / self.backoff.slot_time_s)
-                )
+            counters.backoff_slots.inc(round(delay / self.backoff.slot_time_s))
             self.sim.schedule(
                 delay, lambda: self._attempt_head(next_attempt), name="mac.retry"
             )
             return
         # No collision: let the transmission complete.
         self.stats.transmissions += 1
-        if state.enabled:
-            state.metrics.counter("mac.transmissions", protocol="csma_cd").inc()
+        counters.transmissions.inc()
         self._queue.pop(0)
         if self.on_sent is not None:
             self.on_sent(frame)

@@ -8,7 +8,7 @@ dot-hierarchical name plus optional labels::
 
 Names follow the layer namespace documented in docs/OBSERVABILITY.md
 (``sim.*``, ``phy.*``, ``mac.*``, ``link.*``, ``trace.*``, ``match.*``,
-``fec.*``, ``rng.*``).  Time is attributed by trace spans
+``fec.*``).  Time is attributed by trace spans
 (:mod:`repro.obs.spans`), which also carry each counter's delta over
 their extent.  Labels are folded into the storage key as
 ``name{k=v,...}`` with keys sorted, so snapshots are plain string-keyed
@@ -16,8 +16,11 @@ dictionaries.
 
 A registry created with ``enabled=False`` returns the shared no-op
 :data:`NULL_COUNTER` — the disabled mode the hot paths rely on.
-Handles are cheap to re-fetch (one dict lookup) but callers on
-per-event paths should fetch once and hold the handle.
+Objects on per-event paths hold their handles instead of looking them
+up per event: :meth:`Metrics.handle` for one counter and
+:meth:`Metrics.family` for one counter name keyed by a label's value.
+Both register a counter the first time it is incremented, so holding a
+handle adds no key to the registry.
 """
 
 from __future__ import annotations
@@ -58,6 +61,54 @@ class _NullCounter(Counter):
 NULL_COUNTER = _NullCounter()
 
 
+class LazyCounter:
+    """A held handle on one counter that registers it on its first ``inc``."""
+
+    __slots__ = ("_metrics", "_name", "_labels", "_counter")
+
+    def __init__(self, metrics: "Metrics", name: str, labels: dict) -> None:
+        self._metrics = metrics
+        self._name = name
+        self._labels = labels
+        self._counter: Optional[Counter] = None
+
+    def inc(self, amount: int = 1) -> None:
+        counter = self._counter
+        if counter is None:
+            counter = self._counter = self._metrics.counter(
+                self._name, **self._labels
+            )
+        counter.value += amount
+
+
+#: What :meth:`Metrics.handle` returns.
+CounterHandle = Counter | LazyCounter
+
+
+class CounterFamily(dict):
+    """Held handles on one counter name, keyed by one label's value.
+
+    ``family[value]`` is the counter ``name{label=value}``, fetched from
+    the registry the first time that value is looked up (and so, on the
+    per-event paths that hold families, the first time it is counted).
+    A family of a disabled registry hands out :data:`NULL_COUNTER`.
+    """
+
+    __slots__ = ("_metrics", "_name", "_label")
+
+    def __init__(self, metrics: "Metrics", name: str, label: str) -> None:
+        super().__init__()
+        self._metrics = metrics
+        self._name = name
+        self._label = label
+
+    def __missing__(self, value: str) -> Counter:
+        counter = self[value] = self._metrics.counter(
+            self._name, **{self._label: value}
+        )
+        return counter
+
+
 class Metrics:
     """The counter registry.
 
@@ -69,26 +120,28 @@ class Metrics:
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: dict[str, Counter] = {}
-        # (name, *labels.items()) -> the labelled counter in _counters:
-        # per-delivery hooks skip re-folding the sorted storage key.
-        self._labelled: dict[tuple, Counter] = {}
 
     # ------------------------------------------------------------------
     def counter(self, name: str, **labels: str) -> Counter:
         if not self.enabled:
             return NULL_COUNTER
-        if labels:
-            handle = (name, *labels.items())
-            instrument = self._labelled.get(handle)
-            if instrument is None:
-                instrument = self._labelled[handle] = self._plain(
-                    scoped_name(name, labels)
-                )
-            return instrument
-        instrument = self._counters.get(name)
+        key = scoped_name(name, labels) if labels else name
+        instrument = self._counters.get(key)
         if instrument is None:
-            instrument = self._counters[name] = Counter()
+            instrument = self._counters[key] = Counter()
         return instrument
+
+    def handle(self, name: str, **labels: str) -> CounterHandle:
+        """A handle to hold on ``name{labels}``, registered on its first
+        ``inc`` (:data:`NULL_COUNTER` when disabled)."""
+        if not self.enabled:
+            return NULL_COUNTER
+        return LazyCounter(self, name, labels)
+
+    def family(self, name: str, label: str) -> CounterFamily:
+        """Handles to hold on ``name{label=...}``, keyed by the label's
+        value and fetched on first use."""
+        return CounterFamily(self, name, label)
 
     # ------------------------------------------------------------------
     def snapshot(self) -> dict:
@@ -134,7 +187,6 @@ class Metrics:
     def reset(self) -> None:
         """Forget every counter (values and registrations)."""
         self._counters.clear()
-        self._labelled.clear()
 
 
 def render_snapshot(snapshot: dict) -> str:

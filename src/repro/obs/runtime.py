@@ -56,9 +56,11 @@ def configure(
 ) -> ObsState:
     """Enable instrumentation process-wide.
 
-    Metrics are on, RNG streams created afterwards count their calls
-    (``rng.calls{stream=...}``), and ``telemetry_path`` additionally
-    opens a JSONL sink for span, heartbeat and metrics records.
+    Metrics are on, and ``telemetry_path`` additionally opens a JSONL
+    sink for span, heartbeat and metrics records.  Objects that hold
+    counter handles (the simulator, channel, stations, MACs, modems and
+    error models) take them from the registry active when they are
+    built, so one built before this call counts nothing.
     ``spans`` (default on) attaches a :class:`SpanRecorder` over the
     session's registry, whose trace id derives from ``trace_label`` (or
     is taken verbatim from ``trace_id`` — how pool workers join the

@@ -12,7 +12,7 @@ finished span into the JSONL telemetry stream, carrying:
   :mod:`repro.obs.resources` read at each boundary;
 * work — ``counters``, the nonzero counter deltas of the session's
   metrics registry over the span (``trace.packets_offered``,
-  ``sim.events_fired``, ``rng.calls{stream=...}``, ...), worker states
+  ``sim.events_fired``, ``link.drops{reason=...}``, ...), worker states
   merged inside the span included;
 * context — the span name, the emitting ``pid``, free-form ``attrs``,
   and an ``ok``/``error`` status.

@@ -46,11 +46,16 @@ class AntennaDiversity:
         level jitter (σ ≈ 0.5-0.9 in the paper's tables) and a small
         positive bias relative to the single-branch mean.
         """
-        fades = rng.normal(0.0, self.fading_sd, size=self.branches)
-        levels = mean_level + fades
-        best = int(np.argmax(levels))
-        pair = (float(levels[0]), float(levels[-1]))
-        return AntennaSelection(float(levels[best]), best, pair)
+        # One scalar normal per branch, in branch order: the draws of a
+        # size-``branches`` array.  A tie goes to the first branch.
+        fading_sd = self.fading_sd
+        first = level = best_level = mean_level + rng.normal(0.0, fading_sd)
+        best = 0
+        for branch in range(1, self.branches):
+            level = mean_level + rng.normal(0.0, fading_sd)
+            if level > best_level:
+                best, best_level = branch, level
+        return AntennaSelection(float(best_level), best, (float(first), float(level)))
 
     def select_bulk(
         self, mean_level: float, count: int, rng: np.random.Generator

@@ -396,31 +396,13 @@ def _distinct_uniform_bulk(
     return rows_out, vals_out
 
 
-def _record_fate_metrics(fate: PacketFate) -> None:
-    """Mirror one sampled fate into the ``phy.*`` counters.
-
-    The vectorized path accounts its bulk flags separately (see
-    :meth:`WaveLanErrorModel.sample_bulk`), so this is only
-    called on the per-packet paths.
-    """
-    state = _obs.STATE
-    if not state.enabled:
-        return
-    metrics = state.metrics
-    metrics.counter("phy.packets_sampled").inc()
-    if fate.missed:
-        metrics.counter("phy.missed").inc()
-        return
-    if fate.truncated:
-        metrics.counter("phy.truncated").inc()
-    flipped = len(fate.flipped_bits)
-    if flipped:
-        metrics.counter("phy.corrupted_packets").inc()
-        metrics.counter("phy.bits_flipped").inc(flipped)
-
-
 class WaveLanErrorModel:
-    """Samples per-packet fates given channel state."""
+    """Samples per-packet fates given channel state.
+
+    The per-packet paths count into ``phy.*`` through handles the model
+    holds from the registry of the session it was built in; a model
+    built outside a session counts nothing.
+    """
 
     # In-window bit error density of a bursty jammer's contiguous
     # corruption window.
@@ -429,6 +411,30 @@ class WaveLanErrorModel:
     def __init__(self, params: ErrorModelParams | None = None) -> None:
         self.params = params or ErrorModelParams()
         self.stress_model = ClockStressModel(self.params.stress)
+        metrics = _obs.STATE.metrics
+        self._packets_sampled = metrics.handle("phy.packets_sampled")
+        self._missed = metrics.handle("phy.missed")
+        self._truncated = metrics.handle("phy.truncated")
+        self._corrupted_packets = metrics.handle("phy.corrupted_packets")
+        self._bits_flipped = metrics.handle("phy.bits_flipped")
+
+    def _count_fate(self, fate: PacketFate) -> None:
+        """Mirror one sampled fate into the ``phy.*`` counters.
+
+        The vectorized path accounts its bulk flags separately (see
+        :meth:`sample_bulk`), so this is only called on the per-packet
+        paths.
+        """
+        self._packets_sampled.inc()
+        if fate.missed:
+            self._missed.inc()
+            return
+        if fate.truncated:
+            self._truncated.inc()
+        flipped = len(fate.flipped_bits)
+        if flipped:
+            self._corrupted_packets.inc()
+            self._bits_flipped.inc(flipped)
 
     # ------------------------------------------------------------------
     # Component probabilities (deterministic functions of level)
@@ -566,7 +572,7 @@ class WaveLanErrorModel:
                 stress=0.0,
                 quality=0,
             )
-            _record_fate_metrics(fate)
+            self._count_fate(fate)
             return fate
 
         # 2. Clock stress and truncation.
@@ -630,7 +636,7 @@ class WaveLanErrorModel:
             stress=stress,
             quality=quality,
         )
-        _record_fate_metrics(fate)
+        self._count_fate(fate)
         return fate
 
     # ------------------------------------------------------------------
@@ -790,14 +796,12 @@ class WaveLanErrorModel:
         quality = self.stress_model.quality_reading(
             stress, had_bit_errors=len(all_flips) > 0, rng=rng
         )
-        state = _obs.STATE
-        if state.enabled and len(all_flips):
+        if len(all_flips):
             # sample_bulk already counted this packet's sampling, miss
             # and truncation flags; only the materialized bit damage is
             # new information here.
-            metrics = state.metrics
-            metrics.counter("phy.corrupted_packets").inc()
-            metrics.counter("phy.bits_flipped").inc(len(all_flips))
+            self._corrupted_packets.inc()
+            self._bits_flipped.inc(len(all_flips))
         return PacketFate(
             missed=False,
             truncated_at_byte=truncated_at,

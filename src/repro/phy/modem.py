@@ -27,6 +27,7 @@ import numpy as np
 from repro.framing.bits import flip_bits
 from repro.framing.modem import DEFAULT_NETWORK_ID
 from repro.obs import runtime as _obs
+from repro.obs.metrics import CounterFamily
 from repro.phy.agc import AgcModel
 from repro.phy.antenna import AntennaDiversity
 from repro.phy.errormodel import (
@@ -84,14 +85,6 @@ _DISPOSITION_DROPS = {
 }
 
 
-def _record_disposition(disposition: RxDisposition) -> None:
-    """Tally one receive disposition into ``phy.rx`` (no-op when
-    observability is disabled)."""
-    state = _obs.STATE
-    if state.enabled:
-        state.metrics.counter("phy.rx", disposition=disposition.value).inc()
-
-
 @dataclass(frozen=True)
 class ModemRxStatus:
     """The per-packet status the modem reports to the host driver."""
@@ -131,6 +124,10 @@ class WaveLanModem:
     )
     antenna: AntennaDiversity = field(default_factory=AntennaDiversity)
     agc: AgcModel = field(default_factory=AgcModel)
+    _rx: CounterFamily = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._rx = _obs.STATE.metrics.family("phy.rx", "disposition")
 
     def receive(
         self,
@@ -152,7 +149,7 @@ class WaveLanModem:
             selection.level, len(frame), rng, interference
         )
         if fate.missed:
-            _record_disposition(RxDisposition.MISSED)
+            self._rx[RxDisposition.MISSED.value].inc()
             return Reception(RxDisposition.MISSED, fate=fate)
 
         signal_reading = self.agc.signal_reading(
@@ -163,10 +160,10 @@ class WaveLanModem:
         if signal_reading < self.config.receive_threshold:
             # The receive threshold filters cleanly: the packet never
             # reaches the controller (paper, Section 5.3).
-            _record_disposition(RxDisposition.THRESHOLD_FILTERED)
+            self._rx[RxDisposition.THRESHOLD_FILTERED.value].inc()
             return Reception(RxDisposition.THRESHOLD_FILTERED, fate=fate)
         if fate.quality < self.config.quality_threshold:
-            _record_disposition(RxDisposition.QUALITY_FILTERED)
+            self._rx[RxDisposition.QUALITY_FILTERED.value].inc()
             return Reception(RxDisposition.QUALITY_FILTERED, fate=fate)
 
         silence_reading = self.agc.silence_reading(
@@ -181,7 +178,7 @@ class WaveLanModem:
             signal_quality=fate.quality,
             antenna=selection.antenna,
         )
-        _record_disposition(RxDisposition.DELIVERED)
+        self._rx[RxDisposition.DELIVERED.value].inc()
         return Reception(RxDisposition.DELIVERED, data=data, status=status, fate=fate)
 
     @staticmethod

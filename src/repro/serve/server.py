@@ -893,6 +893,8 @@ async def run_server(config: ServeConfig) -> None:
     so dying on the default signal action (as under ``systemd stop``
     or a container runtime's termination grace period) would leak one
     ring per live-or-pooled session and orphan the shard workers.
+    SIGINT is hooked on the loop as well, because a server started as a
+    background job of a non-interactive shell inherits it as ignored.
     """
     server = TraceAnalysisServer(config)
     await server.start()
@@ -905,17 +907,18 @@ async def run_server(config: ServeConfig) -> None:
         )
     loop = asyncio.get_running_loop()
     task = asyncio.current_task()
-    sigterm_hooked = False
-    try:
-        loop.add_signal_handler(signal.SIGTERM, task.cancel)
-        sigterm_hooked = True
-    except (NotImplementedError, ValueError):  # pragma: no cover
-        pass  # non-unix loop, or not on the main thread
+    hooked = []
+    for signum in (signal.SIGINT, signal.SIGTERM):
+        try:
+            loop.add_signal_handler(signum, task.cancel)
+        except (NotImplementedError, ValueError):  # pragma: no cover
+            break  # non-unix loop, or not on the main thread
+        hooked.append(signum)
     try:
         await server.serve_forever()
     except asyncio.CancelledError:
         pass
     finally:
-        if sigterm_hooked:
-            loop.remove_signal_handler(signal.SIGTERM)
+        for signum in hooked:
+            loop.remove_signal_handler(signum)
         await server.stop()

@@ -22,8 +22,6 @@ import zlib
 
 import numpy as np
 
-from repro.obs import runtime as _obs
-
 
 def derive_seed(root_seed: int, name: str) -> int:
     """Derive a deterministic child seed from a root seed and a label.
@@ -58,42 +56,6 @@ def spawn_seed(root_seed: int, *labels: str) -> int:
     return int(sequence.generate_state(1, np.uint64)[0])
 
 
-class _CountingStream:
-    """Transparent proxy over a generator that tallies method calls.
-
-    Installed whenever an observability session is on; the tally
-    feeds the ``rng.calls{stream=...}`` counters that each span's
-    ``counters`` report as the stream's draw budget.  Counting
-    wraps *calls*, not elements, so a vectorized ``rng.random(n)`` is
-    one call — the interesting quantity for reproducibility audits is
-    how often a stream is consulted, and wrapping per element would
-    change hot-path costs.  The proxy never touches the underlying
-    draw sequence, so seeds stay stable with accounting on or off.
-
-    ``__getattr__`` runs only when normal lookup fails, so a method's
-    counted wrapper is built once and kept in the instance ``__dict__``;
-    later lookups find it there without reaching ``__getattr__``.
-    """
-
-    def __init__(self, generator: np.random.Generator, counter) -> None:
-        self._generator = generator
-        self._counter = counter
-
-    def __getattr__(self, name: str):
-        attribute = getattr(self._generator, name)
-        if not callable(attribute):
-            return attribute
-        counter = self._counter
-
-        def counted(*args, **kwargs):
-            # Not counter.inc(): one frame fewer on every counted draw.
-            counter.value += 1
-            return attribute(*args, **kwargs)
-
-        self.__dict__[name] = counted
-        return counted
-
-
 class RngRegistry:
     """A factory of named random generators rooted at a single seed.
 
@@ -116,11 +78,6 @@ class RngRegistry:
         if generator is None:
             child_seed = derive_seed(self.seed, name)
             generator = np.random.Generator(np.random.PCG64(child_seed))
-            state = _obs.STATE
-            if state.enabled:
-                generator = _CountingStream(
-                    generator, state.metrics.counter("rng.calls", stream=name)
-                )
             self._streams[name] = generator
         return generator
 

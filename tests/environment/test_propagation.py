@@ -1,5 +1,6 @@
 """The calibrated propagation model."""
 
+import numpy as np
 import pytest
 
 from repro.environment.floorplan import FloorPlan, Wall
@@ -85,3 +86,21 @@ class TestAmbientNoise:
         ambient = AmbientNoise()
         draws = ambient.sample(rng, 50_000)
         assert draws.mean() == pytest.approx(ambient.mean_level, abs=0.15)
+
+    @pytest.mark.parametrize("mean", [2.8, 0.5, -1.0])
+    def test_sample_level_equals_clipped_size_one_draw(self, mean):
+        """The scalar reading is the old ``np.clip(normal(m, sd, 1), 0,
+        None)[0]``, draw for draw, clipped readings included."""
+        ambient = AmbientNoise(mean_level=mean, sd_level=1.4)
+        scalar = np.random.default_rng(7)
+        reference = np.random.default_rng(7)
+        for _ in range(2_000):
+            level = ambient.sample_level(scalar)
+            expected = np.clip(
+                reference.normal(ambient.mean_level, ambient.sd_level, 1),
+                0.0,
+                None,
+            )[0]
+            assert type(level) is float
+            assert level == expected
+        assert scalar.random() == reference.random()

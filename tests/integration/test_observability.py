@@ -69,20 +69,6 @@ class TestTelemetryCli:
             )
             assert layer_total > 0, f"no nonzero {layer}* counters"
 
-    def test_rng_streams_accounted(self, telemetry_run):
-        _, path = telemetry_run
-        _, records = obs.read_telemetry(path)
-        (span,) = [
-            r for r in records
-            if r["type"] == "span" and r["name"] == "engine.table2"
-        ]
-        streams = {
-            key: value for key, value in span["counters"].items()
-            if key.startswith("rng.calls{stream=")
-        }
-        assert streams, "expected at least one rng stream"
-        assert all(v > 0 for v in streams.values())
-
     def test_final_metrics_record_present(self, telemetry_run):
         _, path = telemetry_run
         _, records = obs.read_telemetry(path)

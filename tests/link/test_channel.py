@@ -202,3 +202,43 @@ class TestOverlapAndCapture:
         sim.run()
         # Receiver logged nothing: it was on the air when frame 1 ended.
         assert all(f.data != bytes(500) for f in receiver.log)
+
+
+class TestCachedGeometry:
+    """The channel keeps each ordered pair's mean level; stations never
+    move, so the cache must equal the propagation model's answer."""
+
+    @pytest.fixture
+    def channels(self, monkeypatch):
+        from repro.experiments import mac_ablation
+        from repro.link import network
+
+        built = []
+
+        class RecordingChannel(RadioChannel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+
+        monkeypatch.setattr(mac_ablation, "RadioChannel", RecordingChannel)
+        monkeypatch.setattr(network, "RadioChannel", RecordingChannel)
+        return built
+
+    def test_equals_propagation_for_mac_and_hidden_topologies(self, channels):
+        from repro.experiments import hidden_terminal, mac_ablation
+
+        mac_ablation._run_variant("csma_ca", scale=0.05, seed=83)
+        hidden_terminal._run_scenario(
+            "hidden, receiver off-centre", frames=30, seed=97
+        )
+        assert len(channels) == 2
+        for channel in channels:
+            stations = list(channel.stations.values())
+            assert len(stations) >= 3
+            assert channel.mean_levels == {
+                (a.station_id, b.station_id): channel.propagation.mean_level(
+                    a.position, b.position
+                )
+                for a in stations
+                for b in stations
+            }

@@ -1,6 +1,7 @@
 """Dual-antenna selection diversity."""
 
 import numpy as np
+import pytest
 
 from repro.phy.antenna import AntennaDiversity
 
@@ -29,6 +30,37 @@ class TestSelection:
         diversity = AntennaDiversity(fading_sd=0.0)
         selection = diversity.select(15.0, rng)
         assert selection.level == 15.0
+
+
+def _reference_select(diversity, mean_level, rng):
+    """The size-``branches`` draw plus ``argmax`` that ``select`` replaced."""
+    levels = mean_level + rng.normal(0.0, diversity.fading_sd, size=diversity.branches)
+    best = int(np.argmax(levels))
+    return float(levels[best]), best, (float(levels[0]), float(levels[-1]))
+
+
+class TestScalarDrawsEqualArrayDraw:
+    @pytest.mark.parametrize("branches", [1, 2, 3])
+    def test_equals_size_n_draw_and_argmax(self, branches):
+        diversity = AntennaDiversity(fading_sd=0.55, branches=branches)
+        scalar = np.random.default_rng(2024)
+        reference = np.random.default_rng(2024)
+        for i in range(5_000):
+            mean_level = 3.0 + (i % 40)
+            selection = diversity.select(mean_level, scalar)
+            assert (
+                selection.level,
+                selection.antenna,
+                selection.branch_levels,
+            ) == _reference_select(diversity, mean_level, reference)
+        assert scalar.random() == reference.random()
+
+    def test_tie_goes_to_the_first_branch(self, rng):
+        diversity = AntennaDiversity(fading_sd=0.0)
+        selection = diversity.select(12.5, rng)
+        assert _reference_select(diversity, 12.5, rng)[1] == 0
+        assert selection.antenna == 0
+        assert selection.branch_levels == (12.5, 12.5)
 
 
 class TestBulkSelection:

@@ -54,21 +54,32 @@ def _shm_names() -> set:
 
 
 @contextlib.contextmanager
-def live_server(sock: str, jobs: int):
+def live_server(
+    sock: str, jobs: int, stop_signal: int = signal.SIGTERM,
+    sigint_ignored: bool = False,
+):
     """Run ``python -m repro serve --unix SOCK --jobs JOBS`` around a block.
 
     Yields the child process once the socket is bound.  On exit a
-    still-running server gets SIGTERM and is reaped (killed after 30 s);
-    its combined stdout/stderr is then on ``proc.output``.
+    still-running server gets ``stop_signal`` and is reaped (after 30 s
+    its whole process group, shard workers included, is killed); its
+    combined stdout/stderr is then on ``proc.output``.
+    ``sigint_ignored`` launches it the way a non-interactive shell
+    launches a background job, with SIGINT ignored
+    (``sh -c 'trap "" INT; exec python -m repro serve ...'``).
     """
+    command = [
+        sys.executable, "-m", "repro", "serve",
+        "--unix", sock, "--jobs", str(jobs),
+    ]
+    if sigint_ignored:
+        command = ["sh", "-c", 'trap "" INT; exec "$0" "$@"', *command]
     proc = subprocess.Popen(
-        [
-            sys.executable, "-m", "repro", "serve",
-            "--unix", sock, "--jobs", str(jobs),
-        ],
+        command,
         stdout=subprocess.PIPE,
         stderr=subprocess.STDOUT,
         text=True,
+        start_new_session=True,
     )
     try:
         deadline = time.monotonic() + 30
@@ -79,11 +90,12 @@ def live_server(sock: str, jobs: int):
         yield proc
     finally:
         if proc.poll() is None:
-            proc.send_signal(signal.SIGTERM)
+            proc.send_signal(stop_signal)
         try:
             proc.output, _ = proc.communicate(timeout=30)
         except subprocess.TimeoutExpired:  # pragma: no cover
-            proc.kill()
+            # Orphaned shard workers would hold the output pipe open.
+            os.killpg(proc.pid, signal.SIGKILL)
             proc.output, _ = proc.communicate()
 
 
@@ -475,6 +487,23 @@ class TestSlotLifecycle:
         assert session.summary["ring_overflows"] == chunks
         assert not session.ring_used
 
+    @staticmethod
+    def _stop_drains(trace, sock: str, **server) -> None:
+        """Serve one ring session, leave the block (which signals the
+        server) and require a clean exit 0 with no ring left behind."""
+        before = _shm_names()
+        with live_server(sock, jobs=2, **server) as srv:
+            report = asyncio.run(
+                run_loadgen(sock, trace, sessions=1, chunk_records=16)
+            )
+            assert report.sessions[0].ring_used
+            # The closed session's ring is still parked in the pool.
+            assert _shm_names() - before
+        # Leaving the block sent the signal and reaped the server.
+        assert srv.returncode == 0, srv.output
+        leaked = _shm_names() - before
+        assert leaked == set(), f"leaked shm segments: {leaked}"
+
     def test_sigterm_unlinks_rings_and_reaps_workers(
         self, spec, factory, tmp_path
     ):
@@ -482,17 +511,19 @@ class TestSlotLifecycle:
         period) must drain like SIGINT: every ring — live or pooled —
         unlinked from ``/dev/shm``, shard workers reaped, exit 0.  The
         default signal action would leak one segment per session."""
-        trace = _mixed_columnar(spec, factory)
-        sock = str(tmp_path / "term.sock")
-        before = _shm_names()
-        with live_server(sock, jobs=2) as srv:
-            report = asyncio.run(
-                run_loadgen(sock, trace, sessions=1, chunk_records=16)
-            )
-            assert report.sessions[0].ring_used
-            # The closed session's ring is still parked in the pool.
-            assert _shm_names() - before
-        # Leaving the block sent SIGTERM and reaped the server.
-        assert srv.returncode == 0, srv.output
-        leaked = _shm_names() - before
-        assert leaked == set(), f"leaked shm segments: {leaked}"
+        self._stop_drains(
+            _mixed_columnar(spec, factory), str(tmp_path / "term.sock")
+        )
+
+    def test_sigint_drains_when_started_with_sigint_ignored(
+        self, spec, factory, tmp_path
+    ):
+        """A server started as a background job of a non-interactive
+        shell inherits SIGINT as ignored; ``kill -INT`` must still
+        drain it like SIGTERM, by itself, leaking no ring."""
+        self._stop_drains(
+            _mixed_columnar(spec, factory),
+            str(tmp_path / "int.sock"),
+            stop_signal=signal.SIGINT,
+            sigint_ignored=True,
+        )

@@ -1,11 +1,9 @@
 """Named random streams: determinism and independence."""
 
 import numpy as np
-import pytest
 
 from repro import obs
-from repro.obs.metrics import Counter
-from repro.simkit.rng import RngRegistry, _CountingStream, derive_seed
+from repro.simkit.rng import RngRegistry, derive_seed
 
 
 class TestDeriveSeed:
@@ -64,56 +62,13 @@ class TestRngRegistry:
         reg.stream("alpha")
         assert reg.names() == ["alpha", "zeta"]
 
+    def test_session_does_not_change_draws(self):
+        """A stream is the plain generator, and its draws are the same
+        with an observability session open or not."""
 
-class TestCountingStream:
-    """The RNG accounting proxy: counts calls, never changes draws."""
-
-    @staticmethod
-    def _proxy(seed: int = 3) -> tuple[_CountingStream, Counter]:
-        counter = Counter()
-        generator = np.random.Generator(np.random.PCG64(seed))
-        return _CountingStream(generator, counter), counter
-
-    def test_counts_every_call_of_every_method(self):
-        proxy, counter = self._proxy()
-        for _ in range(5):
-            proxy.random()
-        for _ in range(3):
-            proxy.integers(0, 10, 4)
-        proxy.random(100)  # a vectorized draw is one call
-        assert counter.value == 9
-
-    def test_second_lookup_skips_getattr(self, monkeypatch):
-        seen = []
-        original = _CountingStream.__getattr__
-
-        def spy(self, name):
-            seen.append(name)
-            return original(self, name)
-
-        monkeypatch.setattr(_CountingStream, "__getattr__", spy)
-        proxy, counter = self._proxy()
-        first = proxy.random
-        assert proxy.random is first
-        proxy.random()
-        proxy.random()
-        assert seen == ["random"]
-        assert counter.value == 2
-
-    def test_non_callable_attribute_resolves(self):
-        proxy, counter = self._proxy()
-        assert isinstance(proxy.bit_generator, np.random.PCG64)
-        assert proxy.bit_generator is proxy._generator.bit_generator
-        assert counter.value == 0
-
-    def test_unknown_attribute_raises(self):
-        proxy, _ = self._proxy()
-        with pytest.raises(AttributeError):
-            proxy.no_such_method  # noqa: B018
-
-    def test_accounting_does_not_change_draws(self):
         def draws() -> list:
             stream = RngRegistry(seed=11).stream("channel")
+            assert type(stream) is np.random.Generator
             return [
                 stream.random(4).tolist(),
                 stream.random(),
@@ -123,12 +78,6 @@ class TestCountingStream:
             ]
 
         plain = draws()
-        try:
-            state = obs.configure()
-            assert isinstance(RngRegistry(seed=1).stream("probe"), _CountingStream)
-            counted = draws()
-            calls = state.metrics.counter("rng.calls", stream="channel").value
-        finally:
-            obs.reset()
-        assert counted == plain
-        assert calls == 5
+        with obs.session(telemetry_path=None):
+            observed = draws()
+        assert observed == plain
