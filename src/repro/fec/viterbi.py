@@ -42,8 +42,8 @@ ERASED = 2
 
 #: Most rows one trellis sweep decodes.  Rows are independent, so a
 #: larger batch is swept in slices of this many rows, which bounds a
-#: decode's transient memory (pattern costs plus the one-byte-per-
-#: state-step traceback, ~12 MiB for 1 kbit blocks) whatever the batch.
+#: decode's transient memory (pattern costs plus the one-bit-per-
+#: state-step traceback, ~5 MiB for 1 kbit blocks) whatever the batch.
 SWEEP_ROWS = 128
 
 #: Trellis steps the kernel prepares at once: the add-compare-select
@@ -330,15 +330,15 @@ def _acs_numpy(
 
     Arrays are state-major, ``(states, batch)``, so every per-step
     operation runs along contiguous batch rows.  The forward pass keeps
-    one bool per state-step (entered from the odd predecessor?) for the
+    one bit per state-step (entered from the odd predecessor?) for the
     traceback.
     """
-    metrics, odd_choice = _forward(cost_pattern, butterfly_pattern)
+    metrics, packed = _forward(cost_pattern, butterfly_pattern)
     if terminated:
         end_state = np.zeros(metrics.shape[1], dtype=np.intp)
     else:
         end_state = np.argmin(metrics, axis=0)  # first minimum, like scalar
-    return _traceback(odd_choice, end_state)
+    return _traceback(packed, metrics.shape, end_state)
 
 
 def _forward(
@@ -347,12 +347,17 @@ def _forward(
     """The add-compare-select sweep of :func:`_acs_numpy`.
 
     Gathers the branch costs of :data:`GATHER_STEPS` steps at a time.
-    Returns the final ``(states, batch)`` path metrics and the
-    ``(steps, states, batch)`` odd-predecessor choices.
+    Candidates are parity-major, ``(parity, bit, j, batch)``, so the
+    compare and the select each read two contiguous halves.  A block's
+    choices fill one reused bool block, packed once along its flat
+    ``state·batch + row`` axis.  Returns the final ``(states, batch)``
+    path metrics and the ``(steps, ceil(states·batch / 8))`` packed
+    odd-predecessor choices.
     """
     batch, n_steps, _ = cost_pattern.shape
     half = butterfly_pattern.shape[1]
-    gather = butterfly_pattern.reshape(-1)
+    # butterfly_pattern[bit, j, parity] gathered as [parity, bit, j].
+    gather = butterfly_pattern.transpose(2, 0, 1).reshape(-1)
     dtype = cost_pattern.dtype
 
     if dtype.kind == "f":
@@ -361,45 +366,60 @@ def _forward(
         unreachable = n_steps * int(cost_pattern.max()) + 1
     metrics = np.full((2 * half, batch), unreachable, dtype=dtype)
     metrics[0] = 0  # encoder starts in state 0
-    predecessors = metrics.reshape(1, half, 2, batch)
+    # predecessors[parity, 0, j] is state 2j + parity's metric.
+    predecessors = metrics.reshape(half, 2, batch).transpose(1, 0, 2)[:, None]
     entered = metrics.reshape(2, half, batch)
-    candidate = np.empty((2, half, 2, batch), dtype=dtype)
-    first, second = candidate[:, :, 0], candidate[:, :, 1]
-    odd_choice = np.empty((n_steps, 2, half, batch), dtype=bool)
+    candidate = np.empty((2, 2, half, batch), dtype=dtype)
+    first, second = candidate
+    choices = np.empty((GATHER_STEPS, 2, half, batch), dtype=bool)
+    flat = 2 * half * batch
+    packed = np.empty((n_steps, (flat + 7) // 8), dtype=np.uint8)
     step_costs = cost_pattern.transpose(1, 2, 0)  # (steps, patterns, batch)
     for lo in range(0, n_steps, GATHER_STEPS):
         branch = step_costs[lo : lo + GATHER_STEPS].take(gather, axis=1)
-        for step, costs in enumerate(
-            branch.reshape(-1, 2, half, 2, batch), start=lo
+        count = branch.shape[0]
+        for costs, choice in zip(
+            branch.reshape(count, 2, 2, half, batch), choices
         ):
             np.add(predecessors, costs, out=candidate)
-            np.less(second, first, out=odd_choice[step])
+            np.less(second, first, out=choice)
             np.minimum(first, second, out=entered)
-    return metrics, odd_choice.reshape(n_steps, 2 * half, batch)
+        packed[lo : lo + count] = np.packbits(
+            choices[:count].reshape(count, flat), axis=-1
+        )
+    return metrics, packed
 
 
-def _traceback(odd_choice: np.ndarray, end_state: np.ndarray) -> np.ndarray:
-    """Decoded bits from :func:`_forward`'s choices and the end states.
+def _traceback(
+    packed: np.ndarray, shape: tuple[int, int], end_state: np.ndarray
+) -> np.ndarray:
+    """Decoded bits from :func:`_forward`'s packed choices and the end
+    states of its ``(states, batch)`` metrics.
 
     Walks flat indices ``state·batch + row``: a step's predecessor
     table maps each one to the index of ``2·(state mod S/2) + odd``,
-    built for :data:`GATHER_STEPS` steps at a time, so each step is
-    one take.
+    built for :data:`GATHER_STEPS` steps at a time from one unpacked
+    block of choices, so each step is one take.
     """
-    n_steps, n_states, batch = odd_choice.shape
-    flat = np.min_scalar_type(n_states * batch - 1).type
+    n_states, batch = shape
+    n_steps = packed.shape[0]
+    size = n_states * batch
+    flat = np.min_scalar_type(size - 1).type
     rows = np.arange(batch)
     even = (
         ((np.arange(n_states) << 1) & (n_states - 1))[:, None] * batch + rows
     ).reshape(-1).astype(flat)
     index = (end_state * batch + rows).astype(flat)
     visited = np.empty((n_steps, batch), dtype=flat)
-    planes = odd_choice.reshape(n_steps, n_states * batch)
-    block = np.empty((GATHER_STEPS, n_states * batch), dtype=flat)
+    block = np.empty((GATHER_STEPS, size), dtype=flat)
     for hi in range(n_steps, 0, -GATHER_STEPS):
         lo = max(0, hi - GATHER_STEPS)
         predecessor = block[: hi - lo]
-        np.multiply(planes[lo:hi], flat(batch), out=predecessor)
+        np.multiply(
+            np.unpackbits(packed[lo:hi], axis=-1, count=size),
+            flat(batch),
+            out=predecessor,
+        )
         predecessor += even
         for step in range(hi - 1, lo - 1, -1):
             visited[step] = index

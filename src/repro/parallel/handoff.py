@@ -3,8 +3,8 @@
 Batch pool results need no transport of their own: a worker returns
 its :class:`~repro.trace.columnar.ColumnarTrace` or
 :class:`~repro.analysis.classify.ClassifiedTrace` as a plain value and
-pickle moves the numpy columns (a simulated trial whose frames were
-never read pickles its frame builder, not the frames).
+pickle moves the numpy columns (a simulated trial, classified or not,
+pickles its frame builder, not its frames).
 
 A streaming session is different: it sends thousands of same-sized
 chunks to one sticky worker, so each session gets a

@@ -75,12 +75,26 @@ class TaskResult:
 # ----------------------------------------------------------------------
 def _worker_init(session_kwargs: Optional[dict], telemetry_parent: Optional[str],
                  index_counter) -> None:
-    """Per-worker-process setup: its own observability session.
+    """Per-worker-process setup: default signals, its own observability
+    session.
 
-    A forked worker inherits the parent's live session; it must detach
-    (not close) before configuring its own, or the parent's buffered
-    telemetry would be flushed twice into the shared file descriptor.
+    A worker forked after its parent hooked SIGINT and SIGTERM on an
+    event loop (``run_server`` does, and its pool forks lazily) would
+    keep the loop's handlers and wakeup socket: a SIGTERM sent to the
+    worker would drain the whole server instead of stopping the worker.
+    So a worker takes Python's default handling of both back and drops
+    the wakeup fd.
+
+    A forked worker also inherits the parent's live session; it must
+    detach (not close) before configuring its own, or the parent's
+    buffered telemetry would be flushed twice into the shared file
+    descriptor.
     """
+    import signal
+
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    signal.set_wakeup_fd(-1)
     _obs_runtime.detach_inherited_session()
     if session_kwargs is None:
         return  # parent was not observing; workers don't either

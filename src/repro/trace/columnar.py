@@ -34,10 +34,12 @@ columns).
 
 from __future__ import annotations
 
+import bisect
+import functools
 import json
 import struct
 from pathlib import Path
-from typing import IO, Callable, Optional, Sequence, Union
+from typing import IO, Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -67,7 +69,17 @@ _COLUMNS: dict[str, str] = {
     "lengths": "<u4",
 }
 
+#: Rows one pass over a trace takes at a time.  The classifier matches
+#: this many records per batch (large enough that the bulk matcher's
+#: whole-matrix reductions amortize, small enough that the byte matrix
+#: stays cache-friendly, ~2 MB), and a pass over an unbuilt trace —
+#: classifying or writing it — builds this many rows' frames at once.
+MATCH_CHUNK_RECORDS = 2048
+
 PathLike = Union[str, Path]
+
+#: A range builder: rows ``[start, stop)``'s frame bytes, back to back.
+RangeBuilder = Callable[[int, int], np.ndarray]
 
 
 def spec_to_dict(spec: TestPacketSpec) -> dict:
@@ -109,11 +121,13 @@ def write_columnar(
         with open(target, "wb") as stream:
             write_columnar(trace, stream)
         return
-    payload = transient_payload(trace)
     count = trace.packets_received
     target.write(MAGIC)
-    target.write(np.ascontiguousarray(payload).data)
-    position = len(MAGIC) + int(payload.shape[0])
+    nbytes = 0
+    for piece in _payload_pieces(trace):
+        target.write(np.ascontiguousarray(piece).data)
+        nbytes += int(piece.shape[0])
+    position = len(MAGIC) + nbytes
     column_table: dict[str, dict] = {}
     for key, dtype in _COLUMNS.items():
         position = _pad(target, position)
@@ -132,7 +146,7 @@ def write_columnar(
             # Always 0, read by no one: the spec carries the base.
             "first_sequence": 0,
             "count": count,
-            "payload": {"offset": len(MAGIC), "nbytes": int(payload.shape[0])},
+            "payload": {"offset": len(MAGIC), "nbytes": nbytes},
             "columns": column_table,
         },
         sort_keys=True,
@@ -165,11 +179,16 @@ class ColumnarTrace:
     block (``_backing`` keeps the mapping alive); nothing is copied
     until a consumer asks for per-record bytes.
 
-    ``payload`` may also be given as a zero-argument function that
-    builds it: a simulated trial's frames are then built the first time
-    anything reads them, once, and kept — as a memory-mapped file's
-    pages arrive on first read.  Writes read them through
-    :func:`transient_payload`, which does not keep them.
+    ``payload`` may also be given as a range builder, a picklable
+    function of ``(start, stop)`` returning those rows' bytes back to
+    back: the trace is then *unbuilt*.  A simulated trial is, so its
+    memory is its columns, whatever its length.  Passes over it go by
+    :meth:`slice`, which of an unbuilt trace is an unbuilt trace over
+    the same builder: the classifier and the writers build one
+    :data:`MATCH_CHUNK_RECORDS` chunk's frames at a time and drop them.
+    :meth:`concat` of unbuilt traces is unbuilt too, and pickling one
+    ships its builder, not its frames.  Only reading :attr:`payload`
+    (or a row through it) builds the whole payload, which is then kept.
     """
 
     def __init__(
@@ -185,7 +204,7 @@ class ColumnarTrace:
         antennas: np.ndarray,
         offsets: np.ndarray,
         lengths: np.ndarray,
-        payload: Union[np.ndarray, Callable[[], np.ndarray]],
+        payload: Union[np.ndarray, RangeBuilder],
         backing: object = None,
     ) -> None:
         self.name = name
@@ -205,7 +224,7 @@ class ColumnarTrace:
     def payload(self) -> np.ndarray:
         """Every record's raw bytes, back to back (see ``offsets``)."""
         if callable(self._payload):
-            self._payload = self._payload()
+            self._payload = self._payload(0, self.packets_received)
         return self._payload
 
     # -- rows ----------------------------------------------------------
@@ -289,35 +308,29 @@ class ColumnarTrace:
     def slice(self, start: int, stop: int) -> "ColumnarTrace":
         """Rows ``[start, stop)`` as a standalone columnar trace.
 
-        The payload window is cut between the first selected record's
-        offset and the last one's end, and offsets are rebased to it —
-        valid because the writer lands frame bytes in append order, so
-        offsets are nondecreasing.  Columns are views (zero-copy) into
-        this trace's columns except ``offsets``, which must be rebased.
-        Used by the streaming service to frame a stored trial into
-        wire chunks; an empty slice (``start >= stop``) is a valid
-        zero-record trace.
+        A built payload is cut to the window that spans the selected
+        records' bytes, from the lowest offset to the highest end, and
+        offsets are rebased to it: rows in any order slice correctly,
+        and rows written back to back get exactly their bytes.  Columns
+        are views (zero-copy) into this trace's columns except
+        ``offsets``, which must be rebased.  A slice of an unbuilt trace
+        is unbuilt: it builds its rows through this trace's builder when
+        something reads them.  An empty slice (``start >= stop``) is a
+        valid zero-record trace.
         """
         n = self.packets_received
         start = max(0, min(start, n))
         stop = max(start, min(stop, n))
         if start == stop:
-            return ColumnarTrace(
-                name=self.name,
-                spec=self.spec,
-                packets_sent=self.packets_sent,
-                times=self.times[:0],
-                levels=self.levels[:0],
-                silences=self.silences[:0],
-                qualities=self.qualities[:0],
-                antennas=self.antennas[:0],
-                offsets=self.offsets[:0],
-                lengths=self.lengths[:0],
-                payload=self.payload[:0],
-                backing=self._backing,
-            )
-        base = int(self.offsets[start])
-        end = int(self.offsets[stop - 1]) + int(self.lengths[stop - 1])
+            base, payload = 0, np.zeros(0, dtype=np.uint8)
+        elif callable(self._payload):
+            base = int(self.offsets[start])
+            payload = functools.partial(_shifted, self._payload, start)
+        else:
+            offsets = self.offsets[start:stop]
+            base = int(offsets.min())
+            end = int((offsets + self.lengths[start:stop]).max())
+            payload = self._payload[base:end]
         return ColumnarTrace(
             name=self.name,
             spec=self.spec,
@@ -327,11 +340,18 @@ class ColumnarTrace:
             silences=self.silences[start:stop],
             qualities=self.qualities[start:stop],
             antennas=self.antennas[start:stop],
-            offsets=self.offsets[start:stop] - base,
+            offsets=self.offsets[start:stop] - np.uint64(base),
             lengths=self.lengths[start:stop],
-            payload=self.payload[base:end],
+            payload=payload,
             backing=self._backing,
         )
+
+    def chunks(self) -> Iterator["ColumnarTrace"]:
+        """The trace as consecutive slices (:meth:`slice`) of at most
+        :data:`MATCH_CHUNK_RECORDS` rows, none for an empty trace."""
+        n = self.packets_received
+        for start in range(0, n, MATCH_CHUNK_RECORDS):
+            yield self.slice(start, start + MATCH_CHUNK_RECORDS)
 
     # -- merge ---------------------------------------------------------
     @classmethod
@@ -341,7 +361,9 @@ class ColumnarTrace:
         """Concatenate shard traces column-wise (the parallel merge step).
 
         ``packets_sent`` adds up (the paper's "aggregating multiple
-        bursts to form a long trial"); specs must agree.
+        bursts to form a long trial"); specs must agree.  When any part
+        is unbuilt the result is too: its builder builds each part's
+        rows from that part.
         """
         if not traces:
             raise ValueError("cannot concatenate zero traces")
@@ -351,11 +373,21 @@ class ColumnarTrace:
                 raise ValueError(
                     "cannot aggregate traces with different specs"
                 )
+        unbuilt = any(callable(t._payload) for t in traces)
+        if unbuilt:
+            # Row bounds of the parts; an unbuilt part's rows are back
+            # to back, so its bytes are its lengths' sum.
+            bounds = np.cumsum(
+                [0] + [t.packets_received for t in traces]
+            ).tolist()
+            payload = functools.partial(_concat_frames, tuple(traces), bounds)
+            sizes = [int(t.lengths.sum()) for t in traces[:-1]]
+        else:
+            payload = np.concatenate([t.payload for t in traces])
+            sizes = [t.payload.shape[0] for t in traces[:-1]]
         # uint64 like the offsets: an int64 shift would promote them to
         # float64.
-        shifts = np.cumsum(
-            [0] + [t.payload.shape[0] for t in traces[:-1]], dtype=np.uint64
-        )
+        shifts = np.cumsum([0] + sizes, dtype=np.uint64)
         return cls(
             name=name if name is not None else traces[0].name,
             spec=spec,
@@ -369,7 +401,7 @@ class ColumnarTrace:
                 [t.offsets + shift for t, shift in zip(traces, shifts)]
             ),
             lengths=np.concatenate([t.lengths for t in traces]),
-            payload=np.concatenate([t.payload for t in traces]),
+            payload=payload,
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -380,15 +412,39 @@ class ColumnarTrace:
         )
 
 
-def transient_payload(trace: ColumnarTrace) -> np.ndarray:
-    """``trace.payload`` for one pass over it, such as a write.
+def _shifted(build: RangeBuilder, base: int, start: int, stop: int):
+    """``build``'s rows ``[base + start, base + stop)``: a slice's builder."""
+    return build(base + start, base + stop)
 
-    Frames nothing has read yet are built for the caller and not kept:
-    saving a simulated trial must not leave its frames in memory.
+
+def _concat_frames(
+    parts: tuple[ColumnarTrace, ...], bounds: list[int], start: int, stop: int
+) -> np.ndarray:
+    """Rows ``[start, stop)`` of the concatenation of ``parts``, whose
+    first rows sit at ``bounds``: each part's share from that part."""
+    pieces = [np.zeros(0, dtype=np.uint8)]
+    for index in range(bisect.bisect_right(bounds, start) - 1, len(parts)):
+        first = bounds[index]
+        if first >= stop:
+            break
+        pieces.append(
+            parts[index].slice(start - first, stop - first).payload
+        )
+    return np.concatenate(pieces)
+
+
+def _payload_pieces(trace: ColumnarTrace) -> Iterator[np.ndarray]:
+    """``trace``'s payload in order, for one pass such as a write.
+
+    A built payload is one piece.  An unbuilt one comes one chunk of
+    rows at a time, each built for the caller and not kept: writing a
+    simulated trial never holds more than a chunk of its frames.
     """
-    if callable(trace._payload):
-        return trace._payload()
-    return trace._payload
+    if not callable(trace._payload):
+        yield trace._payload
+        return
+    for chunk in trace.chunks():
+        yield chunk.payload
 
 
 def start_offsets(lengths: np.ndarray) -> np.ndarray:

@@ -39,7 +39,6 @@ from repro.trace.columnar import (
     read_columnar,
     spec_from_dict,
     spec_to_dict,
-    transient_payload,
     write_columnar,
 )
 from repro.trace.records import PacketRecord
@@ -85,26 +84,29 @@ def _save_trace(trace: ColumnarTrace, path: PathLike, fmt: str) -> None:
             "spec": spec_to_dict(trace.spec),
         }
         stream.write(json.dumps(header) + "\n")
-        payload = transient_payload(trace)
-        columns = zip(
-            trace.times.tolist(),
-            trace.levels.tolist(),
-            trace.silences.tolist(),
-            trace.qualities.tolist(),
-            trace.antennas.tolist(),
-            trace.offsets.tolist(),
-            trace.lengths.tolist(),
-        )
-        for time, level, silence, quality, antenna, offset, length in columns:
-            line = {
-                "t": time,
-                "lvl": level,
-                "sil": silence,
-                "q": quality,
-                "ant": antenna,
-                "data": payload[offset : offset + length].tobytes().hex(),
-            }
-            stream.write(json.dumps(line) + "\n")
+        # Chunk by chunk: an unbuilt trace's frames are built one chunk
+        # at a time, and dropped once written.
+        for chunk in trace.chunks():
+            payload = chunk.payload
+            columns = zip(
+                chunk.times.tolist(),
+                chunk.levels.tolist(),
+                chunk.silences.tolist(),
+                chunk.qualities.tolist(),
+                chunk.antennas.tolist(),
+                chunk.offsets.tolist(),
+                chunk.lengths.tolist(),
+            )
+            for time, level, silence, quality, antenna, offset, length in columns:
+                line = {
+                    "t": time,
+                    "lvl": level,
+                    "sil": silence,
+                    "q": quality,
+                    "ant": antenna,
+                    "data": payload[offset : offset + length].tobytes().hex(),
+                }
+                stream.write(json.dumps(line) + "\n")
 
 
 def load_trace(path: PathLike) -> ColumnarTrace:

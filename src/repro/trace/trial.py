@@ -352,11 +352,12 @@ def _assemble(
     rows: dict[str, np.ndarray],
     outsiders: list[PacketRecord],
 ) -> ColumnarTrace:
-    """The trial's trace: every column now, the frames on first read.
+    """The trial's trace: every column now, its frames unbuilt.
 
     Delivered outsider rows merge in by time.  Test rows sit at integer
     times and outsiders never do, so a stable sort of the two time
-    columns is the merge order.
+    columns is the merge order.  The payload is :func:`_frames` over
+    the trial's frame inputs, which builds any range of rows.
     """
     columns = {
         "times": rows["sequences"].astype(np.float64),
@@ -365,6 +366,14 @@ def _assemble(
         "qualities": rows["qualities"],
         "antennas": rows["antennas"],
         "lengths": rows["lengths"],
+    }
+    flip_rows = np.repeat(rows["flip_owner"], np.diff(rows["flip_offsets"]))
+    delivered = flip_rows >= 0
+    inputs = {
+        "sequences": rows["sequences"],
+        "lengths": rows["lengths"],
+        "flip_rows": flip_rows[delivered],
+        "flip_positions": rows["flip_positions"][delivered],
     }
     extra = None
     if outsiders:
@@ -378,12 +387,15 @@ def _assemble(
             key: np.concatenate([column, getattr(extra, key)])[order]
             for key, column in columns.items()
         }
+        inputs["outsider_rows"] = np.flatnonzero(
+            order >= len(rows["sequences"])
+        )
     return ColumnarTrace(
         name=config.name,
         spec=config.spec,
         packets_sent=config.packets,
         offsets=start_offsets(columns["lengths"]),
-        payload=functools.partial(_frames, factory, rows, extra),
+        payload=functools.partial(_frames, factory, inputs, extra),
         **columns,
     )
 
@@ -392,35 +404,53 @@ def _frames(
     factory: TestPacketFactory,
     rows: dict[str, np.ndarray],
     outsiders: Optional[ColumnarTrace],
+    start: int,
+    stop: int,
 ) -> np.ndarray:
-    """The trial's frame bytes, back to back in time order.
+    """Rows ``[start, stop)`` of the trial's trace: their frame bytes,
+    back to back in time order.
 
-    Pristine frames come from one :meth:`TestPacketFactory.build_bulk`,
-    every delivered bit flip lands in one scattered xor, truncation
-    cuts close up in place, and the outsiders' bytes go in between the
-    test rows they follow.
+    ``rows`` holds the delivered test rows' ``sequences`` and
+    ``lengths``, each delivered bit flip's test row (``flip_rows``,
+    nondecreasing) and bit (``flip_positions``), and, when there are
+    ``outsiders``, each outsider's row in the merged trace
+    (``outsider_rows``, increasing).  The range's test rows are a run
+    ``[first, last)`` of the delivered rows, and its outsiders a run of
+    the outsider rows.  Pristine frames
+    come from one :meth:`TestPacketFactory.build_bulk` of the run's
+    sequences, the run's delivered bit flips land in one scattered xor,
+    truncation cuts close up in place, and the outsiders' bytes go in
+    between the test rows they follow.
     """
-    frames = factory.build_bulk(rows["sequences"])
-    flip_rows = np.repeat(rows["flip_owner"], np.diff(rows["flip_offsets"]))
-    delivered = flip_rows >= 0
-    positions = rows["flip_positions"][delivered]
+    if outsiders is None:
+        first, last, inside = start, stop, np.zeros(0, dtype=np.int64)
+    else:
+        at = rows["outsider_rows"]
+        lo, hi = np.searchsorted(at, [start, stop]).tolist()
+        first, last = start - lo, stop - hi
+        # Test rows of the range before each of its outsiders.
+        inside = at[lo:hi] - np.arange(lo, hi) - first
+    frames = factory.build_bulk(rows["sequences"][first:last])
+    flip_rows = rows["flip_rows"]
+    a, b = np.searchsorted(flip_rows, [first, last]).tolist()
+    positions = rows["flip_positions"][a:b]
     np.bitwise_xor.at(
         frames,
-        (flip_rows[delivered], positions >> 3),
+        (flip_rows[a:b] - first, positions >> 3),
         np.uint8(0x80) >> (positions & 7).astype(np.uint8),
     )
-    lengths = rows["lengths"]
+    lengths = rows["lengths"][first:last]
     payload = _close_cuts(frames, lengths)
-    if outsiders is None:
+    if not inside.size:
         return payload
-    before = np.searchsorted(rows["sequences"], outsiders.times).tolist()
     bounds = [*start_offsets(lengths).tolist(), int(payload.shape[0])]
-    extra = [*outsiders.offsets.tolist(), int(outsiders.payload.shape[0])]
+    begins = outsiders.offsets[lo:hi]
+    ends = begins + outsiders.lengths[lo:hi]
     pieces = []
     taken = 0
-    for index, count in enumerate(before):
+    for count, begin, end in zip(inside.tolist(), begins.tolist(), ends.tolist()):
         pieces.append(payload[bounds[taken] : bounds[count]])
-        pieces.append(outsiders.payload[extra[index] : extra[index + 1]])
+        pieces.append(outsiders.payload[begin:end])
         taken = count
     pieces.append(payload[bounds[taken] :])
     return np.concatenate(pieces)

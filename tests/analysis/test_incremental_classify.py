@@ -247,3 +247,28 @@ class TestDegenerateShapes:
         write_columnar(empty, buffer)
         decoded = read_columnar_buffer(buffer.getvalue(), origin="<test>")
         assert classify_trace(decoded).packets == []
+
+
+class TestBoundedMemory:
+    def test_a_long_trial_is_classified_one_chunk_at_a_time(self):
+        """Classifying a 50k-row simulated trial never builds its 51 MiB
+        of frames at once: the traced peak stays at a few chunks' worth,
+        and the trace is still unbuilt afterwards."""
+        import tracemalloc
+
+        from repro.trace.trial import TrialConfig, run_fast_trial
+
+        trace = run_fast_trial(
+            TrialConfig(name="long", packets=50_000, mean_level=20.0, seed=3)
+        ).trace
+        frame_bytes = int(trace.lengths.sum())
+        assert frame_bytes > 50 * 2**20
+        tracemalloc.start()
+        try:
+            classified = classify_trace(trace)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+        assert callable(trace._payload)
+        assert sum(classified.class_counts().values()) == trace.packets_received

@@ -152,6 +152,39 @@ class TestFrameMatrix:
             assert row.tobytes() == damaged_trace.data(index)
 
 
+class TestSlice:
+    def test_rows_out_of_payload_order(self):
+        """Rows need not sit in payload order: a slice's window spans
+        its rows' bytes wherever they lie, so chunked classification of
+        rows in reverse payload order, across chunk boundaries, gives
+        each row the verdict it gets in order."""
+        trace = run_fast_trial(
+            TrialConfig(name="col-reversed", packets=5_000, mean_level=9.0,
+                        seed=13)
+        ).trace
+        payload = trace.payload
+        reverse = slice(None, None, -1)
+        reversed_rows = ColumnarTrace(
+            name=trace.name,
+            spec=trace.spec,
+            packets_sent=trace.packets_sent,
+            **{
+                key: getattr(trace, key)[reverse]
+                for key in ("times", "levels", "silences", "qualities",
+                            "antennas", "offsets", "lengths")
+            },
+            payload=payload,
+        )
+        n = trace.packets_received
+        piece = reversed_rows.slice(1000, 3000)
+        for index in (0, 777, 1999):
+            assert piece.data(index) == trace.data(n - 1 - 1000 - index)
+        forward = classify_trace(trace).columns
+        backward = classify_trace(reversed_rows).columns
+        for key, column in forward.items():
+            np.testing.assert_array_equal(backward[key], column[reverse])
+
+
 class TestConcat:
     def test_concat_rebases_offsets(self, clean_trace, damaged_trace):
         a = clean_trace
@@ -237,13 +270,14 @@ class TestConversions:
 
 
 class TestDeferredPayload:
-    """A payload given as a builder runs on first read, once, and is
-    kept; a write of frames nothing has read does not keep them."""
+    """A payload given as a range builder builds the whole payload on
+    its first read, once, and keeps it; a write of frames nothing has
+    read builds them range by range and keeps none."""
 
     def _deferred(self, trace, calls):
-        def build():
-            calls.append(1)
-            return trace.payload.copy()
+        def build(start, stop):
+            calls.append((start, stop))
+            return trace.slice(start, stop).payload.copy()
 
         return ColumnarTrace(
             name=trace.name,
